@@ -3,7 +3,7 @@
 //
 // The paper's dynamic-reconfiguration story (Figure 6) changes the LOAD under
 // a fixed cluster; this campaign changes the CLUSTER under a fixed load,
-// exercising every ClusterMutator verb:
+// exercising every churn verb:
 //   * failrecover/* — KillReplica + RecoverReplica mid-window, with and
 //     without update filtering. Filtering shrinks the recovery replay (a
 //     recovering replica skips writesets outside its subscription), so the
@@ -39,8 +39,8 @@ constexpr size_t kKillTarget = 3;
 ScenarioBuilder FailRecoverScript() {
   return ScenarioBuilder()
       .Warmup(Seconds(400.0))  // long enough for filtering to stabilize + engage
-      .KillReplicaAt(Seconds(60.0), kKillTarget)
-      .RecoverReplicaAt(Seconds(240.0), kKillTarget)
+      .At(Seconds(60.0), KillReplica{kKillTarget})
+      .At(Seconds(240.0), RecoverReplica{kKillTarget})
       .Measure(Seconds(600.0), "churn");
 }
 
@@ -101,8 +101,8 @@ std::vector<CampaignCell> Cells() {
       ScenarioBuilder()
           .Warmup(Seconds(240.0))
           .Measure(Seconds(240.0), "before")
-          .AddReplicaAt(Seconds(30.0))
-          .AddReplicaAt(Seconds(90.0))
+          .At(Seconds(30.0), AddReplica{})
+          .At(Seconds(90.0), AddReplica{})
           .Measure(Seconds(360.0), "join")
           .Measure(Seconds(240.0), "after"),
       six));
@@ -116,10 +116,10 @@ std::vector<CampaignCell> Cells() {
       ScenarioBuilder()
           .Warmup(Seconds(240.0))
           .Measure(Seconds(240.0), "before")
-          .ResizeMemory(0, 1024 * kMiB)
-          .ResizeMemory(1, 1024 * kMiB)
-          .ResizeMemory(2, 1024 * kMiB)
-          .ResizeMemory(3, 1024 * kMiB)
+          .Do(ResizeMemory{0, 1024 * kMiB})
+          .Do(ResizeMemory{1, 1024 * kMiB})
+          .Do(ResizeMemory{2, 1024 * kMiB})
+          .Do(ResizeMemory{3, 1024 * kMiB})
           .Advance(Seconds(180.0))  // re-pack + re-warm transient
           .Measure(Seconds(240.0), "after"),
       constrained));

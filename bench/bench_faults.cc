@@ -246,8 +246,8 @@ std::vector<CampaignCell> Cells() {
   cells.push_back(FaultCell("partition/heal", FaultPlan{},
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
-                                .PartitionAt(Seconds(20.0), 0, Seconds(5.0))
-                                .PartitionAt(Seconds(60.0), 1, Seconds(2.0))
+                                .At(Seconds(20.0), PartitionProxy{0, Seconds(5.0)})
+                                .At(Seconds(60.0), PartitionProxy{1, Seconds(2.0)})
                                 .Measure(Seconds(120.0), "measure")));
 
   // Clean crash/failover cycle: the certifier fail-stops 40 s into the
@@ -256,8 +256,8 @@ std::vector<CampaignCell> Cells() {
   cells.push_back(FaultCell("failover/clean", FaultPlan{},
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
-                                .CrashCertifierAt(Seconds(40.0))
-                                .FailoverAt(Seconds(48.0))
+                                .At(Seconds(40.0), CrashCertifier{})
+                                .At(Seconds(48.0), FailoverCertifier{})
                                 .Measure(Seconds(120.0), "measure")));
 
   // Failover under a fault storm: two crash/failover cycles while the
@@ -265,10 +265,10 @@ std::vector<CampaignCell> Cells() {
   cells.push_back(FaultCell("failover/storm", Storm(0.05, 0.10, 0.20, Millis(1)),
                             ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
-                                .CrashCertifierAt(Seconds(30.0))
-                                .FailoverAt(Seconds(36.0))
-                                .CrashCertifierAt(Seconds(70.0))
-                                .FailoverAt(Seconds(78.0))
+                                .At(Seconds(30.0), CrashCertifier{})
+                                .At(Seconds(36.0), FailoverCertifier{})
+                                .At(Seconds(70.0), CrashCertifier{})
+                                .At(Seconds(78.0), FailoverCertifier{})
                                 .Measure(Seconds(120.0), "measure")));
 
   return cells;

@@ -26,16 +26,16 @@ std::vector<CampaignCell> Cells() {
       bench::ScenarioCell("dynamic", Mid, kTpcwShopping, "MALB-SC",
                           ScenarioBuilder()
                               .Advance(kPhase)
-                              .SwitchMix(kTpcwBrowsing)
+                              .Do(SwitchMix{kTpcwBrowsing})
                               .Advance(kPhase)
-                              .SwitchMix(kTpcwShopping)
+                              .Do(SwitchMix{kTpcwShopping})
                               .Measure(kPhase, "shopping-return")),
       // Static shopping configuration forced to run browsing.
       bench::ScenarioCell("frozen", Mid, kTpcwShopping, "MALB-SC",
                           ScenarioBuilder()
                               .Advance(Seconds(1500.0))  // converge on shopping
-                              .FreezeAllocation()
-                              .SwitchMix(kTpcwBrowsing)
+                              .Do(FreezeAllocation{})
+                              .Do(SwitchMix{kTpcwBrowsing})
                               .Advance(Seconds(300.0))
                               .Measure(Seconds(1200.0), "static-browsing")),
       // LeastConnections reference under browsing. Calibrated on shopping

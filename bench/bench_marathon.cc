@@ -43,13 +43,13 @@ ScenarioBuilder MarathonScript() {
   script.Warmup(Seconds(240.0));
   for (int e = 0; e < kEpochs; ++e) {
     const size_t victim = 1 + static_cast<size_t>(e) % (kReplicas - 1);
-    script.KillReplicaAt(Seconds(60.0), victim);
-    script.RecoverReplicaAt(Seconds(300.0), victim);
+    script.At(Seconds(60.0), KillReplica{victim});
+    script.At(Seconds(300.0), RecoverReplica{victim});
     if (e == 2) {
-      script.AddReplicaAt(Seconds(600.0));
+      script.At(Seconds(600.0), AddReplica{});
     }
     if (e == 4) {
-      script.ResizeMemoryAt(Seconds(600.0), 0, 1024 * kMiB);
+      script.At(Seconds(600.0), ResizeMemory{0, 1024 * kMiB});
     }
     script.Measure(Seconds(kEpochSeconds), "epoch" + std::to_string(e));
   }
@@ -62,10 +62,10 @@ ScenarioBuilder MarathonScript() {
 ScenarioBuilder JoinAgeScript() {
   return ScenarioBuilder()
       .Warmup(Seconds(240.0))
-      .AddReplicaAt(Seconds(30.0))
+      .At(Seconds(30.0), AddReplica{})
       .Measure(Seconds(900.0), "join-young")
       .Advance(Seconds(2400.0))
-      .AddReplicaAt(Seconds(30.0))
+      .At(Seconds(30.0), AddReplica{})
       .Measure(Seconds(900.0), "join-old");
 }
 

@@ -381,8 +381,8 @@ CampaignCell TimedPolicyCell(std::string id, bench::WorkloadFactory wf, std::str
 CampaignCell TimedChurnCell(std::string id, bench::WorkloadFactory wf, std::string mix) {
   ScenarioBuilder script = ScenarioBuilder()
                                .Warmup(Seconds(30.0))
-                               .KillReplicaAt(Seconds(60.0), 1)
-                               .RecoverReplicaAt(Seconds(180.0), 1)
+                               .At(Seconds(60.0), KillReplica{1})
+                               .At(Seconds(180.0), RecoverReplica{1})
                                .Measure(Seconds(300.0), "measure");
   return TimedCell(bench::ScenarioCell(std::move(id), std::move(wf), std::move(mix),
                                        "MALB-SC", std::move(script), PerfCellOptions()));

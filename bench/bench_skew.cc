@@ -7,7 +7,7 @@
 // The "inert/4r" cell is the degenerate-parameter gate: one cell runs the
 // SAME seed twice — once "armed" with every new knob engaged at values that
 // must change nothing (workload skew equal to the replica default, zipf_s 0,
-// a SwitchMixAt to the already-active mix, SetPopulation calls that restate
+// a scheduled SwitchMix to the already-active mix, SetPopulation verbs that restate
 // the current population) and once "plain" with none of the new surface
 // touched. Report() compares every reported field and throws on any
 // difference, which fails the cell hard in CI (`tashkent_bench` exits
@@ -105,10 +105,10 @@ CellOutput RunInertPair(uint64_t seed) {
   armed_config.clients_per_replica = opts.clients;
   armed.skew = armed_config.replica.skew;
   ScenarioResult armed_result = ScenarioBuilder()
-                                    .SetPopulation(population)
+                                    .Do(SetPopulation{population})
                                     .Warmup(opts.warmup)
-                                    .SwitchMixAt(Seconds(10.5), kTpcwOrdering)
-                                    .SetPopulationAt(Seconds(12.25), population)
+                                    .At(Seconds(10.5), SwitchMix{kTpcwOrdering})
+                                    .At(Seconds(12.25), SetPopulation{population})
                                     .Measure(opts.measure, "armed")
                                     .Run(armed, kTpcwOrdering, "MALB-SC", armed_config);
 
@@ -191,7 +191,7 @@ std::vector<CampaignCell> Cells() {
       ScenarioBuilder()
           .Warmup(Seconds(20.0))
           .Measure(Seconds(30.0), "before")
-          .SetPopulationAt(Seconds(10.0), 1000000)
+          .At(Seconds(10.0), SetPopulation{1000000})
           .Measure(Seconds(60.0), "flash"),
       FluidOptions(256, 1954, 500.0)));  // 1954 * 256 ~= 500k baseline
 
@@ -201,9 +201,9 @@ std::vector<CampaignCell> Cells() {
       "diurnal/64r-100k", BuildRubis, kRubisBidding, "MALB-SC",
       ScenarioBuilder()
           .Warmup(Seconds(20.0))
-          .SetPopulationAt(Seconds(15.0), 80000)
-          .SetPopulationAt(Seconds(30.0), 100000)
-          .SetPopulationAt(Seconds(45.0), 60000)
+          .At(Seconds(15.0), SetPopulation{80000})
+          .At(Seconds(30.0), SetPopulation{100000})
+          .At(Seconds(45.0), SetPopulation{60000})
           .Measure(Seconds(60.0), "measure"),
       FluidOptions(kScaleReplicas, 782, kScaleThinkS)));  // 782 * 64 ~= 50k baseline
 
@@ -213,7 +213,7 @@ std::vector<CampaignCell> Cells() {
       "spike/64r-100k", Small, kTpcwBrowsing, "MALB-SC",
       ScenarioBuilder()
           .Warmup(Seconds(20.0))
-          .SwitchMixAt(Seconds(20.0), kTpcwShopping)
+          .At(Seconds(20.0), SwitchMix{kTpcwShopping})
           .Measure(Seconds(60.0), "measure"),
       FluidOptions(kScaleReplicas, kScaleClientsPerReplica, kScaleThinkS)));
 

@@ -32,7 +32,7 @@ std::vector<CampaignCell> Cells() {
                           ScenarioBuilder()
                               .Warmup(Seconds(30.0))
                               .Measure(Seconds(60.0), "ordering")
-                              .SwitchMix(kTpcwBrowsing)
+                              .Do(SwitchMix{kTpcwBrowsing})
                               .Advance(Seconds(30.0))
                               .Measure(Seconds(60.0), "browsing"),
                           opts),
@@ -43,10 +43,10 @@ std::vector<CampaignCell> Cells() {
       bench::ScenarioCell("marathon-smoke", Small, kTpcwOrdering, "MALB-SC",
                           ScenarioBuilder()
                               .Warmup(Seconds(30.0))
-                              .KillReplicaAt(Seconds(10.0), 1)
-                              .RecoverReplicaAt(Seconds(40.0), 1)
+                              .At(Seconds(10.0), KillReplica{1})
+                              .At(Seconds(40.0), RecoverReplica{1})
                               .Measure(Seconds(90.0), "churn")
-                              .AddReplicaAt(Seconds(10.0))
+                              .At(Seconds(10.0), AddReplica{})
                               .Measure(Seconds(90.0), "join"),
                           opts),
   };

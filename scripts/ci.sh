@@ -210,19 +210,19 @@ if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
 
-# Every ClusterMutator verb must appear in the operator's handbook. The verb
-# list is extracted from the `// verb: <Name>` tags on the declarations in
-# mutator.h, so adding a verb without documenting it fails here.
+# Every Verb alternative must appear in the operator's handbook. The verb
+# list is extracted from the `// verb: <Name>` tags on the aggregates in
+# verb.h, so adding a verb without documenting it fails here.
 # `|| true` keeps set -e from killing the script before the empty-list
 # diagnostic below can fire.
-verbs=$(grep -oE 'verb: [A-Za-z]+' src/cluster/mutator.h | awk '{print $2}' | sort -u || true)
+verbs=$(grep -oE 'verb: [A-Za-z]+' src/cluster/verb.h | awk '{print $2}' | sort -u || true)
 if [ -z "${verbs}" ]; then
-  echo "ci: no 'verb:' tags found in src/cluster/mutator.h" >&2
+  echo "ci: no 'verb:' tags found in src/cluster/verb.h" >&2
   exit 1
 fi
 while IFS= read -r verb; do
   if ! grep -q "\b${verb}\b" docs/OPERATIONS.md; then
-    echo "ci: ClusterMutator verb '${verb}' is not documented in docs/OPERATIONS.md" >&2
+    echo "ci: verb '${verb}' is not documented in docs/OPERATIONS.md" >&2
     missing=1
   fi
 done <<< "${verbs}"

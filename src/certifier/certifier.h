@@ -42,12 +42,6 @@ struct CertifierConfig {
   uint64_t prod_threshold = 25;
   // Idle proxies pull updates at this period.
   SimDuration pull_period = Millis(500);
-  // Group-commit event batching: certification/pull arrivals landing on the
-  // same simulated tick share one simulator event (see channel.h). Verdicts,
-  // commit order, and timing are identical either way — the golden digest
-  // pins it — so this is on by default; the flag exists for differential
-  // testing and A/B event accounting.
-  bool group_commit_batching = true;
   // Per-replica dedup ring size (power of two). Must exceed the deepest
   // retry/duplicate pile-up a proxy can have outstanding — with the default
   // gatekeeper bound of 8 in-flight writes, 128 leaves a wide margin.

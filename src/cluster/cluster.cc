@@ -20,7 +20,7 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
       policy_name_(std::move(policy)),
       config_(config),
       certifier_(config.certifier),
-      certifier_channel_(&sim_, config.certifier.group_commit_batching),
+      certifier_channel_(&sim_, /*batch_arrivals=*/true),
       timeline_(config.timeline_bucket) {
   Rng root(config_.seed);
 

@@ -192,10 +192,16 @@ class Cluster {
   // Runs warmup (metrics discarded) then measurement; returns the result.
   ExperimentResult Run(SimDuration warmup, SimDuration measure);
 
-  // --- Hooks used by multi-phase experiments (Figure 6) -------------------
-  // ScenarioBuilder drives these; they remain public for direct use.
   // Advances simulated time without collecting metrics.
   void Advance(SimDuration d);
+  // Resets measurement counters and measures one window.
+  ExperimentResult Measure(SimDuration measure);
+
+  // --- Verb bodies ----------------------------------------------------------
+  // Each method below applies one Verb (src/cluster/verb.h) immediately.
+  // ClusterMutator::Apply dispatches to them; ClusterMutator::At and
+  // ScenarioBuilder add scheduling and the mutation log on top. They remain
+  // public for direct use.
   // Switches the client mix immediately.
   void SwitchMix(const std::string& mix_name);
   // Retargets the client population immediately (flash crowds, diurnal
@@ -205,8 +211,7 @@ class Cluster {
   // baseline). No-op for non-MALB policies.
   void FreezeAllocation();
 
-  // --- Churn verbs (the ClusterMutator surface; src/cluster/mutator.h wraps
-  // these with simulator-event scheduling and a mutation log) ---------------
+  // --- Churn verbs -----------------------------------------------------------
   // Fail-stop replica `index`: it rejects new work until recovered.
   void KillReplica(size_t index);
   // Begins recovery of a killed replica: cold cache, replays the certifier's
@@ -225,7 +230,7 @@ class Cluster {
   // when memory <= the configured reservation.
   void ResizeMemory(size_t index, Bytes memory);
 
-  // --- Certifier failover / partition verbs (ClusterMutator schedules) -----
+  // --- Certifier failover / partition verbs --------------------------------
   // Fail-stop the certifier primary: requests go unanswered (sender timeouts
   // drive retries), reads keep serving locally, writes queue behind the
   // gatekeeper bound until FailoverCertifier promotes the warm standby.
@@ -237,13 +242,6 @@ class Cluster {
   // Drop every message from replica `index`'s proxy for `duration` from now
   // (a one-way link partition; responses to earlier requests still arrive).
   void PartitionProxy(size_t index, SimDuration duration);
-
-  // Deprecated aliases (pre-churn verb names).
-  void CrashReplica(size_t index) { KillReplica(index); }
-  void RestartReplica(size_t index) { RecoverReplica(index); }
-
-  // Resets measurement counters and measures one window.
-  ExperimentResult Measure(SimDuration measure);
 
   Simulator& sim() { return sim_; }
   Certifier& certifier() { return certifier_; }

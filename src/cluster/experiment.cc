@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 #include <sstream>
-#include <stdexcept>
 
 namespace tashkent {
 
@@ -77,34 +76,6 @@ ExperimentResult RunExperiment(const Workload& workload, const std::string& mix,
                                       .Measure(measure, "measure")
                                       .Run(workload, mix, policy, config);
   return scenario.ByLabel("measure");
-}
-
-// --- Deprecated compatibility shim ------------------------------------------
-
-const char* PolicyName(Policy p) {
-  switch (p) {
-    case Policy::kRoundRobin:
-      return "RoundRobin";
-    case Policy::kLeastConnections:
-      return "LeastConnections";
-    case Policy::kLard:
-      return "LARD";
-    case Policy::kMalbS:
-      return "MALB-S";
-    case Policy::kMalbSC:
-      return "MALB-SC";
-    case Policy::kMalbSCAP:
-      return "MALB-SCAP";
-  }
-  return "?";
-}
-
-ExperimentResult RunExperiment(const ExperimentSpec& spec) {
-  if (spec.workload == nullptr) {
-    throw std::invalid_argument("ExperimentSpec.workload must be set");
-  }
-  return RunExperiment(*spec.workload, spec.mix, PolicyName(spec.policy), spec.config,
-                       spec.clients_per_replica, spec.warmup, spec.measure);
 }
 
 }  // namespace tashkent

@@ -4,85 +4,50 @@
 
 namespace tashkent {
 
-void ClusterMutator::Record(const std::string& verb, size_t replica, Bytes memory,
-                            SimDuration duration) {
-  log_.push_back(MutationRecord{cluster_->sim().Now(), verb, replica, memory, duration});
+namespace {
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+}  // namespace
+
+void ClusterMutator::Apply(const Verb& verb) {
+  Cluster& c = *cluster_;
+  MutationRecord record{c.sim().Now(), verb};
+  std::visit(Overloaded{
+                 [&](const KillReplica& v) { c.KillReplica(v.replica); },
+                 [&](const RecoverReplica& v) { c.RecoverReplica(v.replica); },
+                 [&](const AddReplica& v) { record.added = c.AddReplica(v.memory); },
+                 [&](const ResizeMemory& v) { c.ResizeMemory(v.replica, v.memory); },
+                 [&](const CrashCertifier&) { c.CrashCertifier(); },
+                 [&](const FailoverCertifier&) { c.FailoverCertifier(); },
+                 [&](const PartitionProxy& v) { c.PartitionProxy(v.replica, v.duration); },
+                 [&](const SwitchMix& v) { c.SwitchMix(v.mix); },
+                 [&](const SetPopulation& v) { c.SetPopulation(v.population); },
+                 [&](const FreezeAllocation&) { c.FreezeAllocation(); },
+             },
+             verb);
+  log_.push_back(std::move(record));
 }
 
-void ClusterMutator::KillReplica(size_t index) {
-  cluster_->KillReplica(index);
-  Record("KillReplica", index, 0);
-}
-
-void ClusterMutator::RecoverReplica(size_t index) {
-  cluster_->RecoverReplica(index);
-  Record("RecoverReplica", index, 0);
-}
-
-size_t ClusterMutator::AddReplica(Bytes memory) {
-  const size_t index = cluster_->AddReplica(memory);
-  Record("AddReplica", index, memory);
-  return index;
-}
-
-void ClusterMutator::ResizeMemory(size_t index, Bytes memory) {
-  cluster_->ResizeMemory(index, memory);
-  Record("ResizeMemory", index, memory);
-}
-
-void ClusterMutator::CrashCertifier() {
-  cluster_->CrashCertifier();
-  Record("CrashCertifier", 0, 0);
-}
-
-void ClusterMutator::FailoverCertifier() {
-  cluster_->FailoverCertifier();
-  Record("FailoverCertifier", 0, 0);
-}
-
-void ClusterMutator::PartitionProxy(size_t index, SimDuration duration) {
-  cluster_->PartitionProxy(index, duration);
-  Record("PartitionProxy", index, 0, duration);
-}
-
-void ClusterMutator::ScheduleGuarded(SimDuration delay, GuardedVerb fn) {
+void ClusterMutator::At(SimDuration delay, Verb verb) {
+  if (delay <= 0) {
+    Apply(verb);
+    return;
+  }
   // The weak token makes a destroyed mutator's pending events no-ops instead
   // of use-after-free: the cluster (and its simulator) outlive the event, the
   // mutator may not.
   cluster_->sim().ScheduleAfter(
-      delay, [alive = std::weak_ptr<bool>(alive_), fn = std::move(fn)]() {
+      delay, [alive = std::weak_ptr<bool>(alive_), this, verb = std::move(verb)]() {
         if (alive.lock()) {
-          fn();
+          Apply(verb);
         }
       });
-}
-
-void ClusterMutator::KillReplicaAt(SimDuration delay, size_t index) {
-  ScheduleGuarded(delay, [this, index]() { KillReplica(index); });
-}
-
-void ClusterMutator::RecoverReplicaAt(SimDuration delay, size_t index) {
-  ScheduleGuarded(delay, [this, index]() { RecoverReplica(index); });
-}
-
-void ClusterMutator::AddReplicaAt(SimDuration delay, Bytes memory) {
-  ScheduleGuarded(delay, [this, memory]() { AddReplica(memory); });
-}
-
-void ClusterMutator::ResizeMemoryAt(SimDuration delay, size_t index, Bytes memory) {
-  ScheduleGuarded(delay, [this, index, memory]() { ResizeMemory(index, memory); });
-}
-
-void ClusterMutator::CrashCertifierAt(SimDuration delay) {
-  ScheduleGuarded(delay, [this]() { CrashCertifier(); });
-}
-
-void ClusterMutator::FailoverAt(SimDuration delay) {
-  ScheduleGuarded(delay, [this]() { FailoverCertifier(); });
-}
-
-void ClusterMutator::PartitionAt(SimDuration delay, size_t index, SimDuration duration) {
-  ScheduleGuarded(delay, [this, index, duration]() { PartitionProxy(index, duration); });
 }
 
 }  // namespace tashkent

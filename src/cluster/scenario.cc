@@ -30,110 +30,18 @@ double ScenarioResult::PhaseMeanTps(double from_s, double to_s, double skip_s) c
   return n > 0 ? total_committed / (static_cast<double>(n) * width) : 0.0;
 }
 
-ScenarioBuilder& ScenarioBuilder::Warmup(SimDuration d) {
-  phases_.push_back({ScenarioPhase::Kind::kWarmup, d, {}, 0});
+ScenarioBuilder& ScenarioBuilder::Advance(SimDuration d) {
+  phases_.push_back({ScenarioPhase::Kind::kAdvance, d, {}, {}});
   return *this;
 }
 
 ScenarioBuilder& ScenarioBuilder::Measure(SimDuration d, std::string label) {
-  phases_.push_back({ScenarioPhase::Kind::kMeasure, d, std::move(label), 0});
+  phases_.push_back({ScenarioPhase::Kind::kMeasure, d, std::move(label), {}});
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::SwitchMix(std::string mix_name) {
-  return SwitchMixAt(Seconds(0.0), std::move(mix_name));
-}
-
-ScenarioBuilder& ScenarioBuilder::SwitchMixAt(SimDuration delay, std::string mix_name) {
-  phases_.push_back(
-      {ScenarioPhase::Kind::kSwitchMix, Seconds(0.0), std::move(mix_name), 0, delay, 0});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::SetPopulation(size_t population) {
-  return SetPopulationAt(Seconds(0.0), population);
-}
-
-ScenarioBuilder& ScenarioBuilder::SetPopulationAt(SimDuration delay, size_t population) {
-  phases_.push_back(
-      {ScenarioPhase::Kind::kSetPopulation, Seconds(0.0), {}, 0, delay, 0, population});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::FreezeAllocation() {
-  phases_.push_back({ScenarioPhase::Kind::kFreezeAllocation, Seconds(0.0), {}, 0});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::Advance(SimDuration d) {
-  phases_.push_back({ScenarioPhase::Kind::kAdvance, d, {}, 0});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::KillReplica(size_t index) {
-  return KillReplicaAt(Seconds(0.0), index);
-}
-
-ScenarioBuilder& ScenarioBuilder::RecoverReplica(size_t index) {
-  return RecoverReplicaAt(Seconds(0.0), index);
-}
-
-ScenarioBuilder& ScenarioBuilder::AddReplica(Bytes memory) {
-  return AddReplicaAt(Seconds(0.0), memory);
-}
-
-ScenarioBuilder& ScenarioBuilder::ResizeMemory(size_t index, Bytes memory) {
-  return ResizeMemoryAt(Seconds(0.0), index, memory);
-}
-
-ScenarioBuilder& ScenarioBuilder::KillReplicaAt(SimDuration delay, size_t index) {
-  phases_.push_back({ScenarioPhase::Kind::kKillReplica, Seconds(0.0), {}, index, delay, 0});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::RecoverReplicaAt(SimDuration delay, size_t index) {
-  phases_.push_back({ScenarioPhase::Kind::kRecoverReplica, Seconds(0.0), {}, index, delay, 0});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::AddReplicaAt(SimDuration delay, Bytes memory) {
-  phases_.push_back({ScenarioPhase::Kind::kAddReplica, Seconds(0.0), {}, 0, delay, memory});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::ResizeMemoryAt(SimDuration delay, size_t index, Bytes memory) {
-  phases_.push_back({ScenarioPhase::Kind::kResizeMemory, Seconds(0.0), {}, index, delay, memory});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::CrashCertifier() { return CrashCertifierAt(Seconds(0.0)); }
-
-ScenarioBuilder& ScenarioBuilder::CrashCertifierAt(SimDuration delay) {
-  ScenarioPhase phase{ScenarioPhase::Kind::kCrashCertifier, Seconds(0.0), {}, 0};
-  phase.delay = delay;
-  phases_.push_back(std::move(phase));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::FailoverCertifier() { return FailoverAt(Seconds(0.0)); }
-
-ScenarioBuilder& ScenarioBuilder::FailoverAt(SimDuration delay) {
-  ScenarioPhase phase{ScenarioPhase::Kind::kFailoverCertifier, Seconds(0.0), {}, 0};
-  phase.delay = delay;
-  phases_.push_back(std::move(phase));
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::PartitionProxy(size_t index, SimDuration duration) {
-  return PartitionAt(Seconds(0.0), index, duration);
-}
-
-ScenarioBuilder& ScenarioBuilder::PartitionAt(SimDuration delay, size_t index,
-                                              SimDuration duration) {
-  ScenarioPhase phase{ScenarioPhase::Kind::kPartitionProxy, Seconds(0.0), {}, index};
-  phase.delay = delay;
-  phase.extent = duration;
-  phases_.push_back(std::move(phase));
+ScenarioBuilder& ScenarioBuilder::At(SimDuration delay, Verb verb) {
+  phases_.push_back({ScenarioPhase::Kind::kVerb, delay, {}, std::move(verb)});
   return *this;
 }
 
@@ -143,7 +51,6 @@ ScenarioResult ScenarioBuilder::RunOn(Cluster& cluster) const {
   SimDuration elapsed = Seconds(0.0);
   for (const ScenarioPhase& phase : phases_) {
     switch (phase.kind) {
-      case ScenarioPhase::Kind::kWarmup:
       case ScenarioPhase::Kind::kAdvance:
         cluster.Advance(phase.duration);
         elapsed += phase.duration;
@@ -157,74 +64,8 @@ ScenarioResult ScenarioBuilder::RunOn(Cluster& cluster) const {
         out.measures.push_back(std::move(record));
         break;
       }
-      case ScenarioPhase::Kind::kSwitchMix:
-        if (phase.delay > 0) {
-          cluster.sim().ScheduleAfter(
-              phase.delay, [cl = &cluster, name = phase.label]() { cl->SwitchMix(name); });
-        } else {
-          cluster.SwitchMix(phase.label);
-        }
-        break;
-      case ScenarioPhase::Kind::kSetPopulation:
-        if (phase.delay > 0) {
-          cluster.sim().ScheduleAfter(phase.delay, [cl = &cluster, n = phase.population]() {
-            cl->SetPopulation(n);
-          });
-        } else {
-          cluster.SetPopulation(phase.population);
-        }
-        break;
-      case ScenarioPhase::Kind::kKillReplica:
-        if (phase.delay > 0) {
-          mutator.KillReplicaAt(phase.delay, phase.replica);
-        } else {
-          mutator.KillReplica(phase.replica);
-        }
-        break;
-      case ScenarioPhase::Kind::kRecoverReplica:
-        if (phase.delay > 0) {
-          mutator.RecoverReplicaAt(phase.delay, phase.replica);
-        } else {
-          mutator.RecoverReplica(phase.replica);
-        }
-        break;
-      case ScenarioPhase::Kind::kAddReplica:
-        if (phase.delay > 0) {
-          mutator.AddReplicaAt(phase.delay, phase.memory);
-        } else {
-          mutator.AddReplica(phase.memory);
-        }
-        break;
-      case ScenarioPhase::Kind::kResizeMemory:
-        if (phase.delay > 0) {
-          mutator.ResizeMemoryAt(phase.delay, phase.replica, phase.memory);
-        } else {
-          mutator.ResizeMemory(phase.replica, phase.memory);
-        }
-        break;
-      case ScenarioPhase::Kind::kFreezeAllocation:
-        cluster.FreezeAllocation();
-        break;
-      case ScenarioPhase::Kind::kCrashCertifier:
-        if (phase.delay > 0) {
-          mutator.CrashCertifierAt(phase.delay);
-        } else {
-          mutator.CrashCertifier();
-        }
-        break;
-      case ScenarioPhase::Kind::kFailoverCertifier:
-        if (phase.delay > 0) {
-          mutator.FailoverAt(phase.delay);
-        } else {
-          mutator.FailoverCertifier();
-        }
-        break;
-      case ScenarioPhase::Kind::kPartitionProxy:
-        if (phase.delay > 0) {
-          mutator.PartitionAt(phase.delay, phase.replica, phase.extent);
-        } else {
-          mutator.PartitionProxy(phase.replica, phase.extent);
-        }
+      case ScenarioPhase::Kind::kVerb:
+        mutator.At(phase.duration, phase.verb);
         break;
     }
   }

@@ -9,7 +9,7 @@
 //   const ScenarioResult r = ScenarioBuilder()
 //                                .Warmup(Seconds(240.0))
 //                                .Measure(Seconds(240.0), "steady")
-//                                .SwitchMix("browsing")
+//                                .Do(SwitchMix{"browsing"})
 //                                .Advance(Seconds(300.0))
 //                                .Measure(Seconds(240.0), "after-switch")
 //                                .Run(workload, "ordering", "MALB-SC", config);
@@ -24,28 +24,15 @@
 //     record one ExperimentResult under `label`. Labels are the lookup key
 //     for ScenarioResult::ByLabel and should be unique per script; duplicate
 //     labels are not rejected, ByLabel returns the first.
-//   * SwitchMix(name)        — switch every client to the named mix at the
-//     current instant (takes effect for each client's next transaction).
-//     Zero duration. SwitchMixAt(d, name) schedules the switch `d` after the
-//     instant this phase executes (a mix spike INSIDE a measure window).
-//   * SetPopulation(n)       — retarget the client population at the current
-//     instant (flash crowds, diurnal curves); growing staggers new clients
-//     in over one think time, shrinking drains surplus in-flight work.
-//     SetPopulationAt(d, n) schedules it like the other *At forms. Zero
-//     duration.
-//   * KillReplica(i) / RecoverReplica(i) / AddReplica(mem) /
-//     ResizeMemory(i, mem) — the ClusterMutator churn verbs
-//     (src/cluster/mutator.h), applied at the current instant. Zero
-//     duration. CrashReplica/RestartReplica are deprecated aliases for
-//     Kill/Recover.
-//   * KillReplicaAt(d, i) and the other *At forms — schedule the verb as a
-//     simulator event `d` after the instant this phase executes, then move
-//     on immediately: `.KillReplicaAt(Seconds(120), 3).Measure(Seconds(600),
-//     "churn")` fails replica 3 two minutes INTO the measure window. Zero
-//     duration.
-//   * FreezeAllocation()     — pin MALB's current allocation (the paper's
-//     static-configuration baseline); no-op for non-MALB policies. Zero
-//     duration.
+//   * Do(verb)               — apply a Verb (src/cluster/verb.h: churn,
+//     certifier faults, mix switches, population changes, allocation
+//     freezes) at the current instant. Zero duration.
+//   * At(d, verb)            — schedule the verb as a simulator event `d`
+//     after the instant this phase executes, then move on immediately:
+//     `.At(Seconds(120.0), KillReplica{3}).Measure(Seconds(600.0), "churn")`
+//     fails replica 3 two minutes INTO the measure window. Zero duration.
+//     Do(v) is At(0, v). A scheduled verb still pending when RunOn returns
+//     is cancelled (see ClusterMutator::At).
 //
 // Each Measure phase resets the metric counters, runs for its duration, and
 // records one labeled ExperimentResult. The merged throughput timeline spans
@@ -62,37 +49,27 @@
 #define SRC_CLUSTER_SCENARIO_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/mutator.h"
+#include "src/cluster/verb.h"
 
 namespace tashkent {
 
 struct ScenarioPhase {
   enum class Kind {
-    kWarmup,       // advance, metrics discarded (alias of kAdvance, named for intent)
-    kAdvance,      // advance, metrics discarded
-    kMeasure,      // reset counters, advance, record a labeled result
-    kSwitchMix,    // switch the client mix (delay 0 = now, > 0 = scheduled)
-    kSetPopulation,    // retarget the client population (delay semantics idem)
-    kKillReplica,      // ClusterMutator verbs; `delay` 0 = apply now,
-    kRecoverReplica,   // > 0 = schedule as a simulator event `delay` from
-    kAddReplica,       // the instant the phase executes (fires inside the
-    kResizeMemory,     // following Advance/Measure phases)
-    kFreezeAllocation,
-    kCrashCertifier,   // certifier fault verbs (delay semantics idem)
-    kFailoverCertifier,
-    kPartitionProxy,
+    kAdvance,  // advance, metrics discarded (Warmup and Advance)
+    kMeasure,  // reset counters, advance, record a labeled result
+    kVerb,     // apply `verb` now (duration 0) or schedule it `duration` later
   };
-  Kind kind;
-  SimDuration duration = Seconds(0.0);  // kWarmup / kAdvance / kMeasure
-  std::string label;                    // kMeasure label or kSwitchMix mix name
-  size_t replica = 0;                   // mutation target replica index
-  SimDuration delay = Seconds(0.0);     // mutation schedule offset (0 = now)
-  Bytes memory = 0;                     // kAddReplica / kResizeMemory (0 = default)
-  size_t population = 0;                // kSetPopulation target
-  SimDuration extent = Seconds(0.0);    // kPartitionProxy window length
+  Kind kind = Kind::kAdvance;
+  // kAdvance / kMeasure: the window length. kVerb: the schedule offset from
+  // the instant the phase executes (0 = apply now).
+  SimDuration duration = 0;
+  std::string label;  // kMeasure only
+  Verb verb;          // kVerb only
 };
 
 struct MeasureRecord {
@@ -108,7 +85,7 @@ struct ScenarioResult {
   std::vector<double> timeline;
   SimDuration timeline_bucket = Seconds(30.0);
   SimDuration total = Seconds(0.0);  // total simulated scenario time
-  // Churn verbs applied during the run, in execution order (scheduled verbs
+  // Verbs applied during the run, in execution order (scheduled verbs
   // stamped when they fired) — lines up against the timeline.
   std::vector<MutationRecord> mutations;
   // Simulator events executed over the cluster's whole life (perf accounting
@@ -127,37 +104,11 @@ struct ScenarioResult {
 
 class ScenarioBuilder {
  public:
-  ScenarioBuilder& Warmup(SimDuration d);
-  ScenarioBuilder& Measure(SimDuration d, std::string label);
-  ScenarioBuilder& SwitchMix(std::string mix_name);
-  ScenarioBuilder& SwitchMixAt(SimDuration delay, std::string mix_name);
-  ScenarioBuilder& SetPopulation(size_t population);
-  ScenarioBuilder& SetPopulationAt(SimDuration delay, size_t population);
-  ScenarioBuilder& FreezeAllocation();
+  ScenarioBuilder& Warmup(SimDuration d) { return Advance(d); }
   ScenarioBuilder& Advance(SimDuration d);
-
-  // --- churn verbs (ClusterMutator; see the phase semantics above) ---------
-  ScenarioBuilder& KillReplica(size_t index);
-  ScenarioBuilder& RecoverReplica(size_t index);
-  ScenarioBuilder& AddReplica(Bytes memory = 0);
-  ScenarioBuilder& ResizeMemory(size_t index, Bytes memory);
-  ScenarioBuilder& KillReplicaAt(SimDuration delay, size_t index);
-  ScenarioBuilder& RecoverReplicaAt(SimDuration delay, size_t index);
-  ScenarioBuilder& AddReplicaAt(SimDuration delay, Bytes memory = 0);
-  ScenarioBuilder& ResizeMemoryAt(SimDuration delay, size_t index, Bytes memory);
-
-  // --- certifier fault verbs (crash/failover/partition; delay semantics as
-  // above: the *At forms fire inside the following Advance/Measure phase) ---
-  ScenarioBuilder& CrashCertifier();
-  ScenarioBuilder& CrashCertifierAt(SimDuration delay);
-  ScenarioBuilder& FailoverCertifier();
-  ScenarioBuilder& FailoverAt(SimDuration delay);
-  ScenarioBuilder& PartitionProxy(size_t index, SimDuration duration);
-  ScenarioBuilder& PartitionAt(SimDuration delay, size_t index, SimDuration duration);
-
-  // Deprecated aliases (pre-churn verb names).
-  ScenarioBuilder& CrashReplica(size_t index) { return KillReplica(index); }
-  ScenarioBuilder& RestartReplica(size_t index) { return RecoverReplica(index); }
+  ScenarioBuilder& Measure(SimDuration d, std::string label);
+  ScenarioBuilder& Do(Verb verb) { return At(0, std::move(verb)); }
+  ScenarioBuilder& At(SimDuration delay, Verb verb);
 
   const std::vector<ScenarioPhase>& phases() const { return phases_; }
 

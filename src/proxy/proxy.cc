@@ -28,8 +28,7 @@ Proxy::Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig
       config_(config),
       gatekeeper_(config.max_in_flight),
       owned_channel_(channel == nullptr
-                         ? std::make_unique<CertifierChannel>(
-                               sim, certifier->config().group_commit_batching)
+                         ? std::make_unique<CertifierChannel>(sim, /*batch_arrivals=*/true)
                          : nullptr),
       channel_(channel == nullptr ? owned_channel_.get() : channel) {}
 
@@ -324,10 +323,12 @@ void Proxy::PumpApplier() {
   if (pump_active_ || applying_) {
     return;
   }
-  if (lifecycle_ == ReplicaLifecycle::kRecovering && config_.batched_recovery_apply) {
+  if (lifecycle_ == ReplicaLifecycle::kRecovering) {
     PumpApplierBatched();
     return;
   }
+  // From here on the replica is up: recovery replay never reaches this loop,
+  // so nothing below counts replay work or finishes a recovery.
   pump_active_ = true;
   const bool mask_fast = config_.mask_filtering && subscription_.has_value();
   // Chunk skip-scan is legal here only while no waiter is parked: skipping
@@ -351,9 +352,6 @@ void Proxy::PumpApplier() {
         const uint64_t skipped = hop - apply_next_;
         stats_.writesets_filtered += skipped;
         stats_.mask_skipped += skipped;
-        if (lifecycle_ == ReplicaLifecycle::kRecovering) {
-          stats_.replay_filtered += skipped;
-        }
         apply_next_ = hop;
         AdvanceApplied(hop - 1);
         continue;
@@ -366,18 +364,12 @@ void Proxy::PumpApplier() {
     if (!wanted) {
       ++apply_next_;
       ++stats_.writesets_filtered;
-      if (lifecycle_ == ReplicaLifecycle::kRecovering) {
-        ++stats_.replay_filtered;  // filtering shrinks the replay volume
-      }
       AdvanceApplied(ws.commit_version);
       continue;
     }
     ++apply_next_;
     const Version version = ws.commit_version;
     ++stats_.writesets_applied;
-    if (lifecycle_ == ReplicaLifecycle::kRecovering) {
-      ++stats_.replay_applied;
-    }
     applying_ = true;
     replica_->ApplyWriteset(ws, [this, version]() {
       applying_ = false;
@@ -387,7 +379,6 @@ void Proxy::PumpApplier() {
     break;  // resume when the asynchronous apply completes
   }
   pump_active_ = false;
-  MaybeFinishRecovery();
 }
 
 void Proxy::PumpApplierBatched() {

@@ -72,12 +72,6 @@ struct ProxyConfig {
   // Certifier-path retry protocol (see RetryPolicy). The Cluster forks the
   // jitter stream from its fault stream and calls ArmRetry when enabled.
   RetryPolicy retry;
-  // Recovery replay drains each contiguous pending log run as ONE batched
-  // disk/CPU submission (Replica::SubmitApplyBatch) instead of one
-  // round trip per writeset. Cache trajectory and replay volume are
-  // identical; only the replay's wall time shrinks. Off = the pre-checkpoint
-  // per-writeset replay, kept for differential tests.
-  bool batched_recovery_apply = true;
   // Update-filtering fast path (src/storage/table_mask.h): decide "wanted"
   // with the log entry's interned TableMask against the cached subscription
   // mask, and skip whole certifier-log chunks whose union mask provably
@@ -141,8 +135,7 @@ class Proxy {
   using TxnDone = InlineCallback<void(bool committed), 96>;
 
   // `channel` is the cluster-shared certifier channel; when null (standalone
-  // unit tests) the proxy owns a private one, configured from the certifier's
-  // group_commit_batching flag.
+  // unit tests) the proxy owns a private batching one.
   Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig config = {},
         CertifierChannel* channel = nullptr);
 
@@ -218,8 +211,6 @@ class Proxy {
     join_pending_ = true;
     Recover();
   }
-  // Deprecated alias for Recover(); pre-churn callers named the verb Restart.
-  void Restart() { Recover(); }
 
   ReplicaLifecycle lifecycle() const { return lifecycle_; }
   bool available() const { return lifecycle_ == ReplicaLifecycle::kUp; }
@@ -262,7 +253,7 @@ class Proxy {
   // chose; pulls the (version, head] delta once the image lands.
   void InstallCheckpoint();
   // Drains the pending log run [apply_next_, apply_hi_] as one batched
-  // disk/CPU submission (the recovery fast path).
+  // disk/CPU submission (every recovery replay takes this path).
   void PumpApplierBatched();
   // Arrival of a certification response (one RTT after submission); `slot`
   // indexes the parked payload in pending_certs_.

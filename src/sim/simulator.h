@@ -46,7 +46,7 @@ class Simulator {
   // Per-event callback with inline capture storage (no heap). Hot payloads
   // (writesets, transaction continuations) are parked in their owners'
   // slabs, so event captures are small: the largest is the cluster
-  // mutator's guarded verb (weak token + verb closure).
+  // mutator's guarded verb (weak token + mutator + Verb, 64 bytes).
   using Callback = InlineCallback<void(), 96>;
 
   // Generation-tagged slab handle for cancellation: low 32 bits are

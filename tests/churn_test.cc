@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <variant>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/cluster/campaign.h"
@@ -197,19 +199,20 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
   ClusterConfig config = Config(3);
   const ScenarioResult r = ScenarioBuilder()
                                .Warmup(Seconds(60.0))
-                               .KillReplicaAt(Seconds(30.0), 1)
-                               .RecoverReplicaAt(Seconds(90.0), 1)
+                               .At(Seconds(30.0), KillReplica{1})
+                               .At(Seconds(90.0), RecoverReplica{1})
                                .Measure(Seconds(180.0), "churn")
-                               .AddReplica()
-                               .ResizeMemory(0, 1024 * kMiB)
+                               .Do(AddReplica{})
+                               .Do(ResizeMemory{0, 1024 * kMiB})
                                .Measure(Seconds(60.0), "after")
                                .Run(w, kTpcwOrdering, "LeastConnections", config);
 
   ASSERT_EQ(r.mutations.size(), 4u);
-  EXPECT_EQ(r.mutations[0].verb, "KillReplica");
-  EXPECT_EQ(r.mutations[1].verb, "RecoverReplica");
-  EXPECT_EQ(r.mutations[2].verb, "AddReplica");
-  EXPECT_EQ(r.mutations[3].verb, "ResizeMemory");
+  EXPECT_TRUE(std::holds_alternative<KillReplica>(r.mutations[0].verb));
+  EXPECT_TRUE(std::holds_alternative<RecoverReplica>(r.mutations[1].verb));
+  EXPECT_TRUE(std::holds_alternative<AddReplica>(r.mutations[2].verb));
+  EXPECT_EQ(r.mutations[2].added, 3u);  // the fourth replica of a 3-replica cluster
+  EXPECT_TRUE(std::holds_alternative<ResizeMemory>(r.mutations[3].verb));
   // The scheduled verbs fired inside the measure window: 60s warmup + 30s /
   // 90s offsets.
   EXPECT_EQ(r.mutations[0].at, Seconds(90.0));
@@ -223,12 +226,46 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
 
 // --- scheduling verbs is allocation-free -------------------------------------
 
-// ClusterMutator::ScheduleGuarded takes an InlineCallback (not a
-// std::function): scheduling any of the seven verbs — the weak liveness
-// token, the verb closure, and the simulator event — performs zero heap
-// allocations. A campaign can script hundreds of timeline mutations without
-// perturbing the hot path it is about to measure.
+// One entry per Verb alternative, in the order the entries fire when each is
+// scheduled `delay` from one instant. The alloc-guard and the fire-order and
+// log checks below all read this table.
+struct VerbCase {
+  SimDuration delay;
+  Verb verb;
+};
+
+std::vector<VerbCase> EveryVerb() {
+  return {
+      {Seconds(10.0), KillReplica{1}},
+      {Seconds(20.0), RecoverReplica{1}},
+      {Seconds(30.0), ResizeMemory{0, 512 * kMiB}},
+      {Seconds(40.0), CrashCertifier{}},
+      {Seconds(45.0), FailoverCertifier{}},
+      {Seconds(50.0), PartitionProxy{0, Seconds(2.0)}},
+      {Seconds(55.0), SwitchMix{kTpcwBrowsing}},
+      {Seconds(60.0), AddReplica{}},
+      {Seconds(65.0), SetPopulation{20}},
+      {Seconds(70.0), FreezeAllocation{}},
+  };
+}
+
+// ClusterMutator::At captures {liveness token, mutator, Verb} inline in the
+// simulator's event (no std::function): scheduling any verb — the weak
+// liveness token, the verb value, and the simulator event — performs zero
+// heap allocations. A campaign can script hundreds of timeline mutations
+// without perturbing the hot path it is about to measure.
 TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
+  const std::vector<VerbCase> verbs = EveryVerb();
+  // The table must cover every Verb alternative exactly once: a new verb
+  // without an entry here fails this test.
+  std::vector<int> entries(std::variant_size_v<Verb>, 0);
+  for (const VerbCase& c : verbs) {
+    ++entries[c.verb.index()];
+  }
+  for (size_t i = 0; i < entries.size(); ++i) {
+    ASSERT_EQ(entries[i], 1) << "Verb alternative " << i << " needs exactly one table entry";
+  }
+
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   ClusterConfig config = Config(3);
   config.proxy.retry.enabled = true;  // CrashCertifier needs guarded proxies
@@ -237,45 +274,44 @@ TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
 
   // Warm round: grow the simulator's event storage past what the guarded
   // round will need, through a mutator destroyed before anything fires (its
-  // events no-op on the expired liveness token).
+  // events no-op on the expired liveness token). Advancing past them frees
+  // their slots for the guarded round.
   {
     ClusterMutator warm(&cluster);
     for (int i = 0; i < 4; ++i) {
-      warm.KillReplicaAt(Seconds(1000.0), 1);
-      warm.RecoverReplicaAt(Seconds(1001.0), 1);
-      warm.AddReplicaAt(Seconds(1002.0));
-      warm.ResizeMemoryAt(Seconds(1003.0), 0, 512 * kMiB);
-      warm.CrashCertifierAt(Seconds(1004.0));
-      warm.FailoverAt(Seconds(1005.0));
-      warm.PartitionAt(Seconds(1006.0), 0, Seconds(1.0));
+      for (const VerbCase& c : verbs) {
+        warm.At(c.delay, c.verb);
+      }
     }
   }
+  cluster.Advance(Seconds(90.0));
 
   ClusterMutator mutator(&cluster);
+  const SimTime start = cluster.sim().Now();
   {
     AllocGuard::Forbid forbid;
-    mutator.KillReplicaAt(Seconds(10.0), 1);
-    mutator.RecoverReplicaAt(Seconds(20.0), 1);
-    mutator.ResizeMemoryAt(Seconds(30.0), 0, 512 * kMiB);
-    mutator.CrashCertifierAt(Seconds(40.0));
-    mutator.FailoverAt(Seconds(45.0));
-    mutator.PartitionAt(Seconds(50.0), 0, Seconds(2.0));
-    mutator.AddReplicaAt(Seconds(60.0));
-    EXPECT_EQ(forbid.seen(), 0u) << "scheduling a churn verb allocated";
+    for (const VerbCase& c : verbs) {
+      mutator.At(c.delay, c.verb);
+    }
+    EXPECT_EQ(forbid.seen(), 0u) << "scheduling a verb allocated";
   }
 
   // The scheduled verbs really fire (allocating freely at execution time —
   // the guard covers scheduling only) and land in the log in timeline order.
   cluster.Advance(Seconds(90.0));
-  ASSERT_EQ(mutator.log().size(), 7u);
-  EXPECT_EQ(mutator.log()[0].verb, "KillReplica");
-  EXPECT_EQ(mutator.log()[1].verb, "RecoverReplica");
-  EXPECT_EQ(mutator.log()[2].verb, "ResizeMemory");
-  EXPECT_EQ(mutator.log()[3].verb, "CrashCertifier");
-  EXPECT_EQ(mutator.log()[4].verb, "FailoverCertifier");
-  EXPECT_EQ(mutator.log()[5].verb, "PartitionProxy");
-  EXPECT_EQ(mutator.log()[5].duration, Seconds(2.0));
-  EXPECT_EQ(mutator.log()[6].verb, "AddReplica");
+  const std::vector<MutationRecord>& log = mutator.log();
+  ASSERT_EQ(log.size(), verbs.size());
+  for (size_t i = 0; i < verbs.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(log[i].verb.index(), verbs[i].verb.index());
+    EXPECT_EQ(log[i].at, start + verbs[i].delay);
+    if (const auto* partition = std::get_if<PartitionProxy>(&log[i].verb)) {
+      EXPECT_EQ(partition->duration, Seconds(2.0));
+    }
+    if (std::holds_alternative<AddReplica>(log[i].verb)) {
+      EXPECT_EQ(log[i].added, 3u);
+    }
+  }
 }
 
 // --- campaign determinism ----------------------------------------------------
@@ -291,11 +327,11 @@ Campaign ChurnFixture() {
     opts.clients = 3;
     const ScenarioBuilder script = ScenarioBuilder()
                                        .Warmup(Seconds(30.0))
-                                       .KillReplicaAt(Seconds(20.0), 1)
-                                       .RecoverReplicaAt(Seconds(60.0), 1)
-                                       .AddReplicaAt(Seconds(90.0))
+                                       .At(Seconds(20.0), KillReplica{1})
+                                       .At(Seconds(60.0), RecoverReplica{1})
+                                       .At(Seconds(90.0), AddReplica{})
                                        .Measure(Seconds(150.0), "measure")
-                                       .ResizeMemory(0, 512 * kMiB)
+                                       .Do(ResizeMemory{0, 512 * kMiB})
                                        .Measure(Seconds(30.0), "resized");
     auto small = [] { return BuildTpcw(kTpcwSmallEbs); };
     return std::vector<CampaignCell>{

@@ -16,15 +16,6 @@ TEST(ClusterConfig, MakeClusterConfigSetsMemory) {
   EXPECT_EQ(c.seed, 7u);
 }
 
-TEST(ClusterConfig, DeprecatedPolicyShimMapsToRegistryNames) {
-  // The legacy enum must keep resolving to registered policies.
-  for (Policy p : {Policy::kRoundRobin, Policy::kLeastConnections, Policy::kLard,
-                   Policy::kMalbS, Policy::kMalbSC, Policy::kMalbSCAP}) {
-    EXPECT_TRUE(PolicyRegistry::Instance().Contains(PolicyName(p))) << PolicyName(p);
-  }
-  EXPECT_STREQ(PolicyName(Policy::kMalbSC), "MALB-SC");
-}
-
 TEST(Calibration, StandaloneRunProducesMetrics) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   const ExperimentResult r = RunStandalone(w, kTpcwShopping, MakeClusterConfig(512 * kMiB), 4,

@@ -7,6 +7,8 @@
 // through the normal pull/prod propagation path.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/cluster/cluster.h"
 #include "src/workload/tpcw.h"
 
@@ -30,7 +32,7 @@ TEST_P(FailureTest, ClusterSurvivesCrash) {
   const ExperimentResult before = cluster.Measure(Seconds(120.0));
   ASSERT_GT(before.tps, 1.0);
 
-  cluster.CrashReplica(3);
+  cluster.KillReplica(3);
   cluster.Advance(Seconds(60.0));  // failover transient
   const ExperimentResult after = cluster.Measure(Seconds(120.0));
   // Seven replicas keep the system alive at a meaningful fraction of the
@@ -42,18 +44,27 @@ TEST_P(FailureTest, RestartedReplicaCatchesUp) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, GetParam(), Config());
   cluster.Advance(Seconds(120.0));
-  cluster.CrashReplica(2);
+  cluster.KillReplica(2);
   cluster.Advance(Seconds(120.0));
-  cluster.RestartReplica(2);
+  cluster.RecoverReplica(2);
   cluster.Advance(Seconds(60.0));
   // The restarted replica's applied version converges to the certifier head
   // through pulls and prods (within the propagation window).
   const auto& replicas = cluster.replicas();
   ASSERT_GT(replicas.size(), 2u);
+  const Proxy& restarted = *cluster.proxies()[2];
+  EXPECT_EQ(restarted.lifecycle(), ReplicaLifecycle::kUp);
+  EXPECT_EQ(restarted.stats().recoveries, 1u);
   // Head moves continuously; we only require the gap to be inside the prod
   // threshold + one pull period of commits.
+  const Version head_before = cluster.certifier().head_version();
   cluster.Advance(Seconds(10.0));
-  SUCCEED();  // reaching here without stalls is the main property; see below
+  const Version head = cluster.certifier().head_version();
+  const CertifierConfig& cc = cluster.certifier().config();
+  const double commits_per_pull =
+      static_cast<double>(head - head_before) * ToSeconds(cc.pull_period) / 10.0;
+  EXPECT_LE(static_cast<double>(head - restarted.applied_version()),
+            static_cast<double>(cc.prod_threshold) + std::ceil(commits_per_pull));
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, FailureTest,
@@ -72,18 +83,13 @@ TEST(Failure, CrashedProxyRejectsWork) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config());
   cluster.Advance(Seconds(10.0));
-  cluster.CrashReplica(0);
-  // Direct submission to the crashed proxy fails fast.
-  bool committed = true;
-  // The proxies are internal; use the replicas accessor to reach id 0's proxy
-  // through the cluster dispatch instead: crash all but one and verify
-  // progress continues on the survivor.
+  cluster.KillReplica(0);
+  // Crash all but one and verify progress continues on the survivor.
   for (size_t r = 1; r < 7; ++r) {
-    cluster.CrashReplica(r);
+    cluster.KillReplica(r);
   }
   const ExperimentResult res = cluster.Measure(Seconds(60.0));
   EXPECT_GT(res.committed, 0u);  // the single survivor still commits
-  (void)committed;
 }
 
 TEST(Failure, RestartStartsCold) {
@@ -92,8 +98,8 @@ TEST(Failure, RestartStartsCold) {
   cluster.Advance(Seconds(180.0));
   const Pages warm = cluster.replicas()[1]->pool().used_pages();
   EXPECT_GT(warm, 0);
-  cluster.CrashReplica(1);
-  cluster.RestartReplica(1);
+  cluster.KillReplica(1);
+  cluster.RecoverReplica(1);
   // The pool was cleared on restart; warmed again only by new traffic.
   EXPECT_EQ(cluster.replicas()[1]->pool().dirty_pages(), 0);
 }

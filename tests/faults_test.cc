@@ -336,8 +336,8 @@ TEST(FaultCluster, DowntimeIsAccountedInsideTheWindow) {
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(true));
   ClusterMutator mutator(&cluster);
   cluster.Advance(Seconds(30.0));
-  mutator.CrashCertifierAt(Seconds(10.0));
-  mutator.FailoverAt(Seconds(18.0));
+  mutator.At(Seconds(10.0), CrashCertifier{});
+  mutator.At(Seconds(18.0), FailoverCertifier{});
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_EQ(r.cert_crashes, 1u);
   EXPECT_EQ(r.cert_failovers, 1u);

@@ -127,7 +127,7 @@ TEST(FluidModel, SetPopulationRetargetsArrivalRate) {
   ScenarioResult scenario = ScenarioBuilder()
                                 .Warmup(Seconds(30.0))
                                 .Measure(Seconds(60.0), "base")
-                                .SetPopulation(32)
+                                .Do(SetPopulation{32})
                                 .Advance(Seconds(10.0))
                                 .Measure(Seconds(60.0), "doubled")
                                 .Run(w, kTpcwOrdering, "MALB-SC", config);
@@ -170,10 +170,10 @@ TEST(FluidModel, DegenerateParametersRenderByteIdenticalRunRecords) {
   armed.skew = base.replica.skew;  // restates the default; zipf_s stays 0
   const size_t population = 16;    // restates clients_per_replica * replicas
   const ScenarioResult armed_run = ScenarioBuilder()
-                                       .SetPopulation(population)
+                                       .Do(SetPopulation{population})
                                        .Warmup(Seconds(30.0))
-                                       .SwitchMixAt(Seconds(10.5), kTpcwOrdering)
-                                       .SetPopulationAt(Seconds(12.25), population)
+                                       .At(Seconds(10.5), SwitchMix{kTpcwOrdering})
+                                       .At(Seconds(12.25), SetPopulation{population})
                                        .Measure(Seconds(60.0), "m")
                                        .Run(armed, kTpcwOrdering, "MALB-SC", base);
 

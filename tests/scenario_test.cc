@@ -31,9 +31,9 @@ TEST(Scenario, ScriptedCrashRestartMatchesRawHooks) {
   // measure.
   const ScenarioResult scripted = ScenarioBuilder()
                                       .Warmup(Seconds(30.0))
-                                      .CrashReplica(1)
+                                      .Do(KillReplica{1})
                                       .Advance(Seconds(30.0))
-                                      .RestartReplica(1)
+                                      .Do(RecoverReplica{1})
                                       .Advance(Seconds(15.0))
                                       .Measure(Seconds(30.0), "after-restart")
                                       .Run(w, kTpcwShopping, "LeastConnections", TestConfig());
@@ -41,9 +41,9 @@ TEST(Scenario, ScriptedCrashRestartMatchesRawHooks) {
   // The same sequence issued through raw Cluster hooks with the same seed.
   Cluster raw(w, kTpcwShopping, "LeastConnections", TestConfig());
   raw.Advance(Seconds(30.0));
-  raw.CrashReplica(1);
+  raw.KillReplica(1);
   raw.Advance(Seconds(30.0));
-  raw.RestartReplica(1);
+  raw.RecoverReplica(1);
   raw.Advance(Seconds(15.0));
   const ExperimentResult raw_result = raw.Measure(Seconds(30.0));
 
@@ -59,7 +59,7 @@ TEST(Scenario, MeasurePhasesAreLabeledAndTimelineSpansRun) {
   const ScenarioResult r = ScenarioBuilder()
                                .Warmup(Seconds(30.0))
                                .Measure(Seconds(60.0), "first")
-                               .SwitchMix(kTpcwBrowsing)
+                               .Do(SwitchMix{kTpcwBrowsing})
                                .Advance(Seconds(30.0))
                                .Measure(Seconds(60.0), "second")
                                .Run(w, kTpcwShopping, "LeastConnections", TestConfig());

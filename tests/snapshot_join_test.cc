@@ -76,8 +76,8 @@ TEST(SnapshotJoinDifferential, ArmedButUnusedMachineryIsByteIdentical) {
   // checkpoint source is never consulted. Every metric must match bitwise.
   const ScenarioBuilder script = ScenarioBuilder()
                                      .Warmup(Seconds(60.0))
-                                     .KillReplicaAt(Seconds(20.0), 1)
-                                     .RecoverReplicaAt(Seconds(80.0), 1)
+                                     .At(Seconds(20.0), KillReplica{1})
+                                     .At(Seconds(80.0), RecoverReplica{1})
                                      .Measure(Seconds(180.0), "churn");
   const Workload w = BuildTpcw(kTpcwSmallEbs);
 
@@ -96,10 +96,10 @@ TEST(SnapshotJoinDifferential, AutoPruneIsInertForResultsAndBoundsTheLog) {
   // outcome; only the log's memory footprint may differ.
   const ScenarioBuilder script = ScenarioBuilder()
                                      .Warmup(Seconds(60.0))
-                                     .KillReplicaAt(Seconds(20.0), 1)
-                                     .RecoverReplicaAt(Seconds(80.0), 1)
+                                     .At(Seconds(20.0), KillReplica{1})
+                                     .At(Seconds(80.0), RecoverReplica{1})
                                      .Measure(Seconds(180.0), "churn")
-                                     .AddReplicaAt(Seconds(10.0))
+                                     .At(Seconds(10.0), AddReplica{})
                                      .Measure(Seconds(120.0), "join");
 
   ClusterConfig pruned = Config();
@@ -231,10 +231,10 @@ Campaign MarathonFixture() {
     // a legacy twin — both must be jobs-count invariant.
     const ScenarioBuilder script = ScenarioBuilder()
                                        .Warmup(Seconds(30.0))
-                                       .KillReplicaAt(Seconds(20.0), 1)
-                                       .RecoverReplicaAt(Seconds(60.0), 1)
+                                       .At(Seconds(20.0), KillReplica{1})
+                                       .At(Seconds(60.0), RecoverReplica{1})
                                        .Measure(Seconds(120.0), "churn")
-                                       .AddReplicaAt(Seconds(10.0))
+                                       .At(Seconds(10.0), AddReplica{})
                                        .Measure(Seconds(120.0), "join");
     auto small = [] { return BuildTpcw(kTpcwSmallEbs); };
     bench::CellOptions legacy = opts;
