@@ -22,6 +22,7 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,8 +111,9 @@ inline CampaignCell PolicyCell(std::string id, WorkloadFactory wf, std::string m
   return cell;
 }
 
-// One standalone-database run (the "Single" bar of Figures 3, 4 and 7),
-// wrapped into a single-measure scenario so reports read it like any cell.
+// One standalone-database run (the "Single" bar of Figures 3, 4 and 7): a
+// single-measure scenario, so reports read it like any cell. `policy` stays
+// empty, which is how its run records are spelled.
 inline CampaignCell StandaloneCell(std::string id, WorkloadFactory wf, std::string mix,
                                    CellOptions opts = {}) {
   CampaignCell cell;
@@ -127,14 +129,8 @@ inline CampaignCell StandaloneCell(std::string id, WorkloadFactory wf, std::stri
     CellOutput out;
     out.workload = w.name;
     out.mix = mix;
-    ExperimentResult r =
-        RunStandalone(w, mix, config, clients, opts.warmup, opts.measure);
-    out.scenario.timeline = r.timeline;
-    out.scenario.timeline_bucket = r.timeline_bucket;
-    out.scenario.total = opts.warmup + opts.measure;
-    out.executed_events = r.executed_events;
-    out.scenario.executed_events = r.executed_events;
-    out.scenario.measures.push_back({"measure", opts.warmup, std::move(r)});
+    out.scenario = RunStandalone(w, mix, config, clients, opts.warmup, opts.measure);
+    out.executed_events = out.scenario.executed_events;
     return out;
   };
   return cell;
@@ -166,6 +162,17 @@ inline CampaignCell ScenarioCell(std::string id, WorkloadFactory wf, std::string
     return out;
   };
   return cell;
+}
+
+// Throws std::runtime_error naming the first metric on which `a` and `b`
+// differ (DifferingMetrics: every metric, exact ==). `context` names the pair
+// in the message.
+inline void RequireIdentical(const ExperimentResult& a, const ExperimentResult& b,
+                             const std::string& context) {
+  const std::vector<std::string> differing = DifferingMetrics(a, b);
+  if (!differing.empty()) {
+    throw std::runtime_error(context + " differ on '" + differing.front() + "'");
+  }
 }
 
 // Builds the RunRecord table row for a cell's measure window.

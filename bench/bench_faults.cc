@@ -22,11 +22,13 @@
 //   * Fault-plan-off is byte-inert. The "inert/pair" cell runs the SAME seed
 //     twice — "plain" with no fault surface touched, "armed" with the retry
 //     protocol enabled under an empty FaultPlan — and requires every
-//     reported field AND the executed-event count to match exactly. The
-//     timeout each armed certification schedules is always cancelled on the
-//     response, and cancelled events do not count as executed, so the armed
-//     run is provably the old proxy. scripts/ci.sh additionally compares the
-//     two rendered run records byte-for-byte (minus the label).
+//     metric (bench::RequireIdentical) AND the executed-event count to match
+//     exactly. The timeout each armed certification schedules is always
+//     cancelled on the response, and cancelled events do not count as
+//     executed, so the armed run is provably the old proxy. scripts/ci.sh
+//     additionally compares the two rendered run records byte-for-byte
+//     (minus the label).
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -182,44 +184,6 @@ CellOutput RunInertPair(uint64_t seed) {
   return out;
 }
 
-// Exact (==) comparison, field by field: the contract is byte-identity of the
-// rendered run records, not closeness. Fault counters must match too (both
-// runs report zeroes — the armed run injects nothing).
-void RequireIdentical(const ExperimentResult& a, const ExperimentResult& b) {
-  const auto fail = [](const std::string& field) {
-    throw std::runtime_error("inert faults cell: armed and plain runs differ on '" + field +
-                             "' — the armed-but-empty retry protocol is not inert");
-  };
-  if (a.tps != b.tps) fail("tps");
-  if (a.mean_response_s != b.mean_response_s) fail("mean_response_s");
-  if (a.p95_response_s != b.p95_response_s) fail("p95_response_s");
-  if (a.committed != b.committed) fail("committed");
-  if (a.aborted != b.aborted) fail("aborted");
-  if (a.read_kb_per_txn != b.read_kb_per_txn) fail("read_kb_per_txn");
-  if (a.write_kb_per_txn != b.write_kb_per_txn) fail("write_kb_per_txn");
-  if (a.rejected != b.rejected) fail("rejected");
-  if (a.availability != b.availability) fail("availability");
-  if (a.recoveries != b.recoveries) fail("recoveries");
-  if (a.log_chunks_hwm != b.log_chunks_hwm) fail("log_chunks_hwm");
-  if (a.arena_bytes_hwm != b.arena_bytes_hwm) fail("arena_bytes_hwm");
-  if (a.unevenness != b.unevenness) fail("unevenness");
-  if (a.miss_rate != b.miss_rate) fail("miss_rate");
-  if (a.realloc_moves != b.realloc_moves) fail("realloc_moves");
-  if (a.msgs_dropped != b.msgs_dropped) fail("msgs_dropped");
-  if (a.msgs_duplicated != b.msgs_duplicated) fail("msgs_duplicated");
-  if (a.msgs_delayed != b.msgs_delayed) fail("msgs_delayed");
-  if (a.cert_timeouts != b.cert_timeouts) fail("cert_timeouts");
-  if (a.cert_retries != b.cert_retries) fail("cert_retries");
-  if (a.pull_retries != b.pull_retries) fail("pull_retries");
-  if (a.fenced != b.fenced) fail("fenced");
-  if (a.stale_responses != b.stale_responses) fail("stale_responses");
-  if (a.dedup_hits != b.dedup_hits) fail("dedup_hits");
-  if (a.cert_crashes != b.cert_crashes) fail("cert_crashes");
-  if (a.cert_failovers != b.cert_failovers) fail("cert_failovers");
-  if (a.cert_downtime_s != b.cert_downtime_s) fail("cert_downtime_s");
-  if (a.failover_recovery_s != b.failover_recovery_s) fail("failover_recovery_s");
-}
-
 // --- grid --------------------------------------------------------------------
 
 std::vector<CampaignCell> Cells() {
@@ -274,23 +238,19 @@ std::vector<CampaignCell> Cells() {
   return cells;
 }
 
+// A metric's scalar-key spelling: its name with '_' read as a space.
+std::string ScalarName(std::string name) {
+  std::replace(name.begin(), name.end(), '_', ' ');
+  return name;
+}
+
 void AddFaultScalars(ResultSink& out, const std::string& key, const CellOutput& cell) {
   const ExperimentResult& res = cell.Result();
   out.AddScalar(key + " availability", res.availability);
-  out.AddScalar(key + " msgs dropped", static_cast<double>(res.msgs_dropped));
-  out.AddScalar(key + " msgs duplicated", static_cast<double>(res.msgs_duplicated));
-  out.AddScalar(key + " msgs delayed", static_cast<double>(res.msgs_delayed));
-  out.AddScalar(key + " cert timeouts", static_cast<double>(res.cert_timeouts));
-  out.AddScalar(key + " cert retries", static_cast<double>(res.cert_retries));
-  out.AddScalar(key + " pull retries", static_cast<double>(res.pull_retries));
-  out.AddScalar(key + " fenced", static_cast<double>(res.fenced));
-  out.AddScalar(key + " stale responses", static_cast<double>(res.stale_responses));
-  out.AddScalar(key + " dedup hits", static_cast<double>(res.dedup_hits));
-  out.AddScalar(key + " write queue hwm", static_cast<double>(res.write_queue_hwm));
-  out.AddScalar(key + " cert crashes", static_cast<double>(res.cert_crashes));
-  out.AddScalar(key + " cert failovers", static_cast<double>(res.cert_failovers));
-  out.AddScalar(key + " cert downtime s", res.cert_downtime_s);
-  out.AddScalar(key + " failover recovery s", res.failover_recovery_s);
+#define TASHKENT_FAULT_SCALAR(type, name, init) \
+  out.AddScalar(key + " " + ScalarName(#name), static_cast<double>(res.name));
+  TASHKENT_FAULT_METRICS(TASHKENT_FAULT_SCALAR)
+#undef TASHKENT_FAULT_SCALAR
   // The cell-side commit ledger (RequireZeroLoss already threw on violation;
   // scripts/ci.sh re-checks the bound from these numbers).
   for (const auto& scalar : cell.scalars) {
@@ -303,7 +263,9 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
             "SmallDB, 6 replicas, LeastConnections, retry 2ms timeout + capped backoff");
 
   const CellOutput& inert = r.Get("inert/pair");
-  RequireIdentical(inert.Result("armed"), inert.Result("plain"));
+  bench::RequireIdentical(inert.Result("armed"), inert.Result("plain"),
+                          "inert faults cell: the armed (retry under an empty plan) and "
+                          "plain runs");
   double armed_events = 0.0, plain_events = 0.0;
   for (const auto& scalar : inert.scalars) {
     if (scalar.first == "armed executed events") armed_events = scalar.second;

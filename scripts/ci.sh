@@ -230,6 +230,28 @@ if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
 
+# Every window metric must have a glossary entry. The names are extracted
+# from the X(type, name, init) lines of the TASHKENT_RUN_METRICS and
+# TASHKENT_FAULT_METRICS lists in cluster.h, and each must appear in
+# backticks between "## Metrics glossary" and the next "##" heading of the
+# handbook, so adding a metric without documenting it fails here.
+metrics=$(grep -oE '^ *X\((double|uint64_t|bool), [a-z0-9_]+,' src/cluster/cluster.h \
+  | sed -E 's/.*, ([a-z0-9_]+),$/\1/' || true)
+if [ -z "${metrics}" ]; then
+  echo "ci: no metric list entries found in src/cluster/cluster.h" >&2
+  exit 1
+fi
+glossary=$(awk '/^## /{inside = ($0 == "## Metrics glossary")} inside' docs/OPERATIONS.md)
+while IFS= read -r metric; do
+  if ! grep -qF "\`${metric}\`" <<< "${glossary}"; then
+    echo "ci: metric '${metric}' is missing from the docs/OPERATIONS.md metrics glossary" >&2
+    missing=1
+  fi
+done <<< "${metrics}"
+if [ "${missing}" -ne 0 ]; then
+  exit 1
+fi
+
 # --- markdown link check -----------------------------------------------------
 # Every relative link in README.md and docs/*.md must resolve to a file that
 # exists (anchors and external URLs are skipped).

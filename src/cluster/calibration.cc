@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <utility>
 
 #include "src/common/worker_pool.h"
 
@@ -14,10 +15,9 @@ std::atomic<int> g_calibration_fanout{1};
 double StandaloneTps(const Workload& workload, const std::string& mix_name,
                      ClusterConfig config, int clients, SimDuration warmup, SimDuration measure,
                      double* response_s) {
-  config.replicas = 1;
-  config.clients_per_replica = clients;
-  Cluster cluster(workload, mix_name, "LeastConnections", config);
-  const ExperimentResult r = cluster.Run(warmup, measure);
+  const ExperimentResult r =
+      RunStandalone(workload, mix_name, std::move(config), clients, warmup, measure)
+          .ByLabel("measure");
   if (response_s != nullptr) {
     *response_s = r.mean_response_s;
   }
@@ -103,13 +103,15 @@ CalibrationResult CalibrateClientsPerReplica(const Workload& workload,
   return out;
 }
 
-ExperimentResult RunStandalone(const Workload& workload, const std::string& mix_name,
-                               ClusterConfig config, int clients, SimDuration warmup,
-                               SimDuration measure) {
+ScenarioResult RunStandalone(const Workload& workload, const std::string& mix_name,
+                             ClusterConfig config, int clients, SimDuration warmup,
+                             SimDuration measure) {
   config.replicas = 1;
   config.clients_per_replica = clients;
-  Cluster cluster(workload, mix_name, "LeastConnections", config);
-  return cluster.Run(warmup, measure);
+  return ScenarioBuilder()
+      .Warmup(warmup)
+      .Measure(measure, "measure")
+      .Run(workload, mix_name, "LeastConnections", config);
 }
 
 }  // namespace tashkent

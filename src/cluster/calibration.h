@@ -11,6 +11,7 @@
 #include <string>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/scenario.h"
 #include "src/workload/workload.h"
 
 namespace tashkent {
@@ -47,11 +48,12 @@ void SetCalibrationFanout(int jobs);
 int CalibrationFanout();
 
 // Convenience: one standalone run at a given client count (the "Single" bar
-// of Figures 3, 4 and 7).
-ExperimentResult RunStandalone(const Workload& workload, const std::string& mix_name,
-                               ClusterConfig config, int clients,
-                               SimDuration warmup = Seconds(60.0),
-                               SimDuration measure = Seconds(120.0));
+// of Figures 3, 4 and 7): one LeastConnections replica, scripted as
+// Warmup(warmup) + Measure(measure, "measure").
+ScenarioResult RunStandalone(const Workload& workload, const std::string& mix_name,
+                             ClusterConfig config, int clients,
+                             SimDuration warmup = Seconds(60.0),
+                             SimDuration measure = Seconds(120.0));
 
 }  // namespace tashkent
 

@@ -318,15 +318,13 @@ ExperimentResult Cluster::Run(SimDuration warmup, SimDuration measure) {
   return Measure(measure);
 }
 
-ExperimentResult Cluster::Collect(SimDuration measure_window) const {
+ExperimentResult Cluster::Collect(SimDuration measure_window) {
   ExperimentResult out;
   out.committed = committed_;
   out.aborted = aborted_;
   out.tps = static_cast<double>(committed_) / ToSeconds(measure_window);
-  // PercentileTracker sorts in place; const_cast is confined to reporting.
-  auto& tracker = const_cast<PercentileTracker&>(response_s_);
-  out.mean_response_s = tracker.Mean();
-  out.p95_response_s = tracker.Percentile(0.95);
+  out.mean_response_s = response_s_.Mean();
+  out.p95_response_s = response_s_.Percentile(0.95);  // sorts in place
 
   Bytes reads = 0;
   Bytes writes = 0;
@@ -425,9 +423,18 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) const {
       out.groups.push_back(std::move(gr));
     }
   }
-  out.timeline = timeline_.buckets();
-  out.timeline_bucket = timeline_.bucket_width();
-  out.executed_events = sim_.executed_events();
+  return out;
+}
+
+std::vector<std::string> DifferingMetrics(const ExperimentResult& a, const ExperimentResult& b) {
+  std::vector<std::string> out;
+#define TASHKENT_COMPARE_METRIC(type, name, init) \
+  if (a.name != b.name) out.emplace_back(#name);
+  TASHKENT_RUN_METRICS(TASHKENT_COMPARE_METRIC)
+  TASHKENT_FAULT_METRICS(TASHKENT_COMPARE_METRIC)
+#undef TASHKENT_COMPARE_METRIC
+  if (a.joins != b.joins) out.emplace_back("joins");
+  if (a.groups != b.groups) out.emplace_back("groups");
   return out;
 }
 

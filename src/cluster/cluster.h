@@ -13,6 +13,7 @@
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,97 +85,116 @@ struct GroupReport {
   int replicas = 0;
 };
 
+inline bool operator==(const GroupReport& a, const GroupReport& b) {
+  return a.replicas == b.replicas && a.types == b.types;
+}
+
+// --- Window metrics ------------------------------------------------------------
+// Every metric a measure window reports is declared exactly once, as
+// X(type, name, init) in one of the two lists below. The lists drive the
+// ExperimentResult fields, the JsonSink run-record columns, the faults
+// campaign's scalars, and DifferingMetrics. Adding a metric is one list line
+// plus the line in Cluster::Collect that sets it (docs/ARCHITECTURE.md).
+// Supported types: double, uint64_t, bool.
+
+// The run-record columns of every BENCH_*.json "runs" object, in key order
+// (docs/OPERATIONS.md has the glossary). Appending changes every result
+// document; tests/golden_digest_test.cc pins the current bytes.
+#define TASHKENT_RUN_METRICS(X)                                                  \
+  X(double, tps, 0.0)                                                            \
+  X(double, mean_response_s, 0.0)                                                \
+  X(double, p95_response_s, 0.0)                                                 \
+  X(uint64_t, committed, 0)                                                      \
+  X(uint64_t, aborted, 0)                                                        \
+  /* Per-replica average disk traffic per committed transaction (KB). */         \
+  X(double, read_kb_per_txn, 0.0)                                                \
+  X(double, write_kb_per_txn, 0.0)                                               \
+  /* --- churn metrics --- */                                                    \
+  /* Submissions refused by down/recovering replicas during the window. */       \
+  X(uint64_t, rejected, 0)                                                       \
+  /* Fraction of client attempts not lost to unavailability: */                  \
+  /* 1 - rejected / (committed + client-visible aborts). 1.0 when idle. */       \
+  X(double, availability, 1.0)                                                   \
+  /* Recoveries completed inside the window and their mean replay time. */       \
+  X(uint64_t, recoveries, 0)                                                     \
+  X(double, recovery_lag_s, 0.0)                                                 \
+  /* Writesets applied vs filtered during recovery replay (update filtering */   \
+  /* is what shrinks replay volume — the Section 3 claim under churn). */        \
+  X(uint64_t, replay_applied, 0)                                                 \
+  X(uint64_t, replay_filtered, 0)                                                \
+  /* --- checkpoint / bounded-log metrics --- */                                 \
+  /* High-water marks of certifier-log memory over the window (sampled at */     \
+  /* each prune tick, before pruning, and at collection): live log chunks */     \
+  /* and live arena bytes. Bounded under churn when auto-pruning is on; */       \
+  /* grow monotonically when it is off. */                                       \
+  X(uint64_t, log_chunks_hwm, 0)                                                 \
+  X(uint64_t, arena_bytes_hwm, 0)                                                \
+  /* Mean latency of the joins completed in the window (state transfer + */      \
+  /* delta replay, end to end). With checkpoint joins it is independent of */    \
+  /* cluster age; legacy joins replay the whole log. */                          \
+  X(double, join_latency_s, 0.0)                                                 \
+  /* --- skew metrics (load shape under fluid/Zipfian workloads) --- */          \
+  /* Coefficient of variation (stddev/mean) of per-replica transactions */       \
+  /* executed over the window: 0 = perfectly even load, grows with skew. */      \
+  X(double, unevenness, 0.0)                                                     \
+  /* Buffer-pool miss fraction over the window, summed across replicas */        \
+  /* (misses / (hits + misses) of read-path and apply-path touches). */          \
+  X(double, miss_rate, 0.0)                                                      \
+  /* Balancer-initiated replica moves during the window (MALB reallocation */    \
+  /* cost: group moves, pool pushes, splits, merges; 0 for other policies). */   \
+  X(uint64_t, realloc_moves, 0)                                                  \
+  /* Client population target at collection time (fluid or per-client). */      \
+  X(uint64_t, clients_modeled, 0)                                                \
+  /* True when the fluid aggregate client model generated the load. */           \
+  X(bool, fluid, false)
+
+// Fault-injection / failover metrics. Not rendered into run records (that
+// would change every result document); the faults campaign reports them as
+// campaign scalars through ResultSink.
+#define TASHKENT_FAULT_METRICS(X)                                                \
+  /* Messages lost on the channel (drop probability + partition windows) */      \
+  /* and duplicated/delayed deliveries, over the window. */                      \
+  X(uint64_t, msgs_dropped, 0)                                                   \
+  X(uint64_t, msgs_duplicated, 0)                                                \
+  X(uint64_t, msgs_delayed, 0)                                                   \
+  /* Proxy retry-protocol activity over the window. */                           \
+  X(uint64_t, cert_timeouts, 0)                                                  \
+  X(uint64_t, cert_retries, 0)                                                   \
+  X(uint64_t, pull_retries, 0)                                                   \
+  X(uint64_t, fenced, 0)                                                         \
+  X(uint64_t, stale_responses, 0)                                                \
+  X(uint64_t, dedup_hits, 0)                                                     \
+  /* Peak certifications parked (in flight or backing off) on any one */         \
+  /* proxy: the degraded-mode write queue, bounded by the gatekeeper */          \
+  /* admission limit. */                                                         \
+  X(uint64_t, write_queue_hwm, 0)                                                \
+  /* Certifier failover accounting: crashes/failovers in the window, total */    \
+  /* time the certifier was unserving, and the time from failover until the */   \
+  /* first client commit (the client-visible takeover latency). */               \
+  X(uint64_t, cert_crashes, 0)                                                   \
+  X(uint64_t, cert_failovers, 0)                                                 \
+  X(double, cert_downtime_s, 0.0)                                                \
+  X(double, failover_recovery_s, 0.0)
+
+// The metrics of one measure window. Whole-run data (the throughput timeline,
+// executed events) lives on ScenarioResult.
 struct ExperimentResult {
-  double tps = 0.0;
-  double mean_response_s = 0.0;
-  double p95_response_s = 0.0;
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  // Per-replica average disk traffic per committed transaction (KB).
-  double read_kb_per_txn = 0.0;
-  double write_kb_per_txn = 0.0;
+#define TASHKENT_DECLARE_METRIC(type, name, init) type name = init;
+  TASHKENT_RUN_METRICS(TASHKENT_DECLARE_METRIC)
+  TASHKENT_FAULT_METRICS(TASHKENT_DECLARE_METRIC)
+#undef TASHKENT_DECLARE_METRIC
+  // JoinAsNew lifecycles completed in the window (join_latency_s is their
+  // mean). Also counted in `recoveries`; in neither output.
+  uint64_t joins = 0;
   // MALB groupings at the end of the run (empty for other policies).
   std::vector<GroupReport> groups;
-  // Committed transactions per timeline bucket over the whole run (including
-  // warmup), for Figure 6.
-  std::vector<double> timeline;
-  SimDuration timeline_bucket = Seconds(30.0);
-
-  // --- churn metrics (docs/OPERATIONS.md has the glossary) -----------------
-  // Submissions refused by down/recovering replicas during the window.
-  uint64_t rejected = 0;
-  // Fraction of client attempts not lost to unavailability:
-  // 1 - rejected / (committed + client-visible aborts). 1.0 when idle.
-  double availability = 1.0;
-  // Recoveries completed inside the window and their mean replay time.
-  uint64_t recoveries = 0;
-  double recovery_lag_s = 0.0;
-  // Writesets applied vs filtered during recovery replay (update filtering is
-  // what shrinks replay volume — the Section 3 claim under churn).
-  uint64_t replay_applied = 0;
-  uint64_t replay_filtered = 0;
-
-  // --- checkpoint / bounded-log metrics ------------------------------------
-  // High-water marks of certifier-log memory over the window (sampled at
-  // each prune tick, before pruning, and at collection): live log chunks and
-  // live arena bytes. Bounded under churn when auto-pruning is on; grow
-  // monotonically when it is off.
-  uint64_t log_chunks_hwm = 0;
-  uint64_t arena_bytes_hwm = 0;
-  // JoinAsNew lifecycles completed in the window and their mean latency
-  // (state transfer + delta replay, end to end). With checkpoint joins the
-  // latency is independent of cluster age; legacy joins replay the whole log.
-  uint64_t joins = 0;
-  double join_latency_s = 0.0;
-
-  // --- skew-campaign metrics (load shape under fluid/Zipfian workloads) ----
-  // Coefficient of variation (stddev/mean) of per-replica transactions
-  // executed over the window: 0 = perfectly even load, grows with skew.
-  double unevenness = 0.0;
-  // Buffer-pool miss fraction over the window, summed across replicas
-  // (misses / (hits + misses) of read-path and apply-path touches).
-  double miss_rate = 0.0;
-  // Balancer-initiated replica moves during the window (MALB reallocation
-  // cost: group moves, pool pushes, splits, merges; 0 for other policies).
-  uint64_t realloc_moves = 0;
-  // Client population target at collection time (fluid or per-client).
-  uint64_t clients_modeled = 0;
-  // True when the fluid aggregate client model generated the load.
-  bool fluid = false;
-
-  // --- fault-injection / failover metrics (not rendered into run records —
-  // the JSON run schema is frozen; the faults campaign reports these as
-  // campaign scalars through ResultSink) -----------------------------------
-  // Messages lost on the channel (drop probability + partition windows) and
-  // duplicated/delayed deliveries, over the window.
-  uint64_t msgs_dropped = 0;
-  uint64_t msgs_duplicated = 0;
-  uint64_t msgs_delayed = 0;
-  // Proxy retry-protocol activity over the window.
-  uint64_t cert_timeouts = 0;
-  uint64_t cert_retries = 0;
-  uint64_t pull_retries = 0;
-  uint64_t fenced = 0;
-  uint64_t stale_responses = 0;
-  uint64_t dedup_hits = 0;
-  // Peak certifications parked (in flight or backing off) on any one proxy —
-  // the degraded-mode write queue, bounded by the gatekeeper admission limit.
-  uint64_t write_queue_hwm = 0;
-  // Certifier failover accounting: crashes/failovers in the window, total
-  // time the certifier was unserving, and the time from failover until the
-  // first client commit (the client-visible takeover latency).
-  uint64_t cert_crashes = 0;
-  uint64_t cert_failovers = 0;
-  double cert_downtime_s = 0.0;
-  double failover_recovery_s = 0.0;
-
-  // --- host-side accounting (not rendered into run records) ----------------
-  // Simulator events executed over the cluster's whole life up to the moment
-  // this result was collected. Kernel-throughput bookkeeping for the campaign
-  // manifest; deliberately excluded from the per-run JSON schema so result
-  // documents stay comparable across kernel refactors.
-  uint64_t executed_events = 0;
 };
+
+// Names of every metric (both lists, plus `joins` and `groups`) on which `a`
+// and `b` differ, in declaration order; empty when they are identical.
+// Comparison is exact (==): the contract it backs is byte-identity of the
+// rendered results, not closeness.
+std::vector<std::string> DifferingMetrics(const ExperimentResult& a, const ExperimentResult& b);
 
 class Cluster {
  public:
@@ -266,7 +286,7 @@ class Cluster {
 
  private:
   void ResetMetrics();
-  ExperimentResult Collect(SimDuration measure_window) const;
+  ExperimentResult Collect(SimDuration measure_window);
   // The image a joining/backfilling replica installs: full database pages at
   // the freshest version the cluster can donate (never below the prune line).
   ClusterCheckpoint BuildCheckpointImage() const;
@@ -316,9 +336,9 @@ class Cluster {
   uint64_t log_chunks_hwm_ = 0;
   uint64_t arena_bytes_hwm_ = 0;
   uint64_t prunes_ = 0;
-  // Buffer-pool and MALB-move counters are cumulative (never reset — the
-  // Section 5.3 bench reads them across windows), so window metrics are
-  // deltas against these ResetMetrics-time snapshots.
+  // Buffer-pool hit/miss and MALB move counts are lifetime totals kept by
+  // their owners (ResetMetrics resets only ReplicaStats and ProxyStats), so
+  // window metrics are deltas against these ResetMetrics-time snapshots.
   uint64_t pool_hits_snap_ = 0;
   uint64_t pool_misses_snap_ = 0;
   uint64_t malb_moves_snap_ = 0;

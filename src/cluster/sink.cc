@@ -94,6 +94,11 @@ void AppendNumber(std::ostringstream& out, double v) {
   out << buf;
 }
 
+// One run-record column value, by metric type.
+void AppendMetric(std::ostringstream& out, double v) { AppendNumber(out, v); }
+void AppendMetric(std::ostringstream& out, uint64_t v) { out << v; }
+void AppendMetric(std::ostringstream& out, bool v) { out << (v ? "true" : "false"); }
+
 void AppendGroups(std::ostringstream& out, const std::vector<GroupReport>& groups) {
   out << '[';
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -164,37 +169,11 @@ std::string JsonSink::Render() const {
     AppendNumber(out, r.paper_write_kb);
     out << ", \"paper_read_kb\": ";
     AppendNumber(out, r.paper_read_kb);
-    out << ", \"tps\": ";
-    AppendNumber(out, r.result.tps);
-    out << ", \"mean_response_s\": ";
-    AppendNumber(out, r.result.mean_response_s);
-    out << ", \"p95_response_s\": ";
-    AppendNumber(out, r.result.p95_response_s);
-    out << ", \"committed\": " << r.result.committed;
-    out << ", \"aborted\": " << r.result.aborted;
-    out << ", \"read_kb_per_txn\": ";
-    AppendNumber(out, r.result.read_kb_per_txn);
-    out << ", \"write_kb_per_txn\": ";
-    AppendNumber(out, r.result.write_kb_per_txn);
-    out << ", \"rejected\": " << r.result.rejected;
-    out << ", \"availability\": ";
-    AppendNumber(out, r.result.availability);
-    out << ", \"recoveries\": " << r.result.recoveries;
-    out << ", \"recovery_lag_s\": ";
-    AppendNumber(out, r.result.recovery_lag_s);
-    out << ", \"replay_applied\": " << r.result.replay_applied;
-    out << ", \"replay_filtered\": " << r.result.replay_filtered;
-    out << ", \"log_chunks_hwm\": " << r.result.log_chunks_hwm;
-    out << ", \"arena_bytes_hwm\": " << r.result.arena_bytes_hwm;
-    out << ", \"join_latency_s\": ";
-    AppendNumber(out, r.result.join_latency_s);
-    out << ", \"unevenness\": ";
-    AppendNumber(out, r.result.unevenness);
-    out << ", \"miss_rate\": ";
-    AppendNumber(out, r.result.miss_rate);
-    out << ", \"realloc_moves\": " << r.result.realloc_moves;
-    out << ", \"clients_modeled\": " << r.result.clients_modeled;
-    out << ", \"fluid\": " << (r.result.fluid ? "true" : "false");
+#define TASHKENT_RENDER_METRIC(type, name, init) \
+  out << ", \"" #name "\": ";                    \
+  AppendMetric(out, r.result.name);
+    TASHKENT_RUN_METRICS(TASHKENT_RENDER_METRIC)
+#undef TASHKENT_RENDER_METRIC
     out << ", \"groups\": ";
     AppendGroups(out, r.result.groups);
     out << '}';

@@ -17,19 +17,9 @@
 //     "setup":  <Begin setup line>,
 //     "runs":   [{"label", "policy", "workload", "mix",
 //                 "paper_tps", "paper_write_kb", "paper_read_kb",   // 0 = no reference
-//                 "tps", "mean_response_s", "p95_response_s",
-//                 "committed", "aborted",                            // integers
-//                 "read_kb_per_txn", "write_kb_per_txn",
-//                 "rejected", "availability", "recoveries",          // churn metrics
-//                 "recovery_lag_s", "replay_applied",                // (glossary:
-//                 "replay_filtered",                                 // docs/OPERATIONS.md)
-//                 "log_chunks_hwm", "arena_bytes_hwm",               // bounded-log metrics
-//                 "join_latency_s",                                  // checkpoint joins
-//                 "unevenness", "miss_rate",                         // skew-campaign metrics
-//                 "realloc_moves", "clients_modeled",                // (per-replica load CV,
-//                 "fluid",                                           //  pool miss fraction,
-//                                                                    //  MALB moves, population,
-//                                                                    //  fluid-model flag)
+//                 <TASHKENT_RUN_METRICS columns>,                    // src/cluster/cluster.h,
+//                                                                    // in list order (glossary:
+//                                                                    // docs/OPERATIONS.md)
 //                 "groups": [{"replicas": N, "types": [name...]}]}],
 //     "ratios": [{"label", "paper", "measured"}],
 //     "scalars": {<key>: <value>, ...},                              // AddScalar calls

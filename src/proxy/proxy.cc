@@ -147,6 +147,12 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   pending.ws = std::move(outcome.writeset);
   pending.ws.snapshot_version = applied_version_;
   pending.done = std::move(done);
+  // The write-queue gauge counts parked certifications with or without the
+  // retry protocol, so arming retry under an empty plan leaves it unchanged.
+  ++live_certs_;
+  if (live_certs_ > stats_.write_queue_hwm) {
+    stats_.write_queue_hwm = live_certs_;
+  }
   if (!retry_armed_) {
     channel_->ScheduleArrival(CertificationRtt(), [this, slot]() { OnCertifyArrive(slot); });
     return;
@@ -155,10 +161,6 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   pending.attempts = 0;
   if (slot >= cert_gen_.size()) {
     cert_gen_.resize(slot + 1, 0);
-  }
-  ++live_certs_;
-  if (live_certs_ > stats_.write_queue_hwm) {
-    stats_.write_queue_hwm = live_certs_;
   }
   SendCert(slot);
 }
@@ -281,6 +283,7 @@ void Proxy::OnCertifyArrive(uint32_t slot) {
       certifier_->Certify(std::move(pending.ws), replica_->id(), applied_version_);
   TxnDone done = std::move(pending.done);
   pending.ws = Writeset{};
+  --live_certs_;
   pending_certs_.Free(slot);
   HandleCertifyResult(result, std::move(done));
 }

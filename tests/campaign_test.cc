@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "src/common/json.h"
@@ -120,13 +122,7 @@ TEST(CampaignTest, ParallelRunBitIdenticalToSerial) {
     const ExperimentResult& ra = a.output.Result();
     const ExperimentResult& rb = b.output.Result();
     // Bit-identical, not approximately equal: same seed, same event order.
-    EXPECT_EQ(ra.tps, rb.tps);
-    EXPECT_EQ(ra.committed, rb.committed);
-    EXPECT_EQ(ra.aborted, rb.aborted);
-    EXPECT_EQ(ra.mean_response_s, rb.mean_response_s);
-    EXPECT_EQ(ra.p95_response_s, rb.p95_response_s);
-    EXPECT_EQ(ra.read_kb_per_txn, rb.read_kb_per_txn);
-    EXPECT_EQ(ra.write_kb_per_txn, rb.write_kb_per_txn);
+    EXPECT_EQ(DifferingMetrics(ra, rb), std::vector<std::string>{});
     EXPECT_EQ(a.output.scenario.timeline, b.output.scenario.timeline);
   }
 }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -361,14 +362,7 @@ TEST(ChurnCampaign, BitIdenticalAcrossJobCounts) {
     for (const char* label : {"measure", "resized"}) {
       const ExperimentResult& ra = a.cells[i].output.Result(label);
       const ExperimentResult& rb = b.cells[i].output.Result(label);
-      EXPECT_EQ(ra.committed, rb.committed);
-      EXPECT_EQ(ra.aborted, rb.aborted);
-      EXPECT_EQ(ra.rejected, rb.rejected);
-      EXPECT_EQ(ra.replay_applied, rb.replay_applied);
-      EXPECT_EQ(ra.replay_filtered, rb.replay_filtered);
-      EXPECT_EQ(ra.tps, rb.tps);                    // bit-identical doubles
-      EXPECT_EQ(ra.availability, rb.availability);
-      EXPECT_EQ(ra.recovery_lag_s, rb.recovery_lag_s);
+      EXPECT_EQ(DifferingMetrics(ra, rb), std::vector<std::string>{});  // bit-identical
     }
   }
 }

@@ -2,6 +2,11 @@
 // methodology, standalone runs, metrics plumbing, and the MALB spill valve.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/cluster/calibration.h"
 #include "src/cluster/experiment.h"
 #include "src/workload/tpcw.h"
@@ -19,7 +24,8 @@ TEST(ClusterConfig, MakeClusterConfigSetsMemory) {
 TEST(Calibration, StandaloneRunProducesMetrics) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   const ExperimentResult r = RunStandalone(w, kTpcwShopping, MakeClusterConfig(512 * kMiB), 4,
-                                           Seconds(30.0), Seconds(60.0));
+                                           Seconds(30.0), Seconds(60.0))
+                                 .ByLabel("measure");
   EXPECT_GT(r.tps, 0.5);
   EXPECT_GT(r.committed, 30u);
   EXPECT_GT(r.mean_response_s, 0.0);
@@ -28,8 +34,13 @@ TEST(Calibration, StandaloneRunProducesMetrics) {
 TEST(Calibration, MoreClientsMoreThroughputUntilSaturation) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   const ClusterConfig config = MakeClusterConfig(1024 * kMiB);
-  const double t2 = RunStandalone(w, kTpcwShopping, config, 2, Seconds(30.0), Seconds(60.0)).tps;
-  const double t8 = RunStandalone(w, kTpcwShopping, config, 8, Seconds(30.0), Seconds(60.0)).tps;
+  const auto tps = [&](int clients) {
+    return RunStandalone(w, kTpcwShopping, config, clients, Seconds(30.0), Seconds(60.0))
+        .ByLabel("measure")
+        .tps;
+  };
+  const double t2 = tps(2);
+  const double t8 = tps(8);
   EXPECT_GT(t8, t2);
 }
 
@@ -57,10 +68,44 @@ TEST(Experiment, TimelineCoversRun) {
   ClusterConfig config = MakeClusterConfig(512 * kMiB, 4);
   config.clients_per_replica = 4;
   Cluster cluster(w, kTpcwShopping, "LeastConnections", config);
-  const ExperimentResult r = cluster.Run(Seconds(60.0), Seconds(60.0));
+  cluster.Run(Seconds(60.0), Seconds(60.0));
   // 120 s of run, 30 s buckets: roughly 4 buckets recorded.
-  EXPECT_GE(r.timeline.size(), 3u);
-  EXPECT_LE(r.timeline.size(), 5u);
+  EXPECT_GE(cluster.timeline_buckets().size(), 3u);
+  EXPECT_LE(cluster.timeline_buckets().size(), 5u);
+}
+
+// Moves a metric of any list type off its default.
+void Perturb(double& v) { v += 1.0; }
+void Perturb(uint64_t& v) { v += 1; }
+void Perturb(bool& v) { v = !v; }
+
+// Every metric is compared: a result differing in exactly one field is
+// reported as differing in exactly that metric, and nothing else.
+TEST(Metrics, DifferingMetricsNamesEveryMetric) {
+  struct Case {
+    std::string name;
+    std::function<void(ExperimentResult&)> perturb;
+  };
+  std::vector<Case> cases;
+#define METRIC_CASE(type, name, init) \
+  cases.push_back({#name, [](ExperimentResult& r) { Perturb(r.name); }});
+  TASHKENT_RUN_METRICS(METRIC_CASE)
+  TASHKENT_FAULT_METRICS(METRIC_CASE)
+#undef METRIC_CASE
+  cases.push_back({"joins", [](ExperimentResult& r) { Perturb(r.joins); }});
+  cases.push_back({"groups", [](ExperimentResult& r) { r.groups.push_back({{"BestSeller"}, 2}); }});
+  ASSERT_EQ(cases.size(), 21u + 14u + 2u);
+
+  const ExperimentResult base;
+  EXPECT_EQ(DifferingMetrics(base, base), std::vector<std::string>{});
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExperimentResult changed = base;
+    c.perturb(changed);
+    EXPECT_EQ(DifferingMetrics(base, changed), std::vector<std::string>{c.name});
+    EXPECT_EQ(DifferingMetrics(changed, base), std::vector<std::string>{c.name});
+    EXPECT_EQ(DifferingMetrics(changed, changed), std::vector<std::string>{});
+  }
 }
 
 TEST(Experiment, AbortedTransactionsCounted) {

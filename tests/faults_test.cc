@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -261,11 +262,7 @@ MiniRun RunMini(bool retry_armed) {
 TEST(FaultCluster, ArmedRetryUnderEmptyPlanIsByteInert) {
   const MiniRun plain = RunMini(false);
   const MiniRun armed = RunMini(true);
-  EXPECT_EQ(armed.result.committed, plain.result.committed);
-  EXPECT_EQ(armed.result.aborted, plain.result.aborted);
-  EXPECT_EQ(armed.result.tps, plain.result.tps);  // bit-identical doubles
-  EXPECT_EQ(armed.result.mean_response_s, plain.result.mean_response_s);
-  EXPECT_EQ(armed.result.p95_response_s, plain.result.p95_response_s);
+  EXPECT_EQ(DifferingMetrics(armed.result, plain.result), std::vector<std::string>{});
   EXPECT_EQ(armed.executed_events, plain.executed_events);
   // And the armed run's fault counters are all zero.
   EXPECT_EQ(armed.result.cert_timeouts, 0u);

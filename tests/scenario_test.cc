@@ -2,14 +2,20 @@
 // and JsonSink output round-trips its numeric fields.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/cluster/experiment.h"
 #include "src/cluster/scenario.h"
 #include "src/cluster/sink.h"
+#include "src/common/json.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -48,10 +54,7 @@ TEST(Scenario, ScriptedCrashRestartMatchesRawHooks) {
   const ExperimentResult raw_result = raw.Measure(Seconds(30.0));
 
   const ExperimentResult& scripted_result = scripted.ByLabel("after-restart");
-  EXPECT_EQ(scripted_result.committed, raw_result.committed);
-  EXPECT_EQ(scripted_result.aborted, raw_result.aborted);
-  EXPECT_DOUBLE_EQ(scripted_result.tps, raw_result.tps);
-  EXPECT_DOUBLE_EQ(scripted_result.mean_response_s, raw_result.mean_response_s);
+  EXPECT_EQ(DifferingMetrics(scripted_result, raw_result), std::vector<std::string>{});
 }
 
 TEST(Scenario, MeasurePhasesAreLabeledAndTimelineSpansRun) {
@@ -90,8 +93,7 @@ TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
                                       .Warmup(Seconds(30.0))
                                       .Measure(Seconds(60.0), "m")
                                       .Run(w, kTpcwShopping, "LeastConnections", config);
-  EXPECT_EQ(direct.committed, scenario.ByLabel("m").committed);
-  EXPECT_DOUBLE_EQ(direct.tps, scenario.ByLabel("m").tps);
+  EXPECT_EQ(DifferingMetrics(direct, scenario.ByLabel("m")), std::vector<std::string>{});
 }
 
 // Extracts the number following `"key": ` in a JSON string.
@@ -105,6 +107,22 @@ double JsonNumber(const std::string& json, const std::string& key) {
   return std::strtod(json.c_str() + pos + needle.size(), nullptr);
 }
 
+// Gives each run-list field a value distinct from every other field (and from
+// its default) and returns the value the JSON document must hold for it.
+json::Value SetDistinct(double& field, int index) {
+  field = index + 1.0 / 3.0;  // full max_digits10 mantissa
+  return field;
+}
+json::Value SetDistinct(uint64_t& field, int index) {
+  field = 1000 + static_cast<uint64_t>(index);
+  return static_cast<double>(field);
+}
+json::Value SetDistinct(bool& field, int index) {
+  (void)index;
+  field = true;
+  return field;
+}
+
 TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   RunRecord rec;
   rec.label = "row \"quoted\"";  // exercises escaping
@@ -112,13 +130,14 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   rec.workload = "TPC-W";
   rec.mix = "ordering";
   rec.paper_tps = 76.0;
-  rec.result.tps = 73.4567891234567;
-  rec.result.mean_response_s = 0.8123456789012345;
-  rec.result.p95_response_s = 2.345678901234567;
-  rec.result.committed = 17654;
-  rec.result.aborted = 321;
-  rec.result.read_kb_per_txn = 19.87654321098765;
-  rec.result.write_kb_per_txn = 12.34567890123456;
+  // Every run-record column, in list order, with its expected JSON value.
+  std::vector<std::pair<std::string, json::Value>> expected;
+  int index = 0;
+#define DISTINCT_METRIC(type, name, init) \
+  expected.emplace_back(#name, SetDistinct(rec.result.name, index++));
+  TASHKENT_RUN_METRICS(DISTINCT_METRIC)
+#undef DISTINCT_METRIC
+  ASSERT_EQ(expected.size(), 21u);
   GroupReport g;
   g.types = {"BestSeller"};
   g.replicas = 2;
@@ -138,17 +157,30 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   buffer << file.rdbuf();
   const std::string json = buffer.str();
   std::remove(path.c_str());
+  EXPECT_EQ(json, sink.Render());
 
-  // Every numeric field parses back to exactly the stored double
-  // (max_digits10 rendering).
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "tps"), rec.result.tps);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "mean_response_s"), rec.result.mean_response_s);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "p95_response_s"), rec.result.p95_response_s);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "read_kb_per_txn"), rec.result.read_kb_per_txn);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "write_kb_per_txn"), rec.result.write_kb_per_txn);
+  // The run object holds the record coordinates, then exactly the run-list
+  // metrics in list order, each parsing back to exactly the stored value
+  // (max_digits10 rendering), then the groups.
+  const json::Value doc = json::Value::Parse(json);
+  const json::Value& run = doc.At("runs").Items().at(0);
+  const std::set<std::string> non_metric = {
+      "label", "policy", "workload", "mix", "paper_tps", "paper_write_kb", "paper_read_kb",
+      "groups"};
+  std::vector<std::pair<std::string, json::Value>> metrics;
+  for (const auto& member : run.Members()) {
+    if (non_metric.count(member.first) == 0) {
+      metrics.push_back(member);
+    }
+  }
+  ASSERT_EQ(metrics.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(metrics[i].first, expected[i].first) << "column " << i;
+    EXPECT_TRUE(metrics[i].second == expected[i].second)
+        << expected[i].first << ": " << metrics[i].second.Dump();
+  }
+
   EXPECT_DOUBLE_EQ(JsonNumber(json, "paper_tps"), 76.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "committed"), 17654.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "aborted"), 321.0);
   EXPECT_DOUBLE_EQ(JsonNumber(json, "measured"), 1.476543210987654);
   EXPECT_DOUBLE_EQ(JsonNumber(json, "speedup"), 25.123456789012345);
   EXPECT_NE(json.find("\"replicas\":2"), std::string::npos);
