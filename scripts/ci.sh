@@ -188,6 +188,19 @@ else
   echo "ci: python3 unavailable; skipping perf_diff report" >&2
 fi
 
+# The buffer-pool gate: the slab pool must stay at least 1.5x the frozen
+# legacy pool's touches/sec (measured about 2.7x). Both pool cells run in this
+# same invocation on the same host, so the ratio needs no normalization.
+if command -v python3 > /dev/null 2>&1; then
+  python3 - <<'EOF' || { echo "ci: buffer-pool speedup gate failed" >&2; exit 1; }
+import json, sys
+s = json.load(open('build/bench-out/BENCH_perf.json'))['scalars']
+ratio = s['pool speedup (slab / legacy)']
+print(f"pool gate: slab / legacy touches_per_s = {ratio:.2f} (floor 1.5)")
+sys.exit(0 if ratio >= 1.5 else 1)
+EOF
+fi
+
 # The committed perf-trajectory report (docs/PERF_TRAJECTORY.md) renders the
 # baselines under bench/baselines/; a PR that refreshes a baseline without
 # regenerating the report fails here.

@@ -1,15 +1,17 @@
 // OpenHashIndex: open-addressing map from a packed 64-bit key to a 32-bit
 // slab slot.
 //
-// The buffer pool resolves one residency lookup per page/chunk touch and the
-// simulator-adjacent structures resolve one per dedup check; a node-based
-// unordered_map pays a pointer chase and (on insert) a node allocation for
-// each. This index stores {key, slot} pairs flat in one power-of-two array
-// with linear probing and backward-shift deletion, so lookups are one or two
-// cache lines and inserts/erases never allocate (outside of growth).
+// The buffer pool resolves one residency lookup per single-page touch and one
+// per dirty-set dedup check; a node-based unordered_map pays a pointer chase
+// and (on insert) a node allocation for each. This index stores {key, slot}
+// pairs flat in one power-of-two array with linear probing and backward-shift
+// deletion, so lookups are one or two cache lines and inserts/erases never
+// allocate (outside of growth). There is no separate Insert:
+// FindForInsert/InsertAt make find-or-insert one probe, so a caller that
+// misses and then inserts never walks the chain twice.
 //
-// Keys are the already-mixed packed keys the callers use (e.g. BufferPool's
-// bit-packed relation/chunk keys); a splitmix64 finalizer scrambles them into
+// Keys are the packed keys the callers use (e.g. BufferPool's bit-packed
+// relation/page keys); a splitmix64 finalizer scrambles them into
 // bucket positions. The value is a slot index into the caller's slab vector;
 // UINT32_MAX (kNotFound) is reserved as the empty-bucket / not-found marker,
 // so slabs are limited to under 2^32 - 1 entries — far beyond any pool here.
@@ -42,18 +44,37 @@ class OpenHashIndex {
     return kNotFound;
   }
 
-  // Inserts `key -> slot`. The key must not already be present (callers
-  // always Find first; a double insert would shadow the old entry).
-  void Insert(uint64_t key, uint32_t slot) {
+  // Result of FindForInsert: `slot` is the key's slot when present;
+  // otherwise it is kNotFound and `bucket` is the empty bucket the key
+  // belongs in.
+  struct Lookup {
+    size_t bucket = 0;
+    uint32_t slot = kNotFound;
+  };
+
+  // Find-or-insert in one probe: looks `key` up and, when absent, also
+  // returns where InsertAt must put it. The table grows *before* probing, so
+  // the returned bucket stays valid until the next call that mutates this
+  // index (InsertAt, Erase, Clear or another FindForInsert that grows).
+  Lookup FindForInsert(uint64_t key) {
     if ((size_ + 1) * 4 > buckets_.size() * 3) {  // max load factor 3/4
       Grow();
     }
     const size_t mask = buckets_.size() - 1;
     size_t i = Hash(key) & mask;
     while (buckets_[i].slot != kNotFound) {
+      if (buckets_[i].key == key) {
+        return Lookup{i, buckets_[i].slot};
+      }
       i = (i + 1) & mask;
     }
-    buckets_[i] = Bucket{key, slot};
+    return Lookup{i, kNotFound};
+  }
+
+  // Inserts `key -> slot` into the empty bucket a FindForInsert(key) that
+  // missed returned. Nothing may have mutated the index in between.
+  void InsertAt(const Lookup& at, uint64_t key, uint32_t slot) {
+    buckets_[at.bucket] = Bucket{key, slot};
     ++size_;
   }
 

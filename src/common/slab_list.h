@@ -11,9 +11,10 @@
 //                    are stable uint32 indices, never pointers, so the vector
 //                    may reallocate while handles stay valid.
 //   * SlabList<T>  — Slab plus an intrusive doubly-linked list over the live
-//                    slots (PushFront/PushBack/Unlink/head/tail). Free slots
-//                    reuse the `next` link as the free-list pointer, so the
-//                    node layout is exactly the hand-rolled original's.
+//                    slots (PushFront/PushBack/Unlink/MoveRunToFront/
+//                    head/tail). Free slots reuse the `next` link as the
+//                    free-list pointer, so the node layout is exactly the
+//                    hand-rolled original's.
 //
 // Both are deliberately minimal: no iterators beyond head()/next()/prev()
 // walking, no destruction hooks (payloads are reset by the owner), no
@@ -136,6 +137,27 @@ class SlabList {
     } else {
       tail_ = n.prev;
     }
+  }
+
+  // Moves the linked run front..back (front nearer the head, back reachable
+  // from front by next()) to the head in O(1), keeping its internal order.
+  // A single node is the run (slot, slot).
+  void MoveRunToFront(uint32_t front, uint32_t back) {
+    if (front == head_) {
+      return;
+    }
+    const uint32_t before = nodes_[front].prev;  // not nil: front is not the head
+    const uint32_t after = nodes_[back].next;
+    nodes_[before].next = after;
+    if (after != kNilSlot) {
+      nodes_[after].prev = before;
+    } else {
+      tail_ = before;
+    }
+    nodes_[front].prev = kNilSlot;
+    nodes_[back].next = head_;
+    nodes_[head_].prev = back;
+    head_ = front;
   }
 
   T& operator[](uint32_t slot) { return nodes_[slot].value; }

@@ -61,51 +61,106 @@ BufferPool::BufferPool(Bytes capacity, Pages chunk_pages)
 
 // --- LRU slab plumbing (shared SlabList helper) ------------------------------
 
-void BufferPool::AddResident(RelationId rel, Pages delta) {
+BufferPool::RelState& BufferPool::State(RelationId rel) {
   const size_t idx = static_cast<size_t>(rel);
-  if (idx >= resident_by_rel_.size()) {
-    resident_by_rel_.resize(idx + 1, 0);
+  if (idx >= rels_.size()) {
+    rels_.resize(idx + 1);
   }
-  resident_by_rel_[idx] += delta;
+  return rels_[idx];
 }
 
-void BufferPool::TouchEntry(uint64_t key) {
-  const uint32_t slot = index_.Find(key);
-  if (slot == lru_.head()) {
-    return;  // already most recent
-  }
-  lru_.Unlink(slot);
-  lru_.PushFront(slot);
-}
-
-void BufferPool::Insert(uint64_t key, Pages weight) {
+uint32_t BufferPool::PushEntry(uint64_t key, Pages weight, RelState& rs) {
   const uint32_t slot = lru_.Alloc();
   lru_[slot] = LruEntry{key, weight};
   lru_.PushFront(slot);
-  index_.Insert(key, slot);
   used_pages_ += weight;
-  AddResident(KeyRelation(key), weight);
-  EvictToFit();
+  rs.resident += weight;
+  return slot;
+}
+
+Pages BufferPool::RemoveEntry(uint32_t slot) {
+  const LruEntry e = lru_[slot];
+  lru_.Unlink(slot);
+  lru_.Free(slot);
+  RelState& rs = rels_[KeyRelation(e.key)];
+  if ((e.key & kChunkBit) != 0) {
+    rs.chunk_slot[e.key & kIndexMask] = kNilSlot;
+    --rs.resident_chunks;
+  } else {
+    index_.Erase(e.key);
+  }
+  used_pages_ -= e.weight;
+  rs.resident -= e.weight;
+  return e.weight;
 }
 
 void BufferPool::EvictToFit() {
   while (used_pages_ > capacity_pages_ && lru_.tail() != kNilSlot) {
-    const uint32_t victim = lru_.tail();
-    const uint64_t key = lru_[victim].key;
-    const Pages weight = lru_[victim].weight;
-    lru_.Unlink(victim);
-    lru_.Free(victim);
-    index_.Erase(key);
-    used_pages_ -= weight;
-    AddResident(KeyRelation(key), -weight);
-    stats_.evicted_pages += static_cast<uint64_t>(weight);
+    stats_.evicted_pages += static_cast<uint64_t>(RemoveEntry(lru_.tail()));
   }
+}
+
+bool BufferPool::TouchPage(RelState& rs, RelationId rel, uint64_t page) {
+  if (rs.resident_chunks != 0) {
+    const uint64_t chunk = page / static_cast<uint64_t>(chunk_pages_);
+    if (chunk < rs.chunk_slot.size() && rs.chunk_slot[chunk] != kNilSlot) {
+      lru_.MoveRunToFront(rs.chunk_slot[chunk], rs.chunk_slot[chunk]);
+      return true;
+    }
+  }
+  const uint64_t key = PageKey(rel, page);
+  const OpenHashIndex::Lookup at = index_.FindForInsert(key);
+  if (at.slot != OpenHashIndex::kNotFound) {
+    lru_.MoveRunToFront(at.slot, at.slot);
+    return true;
+  }
+  index_.InsertAt(at, key, PushEntry(key, 1, rs));
+  EvictToFit();
+  return false;
+}
+
+PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint64_t end) {
+  PoolAccess out;
+  const uint64_t full_chunks = static_cast<uint64_t>(rel.pages / chunk_pages_);
+  const Pages tail = rel.pages % chunk_pages_;
+  const uint64_t total_chunks = full_chunks + (tail > 0 ? 1 : 0);
+  end = std::min(end, total_chunks);
+  RelState& rs = State(rel.id);
+  if (rs.chunk_slot.size() < total_chunks) {
+    rs.chunk_slot.resize(total_chunks, kNilSlot);
+  }
+  std::vector<uint32_t>& slots = rs.chunk_slot;
+  auto weight = [&](uint64_t c) { return c < full_chunks ? chunk_pages_ : tail; };
+  for (uint64_t c = first; c < end; ++c) {
+    const uint32_t back = slots[c];
+    if (back == kNilSlot) {
+      slots[c] = PushEntry(ChunkKey(rel.id, c), weight(c), rs);
+      ++rs.resident_chunks;
+      out.pages_missed += weight(c);
+      EvictToFit();  // may evict this scan's own chunks, slots[c] included
+      continue;
+    }
+    // Hit: the chunks that follow and already sit just ahead of this one in
+    // the LRU form a run; moving it whole equals moving each in turn.
+    uint32_t front = back;
+    out.pages_hit += weight(c);
+    while (c + 1 < end && slots[c + 1] != kNilSlot && lru_.prev(front) == slots[c + 1]) {
+      front = slots[++c];
+      out.pages_hit += weight(c);
+    }
+    lru_.MoveRunToFront(front, back);
+  }
+  stats_.hits += static_cast<uint64_t>(out.pages_hit);
+  stats_.misses += static_cast<uint64_t>(out.pages_missed);
+  return out;
 }
 
 // --- Dirty-FIFO slab plumbing ------------------------------------------------
 
 void BufferPool::EraseDirty(uint32_t slot) {
-  dirty_index_.Erase(dirty_[slot].key);
+  const uint64_t key = dirty_[slot].key;
+  dirty_index_.Erase(key);
+  --rels_[KeyRelation(key)].dirty;
   dirty_.Unlink(slot);
   dirty_.Free(slot);
 }
@@ -113,24 +168,7 @@ void BufferPool::EraseDirty(uint32_t slot) {
 // --- Public access paths -----------------------------------------------------
 
 PoolAccess BufferPool::TouchScan(const RelationMeta& rel) {
-  PoolAccess out;
-  const uint64_t full_chunks = static_cast<uint64_t>(rel.pages / chunk_pages_);
-  const Pages tail = rel.pages % chunk_pages_;
-  const uint64_t total_chunks = full_chunks + (tail > 0 ? 1 : 0);
-  for (uint64_t c = 0; c < total_chunks; ++c) {
-    const Pages weight = (c < full_chunks) ? chunk_pages_ : tail;
-    const uint64_t key = ChunkKey(rel.id, c);
-    if (IsResident(key)) {
-      TouchEntry(key);
-      out.pages_hit += weight;
-    } else {
-      Insert(key, weight);
-      out.pages_missed += weight;
-    }
-  }
-  stats_.hits += static_cast<uint64_t>(out.pages_hit);
-  stats_.misses += static_cast<uint64_t>(out.pages_missed);
-  return out;
+  return ScanChunks(rel, 0, UINT64_MAX);
 }
 
 PoolAccess BufferPool::TouchScanWindow(const RelationMeta& rel, Pages window, Rng& rng,
@@ -138,30 +176,10 @@ PoolAccess BufferPool::TouchScanWindow(const RelationMeta& rel, Pages window, Rn
   if (window <= 0 || window >= rel.pages) {
     return TouchScan(rel);
   }
-  PoolAccess out;
   const uint64_t start_page = skew.SampleWindowStart(rng, rel.pages, window);
-  const uint64_t first_chunk = start_page / static_cast<uint64_t>(chunk_pages_);
   const uint64_t last_page = start_page + static_cast<uint64_t>(window) - 1;
-  const uint64_t last_chunk = last_page / static_cast<uint64_t>(chunk_pages_);
-  const uint64_t rel_full_chunks = static_cast<uint64_t>(rel.pages / chunk_pages_);
-  const Pages rel_tail = rel.pages % chunk_pages_;
-  for (uint64_t c = first_chunk; c <= last_chunk; ++c) {
-    const Pages weight = (c < rel_full_chunks) ? chunk_pages_ : rel_tail;
-    if (weight <= 0) {
-      break;
-    }
-    const uint64_t key = ChunkKey(rel.id, c);
-    if (IsResident(key)) {
-      TouchEntry(key);
-      out.pages_hit += weight;
-    } else {
-      Insert(key, weight);
-      out.pages_missed += weight;
-    }
-  }
-  stats_.hits += static_cast<uint64_t>(out.pages_hit);
-  stats_.misses += static_cast<uint64_t>(out.pages_missed);
-  return out;
+  const uint64_t chunk = static_cast<uint64_t>(chunk_pages_);
+  return ScanChunks(rel, start_page / chunk, last_page / chunk + 1);
 }
 
 PoolAccess BufferPool::TouchRandom(const RelationMeta& rel, int n_pages, Rng& rng,
@@ -170,19 +188,11 @@ PoolAccess BufferPool::TouchRandom(const RelationMeta& rel, int n_pages, Rng& rn
   if (rel.pages <= 0) {
     return out;
   }
+  RelState& rs = State(rel.id);
   for (int i = 0; i < n_pages; ++i) {
-    const uint64_t page = skew.SamplePage(rng, rel.pages);
-    const uint64_t chunk = page / static_cast<uint64_t>(chunk_pages_);
-    const uint64_t ckey = ChunkKey(rel.id, chunk);
-    const uint64_t pkey = PageKey(rel.id, page);
-    if (IsResident(ckey)) {
-      TouchEntry(ckey);
-      ++out.pages_hit;
-    } else if (IsResident(pkey)) {
-      TouchEntry(pkey);
+    if (TouchPage(rs, rel.id, skew.SamplePage(rng, rel.pages))) {
       ++out.pages_hit;
     } else {
-      Insert(pkey, 1);
       ++out.pages_missed;
     }
   }
@@ -197,27 +207,23 @@ BufferPool::DirtyResult BufferPool::DirtyRandom(const RelationMeta& rel, int n_p
   if (rel.pages <= 0) {
     return out;
   }
+  RelState& rs = State(rel.id);
   for (int i = 0; i < n_pages; ++i) {
     const uint64_t page = skew.SamplePage(rng, rel.pages);
-    const uint64_t chunk = page / static_cast<uint64_t>(chunk_pages_);
-    const uint64_t ckey = ChunkKey(rel.id, chunk);
-    const uint64_t pkey = PageKey(rel.id, page);
-    if (IsResident(ckey)) {
-      TouchEntry(ckey);
-      ++out.access.pages_hit;
-    } else if (IsResident(pkey)) {
-      TouchEntry(pkey);
+    // Read-modify-write: a missing page is fetched before being modified.
+    if (TouchPage(rs, rel.id, page)) {
       ++out.access.pages_hit;
     } else {
-      // Read-modify-write: the page is fetched before being modified.
-      Insert(pkey, 1);
       ++out.access.pages_missed;
     }
-    if (dirty_index_.Find(pkey) == OpenHashIndex::kNotFound) {
+    const uint64_t key = PageKey(rel.id, page);
+    const OpenHashIndex::Lookup at = dirty_index_.FindForInsert(key);
+    if (at.slot == OpenHashIndex::kNotFound) {
       const uint32_t slot = dirty_.Alloc();
-      dirty_[slot].key = pkey;
+      dirty_[slot].key = key;
       dirty_.PushBack(slot);
-      dirty_index_.Insert(pkey, slot);
+      dirty_index_.InsertAt(at, key, slot);
+      ++rs.dirty;
       ++out.newly_dirtied;
     }
   }
@@ -238,20 +244,20 @@ Pages BufferPool::TakeDirtyForFlush(Pages max_pages) {
 }
 
 void BufferPool::DropRelation(RelationId rel) {
-  for (uint32_t slot = lru_.head(); slot != kNilSlot;) {
+  if (static_cast<size_t>(rel) >= rels_.size()) {
+    return;
+  }
+  RelState& rs = rels_[static_cast<size_t>(rel)];
+  // Each walk stops once the relation's count reaches zero, so a drop that
+  // removes nothing (common under update filtering) walks neither list.
+  for (uint32_t slot = lru_.head(); slot != kNilSlot && rs.resident > 0;) {
     const uint32_t next = lru_.next(slot);
     if (KeyRelation(lru_[slot].key) == rel) {
-      used_pages_ -= lru_[slot].weight;
-      index_.Erase(lru_[slot].key);
-      lru_.Unlink(slot);
-      lru_.Free(slot);
+      RemoveEntry(slot);
     }
     slot = next;
   }
-  if (static_cast<size_t>(rel) < resident_by_rel_.size()) {
-    resident_by_rel_[static_cast<size_t>(rel)] = 0;
-  }
-  for (uint32_t slot = dirty_.head(); slot != kNilSlot;) {
+  for (uint32_t slot = dirty_.head(); slot != kNilSlot && rs.dirty > 0;) {
     const uint32_t next = dirty_.next(slot);
     if (KeyRelation(dirty_[slot].key) == rel) {
       EraseDirty(slot);
@@ -265,7 +271,7 @@ void BufferPool::Clear() {
   index_.Clear();
   dirty_.Clear();
   dirty_index_.Clear();
-  resident_by_rel_.clear();
+  rels_.clear();
   used_pages_ = 0;
 }
 
@@ -276,7 +282,7 @@ void BufferPool::Resize(Bytes capacity) {
 
 Pages BufferPool::ResidentPages(RelationId rel) const {
   const size_t idx = static_cast<size_t>(rel);
-  return idx < resident_by_rel_.size() ? resident_by_rel_[idx] : 0;
+  return idx < rels_.size() ? rels_[idx].resident : 0;
 }
 
 }  // namespace tashkent

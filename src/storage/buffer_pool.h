@@ -17,12 +17,24 @@
 //
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
 // the LRU is an intrusive doubly-linked list threaded through a free-listed
-// slab (the shared SlabList helper, src/common/slab_list.h), indexed by an
-// open-addressing hash on the packed 64-bit entry key — so
-// TouchScan/TouchRandom/DirtyRandom perform zero allocations per touch (only
-// amortized slab/table growth). The dirty FIFO gets the same slab +
-// open-addressing treatment. Eviction order, hit outcomes, and stats are
-// bit-identical to the earlier std::list + unordered_map implementation.
+// slab (SlabList, src/common/slab_list.h); nothing allocates per touch, only
+// amortized slab/table growth. Each entry is found without walking the list:
+//   * Chunk entries sit in a per-relation slot table (chunk number -> LRU
+//     slot), sized to the relation's chunk count by the first scan that
+//     touches it. A per-relation count of resident chunks lets random
+//     touches skip the table entirely while a relation has no chunks cached.
+//   * Single-page entries sit in an OpenHashIndex on the packed page key,
+//     probed once per touch with find-or-insert (FindForInsert/InsertAt).
+//   * A scan hit at chunk c extends a run while the LRU node just ahead of
+//     the run is chunk c+1's, then splices the run to the front in O(1)
+//     (SlabList::MoveRunToFront). That equals moving each chunk to the front
+//     in turn — the run keeps its order — because a hit never evicts. A miss
+//     still inserts and evicts one chunk at a time, so a scan that evicts its
+//     own untouched chunks behaves exactly as before.
+// The dirty FIFO is a second SlabList with its own OpenHashIndex for dedup.
+// Eviction order, hit outcomes and stats are bit-identical to the earlier
+// std::list + unordered_map implementation (bench/legacy_baseline.h keeps a
+// frozen copy; the perf campaign compares checksums).
 #ifndef SRC_STORAGE_BUFFER_POOL_H_
 #define SRC_STORAGE_BUFFER_POOL_H_
 
@@ -147,9 +159,12 @@ class BufferPool {
 
  private:
   // Entry key: bit 63 selects chunk (1) vs page (0) keyspace; relation id in
-  // bits 40..62; chunk/page index in bits 0..39.
+  // bits 40..62; chunk/page index in bits 0..39. Eviction and DropRelation
+  // read it back to find the table entry to clear.
+  static constexpr uint64_t kChunkBit = 1ULL << 63;
+  static constexpr uint64_t kIndexMask = (1ULL << 40) - 1;
   static uint64_t ChunkKey(RelationId rel, uint64_t chunk) {
-    return (1ULL << 63) | (static_cast<uint64_t>(rel) << 40) | chunk;
+    return kChunkBit | (static_cast<uint64_t>(rel) << 40) | chunk;
   }
   static uint64_t PageKey(RelationId rel, uint64_t page) {
     return (static_cast<uint64_t>(rel) << 40) | page;
@@ -170,27 +185,37 @@ class BufferPool {
     uint64_t key = 0;
   };
 
-  bool IsResident(uint64_t key) const {
-    return index_.Find(key) != OpenHashIndex::kNotFound;
-  }
-  void TouchEntry(uint64_t key);            // move to MRU
-  void Insert(uint64_t key, Pages weight);  // insert at MRU + evict
+  // Per-relation bookkeeping, indexed by relation id.
+  struct RelState {
+    std::vector<uint32_t> chunk_slot;  // chunk number -> LRU slot, kNilSlot if absent
+    uint32_t resident_chunks = 0;      // chunk entries currently in the LRU
+    Pages resident = 0;                // resident pages (chunks + single pages)
+    Pages dirty = 0;                   // pages pending in the dirty FIFO
+  };
+
+  RelState& State(RelationId rel);
+  // Touches chunks [first, end) of `rel` in order; the one scan loop behind
+  // TouchScan and TouchScanWindow.
+  PoolAccess ScanChunks(const RelationMeta& rel, uint64_t first, uint64_t end);
+  // Touches one page of a random access; returns true on a hit. On a miss the
+  // page is inserted as a single-page entry (and the pool evicts to fit).
+  bool TouchPage(RelState& rs, RelationId rel, uint64_t page);
+  uint32_t PushEntry(uint64_t key, Pages weight, RelState& rs);  // at MRU, no eviction
+  Pages RemoveEntry(uint32_t slot);  // unlinks, frees, clears its lookup; returns weight
   void EvictToFit();
   void EraseDirty(uint32_t slot);
-
-  void AddResident(RelationId rel, Pages delta);
 
   Pages capacity_pages_;
   Pages chunk_pages_;
   Pages used_pages_ = 0;
 
   SlabList<LruEntry> lru_;         // recency list: front = MRU, back = victim
-  OpenHashIndex index_;            // packed key -> LRU slab slot
+  OpenHashIndex index_;            // packed page key -> LRU slab slot (pages only)
 
   SlabList<DirtyEntry> dirty_;     // write-back FIFO: front = oldest
-  OpenHashIndex dirty_index_;      // packed key -> dirty slab slot (dedup)
+  OpenHashIndex dirty_index_;      // packed page key -> dirty slab slot (dedup)
 
-  std::vector<Pages> resident_by_rel_;  // resident page count, indexed by relation id
+  std::vector<RelState> rels_;
 
   BufferPoolStats stats_;
 };

@@ -3,6 +3,7 @@
 // helper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -268,11 +269,24 @@ TEST(InlineCallback, SmallerCapacityNestsIntoLarger) {
 
 // --- OpenHashIndex -----------------------------------------------------------
 
+// Find-or-insert `key -> slot` the way every caller does: one probe, then
+// InsertAt into the bucket it returned. Returns false when already present.
+bool InsertNew(OpenHashIndex& index, uint64_t key, uint32_t slot) {
+  const OpenHashIndex::Lookup at = index.FindForInsert(key);
+  if (at.slot != OpenHashIndex::kNotFound) {
+    return false;
+  }
+  index.InsertAt(at, key, slot);
+  return true;
+}
+
 TEST(OpenHashIndex, InsertFindErase) {
   OpenHashIndex index;
   EXPECT_EQ(index.Find(42), OpenHashIndex::kNotFound);
-  index.Insert(42, 7);
-  index.Insert(0, 9);  // key 0 is a legal packed key, not a sentinel
+  EXPECT_TRUE(InsertNew(index, 42, 7));
+  EXPECT_TRUE(InsertNew(index, 0, 9));  // key 0 is a legal packed key, not a sentinel
+  EXPECT_FALSE(InsertNew(index, 42, 8));
+  EXPECT_EQ(index.FindForInsert(42).slot, 7u);
   EXPECT_EQ(index.Find(42), 7u);
   EXPECT_EQ(index.Find(0), 9u);
   EXPECT_EQ(index.size(), 2u);
@@ -283,20 +297,29 @@ TEST(OpenHashIndex, InsertFindErase) {
 }
 
 TEST(OpenHashIndex, MatchesReferenceMapUnderChurn) {
-  // Randomized differential test against unordered_map: inserts, erases, and
-  // lookups over a small key universe force long probe chains and exercise
-  // backward-shift deletion across growth boundaries.
+  // Randomized differential test against unordered_map: find-or-inserts,
+  // erases, and lookups over a small key universe force long probe chains
+  // and exercise backward-shift deletion. The live count climbs through
+  // several doublings (16 -> 1024 buckets) before settling, so
+  // FindForInsert's grow-then-probe runs across every growth boundary.
   OpenHashIndex index;
   std::unordered_map<uint64_t, uint32_t> reference;
   Rng rng(2024);
+  size_t peak = 0;
   for (int step = 0; step < 20000; ++step) {
-    const uint64_t key = rng.NextBelow(512);
-    const uint64_t op = rng.NextBelow(3);
-    if (op == 0) {
-      if (reference.find(key) == reference.end()) {
+    const uint64_t key = rng.NextBelow(1024);
+    // Insert-heavy first half (grows the table), balanced second half.
+    const uint64_t op = rng.NextBelow(step < 10000 ? 4 : 3);
+    if (op == 0 || op == 3) {
+      const OpenHashIndex::Lookup at = index.FindForInsert(key);
+      auto it = reference.find(key);
+      if (it == reference.end()) {
+        EXPECT_EQ(at.slot, OpenHashIndex::kNotFound) << "key " << key;
         const uint32_t slot = static_cast<uint32_t>(rng.NextBelow(1u << 20));
-        index.Insert(key, slot);
+        index.InsertAt(at, key, slot);
         reference[key] = slot;
+      } else {
+        EXPECT_EQ(at.slot, it->second) << "key " << key;
       }
     } else if (op == 1) {
       EXPECT_EQ(index.Erase(key), reference.erase(key) > 0) << "key " << key;
@@ -306,7 +329,9 @@ TEST(OpenHashIndex, MatchesReferenceMapUnderChurn) {
       EXPECT_EQ(index.Find(key), expect) << "key " << key;
     }
     EXPECT_EQ(index.size(), reference.size());
+    peak = std::max(peak, reference.size());
   }
+  EXPECT_GT(peak, 384u);  // past the 512-bucket table's 3/4 load: >= 6 growths
   for (const auto& [key, slot] : reference) {
     EXPECT_EQ(index.Find(key), slot);
   }
@@ -439,6 +464,60 @@ TEST(SlabList, PushUnlinkAndWalk) {
   EXPECT_EQ(list.tail(), kNilSlot);
   list.Free(a);
   EXPECT_EQ(list.Alloc(), a);  // freed slot recycled
+}
+
+// Walks `list` head-to-tail and tail-to-head; checks both walks agree with
+// `expect` (front..back), so every prev and next link is verified.
+void ExpectOrder(const SlabList<int>& list, const std::vector<int>& expect) {
+  std::vector<int> forward;
+  for (uint32_t s = list.head(); s != kNilSlot; s = list.next(s)) {
+    forward.push_back(list[s]);
+  }
+  EXPECT_EQ(forward, expect);
+  std::vector<int> backward;
+  for (uint32_t s = list.tail(); s != kNilSlot; s = list.prev(s)) {
+    backward.push_back(list[s]);
+  }
+  EXPECT_EQ(backward, std::vector<int>(expect.rbegin(), expect.rend()));
+}
+
+TEST(SlabList, MoveRunToFront) {
+  SlabList<int> list;
+  std::vector<uint32_t> slot(5);
+  for (int i = 0; i < 5; ++i) {
+    slot[i] = list.Alloc();
+    list[slot[i]] = i;
+    list.PushBack(slot[i]);
+  }
+  ExpectOrder(list, {0, 1, 2, 3, 4});
+
+  list.MoveRunToFront(slot[0], slot[1]);  // run already at the head: no-op
+  ExpectOrder(list, {0, 1, 2, 3, 4});
+
+  list.MoveRunToFront(slot[2], slot[3]);  // interior run
+  ExpectOrder(list, {2, 3, 0, 1, 4});
+
+  list.MoveRunToFront(slot[1], slot[4]);  // run ending at the tail
+  ExpectOrder(list, {1, 4, 2, 3, 0});
+  EXPECT_EQ(list.tail(), slot[0]);
+
+  list.MoveRunToFront(slot[1], slot[0]);  // the whole list
+  ExpectOrder(list, {1, 4, 2, 3, 0});
+
+  list.MoveRunToFront(slot[0], slot[0]);  // single node from the tail
+  ExpectOrder(list, {0, 1, 4, 2, 3});
+  EXPECT_EQ(list.tail(), slot[3]);
+
+  list.MoveRunToFront(slot[4], slot[4]);  // single interior node
+  ExpectOrder(list, {4, 0, 1, 2, 3});
+
+  // A one-node list: the node is head, tail and the whole run.
+  SlabList<int> one;
+  const uint32_t only = one.Alloc();
+  one[only] = 7;
+  one.PushFront(only);
+  one.MoveRunToFront(only, only);
+  ExpectOrder(one, {7});
 }
 
 TEST(SlabList, ChurnKeepsListConsistent) {

@@ -1,6 +1,12 @@
 // Unit tests for schema catalog, buffer pool, and disk model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_model.h"
@@ -299,6 +305,302 @@ TEST(BufferPool, DirtyFifoSurvivesInterleavedDropAndFlush) {
   EXPECT_GT(after, 0);
   EXPECT_EQ(pool.TakeDirtyForFlush(10000), after);
   EXPECT_EQ(pool.dirty_pages(), 0);
+}
+
+
+// --- Differential test against a reference pool ------------------------------
+
+// The chunked-LRU model written as plainly as possible: one std::list in
+// recency order (front = MRU), std::maps for lookup, every touch a separate
+// splice. BufferPool must match it call for call.
+class ReferencePool {
+ public:
+  ReferencePool(Pages capacity_pages, Pages chunk_pages)
+      : capacity_(capacity_pages), chunk_(chunk_pages) {}
+
+  PoolAccess TouchScan(const RelationMeta& rel) {
+    const Pages chunks = (rel.pages + chunk_ - 1) / chunk_;
+    return Scan(rel, 0, static_cast<uint64_t>(chunks));
+  }
+
+  PoolAccess TouchScanWindow(const RelationMeta& rel, Pages window, Rng& rng,
+                             const AccessSkew& skew) {
+    if (window <= 0 || window >= rel.pages) {
+      return TouchScan(rel);
+    }
+    const uint64_t start = skew.SampleWindowStart(rng, rel.pages, window);
+    const uint64_t last = start + static_cast<uint64_t>(window) - 1;
+    const uint64_t chunk = static_cast<uint64_t>(chunk_);
+    return Scan(rel, start / chunk, last / chunk + 1);
+  }
+
+  PoolAccess TouchRandom(const RelationMeta& rel, int n, Rng& rng, const AccessSkew& skew) {
+    PoolAccess out;
+    for (int i = 0; rel.pages > 0 && i < n; ++i) {
+      (Page(rel.id, skew.SamplePage(rng, rel.pages)) ? out.pages_hit : out.pages_missed) += 1;
+    }
+    stats_.hits += static_cast<uint64_t>(out.pages_hit);
+    stats_.misses += static_cast<uint64_t>(out.pages_missed);
+    return out;
+  }
+
+  BufferPool::DirtyResult DirtyRandom(const RelationMeta& rel, int n, Rng& rng,
+                                      const AccessSkew& skew) {
+    BufferPool::DirtyResult out;
+    for (int i = 0; rel.pages > 0 && i < n; ++i) {
+      const uint64_t page = skew.SamplePage(rng, rel.pages);
+      (Page(rel.id, page) ? out.access.pages_hit : out.access.pages_missed) += 1;
+      const Key key{false, rel.id, page};
+      if (dirty_where_.count(key) == 0) {
+        dirty_where_[key] = dirty_.insert(dirty_.end(), key);
+        ++out.newly_dirtied;
+      }
+    }
+    stats_.hits += static_cast<uint64_t>(out.access.pages_hit);
+    stats_.misses += static_cast<uint64_t>(out.access.pages_missed);
+    stats_.dirtied_pages += static_cast<uint64_t>(out.newly_dirtied);
+    return out;
+  }
+
+  Pages TakeDirtyForFlush(Pages max_pages) {
+    Pages taken = 0;
+    for (; taken < max_pages && !dirty_.empty(); ++taken) {
+      dirty_where_.erase(dirty_.front());
+      dirty_.pop_front();
+    }
+    stats_.flushed_pages += static_cast<uint64_t>(taken);
+    return taken;
+  }
+
+  void DropRelation(RelationId rel) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (std::get<1>(it->key) == rel) {
+        used_ -= it->weight;
+        resident_[rel] -= it->weight;
+        where_.erase(it->key);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    for (auto it = dirty_.begin(); it != dirty_.end();) {
+      if (std::get<1>(*it) == rel) {
+        dirty_where_.erase(*it);
+        it = dirty_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void Clear() {
+    lru_.clear();
+    where_.clear();
+    dirty_.clear();
+    dirty_where_.clear();
+    resident_.clear();
+    used_ = 0;
+  }
+
+  void Resize(Pages capacity_pages) {
+    capacity_ = std::max<Pages>(capacity_pages, 1);
+    Evict();
+  }
+
+  Pages used_pages() const { return used_; }
+  Pages dirty_pages() const { return static_cast<Pages>(dirty_.size()); }
+  Pages ResidentPages(RelationId rel) const {
+    auto it = resident_.find(rel);
+    return it == resident_.end() ? 0 : it->second;
+  }
+  const BufferPoolStats& stats() const { return stats_; }
+
+ private:
+  using Key = std::tuple<bool, RelationId, uint64_t>;  // {is_chunk, relation, index}
+  struct Entry {
+    Key key;
+    Pages weight;
+  };
+
+  // Moves `key` to the MRU end if resident; returns whether it was.
+  bool Touch(const Key& key) {
+    auto it = where_.find(key);
+    if (it == where_.end()) {
+      return false;
+    }
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return true;
+  }
+
+  void Insert(const Key& key, Pages weight) {
+    lru_.push_front(Entry{key, weight});
+    where_[key] = lru_.begin();
+    used_ += weight;
+    resident_[std::get<1>(key)] += weight;
+    Evict();
+  }
+
+  void Evict() {
+    while (used_ > capacity_ && !lru_.empty()) {
+      const Entry& victim = lru_.back();
+      used_ -= victim.weight;
+      resident_[std::get<1>(victim.key)] -= victim.weight;
+      stats_.evicted_pages += static_cast<uint64_t>(victim.weight);
+      where_.erase(victim.key);
+      lru_.pop_back();
+    }
+  }
+
+  bool Page(RelationId rel, uint64_t page) {
+    const uint64_t chunk = page / static_cast<uint64_t>(chunk_);
+    if (Touch(Key{true, rel, chunk}) || Touch(Key{false, rel, page})) {
+      return true;
+    }
+    Insert(Key{false, rel, page}, 1);
+    return false;
+  }
+
+  PoolAccess Scan(const RelationMeta& rel, uint64_t first, uint64_t end) {
+    PoolAccess out;
+    for (uint64_t c = first; c < end; ++c) {
+      const Pages weight = std::min<Pages>(chunk_, rel.pages - static_cast<Pages>(c) * chunk_);
+      const Key key{true, rel.id, c};
+      if (Touch(key)) {
+        out.pages_hit += weight;
+      } else {
+        Insert(key, weight);
+        out.pages_missed += weight;
+      }
+    }
+    stats_.hits += static_cast<uint64_t>(out.pages_hit);
+    stats_.misses += static_cast<uint64_t>(out.pages_missed);
+    return out;
+  }
+
+  Pages capacity_;
+  Pages chunk_;
+  Pages used_ = 0;
+  std::list<Entry> lru_;
+  std::map<Key, std::list<Entry>::iterator> where_;
+  std::list<Key> dirty_;
+  std::map<Key, std::list<Key>::iterator> dirty_where_;
+  std::map<RelationId, Pages> resident_;
+  BufferPoolStats stats_;
+};
+
+struct DiffConfig {
+  Pages capacity_pages;
+  Pages chunk_pages;
+  AccessSkew skew;
+};
+
+void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps) {
+  SCOPED_TRACE("capacity " + std::to_string(cfg.capacity_pages) + " chunk " +
+               std::to_string(cfg.chunk_pages) + " seed " + std::to_string(seed));
+  BufferPool pool(PagesToBytes(cfg.capacity_pages), cfg.chunk_pages);
+  ReferencePool ref(cfg.capacity_pages, cfg.chunk_pages);
+  // Sizes mix exact multiples of the chunk with partial tail chunks, a
+  // relation smaller than one chunk, and relations larger than the pool.
+  const std::vector<Pages> sizes = {3, 37, 64, 13, 121, 250, 8};
+  std::vector<RelationMeta> rels;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    rels.push_back(MakeRel(static_cast<RelationId>(i), sizes[i]));
+  }
+  Rng script_rng(seed);
+  // Both pools draw their samples from identically seeded streams.
+  Rng pool_rng(seed * 7919 + 1);
+  Rng ref_rng(seed * 7919 + 1);
+  for (int step = 0; step < steps; ++step) {
+    const RelationMeta& rel = rels[script_rng.NextBelow(rels.size())];
+    const uint64_t op = script_rng.NextBelow(100);
+    std::string what;
+    if (op < 14) {
+      what = "TouchScan";
+      const PoolAccess a = pool.TouchScan(rel);
+      const PoolAccess b = ref.TouchScan(rel);
+      ASSERT_EQ(a.pages_hit, b.pages_hit) << what << " step " << step;
+      ASSERT_EQ(a.pages_missed, b.pages_missed) << what << " step " << step;
+    } else if (op < 34) {
+      what = "TouchScanWindow";
+      const Pages window =
+          static_cast<Pages>(script_rng.NextBelow(static_cast<uint64_t>(rel.pages) + 2));
+      const PoolAccess a = pool.TouchScanWindow(rel, window, pool_rng, cfg.skew);
+      const PoolAccess b = ref.TouchScanWindow(rel, window, ref_rng, cfg.skew);
+      ASSERT_EQ(a.pages_hit, b.pages_hit) << what << " step " << step;
+      ASSERT_EQ(a.pages_missed, b.pages_missed) << what << " step " << step;
+    } else if (op < 62) {
+      what = "TouchRandom";
+      const int n = static_cast<int>(script_rng.NextBelow(12));
+      const PoolAccess a = pool.TouchRandom(rel, n, pool_rng, cfg.skew);
+      const PoolAccess b = ref.TouchRandom(rel, n, ref_rng, cfg.skew);
+      ASSERT_EQ(a.pages_hit, b.pages_hit) << what << " step " << step;
+      ASSERT_EQ(a.pages_missed, b.pages_missed) << what << " step " << step;
+    } else if (op < 80) {
+      what = "DirtyRandom";
+      const int n = static_cast<int>(script_rng.NextBelow(8));
+      const BufferPool::DirtyResult a = pool.DirtyRandom(rel, n, pool_rng, cfg.skew);
+      const BufferPool::DirtyResult b = ref.DirtyRandom(rel, n, ref_rng, cfg.skew);
+      ASSERT_EQ(a.access.pages_hit, b.access.pages_hit) << what << " step " << step;
+      ASSERT_EQ(a.access.pages_missed, b.access.pages_missed) << what << " step " << step;
+      ASSERT_EQ(a.newly_dirtied, b.newly_dirtied) << what << " step " << step;
+    } else if (op < 88) {
+      what = "TakeDirtyForFlush";
+      const Pages max_pages = static_cast<Pages>(script_rng.NextBelow(20));
+      ASSERT_EQ(pool.TakeDirtyForFlush(max_pages), ref.TakeDirtyForFlush(max_pages))
+          << what << " step " << step;
+    } else if (op < 93) {
+      what = "DropRelation";
+      pool.DropRelation(rel.id);
+      ref.DropRelation(rel.id);
+    } else if (op < 99) {
+      what = "Resize";
+      // Shrink or grow around the configured size, down to a single page.
+      const Pages pages = 1 + static_cast<Pages>(script_rng.NextBelow(
+                                  static_cast<uint64_t>(cfg.capacity_pages) * 2));
+      pool.Resize(PagesToBytes(pages));
+      ref.Resize(pages);
+    } else {
+      what = "Clear";
+      pool.Clear();
+      ref.Clear();
+    }
+    ASSERT_EQ(pool.used_pages(), ref.used_pages()) << what << " step " << step;
+    ASSERT_EQ(pool.dirty_pages(), ref.dirty_pages()) << what << " step " << step;
+    ASSERT_LE(pool.used_pages(), pool.capacity_pages()) << what << " step " << step;
+    for (const RelationMeta& r : rels) {
+      ASSERT_EQ(pool.ResidentPages(r.id), ref.ResidentPages(r.id))
+          << what << " step " << step << " relation " << r.id;
+    }
+    const BufferPoolStats& s = pool.stats();
+    const BufferPoolStats& t = ref.stats();
+    ASSERT_EQ(s.hits, t.hits) << what << " step " << step;
+    ASSERT_EQ(s.misses, t.misses) << what << " step " << step;
+    ASSERT_EQ(s.evicted_pages, t.evicted_pages) << what << " step " << step;
+    ASSERT_EQ(s.dirtied_pages, t.dirtied_pages) << what << " step " << step;
+    ASSERT_EQ(s.flushed_pages, t.flushed_pages) << what << " step " << step;
+  }
+}
+
+TEST(BufferPool, MatchesReferencePoolOnRandomSequences) {
+  const AccessSkew hot{};                 // default two-level skew
+  const AccessSkew uniform{1.0, 0.0};
+  AccessSkew zipf;
+  zipf.zipf_s = 1.1;
+  const std::vector<DiffConfig> configs = {
+      {5, 8, hot},        // smaller than one chunk, let alone one scan
+      {40, 8, uniform},   // smaller than the large relations' scans
+      {96, 4, zipf},
+      {160, 8, hot},
+      {600, 16, uniform},  // holds every relation: runs stay long
+  };
+  for (const DiffConfig& cfg : configs) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      RunDifferential(cfg, seed, 3000);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
 }
 
 }  // namespace
