@@ -83,32 +83,14 @@ inline ClusterConfig CellConfig(uint64_t seed, const CellOptions& opts) {
   return config;
 }
 
-// One warmup+measure run of `policy`; the result is labeled "measure".
-inline CampaignCell PolicyCell(std::string id, WorkloadFactory wf, std::string mix,
-                               std::string policy, CellOptions opts = {}) {
-  CampaignCell cell;
-  cell.id = std::move(id);
-  cell.run = [wf = std::move(wf), mix = std::move(mix), policy = std::move(policy),
-              opts = std::move(opts)](uint64_t seed) {
-    const Workload w = wf();
-    ClusterConfig config = CellConfig(seed, opts);
-    config.clients_per_replica =
-        opts.clients > 0
-            ? opts.clients
-            : CalibratedClients(w, opts.calibrate_mix.empty() ? mix : opts.calibrate_mix,
-                                config);
-    CellOutput out;
-    out.workload = w.name;
-    out.mix = mix;
-    out.policy = policy;
-    out.scenario = ScenarioBuilder()
-                       .Warmup(opts.warmup)
-                       .Measure(opts.measure, "measure")
-                       .Run(w, mix, policy, config);
-    out.executed_events = out.scenario.executed_events;
-    return out;
-  };
-  return cell;
+// The cell's client population: opts.clients, or the calibrated count for the
+// calibration mix (the cell's own mix unless opts.calibrate_mix is set).
+inline int CellClients(const Workload& w, const std::string& mix, const ClusterConfig& config,
+                       const CellOptions& opts) {
+  if (opts.clients > 0) {
+    return opts.clients;
+  }
+  return CalibratedClients(w, opts.calibrate_mix.empty() ? mix : opts.calibrate_mix, config);
 }
 
 // One standalone-database run (the "Single" bar of Figures 3, 4 and 7): a
@@ -121,11 +103,7 @@ inline CampaignCell StandaloneCell(std::string id, WorkloadFactory wf, std::stri
   cell.run = [wf = std::move(wf), mix = std::move(mix), opts = std::move(opts)](uint64_t seed) {
     const Workload w = wf();
     ClusterConfig config = CellConfig(seed, opts);
-    const int clients =
-        opts.clients > 0
-            ? opts.clients
-            : CalibratedClients(w, opts.calibrate_mix.empty() ? mix : opts.calibrate_mix,
-                                config);
+    const int clients = CellClients(w, mix, config, opts);
     CellOutput out;
     out.workload = w.name;
     out.mix = mix;
@@ -148,11 +126,7 @@ inline CampaignCell ScenarioCell(std::string id, WorkloadFactory wf, std::string
               scenario = std::move(scenario), opts = std::move(opts)](uint64_t seed) {
     const Workload w = wf();
     ClusterConfig config = CellConfig(seed, opts);
-    config.clients_per_replica =
-        opts.clients > 0
-            ? opts.clients
-            : CalibratedClients(w, opts.calibrate_mix.empty() ? mix : opts.calibrate_mix,
-                                config);
+    config.clients_per_replica = CellClients(w, mix, config, opts);
     CellOutput out;
     out.workload = w.name;
     out.mix = mix;
@@ -162,6 +136,14 @@ inline CampaignCell ScenarioCell(std::string id, WorkloadFactory wf, std::string
     return out;
   };
   return cell;
+}
+
+// One warmup+measure run of `policy`; the result is labeled "measure".
+inline CampaignCell PolicyCell(std::string id, WorkloadFactory wf, std::string mix,
+                               std::string policy, CellOptions opts = {}) {
+  return ScenarioCell(std::move(id), std::move(wf), std::move(mix), std::move(policy),
+                      ScenarioBuilder().Warmup(opts.warmup).Measure(opts.measure, "measure"),
+                      opts);
 }
 
 // Throws std::runtime_error naming the first metric on which `a` and `b`

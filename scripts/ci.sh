@@ -43,7 +43,7 @@ fi
 
 # --- smoke + perf + marathon + skew + faults campaigns -----------------------
 # A short parallel run through the real binary: grid expansion, worker pool,
-# JSON sinks, and the merged manifest all have to work; the perf campaign's
+# JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
 # representative cells) must run end to end; the marathon campaign's bounded
 # certifier log must actually be bounded; the skew campaign's fluid-client
@@ -84,18 +84,21 @@ sys.exit(0 if ok else 1)
 EOF
 fi
 
-# --- skew inert-pair byte gate -----------------------------------------------
-# The skew campaign's inert cell runs the same seed twice: once plain, once
-# with every new knob armed at its degenerate value (workload skew at the
-# replica default, SetPopulation restating the population, SwitchMix to the
-# already-active mix). The two measured run records must be IDENTICAL on
-# every reported field — the bench already throws if not, but this re-checks
-# the emitted JSON byte-for-byte (modulo the label) so a silently-softened
-# in-bench comparison can't pass CI.
+# --- inert-pair byte gates ---------------------------------------------------
+# The skew and faults campaigns each run one inert cell on the same seed
+# twice: once plain, once with new machinery armed at its degenerate value
+# (skew: workload skew at the replica default, SetPopulation restating the
+# population, SwitchMix to the already-active mix; faults: the retry
+# protocol under an empty fault plan). The two measured run records must be
+# IDENTICAL on every reported field — the benches already throw if not, but
+# this re-checks the emitted JSON byte-for-byte (modulo the label) so a
+# silently-softened in-bench comparison can't pass CI.
 if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: skew inert-pair byte gate failed" >&2; exit 1; }
+  for campaign in skew faults; do
+    python3 - "${campaign}" <<'EOF' || { echo "ci: ${campaign} inert-pair byte gate failed" >&2; exit 1; }
 import json, sys
-doc = json.load(open('build/bench-out/BENCH_skew.json'))
+name = sys.argv[1]
+doc = json.load(open(f'build/bench-out/BENCH_{name}.json'))
 runs = {}
 for r in doc['runs']:
     if r['label'].startswith('inert armed'):
@@ -103,22 +106,23 @@ for r in doc['runs']:
     elif r['label'].startswith('inert plain'):
         runs['plain'] = dict(r)
 if set(runs) != {'armed', 'plain'}:
-    sys.exit("inert pair runs not found in BENCH_skew.json")
+    sys.exit(f"inert pair runs not found in BENCH_{name}.json")
 runs['armed'].pop('label'); runs['plain'].pop('label')
 a = json.dumps(runs['armed'], sort_keys=True)
 p = json.dumps(runs['plain'], sort_keys=True)
-print(f"skew inert gate: armed == plain ({len(a)} bytes compared)")
+print(f"{name} inert gate: armed == plain ({len(a)} bytes compared)")
 sys.exit(0 if a == p else 1)
 EOF
+  done
 fi
 
-# --- faults zero-loss + inert-pair gates -------------------------------------
+# --- faults zero-loss gate ---------------------------------------------------
 # The faults campaign's cells already throw in-bench if the zero-loss ledger
 # is violated; this re-derives both bounds from the emitted scalars so a
 # silently-softened in-bench check can't pass CI: for every fault cell,
 # acknowledged commits <= certified commits <= commits + summed in-flight
-# bound, every per-cell "invariant ok" scalar is 1, and the armed-vs-plain
-# inert pair is byte-identical (modulo label) including executed events.
+# bound, every per-cell "invariant ok" scalar is 1, and the inert pair (whose
+# run records the byte gate above compares) executed equal event counts.
 if command -v python3 > /dev/null 2>&1; then
   python3 - <<'EOF' || { echo "ci: faults zero-loss gate failed" >&2; exit 1; }
 import json, sys
@@ -145,23 +149,6 @@ for b in bad:
     print(f"faults gate: {b}", file=sys.stderr)
 print(f"faults gate: zero-loss ledger holds on {len(cells)} cells")
 sys.exit(1 if bad else 0)
-EOF
-  python3 - <<'EOF' || { echo "ci: faults inert-pair byte gate failed" >&2; exit 1; }
-import json, sys
-doc = json.load(open('build/bench-out/BENCH_faults.json'))
-runs = {}
-for r in doc['runs']:
-    if r['label'].startswith('inert armed'):
-        runs['armed'] = dict(r)
-    elif r['label'].startswith('inert plain'):
-        runs['plain'] = dict(r)
-if set(runs) != {'armed', 'plain'}:
-    sys.exit("inert pair runs not found in BENCH_faults.json")
-runs['armed'].pop('label'); runs['plain'].pop('label')
-a = json.dumps(runs['armed'], sort_keys=True)
-p = json.dumps(runs['plain'], sort_keys=True)
-print(f"faults inert gate: armed == plain ({len(a)} bytes compared)")
-sys.exit(0 if a == p else 1)
 EOF
 fi
 

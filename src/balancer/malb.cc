@@ -110,15 +110,7 @@ bool MalbBalancer::RepackIfChanged() {
   if (PackingSignature(repacked) == packing_signature_) {
     return false;
   }
-  working_sets_ = std::move(fresh);
-  packing_ = std::move(repacked);
-  packing_signature_ = PackingSignature(packing_);
-  groups_.clear();
-  groups_.resize(packing_.groups.size());
-  for (size_t g = 0; g < packing_.groups.size(); ++g) {
-    groups_[g].packed = {g};
-  }
-  RebuildTypeMap();
+  InstallPacking(std::move(fresh), std::move(repacked));
   InitialAllocation();
   stable_ticks_ = 0;
   return true;
@@ -144,8 +136,15 @@ void MalbBalancer::Start() {
 }
 
 void MalbBalancer::BuildGroups() {
-  working_sets_ = BuildWorkingSets(*context_.registry, *context_.schema);
-  packing_ = PackTransactionGroups(working_sets_, capacity_pages_, config_.method);
+  std::vector<TypeWorkingSet> sets = BuildWorkingSets(*context_.registry, *context_.schema);
+  PackingResult packing = PackTransactionGroups(sets, capacity_pages_, config_.method);
+  InstallPacking(std::move(sets), std::move(packing));
+}
+
+void MalbBalancer::InstallPacking(std::vector<TypeWorkingSet> working_sets,
+                                  PackingResult packing) {
+  working_sets_ = std::move(working_sets);
+  packing_ = std::move(packing);
   packing_signature_ = PackingSignature(packing_);
   groups_.clear();
   groups_.resize(packing_.groups.size());

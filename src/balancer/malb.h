@@ -149,6 +149,9 @@ class MalbBalancer : public LoadBalancer {
   // when the replica fits nothing.
   size_t ThinnestFeasibleGroup(size_t replica) const;
   void BuildGroups();
+  // Adopts a packing: its working sets, signature, one runtime group per
+  // packed group, and the type map. Allocation is the caller's.
+  void InstallPacking(std::vector<TypeWorkingSet> working_sets, PackingResult packing);
   void InitialAllocation();
   void AllocationTick();
   void RegroupTick();

@@ -23,6 +23,18 @@ double SinceSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
+// Writes `doc` pretty-printed to `path`; returns the path, or "" (with a
+// note on stderr) when the write failed.
+std::string WriteJson(const std::string& path, const json::Value& doc) {
+  std::ofstream file(path);
+  file << doc.Dump(2);
+  if (!file.flush()) {
+    std::fprintf(stderr, "campaign: failed to write %s\n", path.c_str());
+    return "";
+  }
+  return path;
+}
+
 }  // namespace
 
 uint64_t CellSeed(const std::string& campaign, const std::string& cell_id,
@@ -274,14 +286,27 @@ CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
     record.wall_s = cells_wall;
     summary.failed_cells += campaign_failed_cells;
 
-    SinkList sinks;
-    sinks.Add(std::make_unique<ConsoleSink>());
+    ResultSink sink;
+    if (campaign.report) {
+      try {
+        campaign.report(CampaignOutputs(record.cells), sink);
+      } catch (const std::exception& e) {
+        record.report_error = e.what();
+        sink.Note(std::string("report aborted: ") + record.report_error);
+        // A report that aborts because CampaignOutputs::Get hit a failed
+        // cell is already accounted for above; only a report that throws
+        // with every cell green is a new failure.
+        if (campaign_failed_cells == 0) {
+          ++summary.failed_cells;
+        }
+      }
+    }
+    PrintConsole(sink);
     if (!options.json_dir.empty()) {
-      record.json_path = JoinPath(options.json_dir, "BENCH_" + campaign.name + ".json");
-      auto json_sink = std::make_unique<JsonSink>(record.json_path);
-      // Host-side per-cell timing block ("cells"): wall seconds and executed
-      // simulator events, so perf regressions are visible per cell in the
-      // campaign's own JSON, not just the manifest.
+      // Host-side per-cell timing block ("cells"), set last so the
+      // deterministic keys come first: wall seconds and executed simulator
+      // events, so perf regressions are visible per cell in the campaign's
+      // own JSON, not just the manifest.
       json::Value cells_meta = json::Value::Array();
       for (const CellRecord& cell : record.cells) {
         json::Value j = json::Value::Object();
@@ -293,36 +318,18 @@ CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
         j.Set("events_per_s", EventRate(cell.output.executed_events, cell.wall_s));
         cells_meta.Append(std::move(j));
       }
-      json_sink->SetCells(std::move(cells_meta));
-      sinks.Add(std::move(json_sink));
+      json::Value doc = ToJson(sink);
+      doc.Set("cells", std::move(cells_meta));
+      const std::string path = JoinPath(options.json_dir, "BENCH_" + campaign.name + ".json");
+      record.json_path = WriteJson(path, doc);
     }
-    if (campaign.report) {
-      try {
-        campaign.report(CampaignOutputs(record.cells), sinks);
-      } catch (const std::exception& e) {
-        record.report_error = e.what();
-        sinks.Note(std::string("report aborted: ") + record.report_error);
-        // A report that aborts because CampaignOutputs::Get hit a failed
-        // cell is already accounted for above; only a report that throws
-        // with every cell green is a new failure.
-        if (campaign_failed_cells == 0) {
-          ++summary.failed_cells;
-        }
-      }
-    }
-    sinks.Finish();
   }
 
   summary.wall_s = SinceSeconds(run_start);
 
   if (!options.json_dir.empty()) {
-    summary.manifest_path = JoinPath(options.json_dir, "BENCH_campaign.json");
-    std::ofstream file(summary.manifest_path);
-    file << ManifestJson(summary).Dump(2);
-    if (!file.flush()) {
-      std::fprintf(stderr, "campaign: failed to write %s\n", summary.manifest_path.c_str());
-      summary.manifest_path.clear();
-    }
+    summary.manifest_path =
+        WriteJson(JoinPath(options.json_dir, "BENCH_campaign.json"), ManifestJson(summary));
   }
   return summary;
 }

@@ -135,7 +135,7 @@ struct CampaignRunOptions {
 struct CampaignRunRecord {
   const Campaign* campaign = nullptr;
   std::vector<CellRecord> cells;
-  std::string json_path;      // empty when json_dir was not set
+  std::string json_path;      // empty when json_dir was not set or the write failed
   std::string report_error;   // what() when the report stage itself threw
   double wall_s = 0.0;
 };
@@ -158,8 +158,9 @@ json::Value ManifestJson(const CampaignRunSummary& summary);
 
 // Expands every campaign's cells (validating id uniqueness per campaign —
 // duplicates throw std::invalid_argument), executes all cells of all
-// campaigns on one shared worker pool, renders each campaign's report to a
-// ConsoleSink (+ JsonSink when json_dir is set), and writes the merged
+// campaigns on one shared worker pool, records each campaign's report into a
+// ResultSink and prints it (PrintConsole). When json_dir is set it also
+// writes each report (ToJson plus the "cells" timing block) and the merged
 // manifest. Cell failures are contained: they mark the record failed and the
 // summary counts them, but other cells and campaigns still run.
 CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,

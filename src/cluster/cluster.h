@@ -92,7 +92,7 @@ inline bool operator==(const GroupReport& a, const GroupReport& b) {
 // --- Window metrics ------------------------------------------------------------
 // Every metric a measure window reports is declared exactly once, as
 // X(type, name, init) in one of the two lists below. The lists drive the
-// ExperimentResult fields, the JsonSink run-record columns, the faults
+// ExperimentResult fields, the ToJson run-record columns, the faults
 // campaign's scalars, and DifferingMetrics. Adding a metric is one list line
 // plus the line in Cluster::Collect that sets it (docs/ARCHITECTURE.md).
 // Supported types: double, uint64_t, bool.

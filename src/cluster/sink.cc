@@ -1,306 +1,189 @@
 #include "src/cluster/sink.h"
 
 #include <cstdio>
-#include <fstream>
-#include <limits>
-#include <sstream>
-
-#include "src/cluster/report.h"
+#include <utility>
 
 namespace tashkent {
 
-// --- ConsoleSink -------------------------------------------------------------
-
-void ConsoleSink::Begin(const std::string& bench, const std::string& setup) {
-  PrintHeader(bench, setup);
-}
-
-void ConsoleSink::AddRun(const RunRecord& record) {
-  PrintTpsRow(record.label, record.paper_tps, record.result.tps,
-              record.result.mean_response_s);
-  if (record.paper_write_kb > 0.0 || record.paper_read_kb > 0.0) {
-    PrintIoRow(record.label, record.paper_write_kb, record.paper_read_kb,
-               record.result.write_kb_per_txn, record.result.read_kb_per_txn);
-  }
-  if (record.result.rejected > 0 || record.result.recoveries > 0) {
-    PrintAvailabilityRow(record.label, record.result.availability,
-                         record.result.recovery_lag_s, record.result.replay_applied,
-                         record.result.replay_filtered);
-  }
-}
-
-void ConsoleSink::AddRatio(const std::string& label, double paper, double measured) {
-  PrintRatio(label, paper, measured);
-}
-
-void ConsoleSink::AddScalar(const std::string& key, double value) {
-  std::printf("   %-40s %10.2f\n", key.c_str(), value);
-}
-
-void ConsoleSink::AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
-  std::printf("\n%s:\n", label.c_str());
-  PrintGroups(groups);
-}
-
-void ConsoleSink::AddTimeline(const std::string& label, const std::vector<double>& buckets,
-                              SimDuration bucket_width) {
-  const double width_s = ToSeconds(bucket_width);
-  std::printf("\n%s (%.0f s buckets, tps):\n", label.c_str(), width_s);
-  for (size_t i = 0; i < buckets.size(); i += 4) {
-    std::printf("  t=%5.0fs  %6.1f tps\n", static_cast<double>(i) * width_s,
-                buckets[i] / width_s);
-  }
-}
-
-void ConsoleSink::Note(const std::string& text) { std::printf("%s\n", text.c_str()); }
-
-// --- JsonSink ----------------------------------------------------------------
-
 namespace {
 
-void AppendEscaped(std::ostringstream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+// --- Console -----------------------------------------------------------------
+
+struct ConsolePrinter {
+  void operator()(const HeaderEvent& e) const {
+    std::printf("\n== %s ==\n", e.bench.c_str());
+    if (!e.setup.empty()) {
+      std::printf("   %s\n", e.setup.c_str());
+    }
+    std::printf("%-28s %12s %12s %12s\n", "method", "paper(tps)", "measured", "resp(s)");
+  }
+
+  void operator()(const RunRecord& r) const {
+    const ExperimentResult& m = r.result;
+    std::printf("%-28s %12.1f %12.1f %12.2f\n", r.label.c_str(), r.paper_tps, m.tps,
+                m.mean_response_s);
+    if (r.paper_write_kb > 0.0 || r.paper_read_kb > 0.0) {
+      std::printf("%-28s  paper(W/R) %5.1f/%6.1f KB   measured %5.1f/%6.1f KB\n",
+                  r.label.c_str(), r.paper_write_kb, r.paper_read_kb, m.write_kb_per_txn,
+                  m.read_kb_per_txn);
+    }
+    // Churn row (glossary: docs/OPERATIONS.md), only for runs that saw
+    // rejections or completed recoveries.
+    if (m.rejected > 0 || m.recoveries > 0) {
+      std::printf(
+          "%-28s  avail %6.2f%%   recovery lag %6.1f s   replay %llu applied / %llu filtered\n",
+          r.label.c_str(), m.availability * 100.0, m.recovery_lag_s,
+          static_cast<unsigned long long>(m.replay_applied),
+          static_cast<unsigned long long>(m.replay_filtered));
     }
   }
-  out << '"';
-}
 
-// max_digits10 so every double round-trips through the text exactly.
-void AppendNumber(std::ostringstream& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.*g", std::numeric_limits<double>::max_digits10, v);
-  out << buf;
+  void operator()(const RatioEvent& e) const {
+    std::printf("   ratio %-36s paper %5.2fx   measured %5.2fx\n", e.label.c_str(), e.paper,
+                e.measured);
+  }
+
+  void operator()(const ScalarEvent& e) const {
+    std::printf("   %-40s %10.2f\n", e.key.c_str(), e.value);
+  }
+
+  void operator()(const GroupsEvent& e) const {
+    std::printf("\n%s:\n", e.label.c_str());
+    std::printf("%-70s %s\n", "transaction group", "replicas");
+    for (const GroupReport& g : e.groups) {
+      std::string types = "[";
+      for (size_t i = 0; i < g.types.size(); ++i) {
+        if (i > 0) {
+          types += ", ";
+        }
+        types += g.types[i];
+      }
+      types += "]";
+      std::printf("%-70s %8d\n", types.c_str(), g.replicas);
+    }
+  }
+
+  void operator()(const TimelineEvent& e) const {
+    const double width_s = ToSeconds(e.bucket_width);
+    std::printf("\n%s (%.0f s buckets, tps):\n", e.label.c_str(), width_s);
+    for (size_t i = 0; i < e.buckets.size(); i += 4) {
+      std::printf("  t=%5.0fs  %6.1f tps\n", static_cast<double>(i) * width_s,
+                  e.buckets[i] / width_s);
+    }
+  }
+
+  void operator()(const NoteEvent& e) const { std::printf("%s\n", e.text.c_str()); }
+};
+
+// --- JSON --------------------------------------------------------------------
+
+json::Value GroupsJson(const std::vector<GroupReport>& groups) {
+  json::Value out = json::Value::Array();
+  for (const GroupReport& g : groups) {
+    json::Value types = json::Value::Array();
+    for (const std::string& t : g.types) {
+      types.Append(t);
+    }
+    json::Value group = json::Value::Object();
+    group.Set("replicas", g.replicas);
+    group.Set("types", std::move(types));
+    out.Append(std::move(group));
+  }
+  return out;
 }
 
 // One run-record column value, by metric type.
-void AppendMetric(std::ostringstream& out, double v) { AppendNumber(out, v); }
-void AppendMetric(std::ostringstream& out, uint64_t v) { out << v; }
-void AppendMetric(std::ostringstream& out, bool v) { out << (v ? "true" : "false"); }
+json::Value MetricJson(double v) { return v; }
+json::Value MetricJson(uint64_t v) { return static_cast<double>(v); }
+json::Value MetricJson(bool v) { return v; }
 
-void AppendGroups(std::ostringstream& out, const std::vector<GroupReport>& groups) {
-  out << '[';
-  for (size_t g = 0; g < groups.size(); ++g) {
-    if (g > 0) {
-      out << ',';
-    }
-    out << "{\"replicas\":" << groups[g].replicas << ",\"types\":[";
-    for (size_t t = 0; t < groups[g].types.size(); ++t) {
-      if (t > 0) {
-        out << ',';
-      }
-      AppendEscaped(out, groups[g].types[t]);
-    }
-    out << "]}";
+// Collects each event kind under its top-level key.
+struct JsonCollector {
+  std::string bench;
+  std::string setup;
+  json::Value runs = json::Value::Array();
+  json::Value ratios = json::Value::Array();
+  json::Value scalars = json::Value::Object();
+  json::Value groupings = json::Value::Array();
+  json::Value timelines = json::Value::Array();
+  json::Value notes = json::Value::Array();
+
+  void operator()(const HeaderEvent& e) {
+    bench = e.bench;
+    setup = e.setup;
   }
-  out << ']';
-}
+
+  void operator()(const RunRecord& r) {
+    json::Value run = json::Value::Object();
+    run.Set("label", r.label);
+    run.Set("policy", r.policy);
+    run.Set("workload", r.workload);
+    run.Set("mix", r.mix);
+    run.Set("paper_tps", r.paper_tps);
+    run.Set("paper_write_kb", r.paper_write_kb);
+    run.Set("paper_read_kb", r.paper_read_kb);
+#define TASHKENT_SET_METRIC(type, name, init) run.Set(#name, MetricJson(r.result.name));
+    TASHKENT_RUN_METRICS(TASHKENT_SET_METRIC)
+#undef TASHKENT_SET_METRIC
+    run.Set("groups", GroupsJson(r.result.groups));
+    runs.Append(std::move(run));
+  }
+
+  void operator()(const RatioEvent& e) {
+    json::Value ratio = json::Value::Object();
+    ratio.Set("label", e.label);
+    ratio.Set("paper", e.paper);
+    ratio.Set("measured", e.measured);
+    ratios.Append(std::move(ratio));
+  }
+
+  void operator()(const ScalarEvent& e) { scalars.Set(e.key, e.value); }
+
+  void operator()(const GroupsEvent& e) {
+    json::Value grouping = json::Value::Object();
+    grouping.Set("label", e.label);
+    grouping.Set("groups", GroupsJson(e.groups));
+    groupings.Append(std::move(grouping));
+  }
+
+  void operator()(const TimelineEvent& e) {
+    json::Value buckets = json::Value::Array();
+    for (double b : e.buckets) {
+      buckets.Append(b);
+    }
+    json::Value timeline = json::Value::Object();
+    timeline.Set("label", e.label);
+    timeline.Set("bucket_s", ToSeconds(e.bucket_width));
+    timeline.Set("buckets", std::move(buckets));
+    timelines.Append(std::move(timeline));
+  }
+
+  void operator()(const NoteEvent& e) { notes.Append(e.text); }
+};
 
 }  // namespace
 
-void JsonSink::Begin(const std::string& bench, const std::string& setup) {
-  bench_ = bench;
-  setup_ = setup;
-}
-
-void JsonSink::AddRun(const RunRecord& record) { runs_.push_back(record); }
-
-void JsonSink::AddRatio(const std::string& label, double paper, double measured) {
-  ratios_.push_back({label, paper, measured});
-}
-
-void JsonSink::AddScalar(const std::string& key, double value) {
-  scalars_.emplace_back(key, value);
-}
-
-void JsonSink::AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
-  groups_.emplace_back(label, groups);
-}
-
-void JsonSink::AddTimeline(const std::string& label, const std::vector<double>& buckets,
-                           SimDuration bucket_width) {
-  timelines_.push_back({label, buckets, ToSeconds(bucket_width)});
-}
-
-void JsonSink::Note(const std::string& text) { notes_.push_back(text); }
-
-std::string JsonSink::Render() const {
-  std::ostringstream out;
-  out << "{\n  \"bench\": ";
-  AppendEscaped(out, bench_);
-  out << ",\n  \"setup\": ";
-  AppendEscaped(out, setup_);
-  out << ",\n  \"runs\": [";
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    const RunRecord& r = runs_[i];
-    out << (i > 0 ? ",\n    {" : "\n    {");
-    out << "\"label\": ";
-    AppendEscaped(out, r.label);
-    out << ", \"policy\": ";
-    AppendEscaped(out, r.policy);
-    out << ", \"workload\": ";
-    AppendEscaped(out, r.workload);
-    out << ", \"mix\": ";
-    AppendEscaped(out, r.mix);
-    out << ", \"paper_tps\": ";
-    AppendNumber(out, r.paper_tps);
-    out << ", \"paper_write_kb\": ";
-    AppendNumber(out, r.paper_write_kb);
-    out << ", \"paper_read_kb\": ";
-    AppendNumber(out, r.paper_read_kb);
-#define TASHKENT_RENDER_METRIC(type, name, init) \
-  out << ", \"" #name "\": ";                    \
-  AppendMetric(out, r.result.name);
-    TASHKENT_RUN_METRICS(TASHKENT_RENDER_METRIC)
-#undef TASHKENT_RENDER_METRIC
-    out << ", \"groups\": ";
-    AppendGroups(out, r.result.groups);
-    out << '}';
-  }
-  out << "\n  ],\n  \"ratios\": [";
-  for (size_t i = 0; i < ratios_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, ratios_[i].label);
-    out << ", \"paper\": ";
-    AppendNumber(out, ratios_[i].paper);
-    out << ", \"measured\": ";
-    AppendNumber(out, ratios_[i].measured);
-    out << '}';
-  }
-  out << "],\n  \"scalars\": {";
-  for (size_t i = 0; i < scalars_.size(); ++i) {
-    if (i > 0) {
-      out << ", ";
-    }
-    AppendEscaped(out, scalars_[i].first);
-    out << ": ";
-    AppendNumber(out, scalars_[i].second);
-  }
-  out << "},\n  \"groupings\": [";
-  for (size_t i = 0; i < groups_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, groups_[i].first);
-    out << ", \"groups\": ";
-    AppendGroups(out, groups_[i].second);
-    out << '}';
-  }
-  out << "],\n  \"timelines\": [";
-  for (size_t i = 0; i < timelines_.size(); ++i) {
-    out << (i > 0 ? ", {" : "{") << "\"label\": ";
-    AppendEscaped(out, timelines_[i].label);
-    out << ", \"bucket_s\": ";
-    AppendNumber(out, timelines_[i].bucket_s);
-    out << ", \"buckets\": [";
-    for (size_t b = 0; b < timelines_[i].buckets.size(); ++b) {
-      if (b > 0) {
-        out << ',';
-      }
-      AppendNumber(out, timelines_[i].buckets[b]);
-    }
-    out << "]}";
-  }
-  out << "],\n  \"notes\": [";
-  for (size_t i = 0; i < notes_.size(); ++i) {
-    if (i > 0) {
-      out << ", ";
-    }
-    AppendEscaped(out, notes_[i]);
-  }
-  out << "]";
-  if (cells_.is_array()) {
-    // Host-side timing block, appended last so the deterministic prefix of
-    // the document is unchanged by its presence (see the schema note in
-    // sink.h).
-    out << ",\n  \"cells\": " << cells_.Dump(0);
-  }
-  out << "\n}\n";
-  return out.str();
-}
-
-void JsonSink::Finish() {
-  if (written_) {
-    return;
-  }
-  written_ = true;
-  std::ofstream file(path_);
-  file << Render();
-  file.flush();
-  write_ok_ = static_cast<bool>(file);
-  if (!write_ok_) {
-    std::fprintf(stderr, "JsonSink: failed to write %s\n", path_.c_str());
+void PrintConsole(const ResultSink& sink) {
+  for (const SinkEvent& event : sink.events()) {
+    std::visit(ConsolePrinter{}, event);
   }
 }
 
-// --- SinkList ----------------------------------------------------------------
-
-void SinkList::Begin(const std::string& bench, const std::string& setup) {
-  for (auto& s : sinks_) {
-    s->Begin(bench, setup);
+json::Value ToJson(const ResultSink& sink) {
+  JsonCollector c;
+  for (const SinkEvent& event : sink.events()) {
+    std::visit(c, event);
   }
-}
-
-void SinkList::AddRun(const RunRecord& record) {
-  for (auto& s : sinks_) {
-    s->AddRun(record);
-  }
-}
-
-void SinkList::AddRatio(const std::string& label, double paper, double measured) {
-  for (auto& s : sinks_) {
-    s->AddRatio(label, paper, measured);
-  }
-}
-
-void SinkList::AddScalar(const std::string& key, double value) {
-  for (auto& s : sinks_) {
-    s->AddScalar(key, value);
-  }
-}
-
-void SinkList::AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
-  for (auto& s : sinks_) {
-    s->AddGroups(label, groups);
-  }
-}
-
-void SinkList::AddTimeline(const std::string& label, const std::vector<double>& buckets,
-                           SimDuration bucket_width) {
-  for (auto& s : sinks_) {
-    s->AddTimeline(label, buckets, bucket_width);
-  }
-}
-
-void SinkList::Note(const std::string& text) {
-  for (auto& s : sinks_) {
-    s->Note(text);
-  }
-}
-
-void SinkList::Finish() {
-  for (auto& s : sinks_) {
-    s->Finish();
-  }
+  json::Value doc = json::Value::Object();
+  doc.Set("bench", c.bench);
+  doc.Set("setup", c.setup);
+  doc.Set("runs", std::move(c.runs));
+  doc.Set("ratios", std::move(c.ratios));
+  doc.Set("scalars", std::move(c.scalars));
+  doc.Set("groupings", std::move(c.groupings));
+  doc.Set("timelines", std::move(c.timelines));
+  doc.Set("notes", std::move(c.notes));
+  return doc;
 }
 
 }  // namespace tashkent

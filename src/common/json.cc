@@ -279,7 +279,7 @@ void AppendEscaped(std::string& out, const std::string& s) {
 
 void AppendNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
-    out += "0";  // JSON has no Inf/NaN; the emitters never produce them
+    out += "null";  // JSON has no Inf/NaN; null keeps them from reading as a measured 0
     return;
   }
   // Integers render without an exponent or trailing ".0" (cell counts, seeds).

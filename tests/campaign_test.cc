@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -188,6 +191,44 @@ TEST(CampaignTest, FailedCellNotDoubleCountedWhenReportAborts) {
   EXPECT_EQ(summary2.campaigns[0].report_error, "report bug");
 }
 
+// A report that throws still prints and writes everything it recorded before
+// the throw, followed by the "report aborted" note.
+TEST(CampaignTest, AbortedReportKeepsWhatItRecorded) {
+  Campaign campaign;
+  campaign.name = "test-report-abort";
+  campaign.cells = [] { return std::vector<CampaignCell>{}; };
+  campaign.report = [](const CampaignOutputs&, ResultSink& out) {
+    out.Begin("Abort test", "");
+    out.AddScalar("before throw", 7.0);
+    throw std::logic_error("report bug");
+  };
+  CampaignRunOptions options = Quiet(1);
+  options.json_dir = "campaign-test-out";
+  testing::internal::CaptureStdout();
+  const CampaignRunRecord record = RunCampaign(campaign, options);
+  const std::string console = testing::internal::GetCapturedStdout();
+
+  const size_t header = console.find("== Abort test ==");
+  const size_t scalar = console.find("before throw");
+  const size_t note = console.find("report aborted: report bug");
+  ASSERT_NE(header, std::string::npos) << console;
+  ASSERT_NE(scalar, std::string::npos) << console;
+  ASSERT_NE(note, std::string::npos) << console;
+  EXPECT_LT(header, scalar);
+  EXPECT_LT(scalar, note);
+
+  ASSERT_FALSE(record.json_path.empty());
+  std::ifstream file(record.json_path);
+  std::stringstream text;
+  text << file.rdbuf();
+  const json::Value doc = json::Value::Parse(text.str());
+  EXPECT_EQ(doc.At("bench").AsString(), "Abort test");
+  EXPECT_EQ(doc.At("scalars").At("before throw").AsNumber(), 7.0);
+  ASSERT_EQ(doc.At("notes").size(), 1u);
+  EXPECT_EQ(doc.At("notes").Items()[0].AsString(), "report aborted: report bug");
+  EXPECT_EQ(doc.Members().back().first, "cells");
+}
+
 // --- manifest ----------------------------------------------------------------
 
 TEST(CampaignTest, ManifestJsonRoundTrips) {
@@ -268,6 +309,23 @@ TEST(JsonTest, RoundTripsDoublesExactly) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(arr.Items()[i].AsNumber(), back.Items()[i].AsNumber());
   }
+}
+
+// JSON has no NaN/Inf. They dump as null, so an undefined ratio (0/0) can
+// never read back as a measured zero.
+TEST(JsonTest, NonFiniteNumbersDumpAsNull) {
+  json::Value arr = json::Value::Array();
+  arr.Append(std::numeric_limits<double>::quiet_NaN());
+  arr.Append(std::numeric_limits<double>::infinity());
+  arr.Append(-std::numeric_limits<double>::infinity());
+  arr.Append(0.0);
+  EXPECT_EQ(arr.Dump(), "[null, null, null, 0]");
+  const json::Value back = json::Value::Parse(arr.Dump(2));
+  ASSERT_EQ(back.size(), 4u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(back.Items()[i].is_null()) << i;
+  }
+  EXPECT_EQ(back.Items()[3].AsNumber(), 0.0);
 }
 
 // --- registry ----------------------------------------------------------------

@@ -1,13 +1,9 @@
 // ScenarioBuilder: scripted phases are equivalent to the raw Cluster hooks,
-// and JsonSink output round-trips its numeric fields.
+// and the ToJson result document round-trips its numeric fields.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,17 +92,6 @@ TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
   EXPECT_EQ(DifferingMetrics(direct, scenario.ByLabel("m")), std::vector<std::string>{});
 }
 
-// Extracts the number following `"key": ` in a JSON string.
-double JsonNumber(const std::string& json, const std::string& key) {
-  const std::string needle = "\"" + key + "\": ";
-  const size_t pos = json.find(needle);
-  EXPECT_NE(pos, std::string::npos) << "missing key " << key;
-  if (pos == std::string::npos) {
-    return -1e300;
-  }
-  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
-}
-
 // Gives each run-list field a value distinct from every other field (and from
 // its default) and returns the value the JSON document must hold for it.
 json::Value SetDistinct(double& field, int index) {
@@ -123,7 +108,7 @@ json::Value SetDistinct(bool& field, int index) {
   return field;
 }
 
-TEST(Scenario, JsonSinkRoundTripsNumericFields) {
+TEST(Scenario, ToJsonRoundTripsNumericFields) {
   RunRecord rec;
   rec.label = "row \"quoted\"";  // exercises escaping
   rec.policy = "MALB-SC";
@@ -143,26 +128,20 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
   g.replicas = 2;
   rec.result.groups.push_back(g);
 
-  const std::string path = "scenario_test_sink.json";
-  JsonSink sink(path);
+  ResultSink sink;
   sink.Begin("unit", "round-trip check");
   sink.AddRun(rec);
   sink.AddRatio("uf/malb", 1.4868421052631579, 1.476543210987654);
   sink.AddScalar("speedup", 25.123456789012345);
-  sink.Finish();
 
-  std::ifstream file(path);
-  ASSERT_TRUE(file.good());
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  const std::string json = buffer.str();
-  std::remove(path.c_str());
-  EXPECT_EQ(json, sink.Render());
+  // The written text parses back to exactly the built document.
+  const json::Value built = ToJson(sink);
+  const json::Value doc = json::Value::Parse(built.Dump(2));
+  EXPECT_TRUE(doc == built) << built.Dump(2);
 
   // The run object holds the record coordinates, then exactly the run-list
   // metrics in list order, each parsing back to exactly the stored value
   // (max_digits10 rendering), then the groups.
-  const json::Value doc = json::Value::Parse(json);
   const json::Value& run = doc.At("runs").Items().at(0);
   const std::set<std::string> non_metric = {
       "label", "policy", "workload", "mix", "paper_tps", "paper_write_kb", "paper_read_kb",
@@ -180,12 +159,13 @@ TEST(Scenario, JsonSinkRoundTripsNumericFields) {
         << expected[i].first << ": " << metrics[i].second.Dump();
   }
 
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "paper_tps"), 76.0);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "measured"), 1.476543210987654);
-  EXPECT_DOUBLE_EQ(JsonNumber(json, "speedup"), 25.123456789012345);
-  EXPECT_NE(json.find("\"replicas\":2"), std::string::npos);
-  EXPECT_NE(json.find("BestSeller"), std::string::npos);
-  EXPECT_NE(json.find("row \\\"quoted\\\""), std::string::npos);
+  EXPECT_EQ(run.At("label").AsString(), "row \"quoted\"");
+  EXPECT_EQ(run.At("paper_tps").AsNumber(), 76.0);
+  EXPECT_EQ(doc.At("ratios").Items().at(0).At("measured").AsNumber(), 1.476543210987654);
+  EXPECT_EQ(doc.At("scalars").At("speedup").AsNumber(), 25.123456789012345);
+  const json::Value& group = run.At("groups").Items().at(0);
+  EXPECT_EQ(group.At("replicas").AsNumber(), 2.0);
+  EXPECT_EQ(group.At("types").Items().at(0).AsString(), "BestSeller");
 }
 
 }  // namespace
