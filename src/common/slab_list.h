@@ -23,6 +23,7 @@
 #ifndef SRC_COMMON_SLAB_LIST_H_
 #define SRC_COMMON_SLAB_LIST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -184,6 +185,11 @@ class SlabList {
     uint32_t next = kNilSlot;  // doubles as the free-list link when free
   };
 
+ public:
+  // Bytes per node, so owners can pin their payload's packing.
+  static constexpr size_t kNodeBytes = sizeof(Node);
+
+ private:
   std::vector<Node> nodes_;
   uint32_t free_head_ = kNilSlot;
   uint32_t head_ = kNilSlot;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace tashkent {
 
@@ -55,26 +57,65 @@ uint64_t AccessSkew::SampleWindowStart(Rng& rng, Pages pages, Pages window) cons
   return rng.NextBelow(static_cast<uint64_t>(span + 1));
 }
 
+namespace {
+
+// Pool key limits: LruEntry packs a 32-bit page or chunk index, a 16-bit
+// relation id and a 15-bit weight.
+constexpr uint64_t kMaxRelations = uint64_t{1} << 16;
+constexpr Pages kMaxRelationPages = Pages{1} << 32;
+constexpr Pages kMaxChunkPages = Pages{1} << 15;
+
+Pages CheckedChunkPages(Pages chunk_pages) {
+  if (chunk_pages < 1 || chunk_pages >= kMaxChunkPages) {
+    throw std::invalid_argument("BufferPool: chunk_pages " + std::to_string(chunk_pages) +
+                                " outside [1, 2^15)");
+  }
+  return chunk_pages;
+}
+
+void CheckRelationPages(const RelationMeta& rel) {
+  if (rel.pages >= kMaxRelationPages) {
+    throw std::invalid_argument("BufferPool: relation " + std::to_string(rel.id) + " has " +
+                                std::to_string(rel.pages) + " pages, limit is 2^32");
+  }
+}
+
+}  // namespace
+
 BufferPool::BufferPool(Bytes capacity, Pages chunk_pages)
     : capacity_pages_(std::max<Pages>(BytesToPages(capacity), 1)),
-      chunk_pages_(std::max<Pages>(chunk_pages, 1)) {}
+      chunk_pages_(CheckedChunkPages(chunk_pages)) {}
 
 // --- LRU slab plumbing (shared SlabList helper) ------------------------------
 
 BufferPool::RelState& BufferPool::State(RelationId rel) {
   const size_t idx = static_cast<size_t>(rel);
   if (idx >= rels_.size()) {
+    if (idx >= kMaxRelations) {
+      throw std::invalid_argument("BufferPool: relation id " + std::to_string(rel) +
+                                  " is not below 2^16");
+    }
     rels_.resize(idx + 1);
   }
   return rels_[idx];
 }
 
-uint32_t BufferPool::PushEntry(uint64_t key, Pages weight, RelState& rs) {
+BufferPool::RelState& BufferPool::PageState(const RelationMeta& rel) {
+  RelState& rs = State(rel.id);
+  const size_t blocks = static_cast<size_t>((rel.pages + kBlockMask) >> kBlockShift);
+  if (rs.page_block.size() < blocks) {
+    CheckRelationPages(rel);
+    rs.page_block.resize(blocks, kNilSlot);
+  }
+  return rs;
+}
+
+uint32_t BufferPool::PushEntry(const LruEntry& e, RelState& rs) {
   const uint32_t slot = lru_.Alloc();
-  lru_[slot] = LruEntry{key, weight};
+  lru_[slot] = e;
   lru_.PushFront(slot);
-  used_pages_ += weight;
-  rs.resident += weight;
+  used_pages_ += e.weight();
+  rs.resident += e.weight();
   return slot;
 }
 
@@ -82,16 +123,23 @@ Pages BufferPool::RemoveEntry(uint32_t slot) {
   const LruEntry e = lru_[slot];
   lru_.Unlink(slot);
   lru_.Free(slot);
-  RelState& rs = rels_[KeyRelation(e.key)];
-  if ((e.key & kChunkBit) != 0) {
-    rs.chunk_slot[e.key & kIndexMask] = kNilSlot;
+  RelState& rs = rels_[e.rel];
+  if (e.is_chunk()) {
+    rs.chunk_slot[e.index] = kNilSlot;
     --rs.resident_chunks;
   } else {
-    index_.Erase(e.key);
+    uint32_t& block = rs.page_block[e.index >> kBlockShift];
+    PageBlock& b = blocks_[block];
+    b.slot[e.index & kBlockMask] = kNilSlot;
+    if (--b.live == 0) {
+      blocks_.Free(block);
+      block = kNilSlot;
+      --live_blocks_;
+    }
   }
-  used_pages_ -= e.weight;
-  rs.resident -= e.weight;
-  return e.weight;
+  used_pages_ -= e.weight();
+  rs.resident -= e.weight();
+  return e.weight();
 }
 
 void BufferPool::EvictToFit() {
@@ -108,14 +156,21 @@ bool BufferPool::TouchPage(RelState& rs, RelationId rel, uint64_t page) {
       return true;
     }
   }
-  const uint64_t key = PageKey(rel, page);
-  const OpenHashIndex::Lookup at = index_.FindForInsert(key);
-  if (at.slot != OpenHashIndex::kNotFound) {
-    lru_.MoveRunToFront(at.slot, at.slot);
-    return true;
+  uint32_t& block = rs.page_block[page >> kBlockShift];
+  if (block == kNilSlot) {
+    block = blocks_.Alloc();
+    ++live_blocks_;
+  } else {
+    const uint32_t slot = blocks_[block].slot[page & kBlockMask];
+    if (slot != kNilSlot) {
+      lru_.MoveRunToFront(slot, slot);
+      return true;
+    }
   }
-  index_.InsertAt(at, key, PushEntry(key, 1, rs));
-  EvictToFit();
+  PageBlock& b = blocks_[block];
+  b.slot[page & kBlockMask] = PushEntry(LruEntry::Page(rel, page), rs);
+  ++b.live;
+  EvictToFit();  // never evicts this page, so its block stays live
   return false;
 }
 
@@ -127,6 +182,7 @@ PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint6
   end = std::min(end, total_chunks);
   RelState& rs = State(rel.id);
   if (rs.chunk_slot.size() < total_chunks) {
+    CheckRelationPages(rel);
     rs.chunk_slot.resize(total_chunks, kNilSlot);
   }
   std::vector<uint32_t>& slots = rs.chunk_slot;
@@ -134,7 +190,7 @@ PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint6
   for (uint64_t c = first; c < end; ++c) {
     const uint32_t back = slots[c];
     if (back == kNilSlot) {
-      slots[c] = PushEntry(ChunkKey(rel.id, c), weight(c), rs);
+      slots[c] = PushEntry(LruEntry::Chunk(rel.id, c, weight(c)), rs);
       ++rs.resident_chunks;
       out.pages_missed += weight(c);
       EvictToFit();  // may evict this scan's own chunks, slots[c] included
@@ -158,9 +214,11 @@ PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint6
 // --- Dirty-FIFO slab plumbing ------------------------------------------------
 
 void BufferPool::EraseDirty(uint32_t slot) {
-  const uint64_t key = dirty_[slot].key;
-  dirty_index_.Erase(key);
-  --rels_[KeyRelation(key)].dirty;
+  const DirtyEntry e = dirty_[slot];
+  RelState& rs = rels_[e.rel];
+  rs.dirty_bits[e.page >> 6] &= ~(uint64_t{1} << (e.page & 63));
+  --rs.dirty;
+  --dirty_pages_;
   dirty_.Unlink(slot);
   dirty_.Free(slot);
 }
@@ -188,7 +246,7 @@ PoolAccess BufferPool::TouchRandom(const RelationMeta& rel, int n_pages, Rng& rn
   if (rel.pages <= 0) {
     return out;
   }
-  RelState& rs = State(rel.id);
+  RelState& rs = PageState(rel);
   for (int i = 0; i < n_pages; ++i) {
     if (TouchPage(rs, rel.id, skew.SamplePage(rng, rel.pages))) {
       ++out.pages_hit;
@@ -207,7 +265,11 @@ BufferPool::DirtyResult BufferPool::DirtyRandom(const RelationMeta& rel, int n_p
   if (rel.pages <= 0) {
     return out;
   }
-  RelState& rs = State(rel.id);
+  RelState& rs = PageState(rel);
+  const size_t words = static_cast<size_t>((rel.pages + 63) >> 6);
+  if (rs.dirty_bits.size() < words) {
+    rs.dirty_bits.resize(words, 0);
+  }
   for (int i = 0; i < n_pages; ++i) {
     const uint64_t page = skew.SamplePage(rng, rel.pages);
     // Read-modify-write: a missing page is fetched before being modified.
@@ -216,14 +278,15 @@ BufferPool::DirtyResult BufferPool::DirtyRandom(const RelationMeta& rel, int n_p
     } else {
       ++out.access.pages_missed;
     }
-    const uint64_t key = PageKey(rel.id, page);
-    const OpenHashIndex::Lookup at = dirty_index_.FindForInsert(key);
-    if (at.slot == OpenHashIndex::kNotFound) {
+    uint64_t& word = rs.dirty_bits[page >> 6];
+    const uint64_t bit = uint64_t{1} << (page & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
       const uint32_t slot = dirty_.Alloc();
-      dirty_[slot].key = key;
+      dirty_[slot] = DirtyEntry{static_cast<uint32_t>(page), rel.id};
       dirty_.PushBack(slot);
-      dirty_index_.InsertAt(at, key, slot);
       ++rs.dirty;
+      ++dirty_pages_;
       ++out.newly_dirtied;
     }
   }
@@ -248,18 +311,26 @@ void BufferPool::DropRelation(RelationId rel) {
     return;
   }
   RelState& rs = rels_[static_cast<size_t>(rel)];
+  // The relation's own tables name every entry it holds, so no LRU walk.
   // Each walk stops once the relation's count reaches zero, so a drop that
-  // removes nothing (common under update filtering) walks neither list.
-  for (uint32_t slot = lru_.head(); slot != kNilSlot && rs.resident > 0;) {
-    const uint32_t next = lru_.next(slot);
-    if (KeyRelation(lru_[slot].key) == rel) {
-      RemoveEntry(slot);
+  // removes nothing (common under update filtering) walks nothing.
+  for (size_t c = 0; c < rs.chunk_slot.size() && rs.resident_chunks > 0; ++c) {
+    if (rs.chunk_slot[c] != kNilSlot) {
+      RemoveEntry(rs.chunk_slot[c]);
     }
-    slot = next;
+  }
+  for (size_t d = 0; d < rs.page_block.size() && rs.resident > 0; ++d) {
+    // Removing the block's last page recycles it and clears page_block[d].
+    for (uint32_t i = 0; i < kBlockPages && rs.page_block[d] != kNilSlot; ++i) {
+      const uint32_t slot = blocks_[rs.page_block[d]].slot[i];
+      if (slot != kNilSlot) {
+        RemoveEntry(slot);
+      }
+    }
   }
   for (uint32_t slot = dirty_.head(); slot != kNilSlot && rs.dirty > 0;) {
     const uint32_t next = dirty_.next(slot);
-    if (KeyRelation(dirty_[slot].key) == rel) {
+    if (dirty_[slot].rel == rel) {
       EraseDirty(slot);
     }
     slot = next;
@@ -268,9 +339,10 @@ void BufferPool::DropRelation(RelationId rel) {
 
 void BufferPool::Clear() {
   lru_.Clear();
-  index_.Clear();
+  blocks_.Clear();
+  live_blocks_ = 0;
   dirty_.Clear();
-  dirty_index_.Clear();
+  dirty_pages_ = 0;
   rels_.clear();
   used_pages_ = 0;
 }

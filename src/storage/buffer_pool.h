@@ -18,20 +18,30 @@
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
 // the LRU is an intrusive doubly-linked list threaded through a free-listed
 // slab (SlabList, src/common/slab_list.h); nothing allocates per touch, only
-// amortized slab/table growth. Each entry is found without walking the list:
+// amortized slab/table growth. Every entry is found by indexing, never by
+// hashing or walking the list:
 //   * Chunk entries sit in a per-relation slot table (chunk number -> LRU
 //     slot), sized to the relation's chunk count by the first scan that
 //     touches it. A per-relation count of resident chunks lets random
 //     touches skip the table entirely while a relation has no chunks cached.
-//   * Single-page entries sit in an OpenHashIndex on the packed page key,
-//     probed once per touch with find-or-insert (FindForInsert/InsertAt).
+//   * Single-page entries sit in 32-page blocks of LRU slots. Each relation
+//     keeps a page directory (page >> kBlockShift -> block id); a block is
+//     taken from the pool's block slab when its first page becomes resident
+//     and recycled when its last page leaves, so block memory tracks resident
+//     pages, not database size. A touch is two indexed loads.
 //   * A scan hit at chunk c extends a run while the LRU node just ahead of
 //     the run is chunk c+1's, then splices the run to the front in O(1)
 //     (SlabList::MoveRunToFront). That equals moving each chunk to the front
 //     in turn — the run keeps its order — because a hit never evicts. A miss
 //     still inserts and evicts one chunk at a time, so a scan that evicts its
 //     own untouched chunks behaves exactly as before.
-// The dirty FIFO is a second SlabList with its own OpenHashIndex for dedup.
+// The dirty FIFO is a second SlabList; its dedup is a per-relation bitmap
+// (one bit per page) allocated by the relation's first DirtyRandom, so a
+// read-only relation never has one. DropRelation walks the relation's own
+// chunk table and page directory, never the LRU.
+// Limits, checked where tables are sized (never per page) and thrown as
+// std::invalid_argument: relation ids < 2^16, relation sizes < 2^32 pages,
+// 1 <= chunk_pages < 2^15.
 // Eviction order, hit outcomes and stats are bit-identical to the earlier
 // std::list + unordered_map implementation (bench/legacy_baseline.h keeps a
 // frozen copy; the perf campaign compares checksums).
@@ -41,7 +51,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/open_hash.h"
 #include "src/common/rng.h"
 #include "src/common/slab_list.h"
 #include "src/common/units.h"
@@ -95,7 +104,7 @@ class BufferPool {
  public:
   // `capacity` is the usable cache size in bytes (RAM minus the 70 MB the
   // paper reserves for OS/PostgreSQL/proxy/daemons). `chunk_pages` sets scan
-  // granularity.
+  // granularity; std::invalid_argument unless 1 <= chunk_pages < 2^15.
   BufferPool(Bytes capacity, Pages chunk_pages = 32);
 
   // A full sequential scan of the relation: touches every chunk, returns how
@@ -146,7 +155,11 @@ class BufferPool {
 
   Pages capacity_pages() const { return capacity_pages_; }
   Pages used_pages() const { return used_pages_; }
-  Pages dirty_pages() const { return static_cast<Pages>(dirty_index_.size()); }
+  Pages dirty_pages() const { return dirty_pages_; }
+
+  // Page blocks currently holding at least one resident single page; never
+  // more than the resident single-page entries.
+  size_t live_page_blocks() const { return live_blocks_; }
 
   // Resident pages of one relation; the experimental working-set measurement
   // in Section 5.3 reads this.
@@ -158,50 +171,72 @@ class BufferPool {
   Pages chunk_pages() const { return chunk_pages_; }
 
  private:
-  // Entry key: bit 63 selects chunk (1) vs page (0) keyspace; relation id in
-  // bits 40..62; chunk/page index in bits 0..39. Eviction and DropRelation
-  // read it back to find the table entry to clear.
-  static constexpr uint64_t kChunkBit = 1ULL << 63;
-  static constexpr uint64_t kIndexMask = (1ULL << 40) - 1;
-  static uint64_t ChunkKey(RelationId rel, uint64_t chunk) {
-    return kChunkBit | (static_cast<uint64_t>(rel) << 40) | chunk;
-  }
-  static uint64_t PageKey(RelationId rel, uint64_t page) {
-    return (static_cast<uint64_t>(rel) << 40) | page;
-  }
-  static RelationId KeyRelation(uint64_t key) {
-    return static_cast<RelationId>((key >> 40) & 0x7fffff);
-  }
+  // Single pages are indexed in blocks of kBlockPages LRU slots.
+  static constexpr int kBlockShift = 5;
+  static constexpr uint32_t kBlockPages = 1u << kBlockShift;
+  static constexpr uint64_t kBlockMask = kBlockPages - 1;
 
   // LRU entry payload; the SlabList threads the recency links (front = MRU).
+  // Eviction and DropRelation read it back to find the table slot to clear.
   struct LruEntry {
-    uint64_t key = 0;
-    Pages weight = 0;
+    static constexpr uint16_t kChunkFlag = 0x8000;
+    uint32_t index;        // page number, or chunk number for a chunk entry
+    uint16_t rel;          // relation id
+    uint16_t flag_weight;  // weight in pages, | kChunkFlag for a chunk entry
+
+    static LruEntry Page(RelationId rel, uint64_t page) {
+      return {static_cast<uint32_t>(page), static_cast<uint16_t>(rel), 1};
+    }
+    static LruEntry Chunk(RelationId rel, uint64_t chunk, Pages weight) {
+      return {static_cast<uint32_t>(chunk), static_cast<uint16_t>(rel),
+              static_cast<uint16_t>(kChunkFlag | weight)};
+    }
+    bool is_chunk() const { return (flag_weight & kChunkFlag) != 0; }
+    Pages weight() const { return static_cast<Pages>(flag_weight & ~kChunkFlag); }
   };
+  static_assert(SlabList<LruEntry>::kNodeBytes == 16, "LRU nodes pack four to a cache line");
 
   // Dirty-FIFO entry payload; the SlabList threads insertion order
   // (front = oldest).
   struct DirtyEntry {
-    uint64_t key = 0;
+    uint32_t page;
+    uint32_t rel;
+  };
+
+  // kBlockPages consecutive pages of one relation: LRU slot per page
+  // (kNilSlot if not resident as a single page) and how many are resident.
+  struct PageBlock {
+    PageBlock() {
+      for (uint32_t& s : slot) {
+        s = kNilSlot;
+      }
+    }
+    uint32_t slot[kBlockPages];
+    uint32_t live = 0;
   };
 
   // Per-relation bookkeeping, indexed by relation id.
   struct RelState {
     std::vector<uint32_t> chunk_slot;  // chunk number -> LRU slot, kNilSlot if absent
+    std::vector<uint32_t> page_block;  // page >> kBlockShift -> block id, kNilSlot if none
+    std::vector<uint64_t> dirty_bits;  // one bit per page pending in the dirty FIFO
     uint32_t resident_chunks = 0;      // chunk entries currently in the LRU
     Pages resident = 0;                // resident pages (chunks + single pages)
     Pages dirty = 0;                   // pages pending in the dirty FIFO
   };
 
   RelState& State(RelationId rel);
+  // State() with the page directory sized to the relation; the entry to
+  // TouchRandom and DirtyRandom.
+  RelState& PageState(const RelationMeta& rel);
   // Touches chunks [first, end) of `rel` in order; the one scan loop behind
   // TouchScan and TouchScanWindow.
   PoolAccess ScanChunks(const RelationMeta& rel, uint64_t first, uint64_t end);
   // Touches one page of a random access; returns true on a hit. On a miss the
   // page is inserted as a single-page entry (and the pool evicts to fit).
   bool TouchPage(RelState& rs, RelationId rel, uint64_t page);
-  uint32_t PushEntry(uint64_t key, Pages weight, RelState& rs);  // at MRU, no eviction
-  Pages RemoveEntry(uint32_t slot);  // unlinks, frees, clears its lookup; returns weight
+  uint32_t PushEntry(const LruEntry& e, RelState& rs);  // at MRU, no eviction
+  Pages RemoveEntry(uint32_t slot);  // unlinks, frees, clears its table slot; returns weight
   void EvictToFit();
   void EraseDirty(uint32_t slot);
 
@@ -210,10 +245,11 @@ class BufferPool {
   Pages used_pages_ = 0;
 
   SlabList<LruEntry> lru_;         // recency list: front = MRU, back = victim
-  OpenHashIndex index_;            // packed page key -> LRU slab slot (pages only)
+  Slab<PageBlock> blocks_;         // page blocks; ids are slab slots
+  size_t live_blocks_ = 0;
 
   SlabList<DirtyEntry> dirty_;     // write-back FIFO: front = oldest
-  OpenHashIndex dirty_index_;      // packed page key -> dirty slab slot (dedup)
+  Pages dirty_pages_ = 0;
 
   std::vector<RelState> rels_;
 

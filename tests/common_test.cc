@@ -7,11 +7,9 @@
 #include <cmath>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/inline_callback.h"
-#include "src/common/open_hash.h"
 #include "src/common/rng.h"
 #include "src/common/slab_list.h"
 #include "src/common/small_vec.h"
@@ -265,76 +263,6 @@ TEST(InlineCallback, SmallerCapacityNestsIntoLarger) {
   InlineCallback<void(bool), 32> small = [](bool) {};
   InlineCallback<void(bool), 96> big = std::move(small);
   big(true);
-}
-
-// --- OpenHashIndex -----------------------------------------------------------
-
-// Find-or-insert `key -> slot` the way every caller does: one probe, then
-// InsertAt into the bucket it returned. Returns false when already present.
-bool InsertNew(OpenHashIndex& index, uint64_t key, uint32_t slot) {
-  const OpenHashIndex::Lookup at = index.FindForInsert(key);
-  if (at.slot != OpenHashIndex::kNotFound) {
-    return false;
-  }
-  index.InsertAt(at, key, slot);
-  return true;
-}
-
-TEST(OpenHashIndex, InsertFindErase) {
-  OpenHashIndex index;
-  EXPECT_EQ(index.Find(42), OpenHashIndex::kNotFound);
-  EXPECT_TRUE(InsertNew(index, 42, 7));
-  EXPECT_TRUE(InsertNew(index, 0, 9));  // key 0 is a legal packed key, not a sentinel
-  EXPECT_FALSE(InsertNew(index, 42, 8));
-  EXPECT_EQ(index.FindForInsert(42).slot, 7u);
-  EXPECT_EQ(index.Find(42), 7u);
-  EXPECT_EQ(index.Find(0), 9u);
-  EXPECT_EQ(index.size(), 2u);
-  EXPECT_TRUE(index.Erase(42));
-  EXPECT_FALSE(index.Erase(42));
-  EXPECT_EQ(index.Find(42), OpenHashIndex::kNotFound);
-  EXPECT_EQ(index.Find(0), 9u);
-}
-
-TEST(OpenHashIndex, MatchesReferenceMapUnderChurn) {
-  // Randomized differential test against unordered_map: find-or-inserts,
-  // erases, and lookups over a small key universe force long probe chains
-  // and exercise backward-shift deletion. The live count climbs through
-  // several doublings (16 -> 1024 buckets) before settling, so
-  // FindForInsert's grow-then-probe runs across every growth boundary.
-  OpenHashIndex index;
-  std::unordered_map<uint64_t, uint32_t> reference;
-  Rng rng(2024);
-  size_t peak = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const uint64_t key = rng.NextBelow(1024);
-    // Insert-heavy first half (grows the table), balanced second half.
-    const uint64_t op = rng.NextBelow(step < 10000 ? 4 : 3);
-    if (op == 0 || op == 3) {
-      const OpenHashIndex::Lookup at = index.FindForInsert(key);
-      auto it = reference.find(key);
-      if (it == reference.end()) {
-        EXPECT_EQ(at.slot, OpenHashIndex::kNotFound) << "key " << key;
-        const uint32_t slot = static_cast<uint32_t>(rng.NextBelow(1u << 20));
-        index.InsertAt(at, key, slot);
-        reference[key] = slot;
-      } else {
-        EXPECT_EQ(at.slot, it->second) << "key " << key;
-      }
-    } else if (op == 1) {
-      EXPECT_EQ(index.Erase(key), reference.erase(key) > 0) << "key " << key;
-    } else {
-      auto it = reference.find(key);
-      const uint32_t expect = it == reference.end() ? OpenHashIndex::kNotFound : it->second;
-      EXPECT_EQ(index.Find(key), expect) << "key " << key;
-    }
-    EXPECT_EQ(index.size(), reference.size());
-    peak = std::max(peak, reference.size());
-  }
-  EXPECT_GT(peak, 384u);  // past the 512-bucket table's 3/4 load: >= 6 growths
-  for (const auto& [key, slot] : reference) {
-    EXPECT_EQ(index.Find(key), slot);
-  }
 }
 
 // --- SmallVec ----------------------------------------------------------------

@@ -4,9 +4,12 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "src/common/alloc_guard.h"
 #include "src/common/rng.h"
 #include "src/storage/buffer_pool.h"
 #include "src/storage/disk_model.h"
@@ -307,6 +310,109 @@ TEST(BufferPool, DirtyFifoSurvivesInterleavedDropAndFlush) {
   EXPECT_EQ(pool.dirty_pages(), 0);
 }
 
+// Expects `fn` to throw std::invalid_argument whose message names `value`.
+template <typename Fn>
+void ExpectInvalidNaming(Fn fn, const std::string& value) {
+  try {
+    fn();
+    ADD_FAILURE() << "no std::invalid_argument naming " << value;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos) << e.what();
+  }
+}
+
+TEST(BufferPool, RejectsChunkSizesOutsideTheEntryWeight) {
+  EXPECT_THROW(BufferPool(PagesToBytes(64), 0), std::invalid_argument);
+  ExpectInvalidNaming([] { BufferPool(PagesToBytes(64), -3); }, "-3");
+  ExpectInvalidNaming([] { BufferPool(PagesToBytes(64), 1 << 15); }, "32768");
+  BufferPool largest(PagesToBytes(1 << 16), (1 << 15) - 1);
+  EXPECT_EQ(largest.TouchScan(MakeRel(0, 1 << 15)).pages_missed, 1 << 15);
+  EXPECT_EQ(largest.ResidentPages(0), 1 << 15);
+}
+
+TEST(BufferPool, RejectsRelationIdsPastSixteenBits) {
+  BufferPool pool(PagesToBytes(256), 8);
+  Rng rng(1);
+  const RelationMeta too_big = MakeRel(1 << 16, 40);
+  ExpectInvalidNaming([&] { pool.TouchRandom(too_big, 1, rng); }, "65536");
+  ExpectInvalidNaming([&] { pool.TouchScan(too_big); }, "65536");
+  ExpectInvalidNaming([&] { pool.DirtyRandom(too_big, 1, rng); }, "65536");
+  const RelationMeta invalid = MakeRel(kInvalidRelation, 40);
+  ExpectInvalidNaming([&] { pool.TouchScan(invalid); }, std::to_string(kInvalidRelation));
+  pool.DropRelation(kInvalidRelation);  // names nothing resident: a no-op
+  // The largest id still fits, and nothing above was left behind.
+  EXPECT_EQ(pool.used_pages(), 0);
+  EXPECT_EQ(pool.TouchScan(MakeRel((1 << 16) - 1, 40)).pages_missed, 40);
+  EXPECT_EQ(pool.ResidentPages((1 << 16) - 1), 40);
+}
+
+TEST(BufferPool, RejectsRelationsOfTwoToThe32Pages) {
+  BufferPool pool(PagesToBytes(256), 8);
+  Rng rng(1);
+  const RelationMeta huge = MakeRel(2, Pages{1} << 32);
+  ExpectInvalidNaming([&] { pool.TouchRandom(huge, 1, rng); }, "4294967296");
+  ExpectInvalidNaming([&] { pool.DirtyRandom(huge, 1, rng); }, "4294967296");
+  ExpectInvalidNaming([&] { pool.TouchScan(huge); }, "4294967296");
+  // A relation that grows past the limit is caught when its tables grow.
+  RelationMeta grows = MakeRel(3, 100);
+  pool.TouchRandom(grows, 4, rng);
+  grows.pages = Pages{1} << 32;
+  EXPECT_THROW(pool.TouchRandom(grows, 1, rng), std::invalid_argument);
+  EXPECT_EQ(pool.used_pages(), pool.ResidentPages(3));
+}
+
+TEST(BufferPool, WarmReplayIsAllocationFree) {
+  // The first pass sizes every slab, table, directory and bitmap; a Resize to
+  // one page then evicts everything (the script ends on a full-chunk scan,
+  // heavier than one page) and recycles every page block. Replaying the same
+  // seeded script must reuse them all without touching the heap.
+  BufferPool pool(PagesToBytes(300), 32);
+  const std::vector<RelationMeta> rels = {MakeRel(0, 2000), MakeRel(1, 640), MakeRel(2, 96)};
+  const AccessSkew uniform{1.0, 0.0};
+  auto script = [&](uint64_t seed) {
+    Rng rng(seed);
+    for (int step = 0; step < 4000; ++step) {
+      const RelationMeta& rel = rels[rng.NextBelow(rels.size())];
+      switch (rng.NextBelow(5)) {
+        case 0:
+          pool.TouchScanWindow(rel, 64, rng, uniform);
+          break;
+        case 1:
+          pool.TouchRandom(rel, 8, rng, uniform);
+          break;
+        case 2:
+          pool.DirtyRandom(rel, 4, rng, uniform);
+          break;
+        case 3:
+          pool.TakeDirtyForFlush(6);
+          break;
+        default:
+          pool.TouchRandom(rel, 2, rng);
+          break;
+      }
+    }
+    pool.TouchScan(rels[2]);
+  };
+  script(11);
+  EXPECT_GT(pool.stats().evicted_pages, 0u);
+  EXPECT_GT(pool.dirty_pages(), 0);
+  pool.TakeDirtyForFlush(pool.dirty_pages());
+  pool.Resize(PagesToBytes(1));
+  EXPECT_EQ(pool.used_pages(), 0);
+  EXPECT_EQ(pool.live_page_blocks(), 0u);
+  pool.Resize(PagesToBytes(300));
+  const BufferPoolStats first = pool.stats();
+  uint64_t allocations = 0;
+  {
+    AllocGuard::Forbid forbid;
+    script(11);
+    allocations = forbid.seen();
+  }
+  EXPECT_EQ(allocations, 0u);
+  // The replay did the same work again.
+  EXPECT_EQ(pool.stats().misses, 2 * first.misses);
+  EXPECT_EQ(pool.stats().dirtied_pages, 2 * first.dirtied_pages);
+}
 
 // --- Differential test against a reference pool ------------------------------
 
@@ -415,6 +521,34 @@ class ReferencePool {
   }
   const BufferPoolStats& stats() const { return stats_; }
 
+  // What one relation holds: chunk entries, single-page entries, dirty pages.
+  struct Holdings {
+    int chunks = 0;
+    int pages = 0;
+    int dirty = 0;
+  };
+  Holdings Held(RelationId rel) const {
+    Holdings h;
+    for (const Entry& e : lru_) {
+      if (std::get<1>(e.key) == rel) {
+        (std::get<0>(e.key) ? h.chunks : h.pages) += 1;
+      }
+    }
+    for (const Key& k : dirty_) {
+      h.dirty += std::get<1>(k) == rel ? 1 : 0;
+    }
+    return h;
+  }
+
+  // Single-page entries resident across all relations.
+  size_t SinglePageEntries() const {
+    size_t n = 0;
+    for (const Entry& e : lru_) {
+      n += std::get<0>(e.key) ? 0 : 1;
+    }
+    return n;
+  }
+
  private:
   using Key = std::tuple<bool, RelationId, uint64_t>;  // {is_chunk, relation, index}
   struct Entry {
@@ -492,27 +626,30 @@ struct DiffConfig {
   Pages capacity_pages;
   Pages chunk_pages;
   AccessSkew skew;
+  // The default mixes exact multiples of the chunk with partial tail chunks,
+  // a relation smaller than one chunk, and relations larger than the pool.
+  std::vector<Pages> sizes = {3, 37, 64, 13, 121, 250, 8};
 };
 
-void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps) {
+// Replays a seeded call script on both pools, comparing after every call;
+// counts in `mixed_drops` the drops of a relation holding chunks, single
+// pages and dirty pages at once.
+void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps, int& mixed_drops) {
   SCOPED_TRACE("capacity " + std::to_string(cfg.capacity_pages) + " chunk " +
                std::to_string(cfg.chunk_pages) + " seed " + std::to_string(seed));
   BufferPool pool(PagesToBytes(cfg.capacity_pages), cfg.chunk_pages);
   ReferencePool ref(cfg.capacity_pages, cfg.chunk_pages);
-  // Sizes mix exact multiples of the chunk with partial tail chunks, a
-  // relation smaller than one chunk, and relations larger than the pool.
-  const std::vector<Pages> sizes = {3, 37, 64, 13, 121, 250, 8};
   std::vector<RelationMeta> rels;
-  for (size_t i = 0; i < sizes.size(); ++i) {
-    rels.push_back(MakeRel(static_cast<RelationId>(i), sizes[i]));
+  for (size_t i = 0; i < cfg.sizes.size(); ++i) {
+    rels.push_back(MakeRel(static_cast<RelationId>(i), cfg.sizes[i]));
   }
   Rng script_rng(seed);
   // Both pools draw their samples from identically seeded streams.
   Rng pool_rng(seed * 7919 + 1);
   Rng ref_rng(seed * 7919 + 1);
   for (int step = 0; step < steps; ++step) {
-    const RelationMeta& rel = rels[script_rng.NextBelow(rels.size())];
-    const uint64_t op = script_rng.NextBelow(100);
+    RelationMeta& rel = rels[script_rng.NextBelow(rels.size())];
+    const uint64_t op = script_rng.NextBelow(104);
     std::string what;
     if (op < 14) {
       what = "TouchScan";
@@ -559,11 +696,38 @@ void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps) {
                                   static_cast<uint64_t>(cfg.capacity_pages) * 2));
       pool.Resize(PagesToBytes(pages));
       ref.Resize(pages);
-    } else {
+    } else if (op < 100) {
       what = "Clear";
       pool.Clear();
       ref.Clear();
+    } else if (op < 102) {
+      what = "Grow";
+      // Relation sizes are mutable: the page directory, chunk table and
+      // dirty bitmap must grow under resident entries.
+      rel.pages += 1 + static_cast<Pages>(script_rng.NextBelow(64));
+    } else {
+      what = "MixedDrop";
+      // A window scan, random touches and dirty pages, then a drop of the
+      // relation holding all three at once; the per-step checks below
+      // compare each call's effect.
+      const Pages window = std::max<Pages>(rel.pages / 4, 1);
+      pool.TouchScanWindow(rel, window, pool_rng, cfg.skew);
+      ref.TouchScanWindow(rel, window, ref_rng, cfg.skew);
+      pool.TouchRandom(rel, 6, pool_rng, cfg.skew);
+      ref.TouchRandom(rel, 6, ref_rng, cfg.skew);
+      pool.DirtyRandom(rel, 3, pool_rng, cfg.skew);
+      ref.DirtyRandom(rel, 3, ref_rng, cfg.skew);
+      const ReferencePool::Holdings held = ref.Held(rel.id);
+      if (held.chunks > 0 && held.pages > 0 && held.dirty > 0) {
+        ++mixed_drops;
+      }
+      pool.DropRelation(rel.id);
+      ref.DropRelation(rel.id);
     }
+    // Block memory tracks resident single pages, not relation sizes.
+    const size_t singles = ref.SinglePageEntries();
+    ASSERT_LE(pool.live_page_blocks(), singles) << what << " step " << step;
+    ASSERT_EQ(pool.live_page_blocks() == 0, singles == 0) << what << " step " << step;
     ASSERT_EQ(pool.used_pages(), ref.used_pages()) << what << " step " << step;
     ASSERT_EQ(pool.dirty_pages(), ref.dirty_pages()) << what << " step " << step;
     ASSERT_LE(pool.used_pages(), pool.capacity_pages()) << what << " step " << step;
@@ -592,15 +756,21 @@ TEST(BufferPool, MatchesReferencePoolOnRandomSequences) {
       {96, 4, zipf},
       {160, 8, hot},
       {600, 16, uniform},  // holds every relation: runs stay long
+      // Relations spanning dozens to hundreds of page blocks under uniform
+      // skew, so blocks are freed and reused constantly.
+      {800, 32, uniform, {1000, 2500, 5000, 40, 7}},
+      {3000, 16, zipf, {1200, 4100, 64}},
   };
+  int mixed_drops = 0;
   for (const DiffConfig& cfg : configs) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
-      RunDifferential(cfg, seed, 3000);
+      RunDifferential(cfg, seed, 3000, mixed_drops);
       if (HasFatalFailure()) {
         return;
       }
     }
   }
+  EXPECT_GT(mixed_drops, 500);
 }
 
 }  // namespace
