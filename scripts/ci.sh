@@ -1,9 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
-# ASan+UBSan), then exercise the campaign runner (smoke + perf campaigns) and
-# check the docs cover every campaign.
+# ASan+UBSan), lint for determinism, then exercise the campaign runner (smoke,
+# perf, marathon, skew and faults campaigns) under hard gates on the JSON it
+# emits, and check the docs cover every campaign, verb and metric. The gates
+# are python3 scripts, so a host without python3 fails here instead of
+# skipping them.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
+
+command -v python3 > /dev/null 2>&1 || { echo "ci: python3 is required" >&2; exit 1; }
 
 cmake -B build -S .
 cmake --build build -j"$(nproc)"
@@ -23,34 +28,25 @@ cmake --build build-asan -j"$(nproc)"
 # Static gate for the `--jobs N` == `--jobs 1` bit-identity contract: no
 # unordered-container iteration feeding reported state, no wall-clock or
 # unseeded randomness in src/ or the campaign definitions.
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/lint_determinism.py src/ bench/ \
-    || { echo "ci: determinism lint failed" >&2; exit 1; }
-fi
+python3 scripts/lint_determinism.py src/ bench/ \
+  || { echo "ci: determinism lint failed" >&2; exit 1; }
 
 # --- python tool tests -------------------------------------------------------
-# The python tools are themselves gates; their behavior is pinned by tests:
-# perf_diff.py's ratio math and --fail-cell-below normalization, and the
-# determinism lint's rule set.
-if command -v python3 > /dev/null 2>&1; then
-  python3 tests/perf_diff_test.py \
-    || { echo "ci: perf_diff tool tests failed" >&2; exit 1; }
-  python3 tests/lint_test.py \
-    || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
-  python3 tests/perf_trajectory_test.py \
-    || { echo "ci: perf_trajectory tool tests failed" >&2; exit 1; }
-fi
+# The determinism lint is itself a gate; its rule set is pinned by tests.
+python3 tests/lint_test.py \
+  || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
 
 # --- smoke + perf + marathon + skew + faults campaigns -----------------------
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
-# representative cells) must run end to end; the marathon campaign's bounded
-# certifier log must actually be bounded; the skew campaign's fluid-client
-# inert pair must stay byte-identical; the faults campaign's zero-loss
-# ledger must hold on every cell. ONE invocation, so the manifest covers all
-# five campaigns and the perf_diff step below can compare them against the
-# baseline (each invocation rewrites BENCH_campaign.json from scratch).
+# representative cells) must run end to end and keep its speedups; the
+# marathon campaign's bounded certifier log must actually be bounded; the
+# skew campaign's fluid-client inert pair must stay byte-identical; the faults
+# campaign's zero-loss ledger must hold on every cell. ONE invocation, so the
+# manifest covers all five campaigns and the executed-events gate below checks
+# every cell of them (each invocation rewrites BENCH_campaign.json from
+# scratch).
 rm -rf build/bench-out
 mkdir -p build/bench-out
 ./build/tashkent_bench run smoke perf marathon skew faults --jobs 2 --json build/bench-out
@@ -72,8 +68,7 @@ fi
 # so this gates hard.
 grep -q '"bounded log chunks hwm epoch5"' build/bench-out/BENCH_marathon.json || {
   echo "ci: marathon report is missing the bounded log HWM scalar" >&2; exit 1; }
-if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: marathon bounded-log gate failed" >&2; exit 1; }
+python3 - <<'EOF' || { echo "ci: marathon bounded-log gate failed" >&2; exit 1; }
 import json, sys
 s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
 b1, b5 = s['bounded log chunks hwm epoch1'], s['bounded log chunks hwm epoch5']
@@ -82,7 +77,6 @@ print(f"marathon gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l
 ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
 sys.exit(0 if ok else 1)
 EOF
-fi
 
 # --- inert-pair byte gates ---------------------------------------------------
 # The skew and faults campaigns each run one inert cell on the same seed
@@ -93,9 +87,8 @@ fi
 # IDENTICAL on every reported field — the benches already throw if not, but
 # this re-checks the emitted JSON byte-for-byte (modulo the label) so a
 # silently-softened in-bench comparison can't pass CI.
-if command -v python3 > /dev/null 2>&1; then
-  for campaign in skew faults; do
-    python3 - "${campaign}" <<'EOF' || { echo "ci: ${campaign} inert-pair byte gate failed" >&2; exit 1; }
+for campaign in skew faults; do
+  python3 - "${campaign}" <<'EOF' || { echo "ci: ${campaign} inert-pair byte gate failed" >&2; exit 1; }
 import json, sys
 name = sys.argv[1]
 doc = json.load(open(f'build/bench-out/BENCH_{name}.json'))
@@ -113,8 +106,7 @@ p = json.dumps(runs['plain'], sort_keys=True)
 print(f"{name} inert gate: armed == plain ({len(a)} bytes compared)")
 sys.exit(0 if a == p else 1)
 EOF
-  done
-fi
+done
 
 # --- faults zero-loss gate ---------------------------------------------------
 # The faults campaign's cells already throw in-bench if the zero-loss ledger
@@ -123,8 +115,7 @@ fi
 # acknowledged commits <= certified commits <= commits + summed in-flight
 # bound, every per-cell "invariant ok" scalar is 1, and the inert pair (whose
 # run records the byte gate above compares) executed equal event counts.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: faults zero-loss gate failed" >&2; exit 1; }
+python3 - <<'EOF' || { echo "ci: faults zero-loss gate failed" >&2; exit 1; }
 import json, sys
 doc = json.load(open('build/bench-out/BENCH_faults.json'))
 s = doc['scalars']
@@ -150,53 +141,56 @@ for b in bad:
 print(f"faults gate: zero-loss ledger holds on {len(cells)} cells")
 sys.exit(1 if bad else 0)
 EOF
-fi
 
-# --- perf trajectory report + storm-cell gate --------------------------------
-# Diff this run's manifest against the committed baseline (the full-grid
-# manifest checked in with the PR that captured it). Wall numbers are
-# host-dependent, so the run-wide table REPORTS rather than gates — but the
-# executed-event counts it prints are deterministic, and a change there means
-# the simulation itself changed. Campaigns not in both manifests are listed,
-# not compared.
-#
-# The slab event-kernel storm cell DOES gate: its events/sec ratio is
-# normalized by the run-wide ratio, so a uniformly slower CI host cancels out
-# and only kernel/slab regressing relative to the rest of the run trips it.
-# Same deal for the filter-storm cell — the mask fast path's chunk skip-scan
-# must keep its measured edge over the frozen TouchesAny baseline cell.
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/perf_diff.py bench/baselines/BENCH_campaign.json \
-    build/bench-out/BENCH_campaign.json --threshold 0.25 \
-    --fail-cell-below "perf:kernel/slab=0.6" \
-    --fail-cell-below "perf:cell/filter-storm=0.5" \
-    || { echo "ci: perf_diff failed" >&2; exit 1; }
-else
-  echo "ci: python3 unavailable; skipping perf_diff report" >&2
-fi
-
-# The buffer-pool gate: the slab pool must stay at least 1.5x the frozen
-# legacy pool's touches/sec (measured 2.6-2.8x; this storm's single 256 MB pool
-# stays cache-resident, so LRU node size and page-block memory barely show in
-# it). Both pool cells run in this same invocation on the same host, so the
-# ratio needs no normalization.
-if command -v python3 > /dev/null 2>&1; then
-  python3 - <<'EOF' || { echo "ci: buffer-pool speedup gate failed" >&2; exit 1; }
+# --- perf speedup floors -----------------------------------------------------
+# Each speedup divides the new hot path's throughput by its frozen reference
+# (bench/legacy_baseline.h's kernel and pool; the TouchesAny filter behind
+# ProxyConfig::mask_filtering=false), and both sides run in this invocation on
+# this host, so host speed cancels out of the ratio. Ranges over 24 runs of
+# the campaign step above on a 4-vCPU Xeon (g++ 12.2, RelWithDebInfo): kernel
+# 1.10-1.80, filter storm 1.31-2.21, pool 2.30-4.34. (The pool storm's single
+# 256 MB pool stays cache-resident, so LRU node size and page-block memory
+# barely show in its ratio.) A missing scalar fails.
+python3 - <<'EOF' || { echo "ci: perf speedup floors failed" >&2; exit 1; }
 import json, sys
 s = json.load(open('build/bench-out/BENCH_perf.json'))['scalars']
-ratio = s['pool speedup (slab / legacy)']
-print(f"pool gate: slab / legacy touches_per_s = {ratio:.2f} (floor 1.5)")
-sys.exit(0 if ratio >= 1.5 else 1)
+ok = True
+for name, floor in [('kernel speedup (slab / legacy)', 1.0),
+                    ('filter-storm speedup (mask / touchesany)', 1.0),
+                    ('pool speedup (slab / legacy)', 1.5)]:
+    value = s.get(name)
+    if value is None:
+        print(f"perf gate: '{name}' is missing from BENCH_perf.json", file=sys.stderr)
+        ok = False
+        continue
+    print(f"perf gate: {name} = {value:.2f} (floor {floor})")
+    if value < floor:
+        print(f"perf gate: {name} is below its floor", file=sys.stderr)
+        ok = False
+sys.exit(0 if ok else 1)
 EOF
-fi
 
-# The committed perf-trajectory report (docs/PERF_TRAJECTORY.md) renders the
-# baselines under bench/baselines/; a PR that refreshes a baseline without
-# regenerating the report fails here.
-if command -v python3 > /dev/null 2>&1; then
-  python3 scripts/perf_trajectory.py --check docs/PERF_TRAJECTORY.md \
-    || { echo "ci: perf trajectory report is stale" >&2; exit 1; }
-fi
+# --- executed-events gate ----------------------------------------------------
+# Executed simulator events are deterministic, so every cell of this run must
+# appear in the committed full-grid manifest with the same count; a change
+# means the simulation itself changed. A change that alters simulated
+# behaviour on purpose regenerates the baseline (bench/baselines/README.md).
+python3 - <<'EOF' || { echo "ci: executed-events gate failed" >&2; exit 1; }
+import json, sys
+def events(path):
+    doc = json.load(open(path))
+    return {f"{c['name']}:{cell['id']}": cell['executed_events']
+            for c in doc['campaigns'] for cell in c['cells']}
+base = events('bench/baselines/BENCH_campaign.json')
+run = events('build/bench-out/BENCH_campaign.json')
+bad = [f"{cell}: missing from the baseline" for cell in sorted(run) if cell not in base]
+bad += [f"{cell}: {base[cell]} executed events in the baseline, {n} in this run"
+        for cell, n in sorted(run.items()) if cell in base and n != base[cell]]
+for b in bad:
+    print(f"events gate: {b}", file=sys.stderr)
+print(f"events gate: {len(run) - len(bad)} of {len(run)} cells match the baseline")
+sys.exit(1 if bad else 0)
+EOF
 
 # --- docs check --------------------------------------------------------------
 # Every campaign the binary registers must appear in docs/REPRODUCING.md, so
