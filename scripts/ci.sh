@@ -36,20 +36,22 @@ python3 scripts/lint_determinism.py src/ bench/ \
 python3 tests/lint_test.py \
   || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
 
-# --- smoke + perf + marathon + skew + faults campaigns -----------------------
+# --- CI campaigns: smoke perf marathon skew faults table5 fig7 ablation -------
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
 # representative cells) must run end to end and keep its speedups; the
 # marathon campaign's bounded certifier log must actually be bounded; the
 # skew campaign's fluid-client inert pair must stay byte-identical; the faults
-# campaign's zero-loss ledger must hold on every cell. ONE invocation, so the
-# manifest covers all five campaigns and the executed-events gate below checks
-# every cell of them (each invocation rewrites BENCH_campaign.json from
-# scratch).
+# campaign's zero-loss ledger must hold on every cell. table5, fig7 and
+# ablation put the cells that run update filtering in dynamic and freeze mode
+# under the executed-events gate. ONE invocation, so the manifest covers all
+# eight campaigns and the executed-events gate below checks every cell of them
+# (each invocation rewrites BENCH_campaign.json from scratch).
 rm -rf build/bench-out
 mkdir -p build/bench-out
-./build/tashkent_bench run smoke perf marathon skew faults --jobs 2 --json build/bench-out
+./build/tashkent_bench run smoke perf marathon skew faults table5 fig7 ablation --jobs 2 \
+  --json build/bench-out
 test -s build/bench-out/BENCH_smoke.json
 test -s build/bench-out/BENCH_perf.json
 test -s build/bench-out/BENCH_marathon.json

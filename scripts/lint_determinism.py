@@ -32,12 +32,11 @@ the digest flips; this lint *prevents* the common ways one gets written:
                          jobs-N == jobs-1. Accumulate per-slot, reduce
                          serially afterwards.
 
-  mask-order             Any ForEachMaskBit(...) call site. TableMask bit
-                         order is registry *intern* order (first-touch order
-                         of tables at the certifier), not RelationId order —
-                         feeding decoded bits into a subscription, report, or
-                         any other ordered sink makes the artifact depend on
-                         traffic arrival order. Iterate the schema or a
+  mask-order             Any ForEachMaskBit(...) call site. TableMask bits
+                         decode in RelationId order (bit = relation id), but
+                         masks are probes, not sets: a subscription, report,
+                         or any other ordered sink must not depend on how
+                         bits are assigned. Iterate the schema or a
                          RelationSet and *test* bits instead; annotate the
                          rare order-insensitive uses.
 
@@ -66,7 +65,7 @@ RULES = {
     "wall-clock": "wall-clock or nondeterministic seed source",
     "ptr-key": "pointer-keyed ordered/hashed container",
     "float-parallel-accum": "float accumulation inside a ParallelFor body",
-    "mask-order": "mask-bit iteration (intern order) feeding an ordered sink",
+    "mask-order": "mask-bit iteration (bit assignment order) feeding an ordered sink",
 }
 
 SOURCE_EXTS = (".h", ".cc", ".cpp", ".hpp")
@@ -399,10 +398,10 @@ def check_file(path, findings, errors):
     # --- mask-order -----------------------------------------------------------
     for m in MASK_ORDER_RE.finditer(text):
         report(m.start(), "mask-order",
-               "ForEachMaskBit decodes bits in registry intern order (traffic "
-               "first-touch order), not RelationId order — iterate the schema "
-               "or a RelationSet and test bits instead of feeding decoded bit "
-               "order into a sink")
+               "ForEachMaskBit decodes bits in bit assignment order (RelationId "
+               "order); masks are probes, not sets — iterate the schema or a "
+               "RelationSet and test bits instead of feeding decoded bit order "
+               "into a sink")
 
     # --- float-parallel-accum -------------------------------------------------
     float_decls = {}  # name -> list of decl offsets

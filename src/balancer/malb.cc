@@ -653,39 +653,16 @@ void MalbBalancer::InstallSubscriptions() {
       // Drop only what changed: relations leaving the subscription free their
       // cache space; relations entering it are stale (their updates were
       // filtered) and must be reread from a clean slate. Unchanged tables keep
-      // their cache — rebuilds must not wipe warm replicas.
-      //
-      // Fast path: with the old subscription's cached mask and the new set's
-      // mask both exact, the XOR names exactly the changed tables, so the
-      // schema scan tests one bit per relation instead of two ordered-set
-      // probes. The scan still iterates schema relations in declaration
-      // order (a DropRelation sequence is a sink; mask bit order is not
-      // deterministic across schemas), and degrades to the set probes when
-      // any mask is inexact or there is no old subscription to diff against.
+      // their cache — rebuilds must not wipe warm replicas. The scan iterates
+      // schema relations in declaration order (a DropRelation sequence is a
+      // sink).
       const auto& old_sub = proxy->subscription();
-      const TableBitRegistry& registry = proxy->table_registry();
-      const TableMask old_mask = proxy->subscription_mask();
-      const TableMask new_mask = BuildMask(subscription, proxy->table_registry());
-      if (old_sub.has_value() && old_mask.exact && new_mask.exact) {
-        const TableMask diff = MaskXor(old_mask, new_mask);
-        if (diff.any()) {
-          for (const auto& rel : context_.schema->relations()) {
-            // Both masks exact => every member table of either set has a
-            // bit, so a bitless relation is in neither (unchanged).
-            const uint32_t bit = registry.BitOf(rel.id);
-            if (bit != TableBitRegistry::kNoBit && diff.Test(bit)) {
-              proxy->replica().DropRelation(rel.id);
-            }
-          }
-        }
-      } else {
-        for (const auto& rel : context_.schema->relations()) {
-          const bool now_in = subscription.find(rel.id) != subscription.end();
-          const bool was_in = !old_sub.has_value() ||
-                              old_sub->find(rel.id) != old_sub->end();
-          if (now_in != was_in) {
-            proxy->replica().DropRelation(rel.id);
-          }
+      for (const auto& rel : context_.schema->relations()) {
+        const bool now_in = subscription.find(rel.id) != subscription.end();
+        const bool was_in = !old_sub.has_value() ||
+                            old_sub->find(rel.id) != old_sub->end();
+        if (now_in != was_in) {
+          proxy->replica().DropRelation(rel.id);
         }
       }
       proxy->SetSubscription(std::move(subscription));

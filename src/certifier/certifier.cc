@@ -31,7 +31,7 @@ CertifyResult Certifier::Certify(Writeset ws, ReplicaId replica, Version applied
     result.committed = true;
     result.commit_version = ws.commit_version;
     ++certified_;
-    log_.Append(std::move(ws), arena_, &table_registry_);
+    log_.Append(std::move(ws), arena_);
   } else {
     ++aborted_;
   }

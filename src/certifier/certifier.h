@@ -128,7 +128,7 @@ class Certifier {
   Version head_version() const { return next_version_ - 1; }
   // The committed writeset at version `v` (1..head, not yet pruned).
   const Writeset& LogEntry(Version v) const { return log_.Get(v); }
-  // The interest mask interned for entry `v` at append time (same domain as
+  // The interest mask built for entry `v` at append time (same domain as
   // LogEntry). Update-filtering fast path: src/storage/table_mask.h.
   const TableMask& LogMask(Version v) const { return log_.MaskOf(v); }
   // Chunk skip-scan over [from, hi] against a subscription mask; see
@@ -136,11 +136,6 @@ class Certifier {
   Version SkipUnwanted(Version from, Version hi, const TableMask& sub) const {
     return log_.SkipUnwanted(from, hi, sub);
   }
-  // The cluster-wide table-id -> bit registry: writeset masks intern into it
-  // at append; proxies intern their subscription masks against the same
-  // registry so the two stay comparable.
-  TableBitRegistry& table_registry() { return table_registry_; }
-  const TableBitRegistry& table_registry() const { return table_registry_; }
   size_t log_size() const { return log_.size(); }
   const CertifierConfig& config() const { return config_; }
 
@@ -189,7 +184,6 @@ class Certifier {
   ConflictChecker checker_;
   WritesetLog log_;
   WritesetArena arena_;
-  TableBitRegistry table_registry_;
   Version next_version_ = 1;
   uint64_t certified_ = 0;
   uint64_t aborted_ = 0;

@@ -36,6 +36,11 @@ ScenarioBuilder& ScenarioBuilder::Advance(SimDuration d) {
 }
 
 ScenarioBuilder& ScenarioBuilder::Measure(SimDuration d, std::string label) {
+  for (const ScenarioPhase& phase : phases_) {
+    if (phase.kind == ScenarioPhase::Kind::kMeasure && phase.label == label) {
+      throw std::invalid_argument("duplicate measure label '" + label + "'");
+    }
+  }
   phases_.push_back({ScenarioPhase::Kind::kMeasure, d, std::move(label), {}});
   return *this;
 }

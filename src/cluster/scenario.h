@@ -22,8 +22,8 @@
 //     re-converge after a mix switch).
 //   * Measure(d, label)      — reset the metric counters, advance by d, and
 //     record one ExperimentResult under `label`. Labels are the lookup key
-//     for ScenarioResult::ByLabel and should be unique per script; duplicate
-//     labels are not rejected, ByLabel returns the first.
+//     for ScenarioResult::ByLabel and must be unique per script: Measure
+//     throws std::invalid_argument on a label an earlier phase already used.
 //   * Do(verb)               — apply a Verb (src/cluster/verb.h: churn,
 //     certifier faults, mix switches, population changes, allocation
 //     freezes) at the current instant. Zero duration.

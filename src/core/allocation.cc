@@ -87,20 +87,20 @@ std::vector<int> ComputeFastTargets(const std::vector<GroupLoad>& groups, int to
   // Proportional shares with a floor of one replica per group.
   struct Share {
     size_t index;
-    double exact;
+    double ideal;  // unrounded proportional replica count
   };
   std::vector<Share> shares(n);
   int assigned = 0;
   for (size_t i = 0; i < n; ++i) {
-    const double exact = groups[i].TotalDemand() / total_demand * static_cast<double>(total_replicas);
-    const int floor_val = std::max(1, static_cast<int>(std::floor(exact)));
+    const double ideal = groups[i].TotalDemand() / total_demand * static_cast<double>(total_replicas);
+    const int floor_val = std::max(1, static_cast<int>(std::floor(ideal)));
     targets[i] = floor_val;
-    shares[i] = Share{i, exact};
+    shares[i] = Share{i, ideal};
     assigned += floor_val;
   }
 
   // Too many handed out via the 1-replica floors: reclaim from the groups
-  // whose target most exceeds their exact share.
+  // whose target most exceeds their ideal share.
   while (assigned > total_replicas) {
     size_t victim = n;
     double worst_excess = -std::numeric_limits<double>::infinity();
@@ -108,7 +108,7 @@ std::vector<int> ComputeFastTargets(const std::vector<GroupLoad>& groups, int to
       if (targets[i] <= 1) {
         continue;
       }
-      const double excess = static_cast<double>(targets[i]) - shares[i].exact;
+      const double excess = static_cast<double>(targets[i]) - shares[i].ideal;
       if (excess > worst_excess) {
         worst_excess = excess;
         victim = i;
@@ -128,7 +128,7 @@ std::vector<int> ComputeFastTargets(const std::vector<GroupLoad>& groups, int to
     size_t pick = n;
     double best_rem = -1.0;
     for (size_t i = 0; i < n; ++i) {
-      const double rem = shares[i].exact - static_cast<double>(targets[i]);
+      const double rem = shares[i].ideal - static_cast<double>(targets[i]);
       const bool better =
           pick == n || rem > best_rem + 1e-12 ||
           (rem > best_rem - 1e-12 && targets[i] < targets[pick]);

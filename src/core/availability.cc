@@ -16,79 +16,40 @@ bool SubscribesToAll(const RelationSet& subscription, const RelationSet& tables)
   return true;
 }
 
-// Mask form of SubscribesToAll: Covers() is a subset proof only when both
-// masks are exact (src/storage/table_mask.h); overflow falls back to the
-// element-wise scan, so the answer is set-probe-identical either way.
-bool SubscribesToAllMasked(const TableMask& sub_mask, const RelationSet& subscription,
-                           const TableMask& tables_mask, const RelationSet& tables) {
-  if (sub_mask.exact && tables_mask.exact) {
-    return Covers(sub_mask, tables_mask);
-  }
-  return SubscribesToAll(subscription, tables);
-}
-
 }  // namespace
 
-AvailabilityReport CheckAvailability(
-    const std::vector<std::vector<ReplicaId>>& group_replicas,
-    const std::vector<RelationSet>& group_tables,
-    const std::map<ReplicaId, RelationSet>& subscriptions,
-    int min_copies) {
+AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_tables,
+                                     const std::map<ReplicaId, RelationSet>& subscriptions,
+                                     int min_copies) {
   AvailabilityReport report;
-
-  // One throwaway registry scoped to this check: the planner runs off the
-  // transaction hot path, but the groups × replicas loop below is quadratic
-  // in set probes without masks. Masks here are pure accelerators — every
-  // conclusion degrades to the exact set probe on registry overflow.
-  TableBitRegistry registry;
-  std::vector<TableMask> group_masks;
-  group_masks.reserve(group_tables.size());
-  for (const RelationSet& tables : group_tables) {
-    group_masks.push_back(BuildMask(tables, registry));
-  }
-  std::vector<std::pair<const RelationSet*, TableMask>> sub_masks;
-  sub_masks.reserve(subscriptions.size());
-  for (const auto& [replica, subscription] : subscriptions) {
-    sub_masks.emplace_back(&subscription, BuildMask(subscription, registry));
-  }
 
   // Type availability: a type is runnable on a replica iff that replica
   // subscribes to every table its group references. Types share their group's
   // fate, so the check is per group; the caller maps groups back to types.
   for (size_t g = 0; g < group_tables.size(); ++g) {
     int runnable = 0;
-    for (const auto& [subscription, sub_mask] : sub_masks) {
-      if (SubscribesToAllMasked(sub_mask, *subscription, group_masks[g],
-                                group_tables[g])) {
+    for (const auto& [replica, subscription] : subscriptions) {
+      if (SubscribesToAll(subscription, group_tables[g])) {
         ++runnable;
       }
     }
     if (runnable < min_copies) {
       report.ok = false;
-      // Group index is reported through the table list below; the balancer
-      // owns the group->type mapping, so record a sentinel per group here.
-      report.under_replicated_types.push_back(static_cast<TxnTypeId>(g));
+      report.under_replicated_groups.push_back(g);
     }
   }
 
   // Table availability: every table referenced by any group must be applied on
   // at least min_copies replicas. Iterates tables in RelationSet (id) order —
-  // the report is a sink — and probes each subscription by bit when the
-  // table has one.
+  // the report is a sink.
   RelationSet all_tables;
   for (const auto& tables : group_tables) {
     all_tables.insert(tables.begin(), tables.end());
   }
   for (RelationId t : all_tables) {
-    const uint32_t bit = registry.BitOf(t);
     int copies = 0;
-    for (const auto& [subscription, sub_mask] : sub_masks) {
-      // A subscription's set bits are true positives, so Test() answers
-      // membership outright when the table has a bit and the mask is exact.
-      const bool member = (bit != TableBitRegistry::kNoBit && sub_mask.exact)
-                              ? sub_mask.Test(bit)
-                              : subscription->contains(t);
-      if (member) {
+    for (const auto& [replica, subscription] : subscriptions) {
+      if (subscription.contains(t)) {
         ++copies;
       }
     }
@@ -97,7 +58,6 @@ AvailabilityReport CheckAvailability(
       report.under_replicated_tables.push_back(t);
     }
   }
-  (void)group_replicas;
   return report;
 }
 

@@ -7,7 +7,7 @@
 //      `min_copies` replicas with up-to-date state, and
 //   2. table availability — at least `min_copies` replicas keep every table
 //      current (implied by 1, verified explicitly here).
-// CheckAvailability() validates a (group -> replicas, replica -> subscribed
+// CheckAvailability() validates a (group -> tables, replica -> subscribed
 // tables) assignment; PlanStandbys() picks extra subscriber replicas for
 // groups whose serving replica count is below the target.
 #ifndef SRC_CORE_AVAILABILITY_H_
@@ -25,22 +25,21 @@ namespace tashkent {
 
 struct AvailabilityReport {
   bool ok = true;
-  // Types runnable on fewer than min_copies subscribed replicas.
-  std::vector<TxnTypeId> under_replicated_types;
+  // Indices of groups whose types are runnable on fewer than min_copies
+  // subscribed replicas (the caller owns the group -> type mapping).
+  std::vector<size_t> under_replicated_groups;
   // Tables kept current on fewer than min_copies replicas.
   std::vector<RelationId> under_replicated_tables;
 };
 
-// `group_replicas[g]` lists replicas serving group g; `group_tables[g]` lists
-// the tables group g's types reference; `subscriptions[r]` is the table set
-// replica r applies updates for. All table sets are RelationSet and the
-// replica map is ordered: these sets flow into subscriptions and reports, so
-// their iteration order is part of the determinism contract.
-AvailabilityReport CheckAvailability(
-    const std::vector<std::vector<ReplicaId>>& group_replicas,
-    const std::vector<RelationSet>& group_tables,
-    const std::map<ReplicaId, RelationSet>& subscriptions,
-    int min_copies);
+// `group_tables[g]` lists the tables group g's types reference;
+// `subscriptions[r]` is the table set replica r applies updates for. All
+// table sets are RelationSet and the replica map is ordered: these sets flow
+// into subscriptions and reports, so their iteration order is part of the
+// determinism contract.
+AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_tables,
+                                     const std::map<ReplicaId, RelationSet>& subscriptions,
+                                     int min_copies);
 
 // For every group with fewer than `min_copies` serving replicas, selects
 // standby replicas (from other groups, least-subscribed first) that must also

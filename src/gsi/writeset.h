@@ -89,20 +89,14 @@ struct Writeset {
     return false;
   }
 
-  // The writeset's TableMask over `registry`, interning touched tables on
-  // first sight. Called once per writeset at certifier append (the mask is
-  // stored alongside the log entry, not in the writeset — see the inline
-  // capacity note above: growing sizeof(Writeset) grows every callback that
-  // carries one by value). Inexact on registry overflow, never wrong.
-  TableMask BuildMask(TableBitRegistry& registry) const {
+  // The writeset's TableMask: one bit per touched relation. Called once per
+  // writeset at certifier append (the mask is stored alongside the log
+  // entry, not in the writeset — see the inline capacity note above: growing
+  // sizeof(Writeset) grows every callback that carries one by value).
+  TableMask BuildMask() const {
     TableMask mask;
     for (const TableWrite& tw : table_pages) {
-      const uint32_t bit = registry.Intern(tw.relation);
-      if (bit == TableBitRegistry::kNoBit) {
-        mask.exact = false;
-      } else {
-        mask.Set(bit);
-      }
+      mask.Set(tw.relation);
     }
     return mask;
   }

@@ -58,8 +58,11 @@ void WritesetArena::PruneBelow(Version floor) {
 
 // --- WritesetLog -------------------------------------------------------------
 
-const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena,
-                                    TableBitRegistry* registry) {
+const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena) {
+  // Interest mask first: it is the one step that can throw, so a rejected
+  // writeset leaves the log untouched. Built exactly once, here, so every
+  // later wanted-probe is a word-wise AND.
+  const TableMask mask = ws.BuildMask();
   const uint64_t index = head_ - chunk_base_;  // global slot for version head_+1
   if (index / kChunkEntries >= chunks_.size()) {
     if (!spares_.empty()) {
@@ -82,16 +85,7 @@ const Writeset& WritesetLog::Append(Writeset ws, WritesetArena& arena,
   if (slot.table_pages.spilled()) {
     slot.table_pages.MoveSpillTo(arena.Allocate(slot.table_pages.spill_bytes(), head_));
   }
-  // Interest mask: interned exactly once, here, so every later wanted-probe
-  // is a word-wise AND. A null registry yields an inexact mask and the chunk
-  // union goes inexact with it — probes fall back to TouchesAny.
-  TableMask& mask = chunk.masks[index % kChunkEntries];
-  if (registry != nullptr) {
-    mask = slot.BuildMask(*registry);
-  } else {
-    mask = TableMask{};
-    mask.exact = false;
-  }
+  chunk.masks[index % kChunkEntries] = mask;
   chunk.union_mask.OrWith(mask);
   return slot;
 }
@@ -100,14 +94,11 @@ Version WritesetLog::SkipUnwanted(Version from, Version hi,
                                   const TableMask& sub) const {
   assert(from > pruned_below_ && "skip-scan start already pruned");
   assert(hi <= head_ && "skip-scan end not yet appended");
-  if (!sub.exact) {
-    return from;  // an inexact subscription mask proves nothing
-  }
   Version v = from;
   while (v <= hi) {
     const uint64_t index = v - 1 - chunk_base_;
     const Chunk& chunk = *chunks_[index / kChunkEntries];
-    if (!chunk.union_mask.exact || Intersects(chunk.union_mask, sub)) {
+    if (Intersects(chunk.union_mask, sub)) {
       return v;  // chunk may hold a wanted entry; caller probes per version
     }
     // Whole chunk provably unwanted: hop to the first version of the next
@@ -136,7 +127,7 @@ void WritesetLog::PruneBelow(Version floor, WritesetArena& arena) {
   for (size_t i = 0; i < dead; ++i) {
     // Reset entries so spilled SmallVecs drop their (arena-external) views
     // and any stale payload before the chunk is reused; clear the masks and
-    // union with them so a recycled chunk starts with an empty-exact union.
+    // union with them so a recycled chunk starts with an empty union.
     for (size_t e = 0; e < kChunkEntries; ++e) {
       chunks_[i]->entries[e] = Writeset{};
       chunks_[i]->masks[e].Reset();

@@ -89,15 +89,12 @@ class WritesetLog {
   WritesetLog& operator=(const WritesetLog&) = delete;
 
   // Appends the writeset as version head()+1 (ws.commit_version must already
-  // say so); heap spills are re-homed into `arena`. Returns the stored entry.
-  //
-  // When `registry` is non-null the entry's TableMask is interned and stored
-  // alongside it (and OR-ed into the chunk's union mask) for the
-  // update-filtering fast path; with a null registry the entry gets an
-  // inexact empty mask, which makes every mask probe fall back to the exact
-  // TouchesAny decision — slower, never wrong.
-  const Writeset& Append(Writeset ws, WritesetArena& arena,
-                         TableBitRegistry* registry = nullptr);
+  // say so); heap spills are re-homed into `arena`. The entry's TableMask is
+  // stored alongside it and OR-ed into the chunk's union mask for the
+  // update-filtering fast path. Throws std::out_of_range, leaving the log
+  // unchanged, when the writeset touches a relation id past TableMask::kBits.
+  // Returns the stored entry.
+  const Writeset& Append(Writeset ws, WritesetArena& arena);
 
   // The entry with commit version `v`; v must be in (pruned_below, head].
   const Writeset& Get(Version v) const {
@@ -115,13 +112,11 @@ class WritesetLog {
 
   // Chunk skip-scan for the apply pump: starting at `from`, returns the
   // first version in [from, hi] whose chunk's union mask intersects `sub`
-  // (or hi+1 if every remaining chunk provably misses). Skipping is only
-  // taken on whole-chunk proofs — a chunk whose union mask is exact and
-  // disjoint from an exact `sub` contains no wanted entry, because every
-  // entry mask's bits are in the union. Versions within a partially-missed
-  // chunk are NOT filtered here; the caller still probes them one by one.
-  // Requires from > pruned_below and hi <= head; returns `from` unchanged
-  // when sub is inexact (no proof possible).
+  // (or hi+1 if every remaining chunk misses). A chunk whose union is
+  // disjoint from `sub` holds no wanted entry, because every entry mask's
+  // bits are in the union. Versions within a partially-missed chunk are NOT
+  // filtered here; the caller still probes them one by one. Requires
+  // from > pruned_below and hi <= head.
   Version SkipUnwanted(Version from, Version hi, const TableMask& sub) const;
 
   Version head() const { return head_; }

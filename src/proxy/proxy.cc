@@ -361,10 +361,7 @@ void Proxy::PumpApplier() {
       }
     }
     const Writeset& ws = certifier_->LogEntry(apply_next_);
-    const bool wanted = !subscription_.has_value() ||
-                        (config_.mask_filtering ? WantedByMask(ws)
-                                                : ws.TouchesAny(*subscription_));
-    if (!wanted) {
+    if (!Wanted(ws)) {
       ++apply_next_;
       ++stats_.writesets_filtered;
       AdvanceApplied(ws.commit_version);
@@ -417,10 +414,7 @@ void Proxy::PumpApplierBatched() {
     }
     const Writeset& ws = certifier_->LogEntry(apply_next_);
     ++apply_next_;
-    const bool wanted = !subscription_.has_value() ||
-                        (config_.mask_filtering ? WantedByMask(ws)
-                                                : ws.TouchesAny(*subscription_));
-    if (!wanted) {
+    if (!Wanted(ws)) {
       ++stats_.writesets_filtered;
       ++stats_.replay_filtered;
     } else {
@@ -613,13 +607,10 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
 }
 
 void Proxy::SetSubscription(std::optional<RelationSet> tables) {
+  // The one rebuild point of the cached mask (lazy-evaluation contract),
+  // built first so a set that BuildMask rejects changes nothing.
+  sub_mask_ = tables.has_value() ? BuildMask(*tables) : TableMask{};
   subscription_ = std::move(tables);
-  // The one rebuild point of the cached mask (lazy-evaluation contract). The
-  // build interns new tables into the certifier's registry, so writeset
-  // masks appended before OR after this call stay comparable.
-  sub_mask_ = subscription_.has_value()
-                  ? BuildMask(*subscription_, certifier_->table_registry())
-                  : TableMask{};
 }
 
 }  // namespace tashkent

@@ -73,12 +73,11 @@ struct ProxyConfig {
   // jitter stream from its fault stream and calls ArmRetry when enabled.
   RetryPolicy retry;
   // Update-filtering fast path (src/storage/table_mask.h): decide "wanted"
-  // with the log entry's interned TableMask against the cached subscription
-  // mask, and skip whole certifier-log chunks whose union mask provably
-  // misses the subscription. Filtering DECISIONS are identical either way —
-  // the mask probe falls back to TouchesAny whenever a mask is inexact — so
-  // this knob only freezes the TouchesAny cost model for differential tests
-  // and the filter-storm perf baseline.
+  // with the log entry's TableMask against the cached subscription mask, and
+  // skip whole certifier-log chunks whose union mask misses the
+  // subscription. Filtering DECISIONS are identical either way, so this knob
+  // only freezes the TouchesAny cost model for differential tests and the
+  // filter-storm perf baseline.
   bool mask_filtering = true;
 };
 
@@ -169,19 +168,13 @@ class Proxy {
 
   // Installs (or clears) the update-filtering subscription. An empty optional
   // means "apply everything" (filtering off). Rebuilds the cached
-  // subscription mask (interning the tables into the certifier's registry) —
-  // the ONLY place the mask is rebuilt, which is why the wanted-probe can be
-  // a bare word-wise AND.
+  // subscription mask — the ONLY place the mask is rebuilt, which is why the
+  // wanted-probe can be a bare word-wise AND. Throws std::out_of_range, and
+  // changes nothing, for a relation id past TableMask::kBits.
   void SetSubscription(std::optional<RelationSet> tables);
   const std::optional<RelationSet>& subscription() const {
     return subscription_;
   }
-  // The cached mask of subscription() (empty-exact when unsubscribed); the
-  // balancer diffs old vs new masks to find changed tables cheaply.
-  const TableMask& subscription_mask() const { return sub_mask_; }
-  // The certifier's table-id -> bit registry, for callers (the balancer)
-  // building comparable masks of their own table sets.
-  TableBitRegistry& table_registry() { return certifier_->table_registry(); }
 
   // --- Failure injection / lifecycle ----------------------------------------
   // Crash: fail-stop — the replica stops serving and in-flight work is
@@ -290,20 +283,19 @@ class Proxy {
   // log (responses only ever extend the high end).
   void EnqueueRemotes(WritesetRange remotes);
   void PumpApplier();
-  // The mask-probe wanted-decision for log entry `ws` (provably ≡
-  // `ws.TouchesAny(*subscription_)`, see src/storage/table_mask.h): a set-bit
-  // intersection is a true positive; a miss decides only when both masks are
-  // exact; anything inexact falls back to the ordered-set probe. Requires
-  // subscription_ to be engaged.
-  bool WantedByMask(const Writeset& ws) const {
-    const TableMask& mask = certifier_->LogMask(ws.commit_version);
-    if (Intersects(mask, sub_mask_)) {
+  // The update-filtering decision for log entry `ws`, shared by both apply
+  // pumps: everything is wanted without a subscription; otherwise the mask
+  // probe, or the TouchesAny reference path when mask_filtering is off.
+  bool Wanted(const Writeset& ws) const {
+    if (!subscription_.has_value()) {
       return true;
     }
-    if (mask.exact && sub_mask_.exact) {
-      return false;
-    }
-    return ws.TouchesAny(*subscription_);
+    return config_.mask_filtering ? WantedByMask(ws) : ws.TouchesAny(*subscription_);
+  }
+  // The mask-probe wanted-decision (≡ `ws.TouchesAny(*subscription_)`, see
+  // src/storage/table_mask.h).
+  bool WantedByMask(const Writeset& ws) const {
+    return Intersects(certifier_->LogMask(ws.commit_version), sub_mask_);
   }
   bool ApplyQueueEmpty() const { return apply_next_ > apply_hi_; }
   // Recovery exit check: once the replay queue has drained, either pull the
@@ -358,9 +350,9 @@ class Proxy {
   int pull_attempts_ = 0;
   Simulator::EventId pull_timeout_ = Simulator::kInvalidEvent;
   std::optional<RelationSet> subscription_;
-  // Cache of subscription_'s TableMask over the certifier's registry;
-  // rebuilt only in SetSubscription (lazy-evaluation contract: probes read
-  // it at pump time, so it always reflects the CURRENT subscription).
+  // Cache of subscription_'s TableMask; rebuilt only in SetSubscription
+  // (lazy-evaluation contract: probes read it at pump time, so it always
+  // reflects the CURRENT subscription).
   TableMask sub_mask_;
   ProxyStats stats_;
 

@@ -69,19 +69,12 @@ class RelationSet {
   std::vector<RelationId> ids_;  // sorted, unique
 };
 
-// Builds the set's TableMask against `registry`, interning each member on
-// first sight (update-filtering fast path; see src/storage/table_mask.h).
-// The mask comes back inexact if any member overflowed the registry —
-// callers must then keep the exact set probe as the decision of record.
-inline TableMask BuildMask(const RelationSet& set, TableBitRegistry& registry) {
+// The set's TableMask: bit i is set iff relation i is a member
+// (update-filtering fast path; see src/storage/table_mask.h).
+inline TableMask BuildMask(const RelationSet& set) {
   TableMask mask;
   for (RelationId id : set) {
-    const uint32_t bit = registry.Intern(id);
-    if (bit == TableBitRegistry::kNoBit) {
-      mask.exact = false;
-    } else {
-      mask.Set(bit);
-    }
+    mask.Set(id);
   }
   return mask;
 }

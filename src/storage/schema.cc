@@ -3,9 +3,17 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/storage/table_mask.h"
+
 namespace tashkent {
 
 RelationId Schema::Add(RelationMeta meta) {
+  // A relation's update-filtering mask bit is its id, so the schema stops
+  // where the mask does.
+  if (relations_.size() >= TableMask::kBits) {
+    throw std::length_error("schema holds at most " + std::to_string(TableMask::kBits) +
+                            " relations; cannot add " + meta.name);
+  }
   const RelationId id = static_cast<RelationId>(relations_.size());
   meta.id = id;
   auto [it, inserted] = by_name_.emplace(meta.name, id);

@@ -20,7 +20,10 @@ class Schema {
   Schema() = default;
 
   // Adds a table and returns its id. Size is given in bytes for readability at
-  // call sites (workload builders quote MB); stored in pages.
+  // call sites (workload builders quote MB); stored in pages. Ids are dense
+  // from 0, and a schema holds at most TableMask::kBits (256) relations: Add
+  // throws std::length_error past that (a relation's id is its
+  // update-filtering mask bit).
   RelationId AddTable(std::string name, Bytes size);
 
   // Adds an index on `parent` and returns its id.

@@ -3,54 +3,50 @@
 //
 // "Does replica r want writeset w" used to be a per-table ordered-set probe
 // (Writeset::TouchesAny) run once per writeset per replica on every pull,
-// apply pump, and recovery replay. With a cluster-wide table-id -> bit
-// registry, the same decision collapses to one word-wise AND over two
-// fixed-width masks: the writeset's mask (interned once at certifier append)
-// against the proxy's cached subscription mask (rebuilt only in
-// SetSubscription). Per-chunk OR-masks in the certifier log then let the
-// apply pump skip whole 256-entry chunks whose union provably misses the
-// subscription.
+// apply pump, and recovery replay. A table's mask bit is its RelationId, so
+// the same decision collapses to one word-wise AND over two fixed-width
+// masks: the writeset's mask (built once at certifier append) against the
+// proxy's cached subscription mask (rebuilt only in SetSubscription).
+// Per-chunk OR-masks in the certifier log then let the apply pump skip whole
+// 256-entry chunks whose union misses the subscription.
 //
-// Equivalence contract (the reason this is safe to put on the hot path):
-//   * a set bit is a TRUE POSITIVE — bit b is set in a mask only if the
-//     table owning bit b is in the represented set, so a non-empty
-//     intersection always means TouchesAny would return true;
-//   * a zero intersection proves "does not touch" only when BOTH masks are
-//     `exact` — every member table had a registry bit. A mask goes inexact
-//     when the registry runs out of bits (more tables than kBits) or when no
-//     registry was supplied; callers must then fall back to the ordered-set
-//     probe. Overflow degrades to the slow path, never to a wrong filter
-//     decision.
-//   * registry bits are append-only: once a table owns a bit it keeps it, so
-//     a mask built at append time stays comparable against subscription
-//     masks built later (and vice versa).
+// Equivalence contract (the reason this is safe to put on the hot path): bit
+// b is set in a mask iff relation b is in the represented set, so
+// Intersects(ws mask, subscription mask) == ws.TouchesAny(subscription). The
+// mapping needs no state and never changes, so masks built at different
+// times always compare. It holds because every RelationId fits a bit:
+// Schema::Add refuses a relation past kBits, and Set() throws on a bit past
+// the mask rather than writing beyond it.
 //
-// Masks are probes, not sets: bit order is intern order, NOT RelationId
-// order, so decoded bits must never feed a reported sink
+// Masks are probes, not sets: decoded bits come out in RelationId order, but
+// reported sinks iterate the schema or a RelationSet instead
 // (scripts/lint_determinism.py rule `mask-order`).
 #ifndef SRC_STORAGE_TABLE_MASK_H_
 #define SRC_STORAGE_TABLE_MASK_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "src/storage/relation.h"
+#include <stdexcept>
+#include <string>
 
 namespace tashkent {
 
 struct TableMask {
-  // 256 bits cover every schema in the tree (TPC-W + RUBiS together stay
-  // under 64 relations); the registry overflows gracefully past this.
+  // 256 bits cover every schema in the tree (TPC-W has 18 relations, RUBiS
+  // 17); Schema::Add enforces the bound.
   static constexpr size_t kWords = 4;
   static constexpr uint32_t kBits = static_cast<uint32_t>(kWords) * 64;
 
   uint64_t words[kWords] = {0, 0, 0, 0};
-  // False when some member table had no registry bit: set bits remain true
-  // positives, but a zero intersection proves nothing (see header comment).
-  bool exact = true;
 
-  void Set(uint32_t bit) { words[bit >> 6] |= uint64_t{1} << (bit & 63); }
+  // Throws std::out_of_range for a bit >= kBits.
+  void Set(uint32_t bit) {
+    if (bit >= kBits) {
+      throw std::out_of_range("TableMask: relation id " + std::to_string(bit) +
+                              " has no bit (limit " + std::to_string(kBits) + ")");
+    }
+    words[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
   bool Test(uint32_t bit) const {
     return (words[bit >> 6] >> (bit & 63)) & 1;
   }
@@ -61,12 +57,10 @@ struct TableMask {
     }
     return acc != 0;
   }
-  // Union in place; the union of an inexact mask is inexact.
   void OrWith(const TableMask& other) {
     for (size_t w = 0; w < kWords; ++w) {
       words[w] |= other.words[w];
     }
-    exact = exact && other.exact;
   }
   void Reset() { *this = TableMask{}; }
 
@@ -76,12 +70,12 @@ struct TableMask {
         return false;
       }
     }
-    return exact == other.exact;
+    return true;
   }
   bool operator!=(const TableMask& other) const { return !(*this == other); }
 };
 
-// One shared AND: true means some table certainly sits in both sets.
+// One shared AND: true iff some table sits in both sets.
 inline bool Intersects(const TableMask& a, const TableMask& b) {
   uint64_t acc = 0;
   for (size_t w = 0; w < TableMask::kWords; ++w) {
@@ -90,65 +84,10 @@ inline bool Intersects(const TableMask& a, const TableMask& b) {
   return acc != 0;
 }
 
-// Every bit of `inner` is set in `outer` ((inner & outer) == inner). Only a
-// subset PROOF when both masks are exact; callers check.
-inline bool Covers(const TableMask& outer, const TableMask& inner) {
-  uint64_t missing = 0;
-  for (size_t w = 0; w < TableMask::kWords; ++w) {
-    missing |= inner.words[w] & ~outer.words[w];
-  }
-  return missing == 0;
-}
-
-// Symmetric difference of the set bits; exact only when both inputs are.
-inline TableMask MaskXor(const TableMask& a, const TableMask& b) {
-  TableMask out;
-  for (size_t w = 0; w < TableMask::kWords; ++w) {
-    out.words[w] = a.words[w] ^ b.words[w];
-  }
-  out.exact = a.exact && b.exact;
-  return out;
-}
-
-// The cluster-wide table-id -> bit assignment. Bits are handed out in intern
-// order and never reassigned; a table interned after the kBits-th gets
-// kNoBit, which makes every mask containing it inexact (fall back to the
-// ordered-set probe — never misfilter). One registry per certifier; the
-// availability planner builds short-lived local ones.
-class TableBitRegistry {
- public:
-  static constexpr uint32_t kNoBit = UINT32_MAX;
-
-  // Returns the table's bit, assigning the next free one on first sight;
-  // kNoBit once all TableMask::kBits bits are taken. Allocation happens only
-  // the first time a relation id is seen — the warm path is a vector read.
-  uint32_t Intern(RelationId id) {
-    if (id >= bit_of_.size()) {
-      bit_of_.resize(static_cast<size_t>(id) + 1, kNoBit);
-    }
-    if (bit_of_[id] == kNoBit && next_bit_ < TableMask::kBits) {
-      bit_of_[id] = next_bit_++;
-    }
-    return bit_of_[id];
-  }
-
-  // The table's bit, or kNoBit if it was never interned (or overflowed).
-  uint32_t BitOf(RelationId id) const {
-    return id < bit_of_.size() ? bit_of_[id] : kNoBit;
-  }
-
-  // Distinct tables holding a bit; full() means the next new table overflows.
-  uint32_t interned() const { return next_bit_; }
-  bool full() const { return next_bit_ >= TableMask::kBits; }
-
- private:
-  std::vector<uint32_t> bit_of_;  // indexed by RelationId
-  uint32_t next_bit_ = 0;
-};
-
-// Invokes fn(bit) for every set bit in ascending BIT order — intern order,
-// not RelationId order. Debug/test helper only: decoded bit order must never
-// reach a reported sink (lint rule `mask-order` flags every call site).
+// Invokes fn(bit) for every set bit in ascending bit order, which is
+// RelationId order. Debug/test helper only: reported sinks iterate the schema
+// or a RelationSet, never decoded bits (lint rule `mask-order` flags every
+// call site).
 template <typename Fn>
 // lint: allow(mask-order) definition site; call sites carry their own pragmas
 void ForEachMaskBit(const TableMask& mask, Fn&& fn) {

@@ -3,11 +3,15 @@
 // merging/splitting, filtering installation).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
 
 #include "src/balancer/lard.h"
 #include "src/balancer/malb.h"
 #include "src/balancer/simple.h"
+#include "src/core/availability.h"
+#include "src/core/working_set.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -208,25 +212,91 @@ TEST_F(MalbTest, FilteringInstallsAfterStability) {
   EXPECT_EQ(with_subscription, 16);
 }
 
-TEST_F(MalbTest, FilteringSubscriptionsRespectAvailability) {
-  MalbConfig config;
-  config.update_filtering = true;
-  config.stable_ticks_for_filtering = 1;
-  config.min_copies = 2;
-  MalbBalancer malb(Ctx(), config);
-  malb.Start();
-  malb.TickForTest();
-  malb.TickForTest();
-  ASSERT_TRUE(malb.filtering_installed());
-  // Every table referenced by any type must be subscribed by >= 2 replicas.
-  for (const auto& rel : workload_.schema.relations()) {
-    int copies = 0;
-    for (const auto& p : proxies_) {
-      if (p->subscription().has_value() && p->subscription()->count(rel.id) > 0) {
-        ++copies;
-      }
+// A 16-replica MALB cluster with update filtering installed on the idle
+// cluster (zero load converges at once, so stability accrues per tick).
+struct FilteringCluster {
+  FilteringCluster(const Workload& workload, FilteringMode mode) {
+    ReplicaConfig rc;  // 512 MB default, 70 MB reserved
+    BalancerContext ctx;
+    ctx.sim = &sim;
+    ctx.registry = &workload.registry;
+    ctx.schema = &workload.schema;
+    for (ReplicaId r = 0; r < 16; ++r) {
+      replicas.push_back(
+          std::make_unique<Replica>(&sim, &workload.schema, r, rc, Rng(r + 1)));
+      proxies.push_back(std::make_unique<Proxy>(&sim, replicas.back().get(), &certifier));
+      ctx.proxies.push_back(proxies.back().get());
     }
-    EXPECT_GE(copies, 2) << "table " << rel.name;
+    MalbConfig config;
+    config.update_filtering = true;
+    config.filtering_mode = mode;
+    config.stable_ticks_for_filtering = 1;
+    config.min_copies = kMinCopies;
+    malb = std::make_unique<MalbBalancer>(ctx, config);
+    malb->Start();
+    malb->TickForTest();
+    malb->TickForTest();
+  }
+
+  static constexpr int kMinCopies = 2;
+  Simulator sim;
+  Certifier certifier;
+  std::vector<std::unique_ptr<Replica>> replicas;
+  std::vector<std::unique_ptr<Proxy>> proxies;
+  std::unique_ptr<MalbBalancer> malb;
+};
+
+// Independent oracle: each runtime group's tables come from the working sets
+// of its types (not from the balancer's own GroupTables), and only available
+// replicas' subscriptions count. CheckAvailability then demands both type
+// and table availability at min_copies.
+AvailabilityReport CheckClusterAvailability(const Workload& workload,
+                                            const FilteringCluster& c) {
+  std::map<TxnTypeId, RelationSet> tables_of;
+  RelationSet all_tables;
+  for (const TypeWorkingSet& ws : BuildWorkingSets(workload.registry, workload.schema)) {
+    for (const auto& e : ws.relations) {
+      tables_of[ws.type].insert(e.relation);
+      all_tables.insert(e.relation);
+    }
+  }
+  std::vector<RelationSet> group_tables;
+  for (const auto& types : c.malb->GroupTypeIds()) {
+    RelationSet tables;
+    for (TxnTypeId t : types) {
+      tables.insert(tables_of[t].begin(), tables_of[t].end());
+    }
+    group_tables.push_back(std::move(tables));
+  }
+  std::map<ReplicaId, RelationSet> subscriptions;
+  for (const auto& p : c.proxies) {
+    if (p->available()) {
+      // No subscription means the replica applies every writeset.
+      subscriptions[p->replica_id()] =
+          p->subscription().has_value() ? *p->subscription() : all_tables;
+    }
+  }
+  return CheckAvailability(group_tables, subscriptions, FilteringCluster::kMinCopies);
+}
+
+TEST_F(MalbTest, FilteringSubscriptionsRespectAvailability) {
+  for (FilteringMode mode : {FilteringMode::kFreezeWhenStable, FilteringMode::kDynamic}) {
+    SCOPED_TRACE(mode == FilteringMode::kDynamic ? "dynamic" : "freeze-when-stable");
+    // victim == kNone checks the idle cluster; the others crash that replica
+    // and give the balancer one allocation tick to re-plan.
+    constexpr size_t kNone = 16;
+    for (size_t victim = 0; victim <= kNone; ++victim) {
+      SCOPED_TRACE("victim " + std::to_string(victim));
+      FilteringCluster c(workload_, mode);
+      ASSERT_TRUE(c.malb->filtering_installed());
+      if (victim != kNone) {
+        c.proxies[victim]->Crash();
+        c.malb->TickForTest();
+      }
+      const AvailabilityReport report = CheckClusterAvailability(workload_, c);
+      EXPECT_TRUE(report.ok) << report.under_replicated_groups.size() << " groups, "
+                             << report.under_replicated_tables.size() << " tables short";
+    }
   }
 }
 

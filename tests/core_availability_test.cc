@@ -9,24 +9,22 @@ namespace {
 using Tables = RelationSet;
 
 TEST(Availability, OkWhenEveryGroupHasEnoughSubscribers) {
-  const std::vector<std::vector<ReplicaId>> group_replicas = {{0, 1}, {2, 3}};
   const std::vector<Tables> group_tables = {{10, 11}, {12}};
   std::map<ReplicaId, Tables> subs = {
       {0, {10, 11}}, {1, {10, 11}}, {2, {12}}, {3, {12}}};
-  const auto report = CheckAvailability(group_replicas, group_tables, subs, 2);
+  const auto report = CheckAvailability(group_tables, subs, 2);
   EXPECT_TRUE(report.ok);
-  EXPECT_TRUE(report.under_replicated_types.empty());
+  EXPECT_TRUE(report.under_replicated_groups.empty());
   EXPECT_TRUE(report.under_replicated_tables.empty());
 }
 
 TEST(Availability, DetectsUnderReplicatedGroup) {
-  const std::vector<std::vector<ReplicaId>> group_replicas = {{0}, {1, 2}};
   const std::vector<Tables> group_tables = {{10}, {11}};
   std::map<ReplicaId, Tables> subs = {{0, {10}}, {1, {11}}, {2, {11}}};
-  const auto report = CheckAvailability(group_replicas, group_tables, subs, 2);
+  const auto report = CheckAvailability(group_tables, subs, 2);
   EXPECT_FALSE(report.ok);
-  ASSERT_EQ(report.under_replicated_types.size(), 1u);
-  EXPECT_EQ(report.under_replicated_types[0], 0u);  // group 0
+  ASSERT_EQ(report.under_replicated_groups.size(), 1u);
+  EXPECT_EQ(report.under_replicated_groups[0], 0u);
   ASSERT_EQ(report.under_replicated_tables.size(), 1u);
   EXPECT_EQ(report.under_replicated_tables[0], 10u);
 }
@@ -34,10 +32,9 @@ TEST(Availability, DetectsUnderReplicatedGroup) {
 TEST(Availability, PartialSubscriptionDoesNotCount) {
   // A replica subscribing to only half a group's tables cannot run its
   // transactions.
-  const std::vector<std::vector<ReplicaId>> group_replicas = {{0, 1}};
   const std::vector<Tables> group_tables = {{10, 11}};
   std::map<ReplicaId, Tables> subs = {{0, {10, 11}}, {1, {10}}};
-  const auto report = CheckAvailability(group_replicas, group_tables, subs, 2);
+  const auto report = CheckAvailability(group_tables, subs, 2);
   EXPECT_FALSE(report.ok);
 }
 
@@ -61,12 +58,12 @@ TEST(Standbys, StandbysMakeAvailabilityCheckPass) {
   const std::vector<std::vector<ReplicaId>> group_replicas = {{0}, {1}, {2, 3}};
   const std::vector<Tables> group_tables = {{10}, {11}, {12}};
   std::map<ReplicaId, Tables> subs = {{0, {10}}, {1, {11}}, {2, {12}}, {3, {12}}};
-  EXPECT_FALSE(CheckAvailability(group_replicas, group_tables, subs, 2).ok);
+  EXPECT_FALSE(CheckAvailability(group_tables, subs, 2).ok);
 
   for (const auto& [replica, tables] : PlanStandbys(group_replicas, group_tables, 2)) {
     subs[replica].insert(tables.begin(), tables.end());
   }
-  EXPECT_TRUE(CheckAvailability(group_replicas, group_tables, subs, 2).ok);
+  EXPECT_TRUE(CheckAvailability(group_tables, subs, 2).ok);
 }
 
 TEST(Standbys, SpreadsAcrossReplicas) {

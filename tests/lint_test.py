@@ -221,7 +221,7 @@ class LintFixtureTest(unittest.TestCase):
         """)
         self.assertEqual(r.returncode, 1)
         self.assertIn("mask-order", r.stdout)
-        self.assertIn("intern order", r.stdout)
+        self.assertIn("bit assignment order", r.stdout)
 
     def test_mask_bit_iteration_pragma_suppresses(self):
         r = self.lint_source("""

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -344,77 +345,25 @@ TEST_F(ProxyTest, MaskSkipEngagesOnNarrowSubscription) {
   EXPECT_EQ(replicas_[1]->stats().writesets_applied, 0u);
 }
 
-TEST(ProxyMaskOverflow, OverflowedRegistryFallsBackAndNeverMisfilters) {
-  // More tables than TableMask::kBits: tables interned after the registry
-  // fills get no bit, subscriptions touching them build inexact masks, and
-  // every wanted-decision involving them must fall back to TouchesAny —
-  // filtering stays correct, only the fast path degrades.
-  Simulator sim;
-  Schema schema;
-  const int kTables = static_cast<int>(TableMask::kBits) + 24;
-  std::vector<RelationId> tables;
-  for (int t = 0; t < kTables; ++t) {
-    tables.push_back(schema.AddTable("t" + std::to_string(t), PagesToBytes(4)));
+TEST_F(ProxyTest, SetSubscriptionRejectsRelationPastTheMask) {
+  // A relation id past TableMask::kBits has no mask bit: the subscription is
+  // refused whole and the installed one keeps filtering.
+  proxies_[1]->SetSubscription(RelationSet{table_b_});
+  certifier_.Pull(1, 0);  // register replica 1 so prods reach it
+  EXPECT_THROW(proxies_[1]->SetSubscription(RelationSet{table_a_, TableMask::kBits}),
+               std::out_of_range);
+  ASSERT_TRUE(proxies_[1]->subscription().has_value());
+  EXPECT_EQ(*proxies_[1]->subscription(), RelationSet{table_b_});
+  for (int i = 0; i < 3; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
   }
-  Certifier cert;
-  ReplicaConfig rc;
-  rc.memory = 64 * kMiB;
-  rc.reserved = 0;
-  Replica r0(&sim, &schema, 0, rc, Rng(1));
-  Replica r1(&sim, &schema, 1, rc, Rng(2));
-  Proxy p0(&sim, &r0, &cert);
-  Proxy p1(&sim, &r1, &cert);
-  cert.SetProdCallback([&](ReplicaId r) { (r == 0 ? p0 : p1).OnProd(); });
-
-  // Long-lived types: SubmitTransaction holds the TxnType by reference until
-  // the gatekeeper admits it.
-  std::vector<TxnType> update_on;
-  for (int t = 0; t < kTables; ++t) {
-    TxnType ty;
-    ty.name = "u";
-    ty.id = 0;
-    ty.base_cpu = Millis(1);
-    ty.writeset_bytes = 100;
-    ty.plan.steps = {Write(tables[static_cast<size_t>(t)], 0, 1)};
-    update_on.push_back(ty);
-  }
-
-  // One update per table from replica 0 overflows the registry: bits are
-  // assigned in commit order, so the high-numbered tables get none.
-  for (int t = 0; t < kTables; ++t) {
-    p0.SubmitTransaction(update_on[static_cast<size_t>(t)], [](bool) {});
-    sim.RunAll();
-  }
-  ASSERT_TRUE(cert.table_registry().full());
-  const RelationId wanted = tables[static_cast<size_t>(kTables - 1)];  // no bit
-  ASSERT_EQ(cert.table_registry().BitOf(wanted), TableBitRegistry::kNoBit);
-
-  // Subscribe replica 1 to an overflowed table: its mask is inexact by
-  // construction, so zero mask intersections prove nothing for it.
-  p1.SetSubscription(RelationSet{wanted});
-  ASSERT_FALSE(p1.subscription_mask().exact);
-  p1.OnProd();  // registers replica 1 and replays the backlog
-  sim.RunAll();
-  const uint64_t applied_after_backlog = p1.stats().writesets_applied;
-  EXPECT_EQ(applied_after_backlog, 1u);  // exactly the subscribed table's update
-  EXPECT_EQ(p1.stats().writesets_filtered, static_cast<uint64_t>(kTables) - 1);
-
-  // New traffic: updates to another bitless table must be filtered (no false
-  // positives from the shared "no bit" state), updates to the subscribed
-  // bitless table must be applied (no false negatives — the acceptance bar).
-  for (int i = 0; i < 10; ++i) {
-    p0.SubmitTransaction(update_on[static_cast<size_t>(kTables - 2)], [](bool) {});
-    sim.RunAll();
-  }
-  for (int i = 0; i < 5; ++i) {
-    p0.SubmitTransaction(update_on[static_cast<size_t>(kTables - 1)], [](bool) {});
-    sim.RunAll();
-  }
-  p1.OnProd();
-  sim.RunAll();
-  EXPECT_EQ(p1.applied_version(), static_cast<uint64_t>(kTables) + 15);
-  EXPECT_EQ(p1.stats().writesets_applied, applied_after_backlog + 5);
-  EXPECT_EQ(p1.stats().writesets_filtered, static_cast<uint64_t>(kTables) - 1 + 10);
+  proxies_[0]->SubmitTransaction(update_b_, [](bool) {});
+  sim_.RunAll();
+  proxies_[1]->OnProd();
+  sim_.RunAll();
+  EXPECT_EQ(proxies_[1]->applied_version(), 4u);
+  EXPECT_EQ(proxies_[1]->stats().writesets_filtered, 3u);
+  EXPECT_EQ(proxies_[1]->stats().writesets_applied, 1u);
 }
 
 // --- allocation guard: the end-to-end transaction hot path -------------------

@@ -79,6 +79,17 @@ TEST(Scenario, MeasurePhasesAreLabeledAndTimelineSpansRun) {
   EXPECT_GT(r.PhaseMeanTps(0.0, 180.0), 0.0);
 }
 
+TEST(Scenario, MeasureRejectsADuplicateLabel) {
+  // ByLabel could only ever return the first of two equally labeled windows,
+  // so the second Measure is refused while the script is being built.
+  ScenarioBuilder b;
+  b.Warmup(Seconds(30.0)).Measure(Seconds(60.0), "steady").Advance(Seconds(10.0));
+  EXPECT_THROW(b.Measure(Seconds(60.0), "steady"), std::invalid_argument);
+  EXPECT_EQ(b.phases().size(), 3u);  // the refused phase was not appended
+  b.Measure(Seconds(60.0), "after");
+  EXPECT_EQ(b.phases().size(), 4u);
+}
+
 TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   ClusterConfig config = TestConfig(7);

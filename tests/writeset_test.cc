@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <unordered_set>
 #include <vector>
 
@@ -308,30 +309,28 @@ Writeset MakeWsOn(Version version, RelationId relation) {
 TEST(WritesetLogMasks, ChunkMasksTrackAppendsAndSkip) {
   WritesetLog log;
   WritesetArena arena;
-  TableBitRegistry registry;
   const RelationId kTableA = 11;
   const RelationId kTableB = 22;
   // Chunk 1 is pure A, chunk 2 pure B, then a short mixed tail.
   for (Version v = 1; v <= WritesetLog::kChunkEntries; ++v) {
-    log.Append(MakeWsOn(v, kTableA), arena, &registry);
+    log.Append(MakeWsOn(v, kTableA), arena);
   }
   for (Version v = WritesetLog::kChunkEntries + 1; v <= 2 * WritesetLog::kChunkEntries; ++v) {
-    log.Append(MakeWsOn(v, kTableB), arena, &registry);
+    log.Append(MakeWsOn(v, kTableB), arena);
   }
   const Version head = 2 * WritesetLog::kChunkEntries + 8;
   for (Version v = 2 * WritesetLog::kChunkEntries + 1; v <= head; ++v) {
-    log.Append(MakeWsOn(v, v % 2 ? kTableA : kTableB), arena, &registry);
+    log.Append(MakeWsOn(v, v % 2 ? kTableA : kTableB), arena);
   }
 
-  // Per-entry masks are exact and carry exactly the touched table's bit.
+  // Per-entry masks carry exactly the touched table's bit: its RelationId.
   const TableMask& m1 = log.MaskOf(1);
-  EXPECT_TRUE(m1.exact);
-  EXPECT_TRUE(m1.Test(registry.BitOf(kTableA)));
-  EXPECT_FALSE(m1.Test(registry.BitOf(kTableB)));
-  EXPECT_TRUE(log.MaskOf(WritesetLog::kChunkEntries + 1).Test(registry.BitOf(kTableB)));
+  EXPECT_TRUE(m1.Test(kTableA));
+  EXPECT_FALSE(m1.Test(kTableB));
+  EXPECT_TRUE(log.MaskOf(WritesetLog::kChunkEntries + 1).Test(kTableB));
 
-  const TableMask sub_a = BuildMask(RelationSet{kTableA}, registry);
-  const TableMask sub_b = BuildMask(RelationSet{kTableB}, registry);
+  const TableMask sub_a = BuildMask(RelationSet{kTableA});
+  const TableMask sub_b = BuildMask(RelationSet{kTableB});
 
   // A-subscriber finds work immediately; B-subscriber hops the pure-A chunk
   // whether it starts at the chunk boundary or mid-chunk.
@@ -343,14 +342,9 @@ TEST(WritesetLogMasks, ChunkMasksTrackAppendsAndSkip) {
             WritesetLog::kChunkEntries + 9);
 
   // A subscription to a table the log never saw skips everything, including
-  // the partially-filled tail chunk (its union is exact too).
-  const TableMask sub_unseen = BuildMask(RelationSet{99}, registry);
+  // the partially-filled tail chunk.
+  const TableMask sub_unseen = BuildMask(RelationSet{99});
   EXPECT_EQ(log.SkipUnwanted(1, head, sub_unseen), head + 1);
-
-  // An inexact subscription proves nothing: the scan must not move.
-  TableMask inexact = sub_b;
-  inexact.exact = false;
-  EXPECT_EQ(log.SkipUnwanted(1, head, inexact), 1u);
 
   // The skip window is clamped by `hi`, not the log head: a B-subscriber
   // bounded inside the pure-A chunk walks off the end of its window.
@@ -361,47 +355,42 @@ TEST(WritesetLogMasks, ChunkMasksTrackAppendsAndSkip) {
 TEST(WritesetLogMasks, PruneResetsRecycledChunkMasks) {
   WritesetLog log;
   WritesetArena arena;
-  TableBitRegistry registry;
   const RelationId kTableA = 11;
   const RelationId kTableB = 22;
   const Version two_chunks = 2 * WritesetLog::kChunkEntries;
   for (Version v = 1; v <= two_chunks; ++v) {
-    log.Append(MakeWsOn(v, kTableA), arena, &registry);
+    log.Append(MakeWsOn(v, kTableA), arena);
   }
   // Recycle the first (wholly-dead) chunk, then refill it with pure-B
   // traffic: versions two_chunks+1 .. three_chunks land in the recycled chunk.
   log.PruneBelow(WritesetLog::kChunkEntries, arena);
   EXPECT_EQ(log.chunk_count(), 1u);
   for (Version v = two_chunks + 1; v <= two_chunks + WritesetLog::kChunkEntries; ++v) {
-    log.Append(MakeWsOn(v, kTableB), arena, &registry);
+    log.Append(MakeWsOn(v, kTableB), arena);
   }
 
-  const TableMask sub_a = BuildMask(RelationSet{kTableA}, registry);
+  const TableMask sub_a = BuildMask(RelationSet{kTableA});
   // If recycling failed to reset the chunk's union mask, the stale A bit
   // would pin an A-subscriber inside the now-pure-B chunk.
   EXPECT_EQ(log.SkipUnwanted(two_chunks + 1, log.head(), sub_a), log.head() + 1);
   // And the recycled slots' per-entry masks must describe the NEW entries.
   const TableMask& recycled = log.MaskOf(two_chunks + 1);
-  EXPECT_TRUE(recycled.exact);
-  EXPECT_TRUE(recycled.Test(registry.BitOf(kTableB)));
-  EXPECT_FALSE(recycled.Test(registry.BitOf(kTableA)));
+  EXPECT_TRUE(recycled.Test(kTableB));
+  EXPECT_FALSE(recycled.Test(kTableA));
 }
 
-TEST(WritesetLogMasks, NullRegistryMasksAreInexactAndNeverSkip) {
-  // Old call sites (no registry) still compile and still filter correctly:
-  // their masks are inexact, so the probe layer falls back to TouchesAny and
-  // the skip-scan refuses to hop.
+TEST(WritesetLogMasks, AppendRejectsRelationPastTheMaskAndKeepsTheLog) {
+  // A hand-built writeset naming a relation id past TableMask::kBits has no
+  // mask bit: Append throws before touching the log.
   WritesetLog log;
   WritesetArena arena;
-  for (Version v = 1; v <= WritesetLog::kChunkEntries + 4; ++v) {
-    log.Append(MakeWs(v, 1), arena);
-  }
-  EXPECT_FALSE(log.MaskOf(1).exact);
-  EXPECT_FALSE(log.MaskOf(1).any());
-  TableBitRegistry registry;
-  const TableMask sub = BuildMask(RelationSet{99}, registry);
-  ASSERT_TRUE(sub.exact);
-  EXPECT_EQ(log.SkipUnwanted(1, log.head(), sub), 1u);
+  log.Append(MakeWsOn(1, 11), arena);
+  EXPECT_THROW(log.Append(MakeWsOn(2, TableMask::kBits), arena), std::out_of_range);
+  EXPECT_EQ(log.head(), 1u);
+  log.Append(MakeWsOn(2, 22), arena);
+  EXPECT_EQ(log.head(), 2u);
+  EXPECT_TRUE(log.MaskOf(2).Test(22));
+  EXPECT_FALSE(log.MaskOf(2).Test(11));
 }
 
 // --- allocation guard: the zero-alloc writeset claim, machine-checked --------
