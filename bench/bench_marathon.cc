@@ -7,10 +7,12 @@
 //   * bounded/legacy — six 20-minute churn epochs (kill/recover every epoch,
 //     one AddReplica, one ResizeMemory) under identical load. With
 //     auto-pruning on (`bounded`), the certifier log's chunk count and arena
-//     bytes must PLATEAU across epochs: the prune floor chases the slowest
-//     replica, so log memory is bounded by churn depth, not uptime. With the
-//     checkpoint machinery off (`legacy`), the same metrics grow
-//     monotonically — the pre-PR-7 behavior kept as the control.
+//     bytes, and the conflict index's row count, must PLATEAU across epochs:
+//     the prune floors chase the slowest replica (and, for the conflict
+//     index, the oldest parked certification), so certifier memory is
+//     bounded by churn depth, not uptime. With the checkpoint machinery off
+//     (`legacy`), the same metrics grow monotonically — the pre-checkpoint
+//     behavior kept as the control.
 //   * join-age/checkpoint vs join-age/replay — one replica joins a young
 //     cluster, another joins the same cluster ~40 simulated minutes later.
 //     Checkpoint joins install a fixed-size image plus a short suffix
@@ -19,7 +21,8 @@
 //     version 0.
 //
 // Tracked metrics (per-run JSON columns; scripts/ci.sh gates on the
-// manifest): log_chunks_hwm, arena_bytes_hwm, join_latency_s, availability.
+// manifest): log_chunks_hwm, arena_bytes_hwm, conflict_rows_hwm,
+// join_latency_s, availability.
 #include <algorithm>
 
 #include "bench/bench_common.h"
@@ -111,7 +114,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
     bounded_avail = std::min(bounded_avail, bounded.Result(label).availability);
   }
 
-  // The bound: with auto-pruning the log's high-water marks must plateau —
+  // The bound: with auto-pruning the certifier's high-water marks must plateau —
   // the last epoch sees no more log memory than the early epochs did (modulo
   // the churn window a down replica pins open). Legacy grows every epoch.
   const ExperimentResult& b1 = bounded.Result("epoch1");
@@ -122,6 +125,10 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
   out.AddScalar("bounded log chunks hwm epoch5", static_cast<double>(b5.log_chunks_hwm));
   out.AddScalar("legacy log chunks hwm epoch1", static_cast<double>(l1.log_chunks_hwm));
   out.AddScalar("legacy log chunks hwm epoch5", static_cast<double>(l5.log_chunks_hwm));
+  out.AddScalar("bounded conflict rows hwm epoch1", static_cast<double>(b1.conflict_rows_hwm));
+  out.AddScalar("bounded conflict rows hwm epoch5", static_cast<double>(b5.conflict_rows_hwm));
+  out.AddScalar("legacy conflict rows hwm epoch1", static_cast<double>(l1.conflict_rows_hwm));
+  out.AddScalar("legacy conflict rows hwm epoch5", static_cast<double>(l5.conflict_rows_hwm));
   out.AddScalar("bounded arena bytes hwm epoch5", static_cast<double>(b5.arena_bytes_hwm));
   out.AddScalar("legacy arena bytes hwm epoch5", static_cast<double>(l5.arena_bytes_hwm));
   out.AddScalar("bounded/legacy log chunks hwm epoch5 ratio",

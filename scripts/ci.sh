@@ -41,9 +41,10 @@ python3 tests/lint_test.py \
 # JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
 # representative cells) must run end to end and keep its speedups; the
-# marathon campaign's bounded certifier log must actually be bounded; the
-# skew campaign's fluid-client inert pair must stay byte-identical; the faults
-# campaign's zero-loss ledger must hold on every cell. table5, fig7 and
+# marathon campaign's bounded certifier log and conflict index must actually
+# be bounded; the skew campaign's fluid-client inert pair must stay
+# byte-identical; the faults campaign's zero-loss ledger must hold on every
+# cell. table5, fig7 and
 # ablation put the cells that run update filtering in dynamic and freeze mode
 # under the executed-events gate. ONE invocation, so the manifest covers all
 # eight campaigns and the executed-events gate below checks every cell of them
@@ -76,6 +77,24 @@ s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
 b1, b5 = s['bounded log chunks hwm epoch1'], s['bounded log chunks hwm epoch5']
 l1, l5 = s['legacy log chunks hwm epoch1'], s['legacy log chunks hwm epoch5']
 print(f"marathon gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
+ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
+sys.exit(0 if ok else 1)
+EOF
+
+# The bounded-conflict gate: the same plateau test for the conflict index.
+# With auto-pruning its rows are pruned at the GSI-safe point every tick, so
+# the row high-water mark must plateau across epochs (epoch5 within 3x of
+# epoch1), while the unpruned legacy control keeps growing with uptime.
+python3 - <<'EOF' || { echo "ci: marathon bounded-conflict gate failed" >&2; exit 1; }
+import json, sys
+s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
+names = ['bounded conflict rows hwm epoch1', 'bounded conflict rows hwm epoch5',
+         'legacy conflict rows hwm epoch1', 'legacy conflict rows hwm epoch5']
+missing = [n for n in names if n not in s]
+if missing:
+    sys.exit(f"marathon report is missing {missing}")
+b1, b5, l1, l5 = (s[n] for n in names)
+print(f"conflict gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
 ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
 sys.exit(0 if ok else 1)
 EOF

@@ -25,7 +25,15 @@ CertifyResult Certifier::Certify(Writeset ws, ReplicaId replica, Version applied
     }
   }
 
-  if (checker_.Check(ws)) {
+  const bool certified = checker_.Check(ws);
+  if (decisions_ != nullptr) {
+    decisions_->push_back(Decision{{ws.items.begin(), ws.items.end()},
+                                   ws.snapshot_version,
+                                   head_version(),
+                                   certified,
+                                   certified ? next_version_ : 0});
+  }
+  if (certified) {
     ws.commit_version = next_version_++;
     checker_.Record(ws);
     result.committed = true;

@@ -142,9 +142,32 @@ class Certifier {
   uint64_t certified_count() const { return certified_; }
   uint64_t aborted_count() const { return aborted_; }
 
-  // Compacts conflict-checker state; callable once all replicas passed
-  // `floor`.
+  // Compacts the conflict index: forgets rows whose last write is at or
+  // below `floor`. Precondition: no certification that will still be checked
+  // has a snapshot below `floor` — every replica having APPLIED past it is
+  // not enough, because a certification parked before that (in flight or
+  // backing off) still carries its older snapshot. The cluster's auto-pruner
+  // passes the GSI-safe point: the minimum over proxies of the applied
+  // version and every parked certification's snapshot.
   void PruneBelow(Version floor) { checker_.PruneBelow(floor); }
+  size_t conflict_rows() const { return checker_.tracked_rows(); }
+
+  // --- Decision recorder (test instrument) ----------------------------------
+  // One certification decision as the conflict check made it: the items, the
+  // snapshot, the log head the check ran against, and the verdict. A GSI
+  // oracle replays these against the committed history: a commit at head+1
+  // must have no overlapping writer in (snapshot, head], an abort must have
+  // one. Dedup re-serves are not decisions and are not recorded.
+  struct Decision {
+    std::vector<WritesetItem> items;
+    Version snapshot = 0;
+    Version head = 0;
+    bool committed = false;
+    Version commit_version = 0;  // 0 when aborted
+  };
+  // Appends every later decision to `*sink` (nullptr stops recording). Off by
+  // default; recording changes no verdict, version, or timing.
+  void RecordDecisions(std::vector<Decision>* sink) { decisions_ = sink; }
 
   // Prunes the log itself: drops entries with version <= floor, recycling
   // their chunks and arena blocks. Caller contract: floor must stay at or
@@ -200,6 +223,7 @@ class Certifier {
   uint64_t crashes_ = 0;
   uint64_t failovers_ = 0;
   StandbyImage standby_;
+  std::vector<Decision>* decisions_ = nullptr;
 };
 
 }  // namespace tashkent

@@ -236,27 +236,39 @@ ClusterCheckpoint Cluster::BuildCheckpointImage() const {
   return BuildCheckpoint(workload_->schema, v);
 }
 
-void Cluster::SampleLogHwm() {
+void Cluster::SampleCertifierHwm() {
   log_chunks_hwm_ =
       std::max(log_chunks_hwm_, static_cast<uint64_t>(certifier_.log_chunk_count()));
   arena_bytes_hwm_ = std::max(arena_bytes_hwm_, certifier_.arena().allocated_bytes());
+  conflict_rows_hwm_ =
+      std::max(conflict_rows_hwm_, static_cast<uint64_t>(certifier_.conflict_rows()));
 }
 
 void Cluster::AutoPrune() {
-  // Sample memory high-water marks BEFORE pruning so the window's metric
-  // reflects the worst the log grew to, not the post-prune residue.
-  SampleLogHwm();
+  // Sample memory high-water marks BEFORE pruning so the window's metrics
+  // reflect the worst the log and conflict index grew to, not the post-prune
+  // residue.
+  SampleCertifierHwm();
   // Safe floor: every replica — up, down, or recovering — has durably applied
   // through its applied_version and resumes log reads above it; a replica
   // mid-install resumes above its image version instead. Down replicas pin
   // the floor (their durable prefix must stay replayable), so pruning is
   // provably inert: no log read below the floor can ever happen.
+  //
+  // The conflict index prunes at the GSI-safe point instead: the minimum over
+  // proxies of the applied version and the snapshot of every certification
+  // still parked (in flight or backing off, across crashes). A parked
+  // certification can hold a snapshot older than its replica's applied
+  // version, and rows written after that snapshot must still abort it.
   Version floor = certifier_.head_version();
+  Version snapshot_floor = certifier_.head_version();
   for (const auto& p : proxies_) {
     const Version v = p->installing_checkpoint().value_or(p->applied_version());
     floor = std::min(floor, v);
+    snapshot_floor = std::min(snapshot_floor, p->snapshot_floor());
   }
   assert(floor <= certifier_.head_version());
+  certifier_.PruneBelow(snapshot_floor);
   if (floor <= certifier_.log_pruned_below()) {
     // Nothing new to reclaim. Also covers a floor "regression": a joiner that
     // crashed mid-install reports its stale applied version (possibly below
@@ -284,9 +296,11 @@ void Cluster::ResetMetrics() {
   for (auto& p : proxies_) {
     p->ResetStats();
   }
-  // Window-scope the log-memory HWMs: start from the current live footprint.
+  // Window-scope the certifier-memory HWMs: start from the current live
+  // footprint.
   log_chunks_hwm_ = static_cast<uint64_t>(certifier_.log_chunk_count());
   arena_bytes_hwm_ = certifier_.arena().allocated_bytes();
+  conflict_rows_hwm_ = static_cast<uint64_t>(certifier_.conflict_rows());
   // Window-scope the cumulative pool/move counters via snapshots.
   pool_hits_snap_ = 0;
   pool_misses_snap_ = 0;
@@ -365,6 +379,8 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) {
   out.log_chunks_hwm =
       std::max(log_chunks_hwm_, static_cast<uint64_t>(certifier_.log_chunk_count()));
   out.arena_bytes_hwm = std::max(arena_bytes_hwm_, certifier_.arena().allocated_bytes());
+  out.conflict_rows_hwm =
+      std::max(conflict_rows_hwm_, static_cast<uint64_t>(certifier_.conflict_rows()));
   // Client-visible attempts = commits + aborts (the abort count includes the
   // rejections, since a refused submission reports as an abort to its client).
   const double attempts = static_cast<double>(committed_ + aborted_);

@@ -41,9 +41,11 @@ struct CheckpointPolicy {
   bool checkpoint_join = true;
   // Periodically prune the certifier log below the cluster-wide safe floor
   // (min over every replica of its durable applied version, with an in-flight
-  // checkpoint install counting as its image version). The floor is
-  // conservative — entries below it are provably dead — so pruning never
-  // changes results, only bounds log memory.
+  // checkpoint install counting as its image version), and the conflict
+  // index below the GSI-safe point (min over every replica of its applied
+  // version and its parked certifications' snapshots; Proxy::snapshot_floor).
+  // Both floors are conservative — what lies below them is provably dead — so
+  // pruning never changes results, only bounds certifier memory.
   bool auto_prune = true;
   SimDuration prune_period = Seconds(30.0);
 };
@@ -123,12 +125,13 @@ inline bool operator==(const GroupReport& a, const GroupReport& b) {
   X(uint64_t, replay_applied, 0)                                                 \
   X(uint64_t, replay_filtered, 0)                                                \
   /* --- checkpoint / bounded-log metrics --- */                                 \
-  /* High-water marks of certifier-log memory over the window (sampled at */     \
-  /* each prune tick, before pruning, and at collection): live log chunks */     \
-  /* and live arena bytes. Bounded under churn when auto-pruning is on; */       \
-  /* grow monotonically when it is off. */                                       \
+  /* High-water marks of certifier memory over the window (sampled at each */   \
+  /* prune tick, before pruning, and at collection): live log chunks, live */    \
+  /* arena bytes, and rows in the conflict index. Bounded under churn when */    \
+  /* auto-pruning is on; grow monotonically when it is off. */                   \
   X(uint64_t, log_chunks_hwm, 0)                                                 \
   X(uint64_t, arena_bytes_hwm, 0)                                                \
+  X(uint64_t, conflict_rows_hwm, 0)                                              \
   /* Mean latency of the joins completed in the window (state transfer + */      \
   /* delta replay, end to end). With checkpoint joins it is independent of */    \
   /* cluster age; legacy joins replay the whole log. */                          \
@@ -290,9 +293,10 @@ class Cluster {
   // The image a joining/backfilling replica installs: full database pages at
   // the freshest version the cluster can donate (never below the prune line).
   ClusterCheckpoint BuildCheckpointImage() const;
-  // One prune tick: sample log-memory HWMs, then prune below the safe floor.
+  // One prune tick: sample certifier-memory HWMs, then prune the conflict
+  // index at the GSI-safe point and the log below the safe floor.
   void AutoPrune();
-  void SampleLogHwm();
+  void SampleCertifierHwm();
 
   const Workload* workload_;
   std::string mix_name_;
@@ -331,10 +335,11 @@ class Cluster {
   // Measurement state.
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;
-  // Window-scoped log-memory high-water marks (see ExperimentResult) and the
-  // lifetime count of effective prunes.
+  // Window-scoped certifier-memory high-water marks (see ExperimentResult)
+  // and the lifetime count of effective log prunes.
   uint64_t log_chunks_hwm_ = 0;
   uint64_t arena_bytes_hwm_ = 0;
+  uint64_t conflict_rows_hwm_ = 0;
   uint64_t prunes_ = 0;
   // Buffer-pool hit/miss and MALB move counts are lifetime totals kept by
   // their owners (ResetMetrics resets only ReplicaStats and ProxyStats), so

@@ -1,5 +1,6 @@
 #include "src/proxy/proxy.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -147,6 +148,10 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   pending.ws = std::move(outcome.writeset);
   pending.ws.snapshot_version = applied_version_;
   pending.done = std::move(done);
+  if (slot >= cert_snapshot_.size()) {
+    cert_snapshot_.resize(slot + 1, kNoSnapshot);
+  }
+  cert_snapshot_[slot] = applied_version_;
   // The write-queue gauge counts parked certifications with or without the
   // retry protocol, so arming retry under an empty plan leaves it unchanged.
   ++live_certs_;
@@ -219,11 +224,7 @@ void Proxy::OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq
   last_certifier_contact_ = sim_->Now();
   CertifyResult result = certifier_->Certify(std::move(pending.ws), replica_->id(),
                                              applied_version_, txn_seq);
-  TxnDone done = std::move(pending.done);
-  pending.ws = Writeset{};
-  --live_certs_;
-  pending_certs_.Free(slot);
-  HandleCertifyResult(result, std::move(done));
+  HandleCertifyResult(result, ReleaseCert(slot));
 }
 
 void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
@@ -243,11 +244,7 @@ void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
       ++stats_.gave_up;
     }
     ++cert_gen_[slot];
-    TxnDone done = std::move(pending.done);
-    pending.ws = Writeset{};
-    --live_certs_;
-    pending_certs_.Free(slot);
-    FinishTransaction(false, done);
+    FinishTransaction(false, ReleaseCert(slot));
     return;
   }
   ++stats_.cert_retries;
@@ -281,11 +278,25 @@ void Proxy::OnCertifyArrive(uint32_t slot) {
   PendingCert& pending = pending_certs_[slot];
   CertifyResult result =
       certifier_->Certify(std::move(pending.ws), replica_->id(), applied_version_);
+  HandleCertifyResult(result, ReleaseCert(slot));
+}
+
+Proxy::TxnDone Proxy::ReleaseCert(uint32_t slot) {
+  PendingCert& pending = pending_certs_[slot];
   TxnDone done = std::move(pending.done);
   pending.ws = Writeset{};
+  cert_snapshot_[slot] = kNoSnapshot;
   --live_certs_;
   pending_certs_.Free(slot);
-  HandleCertifyResult(result, std::move(done));
+  return done;
+}
+
+Version Proxy::snapshot_floor() const {
+  Version floor = applied_version_;
+  for (const Version snapshot : cert_snapshot_) {
+    floor = std::min(floor, snapshot);
+  }
+  return floor;
 }
 
 void Proxy::HandleCertifyResult(const CertifyResult& result, TxnDone done) {

@@ -224,6 +224,14 @@ class Proxy {
     return installing_ ? std::optional<Version>(installing_version_) : std::nullopt;
   }
 
+  // No certification this proxy has parked (in flight or backing off, which
+  // survive Crash) or will still send has a snapshot below this version: a
+  // certification's snapshot is the applied version when it is sent, and the
+  // applied version never decreases. The cluster prunes the conflict index at
+  // the minimum over proxies (Certifier::PruneBelow). A scan of the parked
+  // slots; called once per prune tick.
+  Version snapshot_floor() const;
+
   size_t outstanding() const { return gatekeeper_.outstanding(); }
   int max_in_flight() const { return gatekeeper_.max_in_flight(); }
   Version applied_version() const { return applied_version_; }
@@ -255,6 +263,9 @@ class Proxy {
   // retry paths: enqueue remotes, pump, wait for the predecessor prefix,
   // finish the transaction.
   void HandleCertifyResult(const CertifyResult& result, TxnDone done);
+  // Frees a decided (or abandoned) certification's slot and hands back its
+  // transaction-done continuation.
+  TxnDone ReleaseCert(uint32_t slot);
   void PullUpdates();
   SimDuration CertificationRtt() const;
 
@@ -342,6 +353,11 @@ class Proxy {
   // Per-slot response generation; parallel to pending_certs_ and never
   // shrunk, so stale captures of recycled slots always mismatch.
   std::vector<uint32_t> cert_gen_;
+  // Per-slot snapshot of the parked certification, kNoSnapshot once the slot
+  // is freed; parallel to pending_certs_ like cert_gen_, but kept on both
+  // paths. snapshot_floor() scans it.
+  static constexpr Version kNoSnapshot = UINT64_MAX;
+  std::vector<Version> cert_snapshot_;
   uint32_t live_certs_ = 0;  // certifications parked (in flight or backing off)
   uint64_t lifetime_update_commits_ = 0;
   // Pull retry: one pull outstanding at a time, guarded by its own

@@ -207,17 +207,18 @@ TEST(Certifier, LogPruneRecyclesArenaBlocks) {
 // --- allocation guard: steady-state certification is allocation-free ---------
 
 // The PR-5 "allocation-free writeset pipeline" claim, pinned: once the
-// conflict map has seen a row set and the log's current chunk has capacity,
-// certifying a workload-sized writeset — build, conflict check, version
-// assignment, log append — performs zero heap allocations. (Cold-path
-// allocations are real but amortized: a new log chunk every
-// WritesetLog::kChunkEntries commits, a conflict-map node per first-ever
-// row, an arena block per ~64 KiB of spilled rows.)
+// conflict index has seen a row set and the log's current chunk has
+// capacity, certifying a workload-sized writeset — build, conflict check,
+// version assignment, log append — performs zero heap allocations.
+// (Cold-path allocations are real but amortized: a new log chunk every
+// WritesetLog::kChunkEntries commits, a conflict-index doubling whenever live
+// rows pass three quarters of its capacity, an arena block per ~64 KiB of
+// spilled rows.)
 TEST(Certifier, SteadyStateCertifyIsAllocationFree) {
   Certifier c;
   Version applied = 0;
   // Warm up: touch every row the measured phase will write, so the conflict
-  // map is fully populated, and stay well inside the first log chunk.
+  // index is fully populated, and stay well inside the first log chunk.
   const uint64_t kRows = 16;
   auto make = [](uint64_t row) {
     Writeset ws;
@@ -256,6 +257,48 @@ TEST(Certifier, SteadyStateCertifyIsAllocationFree) {
     ASSERT_FALSE(r.committed);
     EXPECT_EQ(abort_forbid.seen(), 0u);
   }
+}
+
+// The bounded-index half of the claim: rows never seen before cost no
+// allocation either, once pruning keeps the conflict index at its working
+// size. Every writeset writes fresh row keys; between batches the index is
+// pruned at the head (no snapshot is older) and the log keeps one chunk of
+// history, so both recycle in place instead of growing.
+TEST(Certifier, FreshRowCertifyIsAllocationFreeUnderPruning) {
+  Certifier c;
+  Version applied = 0;
+  uint64_t next_row = 0;
+  // Half a log chunk per batch, so every batch meets the same chunk layout.
+  constexpr int kBatch = static_cast<int>(WritesetLog::kChunkEntries / 2);
+  auto batch = [&]() {
+    for (int i = 0; i < kBatch; ++i) {
+      Writeset ws;
+      for (int k = 0; k < 3; ++k) {
+        ws.items.push_back(WritesetItem{1, next_row++});
+      }
+      ws.table_pages = {{0, 1}};
+      ws.snapshot_version = applied;
+      const CertifyResult r = c.Certify(std::move(ws), 0, applied);
+      ASSERT_TRUE(r.committed);
+      applied = r.commit_version;
+    }
+    c.PruneBelow(applied);
+    if (applied > WritesetLog::kChunkEntries) {
+      c.PruneLogBelow(applied - WritesetLog::kChunkEntries);
+    }
+  };
+  // Warm: the index grows to hold one batch's rows and the log's chunk and
+  // spare lists reach their steady sizes.
+  for (int i = 0; i < 20; ++i) {
+    batch();
+  }
+  AllocGuard::Forbid forbid;
+  for (int i = 0; i < 50; ++i) {
+    batch();
+  }
+  EXPECT_EQ(forbid.seen(), 0u) << "certifying fresh rows allocated on a pruned certifier";
+  EXPECT_EQ(c.conflict_rows(), 0u);  // pruned at the head after the last batch
+  EXPECT_EQ(c.certified_count(), 70u * kBatch);
 }
 
 // --- dedup window: idempotent certification ---------------------------------

@@ -94,7 +94,7 @@ TEST(Metrics, DifferingMetricsNamesEveryMetric) {
 #undef METRIC_CASE
   cases.push_back({"joins", [](ExperimentResult& r) { Perturb(r.joins); }});
   cases.push_back({"groups", [](ExperimentResult& r) { r.groups.push_back({{"BestSeller"}, 2}); }});
-  ASSERT_EQ(cases.size(), 21u + 14u + 2u);
+  ASSERT_EQ(cases.size(), 22u + 14u + 2u);
 
   const ExperimentResult base;
   EXPECT_EQ(DifferingMetrics(base, base), std::vector<std::string>{});

@@ -26,6 +26,12 @@
 // default) and the ClientSource virtualization perturb no simulated outcome
 // — the diff is pure key insertion.
 //
+// Regenerated again for the bounded-conflict-index change (new run column
+// conflict_rows_hwm, inserted after arena_bytes_hwm): every pre-existing
+// field of every run was diffed byte-identical against the previous golden
+// before the swap, proving the flat conflict index and its pruning at the
+// GSI-safe point change no verdict — the diff is pure key insertion.
+//
 // If this test fails after an intentional semantic change to the simulation,
 // regenerate the golden:
 //   ./build/tashkent_bench run smoke --json /tmp/g --no-progress

@@ -371,7 +371,7 @@ TEST_F(ProxyTest, SetSubscriptionRejectsRelationPastTheMask) {
 // The full build -> certify -> apply round trip through the proxy — admission,
 // replica execution, writeset build, parked certification round trip, remote
 // apply on the peer — performs zero heap allocations once the cluster is warm
-// (event slab sized, buffer-pool pages resident, conflict map populated,
+// (event slab sized, buffer-pool pages resident, conflict index populated,
 // gatekeeper deque block live). This is the PR-4/5 hot-path contract; if a
 // future change adds so much as one std::function or vector to the path, this
 // test fails in Debug and CI.

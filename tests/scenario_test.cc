@@ -133,7 +133,7 @@ TEST(Scenario, ToJsonRoundTripsNumericFields) {
   expected.emplace_back(#name, SetDistinct(rec.result.name, index++));
   TASHKENT_RUN_METRICS(DISTINCT_METRIC)
 #undef DISTINCT_METRIC
-  ASSERT_EQ(expected.size(), 21u);
+  ASSERT_EQ(expected.size(), 22u);
   GroupReport g;
   g.types = {"BestSeller"};
   g.replicas = 2;

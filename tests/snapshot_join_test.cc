@@ -103,8 +103,9 @@ TEST(SnapshotJoinDifferential, AutoPruneIsInertForResultsAndBoundsTheLog) {
   Cluster cb(wb, kTpcwOrdering, "LeastConnections", unpruned);
   const ScenarioResult b = script.RunOn(cb);
 
-  // Only the log-memory high-water marks may differ.
-  const std::set<std::string> log_memory = {"log_chunks_hwm", "arena_bytes_hwm"};
+  // Only the certifier-memory high-water marks may differ.
+  const std::set<std::string> log_memory = {"log_chunks_hwm", "arena_bytes_hwm",
+                                            "conflict_rows_hwm"};
   for (const char* label : {"churn", "join"}) {
     SCOPED_TRACE(label);
     for (const std::string& metric : DifferingMetrics(a.ByLabel(label), b.ByLabel(label))) {
@@ -112,11 +113,13 @@ TEST(SnapshotJoinDifferential, AutoPruneIsInertForResultsAndBoundsTheLog) {
     }
   }
 
-  // The bound: pruning fired and reclaimed log memory the unpruned twin kept.
+  // The bound: pruning fired and reclaimed log memory and conflict rows the
+  // unpruned twin kept.
   EXPECT_GT(ca.prunes(), 0u);
   EXPECT_GT(ca.certifier().log_pruned_below(), 0u);
   EXPECT_EQ(cb.certifier().log_pruned_below(), 0u);
   EXPECT_LT(ca.certifier().log_chunk_count(), cb.certifier().log_chunk_count());
+  EXPECT_LT(ca.certifier().conflict_rows(), cb.certifier().conflict_rows());
   // Both clusters saw the identical commit stream (same head version).
   EXPECT_EQ(ca.certifier().head_version(), cb.certifier().head_version());
 }
