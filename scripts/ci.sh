@@ -2,9 +2,9 @@
 # Tier-1 verify: configure, build, run the full test suite (plain and
 # ASan+UBSan), lint for determinism, then exercise the campaign runner (smoke,
 # perf, marathon, skew and faults campaigns) under hard gates on the JSON it
-# emits, and check the docs cover every campaign, verb and metric. The gates
-# are python3 scripts, so a host without python3 fails here instead of
-# skipping them.
+# emits, check the perfbench workloads' pinned outcomes, and check the docs
+# cover every campaign, verb and metric. The gates are python3 scripts, so a
+# host without python3 fails here instead of skipping them.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -212,6 +212,18 @@ for b in bad:
 print(f"events gate: {len(run) - len(bad)} of {len(run)} cells match the baseline")
 sys.exit(1 if bad else 0)
 EOF
+
+# --- perfbench outcome gate --------------------------------------------------
+# perfbench/run.py checks every run of its three workloads: at seed 1 and full
+# script length the simulated outcome (commits, aborts, pool hits and misses,
+# simulator events, ...) must equal perfbench/pinned.json, every sub-seed must
+# repeat bit-identically, and the workload invariants must hold. It exits
+# non-zero when any check fails. One second of host time per workload keeps
+# the step near 30 s (the first run builds simbench into .bench_build/).
+for workload in tpcw-browse-mid tpcw-order-uf-churn rubis-flash-256r; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 --trace 0 \
+    || { echo "ci: perfbench outcome gate failed on ${workload}" >&2; exit 1; }
+done
 
 # --- docs check --------------------------------------------------------------
 # Every campaign the binary registers must appear in docs/REPRODUCING.md, so

@@ -79,21 +79,31 @@ void Replica::Execute(const TxnType& type, ExecDone done) {
     outcome.writeset = BuildWriteset(type);
   }
 
+  const uint32_t slot = in_flight_.Alloc();
+  InFlight& txn = in_flight_[slot];
+  txn.outcome = std::move(outcome);
+  txn.cpu_time = cpu_time;
+  txn.done = std::move(done);
   if (disk_time > 0) {
-    disk_.Submit(disk_time, [this, outcome = std::move(outcome), cpu_time,
-                             done = std::move(done)]() mutable {
-      RunCpuPhase(std::move(outcome), cpu_time, std::move(done));
-    });
+    disk_.Submit(disk_time, [this, slot]() { RunCpuPhase(slot); });
   } else {
-    RunCpuPhase(std::move(outcome), cpu_time, std::move(done));
+    RunCpuPhase(slot);
   }
 }
 
-void Replica::RunCpuPhase(ExecOutcome outcome, SimDuration cpu_time, ExecDone done) {
-  cpu_.Submit(cpu_time, [this, outcome = std::move(outcome), done = std::move(done)]() mutable {
-    ++stats_.txns_executed;
-    done(std::move(outcome));
-  });
+void Replica::RunCpuPhase(uint32_t slot) {
+  cpu_.Submit(in_flight_[slot].cpu_time, [this, slot]() { FinishExecution(slot); });
+}
+
+void Replica::FinishExecution(uint32_t slot) {
+  // Move out and free before invoking: `done` may execute the next
+  // transaction, which can reuse this slot or grow the slab.
+  InFlight& txn = in_flight_[slot];
+  ExecOutcome outcome = std::move(txn.outcome);
+  ExecDone done = std::move(txn.done);
+  in_flight_.Free(slot);
+  ++stats_.txns_executed;
+  done(std::move(outcome));
 }
 
 Writeset Replica::BuildWriteset(const TxnType& type) {

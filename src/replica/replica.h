@@ -12,6 +12,11 @@
 // The replica mirrors Tashkent's I/O discipline: no fsync on commit
 // (durability lives in the certifier log), so the only writes are lazy
 // dirty-page write-back.
+//
+// Hot-path layout: a running transaction is parked once, in a replica-owned
+// slab of in-flight records (outcome, CPU time, continuation). The disk and
+// CPU stage closures it queues on the FifoServers capture only `{this,
+// slot}`, so the servers' job rings hold no payload.
 #ifndef SRC_REPLICA_REPLICA_H_
 #define SRC_REPLICA_REPLICA_H_
 
@@ -22,6 +27,7 @@
 
 #include "src/common/inline_callback.h"
 #include "src/common/rng.h"
+#include "src/common/slab_list.h"
 #include "src/common/stats.h"
 #include "src/common/units.h"
 #include "src/engine/txn_type.h"
@@ -107,7 +113,11 @@ class Replica {
 
   // Executes one transaction of `type` to completion (disk phase, CPU phase),
   // then invokes `done`. For update types the outcome carries the draft
-  // writeset; certification is the proxy's job.
+  // writeset; certification is the proxy's job. The buffer-pool work, the
+  // outcome and the writeset happen now; the outcome and `done` are then
+  // parked in an in-flight slot until the CPU stage completes, when they are
+  // moved out and the slot is freed before `done` runs (so `done` may call
+  // Execute again).
   void Execute(const TxnType& type, ExecDone done);
 
   // Applies a remote writeset: reads and dirties the pages it touches.
@@ -164,7 +174,16 @@ class Replica {
   void ResizeMemory(Bytes memory);
 
  private:
-  void RunCpuPhase(ExecOutcome outcome, SimDuration cpu_time, ExecDone done);
+  // A transaction between Execute and its completion. Slots are reused, so
+  // a record is valid only from Execute's Alloc until FinishExecution's Free.
+  struct InFlight {
+    ExecOutcome outcome;
+    SimDuration cpu_time = 0;
+    ExecDone done;
+  };
+
+  void RunCpuPhase(uint32_t slot);
+  void FinishExecution(uint32_t slot);
   Writeset BuildWriteset(const TxnType& type);
   void FlushRound();
   void MonitorRound();
@@ -177,6 +196,7 @@ class Replica {
   BufferPool pool_;
   FifoServer cpu_;
   FifoServer disk_;
+  Slab<InFlight> in_flight_;
   Ewma cpu_ewma_;
   Ewma disk_ewma_;
   ReplicaStats stats_;

@@ -9,10 +9,11 @@
 //
 // Hot-path layout: completion callbacks are InlineCallbacks (captures stored
 // inline in the queue slots, no per-job heap allocation), the queues are
-// RingQueues (steady-state pushes never touch the heap — a deque of these
-// ~460-byte jobs would allocate a node per job), and the in-service job's
-// callback is parked in a member slot so the simulator event that completes
-// it captures only `this`.
+// RingQueues (steady-state pushes never touch the heap), and the in-service
+// job's callback is parked in a member slot so the simulator event that
+// completes it captures only `this`. Jobs carry no payload: the replica parks
+// a running transaction in its own slab and hands the server a closure of
+// `{this, slot}`, so a queued job is 96 bytes.
 #ifndef SRC_SIM_FIFO_SERVER_H_
 #define SRC_SIM_FIFO_SERVER_H_
 
@@ -35,12 +36,12 @@ enum class JobPriority : uint8_t {
 
 class FifoServer {
  public:
-  // Per-job completion callback. The capacity covers the largest hot capture:
-  // the replica's disk stage carries the ExecOutcome — whose Writeset now
-  // stores its rows inline (SmallVec) rather than in heap vectors — plus the
-  // execution-done continuation. Moves copy only the live rows, so the
-  // capacity is reserved storage in the job queue, not bytes copied per job.
-  using Done = InlineCallback<void(), 448>;
+  // Per-job completion callback. The capacity covers the largest capture,
+  // the replica's apply/checkpoint CPU stage: `this`, a duration and a
+  // Replica::ApplyDone. Transaction stages capture only the replica and the
+  // slot their transaction is parked in (see Replica::Execute), so no job
+  // carries an ExecOutcome or a nested continuation.
+  using Done = InlineCallback<void(), 64>;
 
   FifoServer(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {}
 
@@ -64,6 +65,7 @@ class FifoServer {
     SimDuration service;
     Done done;
   };
+  static_assert(sizeof(Job) <= 96, "queued jobs stay at most 96 bytes");
 
   void StartNext();
   void FinishActive();

@@ -142,29 +142,37 @@ void Simulator::RunUntil(SimTime end) {
 void Simulator::RunAll() { RunEvents(kMaxTime); }
 
 uint64_t Simulator::SchedulePeriodic(SimTime start, SimDuration period, Callback cb) {
-  const uint64_t pid = next_periodic_id_++;
-  periodics_.emplace(pid, PeriodicTask{period, std::move(cb)});
+  periodics_.push_back(PeriodicTask{period, std::move(cb), true});
+  const uint64_t pid = periodics_.size();
   ScheduleAt(start, Callback([this, pid]() { PeriodicTick(pid); }));
   return pid;
 }
 
-void Simulator::StopPeriodic(uint64_t periodic_id) { periodics_.erase(periodic_id); }
+void Simulator::StopPeriodic(uint64_t periodic_id) {
+  if (periodic_id == 0 || periodic_id > periodics_.size()) {
+    return;
+  }
+  PeriodicTask& task = periodics_[periodic_id - 1];
+  task.live = false;
+  task.cb = nullptr;  // destroy the capture now, not at simulator teardown
+}
 
 void Simulator::PeriodicTick(uint64_t periodic_id) {
-  auto it = periodics_.find(periodic_id);
-  if (it == periodics_.end()) {
+  PeriodicTask& task = periodics_[periodic_id - 1];
+  if (!task.live) {
     return;  // stopped while the tick event was pending
   }
-  const SimDuration period = it->second.period;
+  const SimDuration period = task.period;
   // The callback runs outside the registry entry: it may call StopPeriodic on
-  // itself (destroying the entry) or SchedulePeriodic (rehashing the table).
-  Callback cb = std::move(it->second.cb);
+  // itself or SchedulePeriodic, which can grow (reallocate) the vector — so
+  // the entry is indexed again afterwards.
+  Callback cb = std::move(task.cb);
   cb();
-  it = periodics_.find(periodic_id);
-  if (it == periodics_.end()) {
+  PeriodicTask& after = periodics_[periodic_id - 1];
+  if (!after.live) {
     return;  // the callback stopped its own periodic
   }
-  it->second.cb = std::move(cb);
+  after.cb = std::move(cb);
   ScheduleAfter(period, Callback([this, periodic_id]() { PeriodicTick(periodic_id); }));
 }
 

@@ -31,7 +31,6 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -94,7 +93,9 @@ class Simulator {
   void RunAll();
 
   // Registers a callback every `period`, first firing at `start`. It keeps
-  // firing until StopPeriodic is called with the returned id.
+  // firing until StopPeriodic is called with the returned id. Ids are dense
+  // (1, 2, ...) and never reused; StopPeriodic on an unknown or already
+  // stopped id does nothing.
   uint64_t SchedulePeriodic(SimTime start, SimDuration period, Callback cb);
   void StopPeriodic(uint64_t periodic_id);
 
@@ -138,8 +139,9 @@ class Simulator {
   };
 
   struct PeriodicTask {
-    SimDuration period;
+    SimDuration period = 0;
     Callback cb;
+    bool live = false;  // cleared by StopPeriodic; the entry is never reused
   };
 
   static EventId MakeId(uint32_t slot, uint32_t gen) {
@@ -169,8 +171,9 @@ class Simulator {
   Slab<EventRecord> slab_;        // event records; callbacks stored inline
   size_t live_events_ = 0;
   size_t cancelled_in_heap_ = 0;
-  uint64_t next_periodic_id_ = 1;
-  std::unordered_map<uint64_t, PeriodicTask> periodics_;
+  // Indexed by periodic id - 1. Every caller starts its periodics once, so
+  // stopped entries are not recycled.
+  std::vector<PeriodicTask> periodics_;
 };
 
 }  // namespace tashkent

@@ -372,7 +372,8 @@ TEST_F(ProxyTest, SetSubscriptionRejectsRelationPastTheMask) {
 // replica execution, writeset build, parked certification round trip, remote
 // apply on the peer — performs zero heap allocations once the cluster is warm
 // (event slab sized, buffer-pool pages resident, conflict index populated,
-// gatekeeper deque block live). This is the PR-4/5 hot-path contract; if a
+// the gatekeeper's ring, the replicas' in-flight slabs and the FifoServer job
+// rings grown to the burst's depth). This is the hot-path contract; if a
 // future change adds so much as one std::function or vector to the path, this
 // test fails in Debug and CI.
 TEST(ProxyAllocGuard, WarmTransactionRoundTripIsAllocationFree) {

@@ -2,6 +2,11 @@
 // writeset production and application, background writer, monitor.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "src/common/alloc_guard.h"
 #include "src/replica/replica.h"
 
 namespace tashkent {
@@ -177,6 +182,94 @@ TEST_F(ReplicaTest, ThrashingScanAlwaysReadsDisk) {
     sim_.RunAll();
     EXPECT_EQ(replica_->stats().disk_read_bytes - before, MiB(600));
   }
+}
+
+// --- parked transactions ------------------------------------------------------
+
+// A burst of concurrent Execute calls queues on the disk and CPU while each
+// transaction waits in its in-flight slot. The buffer-pool work and the random
+// draws happen at Execute time, so a twin replica (same seed, same schema) that
+// runs the same calls one at a time must hand every `done` the same outcome.
+// Every type scans a relation twice the pool's size, so every transaction
+// misses and waits on the disk: FIFO on the disk, then FIFO on the CPU, makes
+// completions arrive in submission order. A second burst of the same depth
+// reuses the slab's slots (and the rings' and the simulator's storage), so it
+// allocates nothing.
+TEST(ReplicaParkedTransactions, BurstMatchesSerialTwinInFifoOrderWithoutAllocating) {
+  Schema schema;
+  const RelationId table = schema.AddTable("t", MiB(16));
+  const RelationId cold = schema.AddTable("cold", MiB(4));
+  const RelationId hot = schema.AddTable("hot", PagesToBytes(1));
+  ReplicaConfig config;
+  config.memory = 2 * kMiB;
+  config.reserved = 0;
+
+  auto make_type = [](TxnTypeId id, std::vector<PlanStep> steps) {
+    TxnType t;
+    t.name = "type" + std::to_string(id);
+    t.id = id;
+    t.base_cpu = Millis(1);
+    t.writeset_bytes = 200;
+    t.plan.steps = std::move(steps);
+    return t;
+  };
+  const std::vector<TxnType> types = {
+      make_type(0, {Random(table, 4), Scan(cold)}),
+      make_type(1, {Random(table, 2), Write(hot, 1, 2), Scan(cold)}),
+      make_type(2, {ScanWindow(table, 96), Scan(cold)}),
+      make_type(3, {Write(hot, 0, 1), Random(table, 6), Scan(cold)}),
+  };
+  constexpr int kDepth = 24;
+  constexpr int kBursts = 2;
+
+  // The twin: the same 2 * kDepth calls, each run to completion alone.
+  Simulator serial_sim;
+  Replica serial(&serial_sim, &schema, 0, config, Rng(5));
+  std::vector<ExecOutcome> expected(kBursts * kDepth);
+  for (int i = 0; i < kBursts * kDepth; ++i) {
+    serial.Execute(types[i % types.size()], [&expected, i](ExecOutcome o) { expected[i] = o; });
+    serial_sim.RunAll();
+    ASSERT_GT(expected[i].pages_read_seq, 0) << "call " << i << " skipped the disk";
+  }
+
+  Simulator sim;
+  Replica replica(&sim, &schema, 0, config, Rng(5));
+  std::vector<ExecOutcome> got(kBursts * kDepth);
+  std::vector<int> order;
+  order.reserve(kBursts * kDepth);
+  auto burst = [&](int base) {
+    for (int i = base; i < base + kDepth; ++i) {
+      replica.Execute(types[i % types.size()], [&got, &order, i](ExecOutcome o) {
+        got[i] = std::move(o);
+        order.push_back(i);
+      });
+    }
+    EXPECT_EQ(replica.disk_queue(), static_cast<size_t>(kDepth));
+    sim.RunAll();
+  };
+
+  burst(0);
+  {
+    AllocGuard::Forbid forbid;
+    burst(kDepth);
+    EXPECT_EQ(forbid.seen(), 0u) << "a warm burst allocated: in-flight slots were not recycled";
+  }
+
+  ASSERT_EQ(order.size(), static_cast<size_t>(kBursts * kDepth));
+  for (int i = 0; i < kBursts * kDepth; ++i) {
+    EXPECT_EQ(order[i], i) << "completions left FIFO order";
+    const ExecOutcome& want = expected[i];
+    const ExecOutcome& have = got[i];
+    EXPECT_EQ(have.is_update, want.is_update) << "call " << i;
+    EXPECT_EQ(have.pages_touched, want.pages_touched) << "call " << i;
+    EXPECT_EQ(have.pages_read_seq, want.pages_read_seq) << "call " << i;
+    EXPECT_EQ(have.pages_read_rand, want.pages_read_rand) << "call " << i;
+    EXPECT_TRUE(have.writeset.items == want.writeset.items) << "call " << i;
+    EXPECT_TRUE(have.writeset.table_pages == want.writeset.table_pages) << "call " << i;
+  }
+  EXPECT_TRUE(got[1].is_update);
+  EXPECT_EQ(got[1].writeset.items.size(), 2u);
+  EXPECT_EQ(replica.stats().txns_executed, static_cast<uint64_t>(kBursts * kDepth));
 }
 
 }  // namespace

@@ -231,6 +231,50 @@ TEST(Simulator, PeriodicRestartedFromInsideItsOwnTick) {
   EXPECT_EQ(second_count, 3);  // t=25, 75, 125
 }
 
+TEST(Simulator, PeriodicStartedFromAnotherPeriodicsTickKeepsBothCadences) {
+  Simulator sim;
+  std::vector<SimTime> outer;
+  std::vector<SimTime> inner;
+  // The inner registration grows the periodic registry while the outer tick
+  // is running, so the outer entry must be found again after its callback.
+  sim.SchedulePeriodic(Millis(10), Millis(10), [&]() {
+    outer.push_back(sim.Now());
+    if (outer.size() == 2) {
+      sim.SchedulePeriodic(sim.Now() + Millis(3), Millis(7),
+                           [&]() { inner.push_back(sim.Now()); });
+    }
+  });
+  sim.RunUntil(Millis(100));
+  ASSERT_EQ(outer.size(), 10u);  // t=10, 20, ..., 100
+  for (size_t i = 0; i < outer.size(); ++i) {
+    EXPECT_EQ(outer[i], Millis(10) * static_cast<SimDuration>(i + 1));
+  }
+  ASSERT_EQ(inner.size(), 12u);  // t=23, 30, ..., 100
+  for (size_t i = 0; i < inner.size(); ++i) {
+    EXPECT_EQ(inner[i], Millis(23) + Millis(7) * static_cast<SimDuration>(i));
+  }
+}
+
+TEST(Simulator, StopPeriodicOnUnknownOrStoppedIdDoesNothing) {
+  Simulator sim;
+  sim.StopPeriodic(0);
+  sim.StopPeriodic(7);  // never issued
+  int kept = 0;
+  int stopped = 0;
+  const uint64_t keep = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++kept; });
+  const uint64_t stop = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++stopped; });
+  sim.RunUntil(Millis(25));
+  sim.StopPeriodic(stop);
+  sim.StopPeriodic(stop);      // already stopped
+  sim.StopPeriodic(stop + 1);  // one past the last issued id
+  sim.RunUntil(Millis(55));
+  EXPECT_EQ(kept, 5);     // t=10..50, untouched by the no-op stops
+  EXPECT_EQ(stopped, 2);  // t=10, 20
+  sim.StopPeriodic(keep);
+  sim.RunUntil(Millis(100));
+  EXPECT_EQ(kept, 5);
+}
+
 TEST(Simulator, SlabSlotsAreRecycledAcrossManyCycles) {
   Simulator sim;
   uint64_t fired = 0;
