@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
-# ASan+UBSan), lint for determinism, then exercise the campaign runner (smoke,
-# perf, marathon, skew and faults campaigns) under hard gates on the JSON it
-# emits, check the perfbench workloads' pinned outcomes, and check the docs
-# cover every campaign, verb and metric. The gates are python3 scripts, so a
+# ASan+UBSan), run the smoke and faults campaigns under ASan+UBSan, lint for
+# determinism, then exercise the campaign runner (smoke, perf, marathon,
+# skew, faults, table5, fig7 and ablation campaigns) under hard gates on the
+# JSON it emits, check the perfbench workloads' pinned outcomes, and check
+# the docs cover every campaign, verb and metric. The gates are python3 scripts, so a
 # host without python3 fails here instead of skipping them.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
@@ -23,6 +24,13 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j"$(nproc)"
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
+# The same binary runs whole campaigns with asserts on: smoke, and faults,
+# whose retry, dedup and failover paths are where a stale slot or a broken
+# invariant would show. Their documents are compared with the plain build's
+# below (the asan gate).
+rm -rf build-asan/bench-out
+mkdir -p build-asan/bench-out
+./build-asan/tashkent_bench run smoke faults --jobs 2 --json build-asan/bench-out
 
 # --- determinism lint --------------------------------------------------------
 # Static gate for the `--jobs N` == `--jobs 1` bit-identity contract: no
@@ -97,6 +105,25 @@ b1, b5, l1, l5 = (s[n] for n in names)
 print(f"conflict gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
 ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
 sys.exit(0 if ok else 1)
+EOF
+
+# --- asan gate ---------------------------------------------------------------
+# Sanitizers and asserts must not change what is simulated: the ASan+UBSan
+# Debug build's smoke and faults documents equal the plain build's, once
+# the host-timing `cells` key is removed.
+python3 - <<'EOF' || { echo "ci: asan campaign documents differ from the plain build's" >&2; exit 1; }
+import json, sys
+bad = []
+for name in ('smoke', 'faults'):
+    docs = []
+    for out in ('build/bench-out', 'build-asan/bench-out'):
+        doc = json.load(open(f'{out}/BENCH_{name}.json'))
+        doc.pop('cells', None)
+        docs.append(json.dumps(doc, sort_keys=True))
+    if docs[0] != docs[1]:
+        bad.append(name)
+print(f"asan gate: smoke and faults documents {'differ: ' + ', '.join(bad) if bad else 'match'}")
+sys.exit(1 if bad else 0)
 EOF
 
 # --- inert-pair byte gates ---------------------------------------------------

@@ -45,8 +45,8 @@ CertifyResult Certifier::Certify(Writeset ws, ReplicaId replica, Version applied
   }
   if (txn_seq != kNoTxnSeq) {
     DedupRecord(replica, txn_seq, result);
-    ShipToStandby();
   }
+  ShipToStandby();
   MaybeProdLaggards();
   return result;
 }

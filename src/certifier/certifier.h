@@ -48,8 +48,9 @@ struct CertifierConfig {
   uint32_t dedup_window = 128;
 };
 
-// Sentinel txn_seq for callers that predate the retry protocol: no dedup
-// lookup or record happens, preserving the pre-fault Certify behavior.
+// Sentinel txn_seq for requests that are never resent: no dedup lookup or
+// record happens. Proxies pass it while their retry protocol is unarmed;
+// direct callers (benchmarks, log replays) pass it by default.
 inline constexpr uint64_t kNoTxnSeq = UINT64_MAX;
 
 struct CertifyResult {
@@ -80,7 +81,7 @@ class Certifier {
   // transaction sequence), a repeat of an already-decided (replica, txn_seq)
   // re-serves the recorded verdict from the dedup window instead of
   // re-certifying — a retried or duplicated request can never double-commit.
-  // The default sentinel skips the window entirely (pre-fault behavior).
+  // The kNoTxnSeq default skips the window entirely.
   CertifyResult Certify(Writeset ws, ReplicaId replica, Version applied_version,
                         uint64_t txn_seq = kNoTxnSeq);
 

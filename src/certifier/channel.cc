@@ -15,7 +15,7 @@ void CertifierChannel::ScheduleArrival(SimDuration delay, Arrival fn, uint32_t s
 
 void CertifierChannel::ArmFaults(FaultPlan plan, Rng rng) {
   if (!plan.armed()) {
-    return;  // stay on the byte-inert pre-fault path
+    return;  // stay byte-inert: no draws, no fault accounting
   }
   plan_ = std::move(plan);
   fault_rng_ = rng;
@@ -54,7 +54,7 @@ void CertifierChannel::InjectFaults(SimDuration delay, Arrival fn, uint32_t send
   // messages outside it... for senders outside the window. Draw order after
   // that is fixed (drop, delay, duplicate, duplicate's delay) so one seed
   // fully determines the fault sequence.
-  if (sender != kNoSender && !plan_.partitions.empty() && InPartition(sender, sim_->Now())) {
+  if (!plan_.partitions.empty() && InPartition(sender, sim_->Now())) {
     ++fault_stats_.partition_dropped;
     return;
   }

@@ -37,9 +37,11 @@
 // extra-delay / duplication probabilities and scheduled per-proxy link
 // partitions — whose draws come from a seeded per-cell stream (never wall
 // clock), so a fault schedule is a pure function of the cell's grid
-// coordinates. An unarmed plan is byte-inert: ScheduleArrival takes exactly
-// the pre-fault code path, performs zero RNG draws, and schedules the same
-// events, so fault-capable builds reproduce the golden digest bit-for-bit.
+// coordinates. Every message names its sender (the submitting replica), so
+// a partition window can target any proxy's traffic. An unarmed plan is
+// byte-inert: ScheduleArrival delivers straight away, performs zero RNG
+// draws, and schedules the same events, so fault-capable builds reproduce
+// the golden digest bit-for-bit.
 //
 // One channel is shared by every proxy of a cluster (Cluster owns it), so
 // concurrent certifications from different replicas batch together; a Proxy
@@ -73,7 +75,6 @@ struct FaultPlan {
   SimDuration delay_mean = 0;
   // Scheduled link partitions: a message submitted by `sender` (a replica
   // index) inside [from, to) is dropped deterministically, no draw spent.
-  // Senders that never identify themselves (kNoSender) are never partitioned.
   struct PartitionWindow {
     uint32_t sender = 0;
     SimTime from = 0;
@@ -98,14 +99,9 @@ struct ChannelFaultStats {
 
 class CertifierChannel {
  public:
-  // Arrival handler; captures {proxy, pending-slot} — see Proxy. The
-  // fault-aware proxy packs {proxy, txn_seq, slot, generation} into the same
-  // 24 bytes.
+  // Arrival handler; the proxy packs {proxy, txn_seq, slot, generation}
+  // into its 24 bytes — see Proxy.
   using Arrival = InlineCallback<void(), 24>;
-
-  // ScheduleArrival sender id for messages that opt out of partition
-  // targeting (the legacy call shape).
-  static constexpr uint32_t kNoSender = UINT32_MAX;
 
   CertifierChannel(Simulator* sim, bool batch_arrivals)
       : sim_(sim), batch_(batch_arrivals) {}
@@ -115,13 +111,14 @@ class CertifierChannel {
 
   // Schedules `fn` to run `delay` from now. With batching on, arrivals for
   // the same tick share one simulator event; with it off, every arrival is
-  // its own event (the pre-batching behavior). With faults armed, the message
-  // may be dropped, delayed, or duplicated first; `sender` identifies the
-  // submitting replica for partition windows.
-  void ScheduleArrival(SimDuration delay, Arrival fn, uint32_t sender = kNoSender);
+  // its own event (the pre-batching behavior). `sender` is the submitting
+  // replica's index; with faults armed, the message may be dropped (by the
+  // plan's draws or by a partition window on `sender`), delayed, or
+  // duplicated first.
+  void ScheduleArrival(SimDuration delay, Arrival fn, uint32_t sender);
 
   // Installs the fault plan and its seeded draw stream. A plan that is not
-  // armed() leaves the channel in the byte-inert pre-fault mode.
+  // armed() leaves the channel byte-inert.
   void ArmFaults(FaultPlan plan, Rng rng);
   // Adds one partition window (arming the channel if needed). No draws are
   // ever spent on partitions, so this is usable on any cluster mid-run.
@@ -129,7 +126,6 @@ class CertifierChannel {
   bool faults_armed() const { return faulty_; }
   const ChannelFaultStats& fault_stats() const { return fault_stats_; }
 
-  bool batching() const { return batch_; }
   // Events actually scheduled vs arrivals submitted; the difference is the
   // group-commit saving. Dropped messages count as neither; a duplicate
   // counts as a second arrival.
@@ -148,7 +144,7 @@ class CertifierChannel {
     int remaining = 0;
   };
 
-  // The pre-fault delivery path (batching or per-arrival event).
+  // Delivery of a surviving message (batching or per-arrival event).
   void Deliver(SimDuration delay, Arrival fn);
   // Applies the armed plan to one message, then Delivers the survivors.
   void InjectFaults(SimDuration delay, Arrival fn, uint32_t sender);

@@ -195,7 +195,17 @@ size_t Cluster::AddReplica(Bytes memory) {
   return proxies_.size() - 1;
 }
 
+void Cluster::RequireRetry(const char* verb) const {
+  if (!config_.proxy.retry.enabled) {
+    throw std::logic_error(std::string(verb) +
+                           " needs ProxyConfig::retry enabled (or an armed FaultPlan): without "
+                           "retry, the messages it loses wait for a timeout that is never "
+                           "scheduled");
+  }
+}
+
 void Cluster::CrashCertifier() {
+  RequireRetry("CrashCertifier");
   if (!certifier_.serving()) {
     return;
   }
@@ -216,6 +226,7 @@ void Cluster::FailoverCertifier() {
 }
 
 void Cluster::PartitionProxy(size_t index, SimDuration duration) {
+  RequireRetry("PartitionProxy");
   (void)proxies_.at(index);  // bounds check; the window keys on the replica id
   certifier_channel_.AddPartition(static_cast<uint32_t>(index), sim_.Now(),
                                   sim_.Now() + duration);

@@ -254,13 +254,18 @@ class Cluster {
   void ResizeMemory(size_t index, Bytes memory);
 
   // --- Certifier failover / partition verbs --------------------------------
+  // CrashCertifier and PartitionProxy lose messages, which only the proxies'
+  // timeouts recover: both throw std::logic_error unless ProxyConfig::retry
+  // is enabled (an armed FaultPlan enables it).
+  //
   // Fail-stop the certifier primary: requests go unanswered (sender timeouts
   // drive retries), reads keep serving locally, writes queue behind the
   // gatekeeper bound until FailoverCertifier promotes the warm standby.
   void CrashCertifier();
   // Promote the warm standby (works as a planned handover while the primary
-  // still serves): bumps the epoch so stale requests are fenced, and starts
-  // the failover-recovery clock (stopped by the first client commit).
+  // still serves, with or without retry: fenced requests are resent at
+  // once): bumps the epoch so stale requests are fenced, and starts the
+  // failover-recovery clock (stopped by the first client commit).
   void FailoverCertifier();
   // Drop every message from replica `index`'s proxy for `duration` from now
   // (a one-way link partition; responses to earlier requests still arrive).
@@ -297,6 +302,8 @@ class Cluster {
   // index at the GSI-safe point and the log below the safe floor.
   void AutoPrune();
   void SampleCertifierHwm();
+  // Throws std::logic_error naming `verb` unless ProxyConfig::retry is on.
+  void RequireRetry(const char* verb) const;
 
   const Workload* workload_;
   std::string mix_name_;

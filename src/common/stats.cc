@@ -1,37 +1,6 @@
 #include "src/common/stats.h"
 
-#include <cmath>
-
 namespace tashkent {
-
-void RunningStat::Add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  if (count_ == 1) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-}
-
-double RunningStat::variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-void RunningStat::Reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-  sum_ = 0.0;
-}
 
 double UtilizationIntegrator::Sample(SimTime now) {
   const SimDuration window = now - last_sample_;
@@ -79,24 +48,6 @@ void TimeSeries::Record(SimTime t, double value) {
     buckets_.resize(idx + 1, 0.0);
   }
   buckets_[idx] += value;
-}
-
-std::vector<double> TimeSeries::MovingAverage(size_t window) const {
-  std::vector<double> out(buckets_.size(), 0.0);
-  if (window == 0 || buckets_.empty()) {
-    return out;
-  }
-  const size_t half = window / 2;
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    const size_t lo = i >= half ? i - half : 0;
-    const size_t hi = std::min(i + half, buckets_.size() - 1);
-    double sum = 0.0;
-    for (size_t j = lo; j <= hi; ++j) {
-      sum += buckets_[j];
-    }
-    out[i] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
 }
 
 }  // namespace tashkent

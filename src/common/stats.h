@@ -1,42 +1,17 @@
 // Statistics accumulators shared by the replica monitors and the experiment
-// harness: running mean/variance, exponentially weighted moving averages
-// (the "smoothed" utilizations the paper's load balancer consumes), utilization
-// integrators for FIFO servers, and bucketed time series for Figure-6 style
+// harness: exponentially weighted moving averages (the "smoothed"
+// utilizations the paper's load balancer consumes), utilization integrators
+// for FIFO servers, percentiles, and bucketed time series for Figure-6 style
 // timelines.
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <algorithm>
-#include <cstdint>
 #include <vector>
 
 #include "src/common/units.h"
 
 namespace tashkent {
-
-// Welford running mean / variance / extrema.
-class RunningStat {
- public:
-  void Add(double x);
-
-  int64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
-  double sum() const { return sum_; }
-
-  void Reset();
-
- private:
-  int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
-};
 
 // Exponentially weighted moving average. alpha is the weight of a new sample;
 // the paper's monitor daemons report "smoothed" CPU and disk utilizations,
@@ -101,7 +76,7 @@ class PercentileTracker {
 };
 
 // Counts events into fixed-width time buckets; used to render the Figure 6
-// throughput timeline (30-second buckets plus a moving average).
+// throughput timeline (30-second buckets).
 class TimeSeries {
  public:
   explicit TimeSeries(SimDuration bucket_width) : width_(bucket_width) {}
@@ -111,9 +86,6 @@ class TimeSeries {
   // Per-bucket sums, index i covering [i*width, (i+1)*width).
   const std::vector<double>& buckets() const { return buckets_; }
   SimDuration bucket_width() const { return width_; }
-
-  // Centered moving average over `window` buckets.
-  std::vector<double> MovingAverage(size_t window) const;
 
  private:
   SimDuration width_;

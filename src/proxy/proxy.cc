@@ -142,30 +142,22 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   // One round trip to the certifier: the request carries the writeset and the
   // replica's applied version; the response carries the verdict plus remote
   // writesets committed since. The payload is parked in the pending slab so
-  // the scheduled arrival captures only {this, slot}.
+  // the scheduled arrival captures only {this, txn_seq, slot, generation}.
   const uint32_t slot = pending_certs_.Alloc();
   PendingCert& pending = pending_certs_[slot];
   pending.ws = std::move(outcome.writeset);
   pending.ws.snapshot_version = applied_version_;
   pending.done = std::move(done);
-  if (slot >= cert_snapshot_.size()) {
-    cert_snapshot_.resize(slot + 1, kNoSnapshot);
-  }
-  cert_snapshot_[slot] = applied_version_;
-  // The write-queue gauge counts parked certifications with or without the
-  // retry protocol, so arming retry under an empty plan leaves it unchanged.
-  ++live_certs_;
-  if (live_certs_ > stats_.write_queue_hwm) {
-    stats_.write_queue_hwm = live_certs_;
-  }
-  if (!retry_armed_) {
-    channel_->ScheduleArrival(CertificationRtt(), [this, slot]() { OnCertifyArrive(slot); });
-    return;
-  }
   pending.txn_seq = next_txn_seq_++;
   pending.attempts = 0;
   if (slot >= cert_gen_.size()) {
     cert_gen_.resize(slot + 1, 0);
+    cert_snapshot_.resize(slot + 1, kNoSnapshot);
+  }
+  cert_snapshot_[slot] = applied_version_;
+  ++live_certs_;
+  if (live_certs_ > stats_.write_queue_hwm) {
+    stats_.write_queue_hwm = live_certs_;
   }
   SendCert(slot);
 }
@@ -177,14 +169,15 @@ void Proxy::SendCert(uint32_t slot) {
   const uint32_t gen = cert_gen_[slot];
   const uint64_t seq = pending.txn_seq;
   channel_->ScheduleArrival(
-      CertificationRtt(),
-      [this, seq, slot, gen]() { OnCertifyArriveGuarded(slot, gen, seq); },
+      CertificationRtt(), [this, seq, slot, gen]() { OnCertifyArrive(slot, gen, seq); },
       static_cast<uint32_t>(replica_->id()));
-  pending.timeout =
-      sim_->ScheduleAfter(retry_.timeout, [this, slot, gen]() { OnCertTimeout(slot, gen); });
+  if (retry_armed_) {
+    pending.timeout =
+        sim_->ScheduleAfter(retry_.timeout, [this, slot, gen]() { OnCertTimeout(slot, gen); });
+  }
 }
 
-void Proxy::OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
+void Proxy::OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
   if (gen != cert_gen_[slot]) {
     // This transaction was already decided through another copy or attempt.
     // The REQUEST still reached the certifier (the round trip models both
@@ -222,8 +215,11 @@ void Proxy::OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq
     pending.timeout = Simulator::kInvalidEvent;
   }
   last_certifier_contact_ = sim_->Now();
+  // Unarmed, the only resend is a fenced one, which the certifier refused
+  // undecided: there is nothing to dedup.
   CertifyResult result = certifier_->Certify(std::move(pending.ws), replica_->id(),
-                                             applied_version_, txn_seq);
+                                             applied_version_,
+                                             retry_armed_ ? txn_seq : kNoTxnSeq);
   HandleCertifyResult(result, ReleaseCert(slot));
 }
 
@@ -271,14 +267,6 @@ SimDuration Proxy::BackoffDelay(int attempt) {
   }
   const auto d = static_cast<SimDuration>(backoff);
   return d > 0 ? d : 1;
-}
-
-void Proxy::OnCertifyArrive(uint32_t slot) {
-  last_certifier_contact_ = sim_->Now();
-  PendingCert& pending = pending_certs_[slot];
-  CertifyResult result =
-      certifier_->Certify(std::move(pending.ws), replica_->id(), applied_version_);
-  HandleCertifyResult(result, ReleaseCert(slot));
 }
 
 Proxy::TxnDone Proxy::ReleaseCert(uint32_t slot) {
@@ -552,19 +540,8 @@ void Proxy::PullUpdates() {
   }
   pull_in_progress_ = true;
   ++stats_.pulls;
-  if (retry_armed_) {
-    pull_attempts_ = 0;
-    SendPull();
-    return;
-  }
-  channel_->ScheduleArrival(CertificationRtt(), [this]() {
-    last_certifier_contact_ = sim_->Now();
-    EnqueueRemotes(certifier_->Pull(replica_->id(), applied_version_));
-    // Cleared before pumping: a recovery that drains this response
-    // synchronously must be able to issue the follow-up pull for the delta.
-    pull_in_progress_ = false;
-    PumpApplier();
-  });
+  pull_attempts_ = 0;
+  SendPull();
 }
 
 void Proxy::SendPull() {
@@ -572,8 +549,10 @@ void Proxy::SendPull() {
   const uint64_t gen = pull_gen_;
   channel_->ScheduleArrival(CertificationRtt(), [this, gen]() { OnPullArrive(gen); },
                             static_cast<uint32_t>(replica_->id()));
-  pull_timeout_ =
-      sim_->ScheduleAfter(retry_.timeout, [this, gen]() { OnPullTimeout(gen); });
+  if (retry_armed_) {
+    pull_timeout_ =
+        sim_->ScheduleAfter(retry_.timeout, [this, gen]() { OnPullTimeout(gen); });
+  }
 }
 
 void Proxy::OnPullArrive(uint64_t pull_gen) {
@@ -591,6 +570,8 @@ void Proxy::OnPullArrive(uint64_t pull_gen) {
   }
   last_certifier_contact_ = sim_->Now();
   EnqueueRemotes(certifier_->Pull(replica_->id(), applied_version_));
+  // Cleared before pumping: a recovery that drains this response
+  // synchronously must be able to issue the follow-up pull for the delta.
   pull_in_progress_ = false;
   PumpApplier();
 }

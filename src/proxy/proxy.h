@@ -17,11 +17,12 @@
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
 // a certification round trip parks its payload (the writeset + the
 // transaction-done continuation) in a free-listed slab on the proxy, so the
-// simulator event carries only {proxy, slot}; round trips travel through the
-// cluster's CertifierChannel, which batches same-tick arrivals into one
-// event (group commit); and the remote-apply queue is a pair of version
-// cursors into the certifier log instead of a pointer deque — the pending
-// writesets are always a dense version range. No allocations per transaction.
+// simulator event carries only {proxy, txn_seq, slot, generation}; round
+// trips travel through the cluster's CertifierChannel, which batches
+// same-tick arrivals into one event (group commit); and the remote-apply
+// queue is a pair of version cursors into the certifier log instead of a
+// pointer deque — the pending writesets are always a dense version range.
+// No allocations per transaction.
 #ifndef SRC_PROXY_PROXY_H_
 #define SRC_PROXY_PROXY_H_
 
@@ -42,10 +43,13 @@
 
 namespace tashkent {
 
-// Retry/timeout/backoff policy for the certifier round trips. Disabled by
-// default: the proxy then assumes delivery (the pre-fault protocol, byte-
-// identical — no timeout events, no RNG draws). The cluster arms it whenever
-// a FaultPlan or certifier failover is in play.
+// Retry/timeout/backoff policy for the certifier round trips. Every round
+// trip is sequenced and generation-guarded either way; enabling the policy
+// adds only a timeout event per attempt (with backoff resends) and certifier
+// dedup records. Disabled by default: with no loss to recover from, that
+// saves the events and records, and no RNG draw is spent. The cluster arms
+// it whenever a FaultPlan is in play, and CrashCertifier/PartitionProxy
+// refuse to run without it.
 struct RetryPolicy {
   bool enabled = false;
   // Response deadline per attempt; must exceed the certification RTT
@@ -115,7 +119,7 @@ struct ProxyStats {
   uint64_t joins = 0;              // JoinAsNew lifecycles completed (subset of recoveries)
   double join_time_s = 0.0;        // summed join durations (the join-latency metric)
   uint64_t checkpoint_installs = 0;  // checkpoint images installed (join or backfill)
-  // --- faults / retry / failover (all zero while RetryPolicy is off) ---------
+  // --- faults / retry / failover --------------------------------------------
   uint64_t cert_timeouts = 0;    // certification attempts that hit the deadline
   uint64_t cert_retries = 0;     // certification resubmissions sent
   uint64_t pull_timeouts = 0;    // pull attempts that hit the deadline
@@ -148,11 +152,11 @@ class Proxy {
   void StartDaemons();
 
   // Arms the retry/timeout/backoff protocol with `policy` and a seeded
-  // jitter stream (the cluster forks it from its fault stream). Certifier
-  // round trips then carry a per-proxy transaction sequence (the certifier's
-  // dedup key), a response generation guard, a timeout event, and the
-  // sending epoch for failover fencing. Never called => the pre-fault
-  // protocol, bit for bit.
+  // jitter stream (the cluster forks it from its fault stream). Every
+  // round trip already carries a per-proxy transaction sequence, a response
+  // generation guard, and the sending epoch for failover fencing; arming
+  // adds a timeout event per attempt and hands the sequence to the
+  // certifier as its dedup key.
   void ArmRetry(const RetryPolicy& policy, Rng rng);
   bool retry_armed() const { return retry_armed_; }
   // The newest certifier epoch this proxy has learned (via fenced responses).
@@ -256,12 +260,8 @@ class Proxy {
   // Drains the pending log run [apply_next_, apply_hi_] as one batched
   // disk/CPU submission (every recovery replay takes this path).
   void PumpApplierBatched();
-  // Arrival of a certification response (one RTT after submission); `slot`
-  // indexes the parked payload in pending_certs_.
-  void OnCertifyArrive(uint32_t slot);
-  // The post-certification completion shared by the assume-delivery and
-  // retry paths: enqueue remotes, pump, wait for the predecessor prefix,
-  // finish the transaction.
+  // The post-certification completion: enqueue remotes, pump, wait for the
+  // predecessor prefix, finish the transaction.
   void HandleCertifyResult(const CertifyResult& result, TxnDone done);
   // Frees a decided (or abandoned) certification's slot and hands back its
   // transaction-done continuation.
@@ -269,16 +269,17 @@ class Proxy {
   void PullUpdates();
   SimDuration CertificationRtt() const;
 
-  // --- Retry protocol (RetryPolicy armed) -----------------------------------
-  // One attempt: a channel round trip carrying (slot, generation, txn_seq)
-  // plus a timeout event. The GENERATION guard makes every outcome
+  // --- Certifier round trips -----------------------------------------------
+  // One attempt: a channel round trip carrying (slot, generation, txn_seq),
+  // plus a timeout event when retry is armed. `slot` indexes the parked
+  // payload in pending_certs_. The GENERATION guard makes every outcome
   // idempotent: the slot's generation is bumped exactly once, when the first
   // surviving response is accepted — any later copy (a duplicate, a late
   // arrival after its timeout fired, a response racing a backoff resend)
   // observes a stale generation and is discarded. Slot reuse is safe for the
   // same reason: a freed slot's generation never matches in-flight captures.
   void SendCert(uint32_t slot);
-  void OnCertifyArriveGuarded(uint32_t slot, uint32_t gen, uint64_t txn_seq);
+  void OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq);
   void OnCertTimeout(uint32_t slot, uint32_t gen);
   void SendPull();
   void OnPullArrive(uint64_t pull_gen);
@@ -321,16 +322,15 @@ class Proxy {
   void AdvanceApplied(Version v);
 
   // Payload of an in-flight certification round trip, parked so the
-  // simulator event captures only {this, slot} (retry-armed: {this, txn_seq,
-  // slot, generation} — still inside the Arrival's 24 bytes).
+  // simulator event captures only {this, txn_seq, slot, generation} — the
+  // Arrival's 24 bytes.
   struct PendingCert {
     Writeset ws;
     TxnDone done;
-    // Retry-armed bookkeeping (untouched on the assume-delivery path).
-    uint64_t txn_seq = 0;              // certifier dedup key, per-proxy monotonic
-    uint64_t sent_epoch = 0;           // certifier epoch the last attempt targeted
+    uint64_t txn_seq = 0;     // per-proxy monotonic; the dedup key when armed
+    uint64_t sent_epoch = 0;  // certifier epoch the last attempt targeted
     int attempts = 0;
-    Simulator::EventId timeout = Simulator::kInvalidEvent;
+    Simulator::EventId timeout = Simulator::kInvalidEvent;  // armed only
   };
 
   Simulator* sim_;
@@ -344,7 +344,7 @@ class Proxy {
   Version applied_version_ = 0;
   SimTime last_certifier_contact_ = 0;
   bool pull_in_progress_ = false;
-  // --- Retry protocol state (inert until ArmRetry) --------------------------
+  // --- Round-trip state -----------------------------------------------------
   bool retry_armed_ = false;
   RetryPolicy retry_;
   Rng retry_rng_{0};
@@ -354,14 +354,14 @@ class Proxy {
   // shrunk, so stale captures of recycled slots always mismatch.
   std::vector<uint32_t> cert_gen_;
   // Per-slot snapshot of the parked certification, kNoSnapshot once the slot
-  // is freed; parallel to pending_certs_ like cert_gen_, but kept on both
-  // paths. snapshot_floor() scans it.
+  // is freed; parallel to pending_certs_ like cert_gen_. snapshot_floor()
+  // scans it.
   static constexpr Version kNoSnapshot = UINT64_MAX;
   std::vector<Version> cert_snapshot_;
   uint32_t live_certs_ = 0;  // certifications parked (in flight or backing off)
   uint64_t lifetime_update_commits_ = 0;
-  // Pull retry: one pull outstanding at a time, guarded by its own
-  // generation counter (pulls are idempotent reads — no fencing needed).
+  // One pull outstanding at a time, guarded by its own generation counter
+  // (pulls are idempotent reads — no fencing needed).
   uint64_t pull_gen_ = 0;
   int pull_attempts_ = 0;
   Simulator::EventId pull_timeout_ = Simulator::kInvalidEvent;

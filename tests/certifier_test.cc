@@ -427,13 +427,16 @@ TEST(Certifier, CrashStopsServingFailoverResumesWithNewEpoch) {
   EXPECT_EQ(fresh.commit_version, 6u);
 }
 
-// The standby image is shipped synchronously at every sequenced decide, so a
-// crash at ANY point finds it consistent with the primary's public counters.
+// The standby image is shipped synchronously at every decide, sequenced or
+// not, so a crash at ANY point finds it consistent with the primary's public
+// counters.
 TEST(Certifier, StandbyImageTracksEveryDecide) {
   Certifier c;
   Version applied = 0;
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
-    const auto r = c.Certify(MakeWs({{2, seq}}), 0, applied, seq);
+  for (uint64_t seq = 1; seq <= 4; ++seq) {
+    // The last decide is unsequenced, as an unarmed proxy sends it.
+    const uint64_t txn_seq = seq <= 3 ? seq : kNoTxnSeq;
+    const auto r = c.Certify(MakeWs({{2, seq}}), 0, applied, txn_seq);
     ASSERT_TRUE(r.committed);
     applied = r.commit_version;
     const auto& image = c.standby_image();
@@ -442,6 +445,10 @@ TEST(Certifier, StandbyImageTracksEveryDecide) {
     EXPECT_EQ(image.certified, c.certified_count());
     EXPECT_EQ(image.aborted, c.aborted_count());
   }
+  // A planned failover after the unsequenced decide keeps every version.
+  c.Failover();
+  EXPECT_EQ(c.certified_count(), 4u);
+  EXPECT_EQ(c.Certify(MakeWs({{2, 5}}), 0, applied).commit_version, 5u);
 }
 
 // --- group-commit channel batching ------------------------------------------
@@ -455,11 +462,11 @@ TEST(CertifierChannel, BatchedArrivalsPreserveOrderAndSaveEvents) {
     CertifierChannel channel(&sim, batch);
     std::vector<int> order;
     // Three arrivals for tick 100, two for tick 250, interleaved submission.
-    channel.ScheduleArrival(100, [&order]() { order.push_back(1); });
-    channel.ScheduleArrival(100, [&order]() { order.push_back(2); });
-    channel.ScheduleArrival(250, [&order]() { order.push_back(10); });
-    channel.ScheduleArrival(100, [&order]() { order.push_back(3); });
-    channel.ScheduleArrival(250, [&order]() { order.push_back(11); });
+    channel.ScheduleArrival(100, [&order]() { order.push_back(1); }, /*sender=*/0);
+    channel.ScheduleArrival(100, [&order]() { order.push_back(2); }, /*sender=*/0);
+    channel.ScheduleArrival(250, [&order]() { order.push_back(10); }, /*sender=*/0);
+    channel.ScheduleArrival(100, [&order]() { order.push_back(3); }, /*sender=*/0);
+    channel.ScheduleArrival(250, [&order]() { order.push_back(11); }, /*sender=*/0);
     sim.RunAll();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 10, 11}));
     EXPECT_EQ(channel.arrivals(), 5u);
@@ -479,13 +486,16 @@ TEST(CertifierChannel, ReentrantSameTickArrivalGetsOwnEvent) {
   CertifierChannel channel(&sim, /*batch_arrivals=*/true);
   std::vector<int> order;
   bool resubmitted = false;
-  channel.ScheduleArrival(0, [&]() {
-    order.push_back(1);
-    if (!resubmitted) {
-      resubmitted = true;
-      channel.ScheduleArrival(0, [&order]() { order.push_back(2); });
-    }
-  });
+  channel.ScheduleArrival(
+      0,
+      [&]() {
+        order.push_back(1);
+        if (!resubmitted) {
+          resubmitted = true;
+          channel.ScheduleArrival(0, [&order]() { order.push_back(2); }, /*sender=*/0);
+        }
+      },
+      /*sender=*/0);
   sim.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(channel.events_scheduled(), 2u);
@@ -503,7 +513,7 @@ TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
     SimTime at;
   };
   // Bundled so the parked-payload arrivals capture one pointer (mirroring the
-  // proxy's {this, slot} discipline; Arrival capacity is deliberately small).
+  // proxy's parked-slot discipline; Arrival capacity is deliberately small).
   struct Ctx {
     Simulator sim;
     Certifier certifier;
@@ -538,7 +548,7 @@ TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
           }
           c->log.push_back(Observation{r.committed, r.commit_version, r.remote.from,
                                        r.remote.to, c->sim.Now()});
-        });
+        }, replica);
       });
     }
     ctx.sim.RunAll();
@@ -569,10 +579,10 @@ TEST(CertifierChannel, ForeignSameTickEventOrdersAfterBatch) {
     Simulator sim;
     CertifierChannel channel(&sim, batch);
     std::vector<int> order;
-    channel.ScheduleArrival(100, [&order]() { order.push_back(1); });
+    channel.ScheduleArrival(100, [&order]() { order.push_back(1); }, /*sender=*/0);
     // The foreign event: same tick, scheduled after the first submission.
     sim.ScheduleAt(100, [&order]() { order.push_back(99); });
-    channel.ScheduleArrival(100, [&order]() { order.push_back(2); });
+    channel.ScheduleArrival(100, [&order]() { order.push_back(2); }, /*sender=*/0);
     sim.RunAll();
     return order;
   };
@@ -603,7 +613,8 @@ TEST(CertifierChannel, FlashCrowdBurstReentrancyMatchesUnbatched) {
       if (depth > 0) {
         // Same-tick chaser: must get a fresh event (the firing batch is
         // already detached), in both modes firing after everything queued.
-        channel->ScheduleArrival(0, [this, id, depth]() { Arrive(id + 10000, depth - 1); });
+        channel->ScheduleArrival(
+            0, [this, id, depth]() { Arrive(id + 10000, depth - 1); }, /*sender=*/0);
       }
     }
   };
@@ -616,12 +627,12 @@ TEST(CertifierChannel, FlashCrowdBurstReentrancyMatchesUnbatched) {
     for (int i = 0; i < 200; ++i) {
       const int depth = (i % 4 == 0) ? 2 : 0;
       ctx.sim.ScheduleAt(0, [c = &ctx, ch = &channel, i, depth]() {
-        ch->ScheduleArrival(100, [c, i, depth]() { c->Arrive(i, depth); });
+        ch->ScheduleArrival(100, [c, i, depth]() { c->Arrive(i, depth); }, /*sender=*/0);
       });
     }
     for (int i = 200; i < 300; ++i) {
       ctx.sim.ScheduleAt(0, [c = &ctx, ch = &channel, i]() {
-        ch->ScheduleArrival(500, [c, i]() { c->Arrive(i, 0); });
+        ch->ScheduleArrival(500, [c, i]() { c->Arrive(i, 0); }, /*sender=*/0);
       });
     }
     ctx.sim.RunAll();

@@ -110,25 +110,6 @@ TEST(SampleDiscrete, RespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[0]) / counts[2], 0.1, 0.02);
 }
 
-TEST(RunningStat, Moments) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_EQ(s.count(), 8);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.stddev(), 2.138, 1e-3);  // sample stddev
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-}
-
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
 TEST(Ewma, ConvergesToConstant) {
   Ewma e(0.3);
   for (int i = 0; i < 100; ++i) {
@@ -195,17 +176,6 @@ TEST(TimeSeries, Buckets) {
   EXPECT_DOUBLE_EQ(ts.buckets()[1], 1.0);
   EXPECT_DOUBLE_EQ(ts.buckets()[2], 0.0);
   EXPECT_DOUBLE_EQ(ts.buckets()[3], 1.0);
-}
-
-TEST(TimeSeries, MovingAverage) {
-  TimeSeries ts(Seconds(1.0));
-  for (int i = 0; i < 5; ++i) {
-    ts.Record(Seconds(static_cast<double>(i)), static_cast<double>(i));
-  }
-  const auto ma = ts.MovingAverage(3);
-  ASSERT_EQ(ma.size(), 5u);
-  EXPECT_DOUBLE_EQ(ma[2], 2.0);  // (1+2+3)/3
-  EXPECT_DOUBLE_EQ(ma[0], 0.5);  // (0+1)/2 at the edge
 }
 
 // --- InlineCallback ----------------------------------------------------------

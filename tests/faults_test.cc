@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,7 +44,8 @@ TEST(FaultPlan, SameSeedSameSchedule) {
     log.sim = &sim;
     for (int i = 0; i < 200; ++i) {
       sim.ScheduleAt(i * 10, [ch = &channel, lg = &log, i]() {
-        ch->ScheduleArrival(100, [lg, i]() { lg->hits.push_back({i, lg->sim->Now()}); });
+        ch->ScheduleArrival(
+            100, [lg, i]() { lg->hits.push_back({i, lg->sim->Now()}); }, /*sender=*/0);
       });
     }
     sim.RunAll();
@@ -75,7 +77,7 @@ TEST(FaultPlan, UnarmedPlanIsInert) {
   EXPECT_FALSE(channel.faults_armed());
   int delivered = 0;
   for (int i = 0; i < 50; ++i) {
-    channel.ScheduleArrival(100, [&delivered]() { ++delivered; });
+    channel.ScheduleArrival(100, [&delivered]() { ++delivered; }, /*sender=*/0);
   }
   sim.RunAll();
   EXPECT_EQ(delivered, 50);
@@ -98,10 +100,9 @@ TEST(FaultPlan, PartitionWindowDropsOnlyTargetedSender) {
   submit(50, 1, 0);    // before the window: delivered
   submit(150, 2, 0);   // inside, targeted sender: dropped
   submit(150, 3, 1);   // inside, other sender: delivered
-  submit(200, 4, CertifierChannel::kNoSender);  // anonymous: never partitioned
   submit(300, 5, 0);   // window is half-open: to is outside
   sim.RunAll();
-  EXPECT_EQ(delivered, (std::vector<int>{1, 3, 4, 5}));
+  EXPECT_EQ(delivered, (std::vector<int>{1, 3, 5}));
   EXPECT_EQ(channel.fault_stats().partition_dropped, 1u);
   EXPECT_EQ(channel.fault_stats().dropped, 0u);  // no probability draws spent
 }
@@ -323,6 +324,43 @@ TEST(FaultCluster, CrashFailoverResumesAtNewEpochWithZeroLoss) {
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_GT(r.committed, 0u);                  // traffic resumed
   EXPECT_GT(r.fenced, 0u);                     // old-epoch responses refused
+  EXPECT_GT(cluster.certifier().certified_count(), before);
+  ExpectZeroLoss(cluster);
+}
+
+// The verbs that lose messages refuse an unarmed cluster: without retry
+// nothing would time out and resend what they drop. Each throws before it
+// touches anything, so the cluster carries on as if it was never called.
+TEST(FaultCluster, LossyVerbsThrowWithoutRetry) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  cluster.Advance(Seconds(30.0));
+  EXPECT_THROW(cluster.CrashCertifier(), std::logic_error);
+  EXPECT_THROW(cluster.PartitionProxy(0, Seconds(30.0)), std::logic_error);
+  EXPECT_TRUE(cluster.certifier().serving());
+  const ExperimentResult r = cluster.Measure(Seconds(20.0));
+  EXPECT_EQ(r.cert_crashes, 0u);
+  EXPECT_EQ(r.msgs_dropped, 0u);
+  EXPECT_GT(r.committed, 0u);
+  ExpectZeroLoss(cluster);
+}
+
+// A planned handover needs no retry: the primary still serves, so requests
+// stamped with the old epoch are fenced and resent at once, never stranded.
+TEST(FaultCluster, PlannedFailoverWithoutRetryFencesAndCommits) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
+  ClusterMutator mutator(&cluster);
+  cluster.Advance(Seconds(30.0));
+  const uint64_t before = cluster.certifier().certified_count();
+  // Fail over mid-window, while certifications are in flight.
+  mutator.At(Seconds(10.0), FailoverCertifier{});
+  const ExperimentResult r = cluster.Measure(Seconds(60.0));
+  EXPECT_EQ(cluster.certifier().epoch(), 2u);
+  EXPECT_EQ(r.cert_failovers, 1u);
+  EXPECT_GT(r.fenced, 0u);
+  EXPECT_EQ(r.cert_timeouts, 0u);
+  EXPECT_GT(r.committed, 0u);
   EXPECT_GT(cluster.certifier().certified_count(), before);
   ExpectZeroLoss(cluster);
 }
