@@ -196,14 +196,17 @@ EOF
 # ProxyConfig::mask_filtering=false), and both sides run in this invocation on
 # this host, so host speed cancels out of the ratio. Ranges over 24 runs of
 # the campaign step above on a 4-vCPU Xeon (g++ 12.2, RelWithDebInfo): kernel
-# 1.10-1.80, filter storm 1.31-2.21, pool 2.30-4.34. (The pool storm's single
-# 256 MB pool stays cache-resident, so LRU node size and page-block memory
-# barely show in its ratio.) A missing scalar fails.
+# 1.45-2.43 (median 2.16; 1.05-1.65 before the 4-ary heap and in-place
+# callbacks), filter storm 1.31-2.83, pool 2.48-5.40. The kernel floor, 1.2,
+# sits below that minimum; the binary-heap kernel fell under it in 6 of its
+# 24 runs. (The pool storm's single 256 MB pool stays cache-resident, so LRU
+# node size and page-block memory barely show in its ratio.) A missing
+# scalar fails.
 python3 - <<'EOF' || { echo "ci: perf speedup floors failed" >&2; exit 1; }
 import json, sys
 s = json.load(open('build/bench-out/BENCH_perf.json'))['scalars']
 ok = True
-for name, floor in [('kernel speedup (slab / legacy)', 1.0),
+for name, floor in [('kernel speedup (slab / legacy)', 1.2),
                     ('filter-storm speedup (mask / touchesany)', 1.0),
                     ('pool speedup (slab / legacy)', 1.5)]:
     value = s.get(name)

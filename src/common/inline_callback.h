@@ -8,6 +8,12 @@
 // the object, and a capture that does not fit is a compile error pointing at
 // the Capacity parameter rather than a silent allocation.
 //
+// Build a callable where it will live, and move it only when ownership
+// changes. Slots that hold callbacks (the simulator's event records, a
+// FifoServer's job ring) construct the caller's lambda in place with
+// Emplace; wrapping it in a temporary InlineCallback first would add a
+// relocation, an indirect call, per hop.
+//
 // Each hot signature picks its own capacity, sized for the largest capture
 // that flows through it (the capacity ladder is documented in
 // docs/ARCHITECTURE.md, "Hot path & performance model"). When a new capture
@@ -44,15 +50,7 @@ class InlineCallback<R(Args...), Capacity> {
                 !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineCallback(F&& f) {  // NOLINT: implicit, like std::function
-    using Fn = std::decay_t<F>;
-    static_assert(sizeof(Fn) <= Capacity,
-                  "capture too large for this InlineCallback capacity; raise the "
-                  "Capacity parameter of the callback alias you are passing to "
-                  "(see docs/ARCHITECTURE.md, 'Hot path & performance model')");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned captures are not supported");
-    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-    ops_ = &OpsFor<Fn>::table;
+    Construct(std::forward<F>(f));
   }
 
   InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
@@ -94,6 +92,22 @@ class InlineCallback<R(Args...), Capacity> {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
+  // Replaces the stored callable with `f`, building a callable directly in
+  // this object's storage: no temporary InlineCallback, no relocation. An
+  // InlineCallback of this type is moved in and nullptr clears, so a slot
+  // that forwards whatever its caller passed needs no special cases.
+  template <typename F>
+  void Emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+      *this = std::forward<F>(f);
+    } else if constexpr (std::is_same_v<std::decay_t<F>, std::nullptr_t>) {
+      Reset();
+    } else {
+      Reset();
+      Construct(std::forward<F>(f));
+    }
+  }
+
   static constexpr size_t capacity() { return Capacity; }
 
  private:
@@ -116,6 +130,21 @@ class InlineCallback<R(Args...), Capacity> {
     static void Destroy(void* p) { static_cast<Fn*>(p)->~Fn(); }
     static constexpr Ops table{&Invoke, &Relocate, &Destroy};
   };
+
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<R, Fn&, Args...>,
+                  "callable does not match this InlineCallback's signature");
+    static_assert(sizeof(Fn) <= Capacity,
+                  "capture too large for this InlineCallback capacity; raise the "
+                  "Capacity parameter of the callback alias you are passing to "
+                  "(see docs/ARCHITECTURE.md, 'Hot path & performance model')");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "over-aligned captures are not supported");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+    ops_ = &OpsFor<Fn>::table;
+  }
 
   void Reset() noexcept {
     if (ops_ != nullptr) {

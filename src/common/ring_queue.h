@@ -27,12 +27,17 @@ class RingQueue {
   size_t size() const { return size_; }
   size_t capacity() const { return slots_.size(); }
 
-  void push_back(T value) {
+  void push_back(T value) { push_slot() = std::move(value); }
+
+  // Appends a slot and returns it for the caller to fill in place. It holds
+  // whatever the slot held before: a default T, or a T a pop moved from.
+  T& push_slot() {
     if (size_ == slots_.size()) {
       Grow();
     }
-    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(value);
+    T& slot = slots_[(head_ + size_) & (slots_.size() - 1)];
     ++size_;
+    return slot;
   }
 
   T& front() { return slots_[head_]; }

@@ -2,37 +2,19 @@
 
 namespace tashkent {
 
-void FifoServer::Submit(SimDuration service, Done done, JobPriority prio) {
-  if (service < 0) {
-    service = 0;
-  }
-  Job job{service, std::move(done)};
-  if (prio == JobPriority::kForeground) {
-    fg_queue_.push_back(std::move(job));
-  } else {
-    bg_queue_.push_back(std::move(job));
-  }
-  if (!busy_) {
-    StartNext();
-  }
-}
-
 void FifoServer::StartNext() {
-  Job job;
-  if (!fg_queue_.empty()) {
-    job = std::move(fg_queue_.front());
-    fg_queue_.pop_front();
-  } else if (!bg_queue_.empty()) {
-    job = std::move(bg_queue_.front());
-    bg_queue_.pop_front();
-  } else {
+  RingQueue<Job>& queue = fg_queue_.empty() ? bg_queue_ : fg_queue_;
+  if (queue.empty()) {
     return;
   }
-  busy_ = true;
+  Job& job = queue.front();
+  const SimDuration service = job.service;
   active_done_ = std::move(job.done);
-  util_.AddBusy(job.service);
-  total_busy_ += job.service;
-  sim_->ScheduleAfter(job.service, [this]() { FinishActive(); });
+  queue.pop_front();
+  busy_ = true;
+  util_.AddBusy(service);
+  total_busy_ += service;
+  sim_->ScheduleAfter(service, [this]() { FinishActive(); });
 }
 
 void FifoServer::FinishActive() {

@@ -11,9 +11,12 @@
 // inline in the queue slots, no per-job heap allocation), the queues are
 // RingQueues (steady-state pushes never touch the heap), and the in-service
 // job's callback is parked in a member slot so the simulator event that
-// completes it captures only `this`. Jobs carry no payload: the replica parks
-// a running transaction in its own slab and hands the server a closure of
-// `{this, slot}`, so a queued job is 96 bytes.
+// completes it captures only `this`. Submit builds each job in its ring
+// slot, so a completion is constructed once and then moved only as it
+// changes hands: into that member slot when its job starts, and out of it
+// when the job completes (so it may submit the next job). Jobs carry no
+// payload: the replica parks a running transaction in its own slab and
+// hands the server a closure of `{this, slot}`, so a queued job is 96 bytes.
 #ifndef SRC_SIM_FIFO_SERVER_H_
 #define SRC_SIM_FIFO_SERVER_H_
 
@@ -49,7 +52,17 @@ class FifoServer {
   FifoServer& operator=(const FifoServer&) = delete;
 
   // Enqueues a job requiring `service` time; `done` fires when it completes.
-  void Submit(SimDuration service, Done done, JobPriority prio = JobPriority::kForeground);
+  // `done` is anything a Done can hold (a lambda, a Done, or nullptr for no
+  // completion), built directly in the job's queue slot.
+  template <typename F>
+  void Submit(SimDuration service, F&& done, JobPriority prio = JobPriority::kForeground) {
+    Job& job = (prio == JobPriority::kForeground ? fg_queue_ : bg_queue_).push_slot();
+    job.service = service < 0 ? 0 : service;
+    job.done.Emplace(std::forward<F>(done));
+    if (!busy_) {
+      StartNext();
+    }
+  }
 
   // Busy time accumulated since the last Sample() call, as a utilization.
   double SampleUtilization() { return util_.Sample(sim_->Now()); }

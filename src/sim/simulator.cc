@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tashkent {
 
@@ -18,7 +19,7 @@ namespace {
 
 }  // namespace
 
-Simulator::EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
+Simulator::EventId Simulator::Enqueue(SimTime when, uint32_t slot) {
   if (when < now_) {
     when = now_;
   }
@@ -28,17 +29,77 @@ Simulator::EventId Simulator::ScheduleAt(SimTime when, Callback cb) {
   // split form measured ~8% slower on the kernel-storm cell.
   if (__builtin_expect((when > kMaxTime) | (next_seq_ >= seq_limit_), 0)) {
     if (when > kMaxTime) {
+      // No id was minted for this occupancy, so the slot goes back as is.
+      slab_[slot].cb = nullptr;
+      slab_.Free(slot);
       ThrowTimeOverflow();
     }
     RenumberSequences();
   }
-  const uint32_t slot = slab_.Alloc();
-  EventRecord& rec = slab_[slot];
-  rec.cb = std::move(cb);
-  heap_.push_back(HeapEntry{MakeKey(when, next_seq_++), slot, rec.gen});
-  std::push_heap(heap_.begin(), heap_.end(), FiresAfter{});
+  const uint32_t gen = slab_[slot].gen;
+  HeapPush(HeapEntry{MakeKey(when, next_seq_++), slot, gen});
   ++live_events_;
-  return MakeId(slot, rec.gen);
+  return MakeId(slot, gen);
+}
+
+void Simulator::HeapPush(HeapEntry e) {
+  // Sift a hole up from the new leaf and drop `e` into it.
+  size_t hole = heap_.size();
+  heap_.emplace_back();
+  HeapEntry* h = heap_.data();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (h[parent].key <= e.key) {
+      break;
+    }
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = e;
+}
+
+void Simulator::HeapPopFront() {
+  // Floyd's pop: walk the root's hole down to a leaf along least children,
+  // then sift the former last entry up from there. It usually belongs near
+  // the bottom, so the walk needs no per-level compare against it, and the
+  // walk's only branch (are there four children?) is predictable.
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const size_t n = heap_.size();
+  if (n == 0) {
+    return;
+  }
+  HeapEntry* h = heap_.data();
+  size_t hole = 0;
+  for (;;) {
+    const size_t c = 4 * hole + 1;
+    size_t least;
+    if (c + 3 < n) {
+      // All four children exist: a two-round tournament the compiler turns
+      // into conditional moves, since which child wins is unpredictable.
+      const size_t a = c + (h[c + 1].key < h[c].key);
+      const size_t b = c + 2 + (h[c + 3].key < h[c + 2].key);
+      least = h[b].key < h[a].key ? b : a;
+    } else if (c < n) {
+      least = c;
+      for (size_t i = c + 1; i < n; ++i) {
+        least = h[i].key < h[least].key ? i : least;
+      }
+    } else {
+      break;
+    }
+    h[hole] = h[least];
+    hole = least;
+  }
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 4;
+    if (h[parent].key <= last.key) {
+      break;
+    }
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = last;
 }
 
 bool Simulator::Cancel(EventId id) {
@@ -72,13 +133,20 @@ void Simulator::MaybeCompactHeap() {
   if (heap_.size() < kCompactMinHeap || cancelled_in_heap_ * 2 <= heap_.size()) {
     return;
   }
+  SortLiveEntries();
+}
+
+void Simulator::SortLiveEntries() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [this](const HeapEntry& e) {
                                return slab_[e.slot].gen != e.gen;
                              }),
               heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), FiresAfter{});
   cancelled_in_heap_ = 0;
+  // An array sorted ascending is a valid min-heap of any arity: every parent
+  // sits before, and fires no later than, its children.
+  std::sort(heap_.begin(), heap_.end(),
+            [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
 }
 
 void Simulator::RenumberSequences() {
@@ -86,21 +154,13 @@ void Simulator::RenumberSequences() {
   // firing order. Relative order is all the comparator ever uses (sequence
   // numbers only break ties within one tick), so every pairwise comparison
   // is preserved, and entries scheduled after the renumber sort later within
-  // their tick than every survivor — exactly as before.
-  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
-                             [this](const HeapEntry& e) {
-                               return slab_[e.slot].gen != e.gen;
-                             }),
-              heap_.end());
-  cancelled_in_heap_ = 0;
-  std::sort(heap_.begin(), heap_.end(),
-            [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
+  // their tick than every survivor — exactly as before. The array stays
+  // sorted, so it stays a heap.
+  SortLiveEntries();
   uint64_t seq = 0;
   for (HeapEntry& e : heap_) {
     e.key = MakeKey(e.when(), seq++);
   }
-  // A sorted ascending array is a valid min-ordered binary heap under
-  // FiresAfter (every parent fires no later than its children).
   next_seq_ = seq;
   ++seq_renumbers_;
   if (next_seq_ >= seq_limit_) {
@@ -115,8 +175,7 @@ void Simulator::RunEvents(SimTime limit) {
     if (top.when() > limit) {
       break;
     }
-    std::pop_heap(heap_.begin(), heap_.end(), FiresAfter{});
-    heap_.pop_back();
+    HeapPopFront();
     EventRecord& rec = slab_[top.slot];
     if (rec.gen != top.gen) {
       --cancelled_in_heap_;  // lazily-cancelled entry: skip
@@ -142,9 +201,13 @@ void Simulator::RunUntil(SimTime end) {
 void Simulator::RunAll() { RunEvents(kMaxTime); }
 
 uint64_t Simulator::SchedulePeriodic(SimTime start, SimDuration period, Callback cb) {
+  if (period <= 0) {
+    throw std::invalid_argument("Simulator::SchedulePeriodic: period must be positive, got " +
+                                std::to_string(period) + " us");
+  }
   periodics_.push_back(PeriodicTask{period, std::move(cb), true});
   const uint64_t pid = periodics_.size();
-  ScheduleAt(start, Callback([this, pid]() { PeriodicTick(pid); }));
+  ScheduleAt(start, [this, pid]() { PeriodicTick(pid); });
   return pid;
 }
 
@@ -173,7 +236,7 @@ void Simulator::PeriodicTick(uint64_t periodic_id) {
     return;  // the callback stopped its own periodic
   }
   after.cb = std::move(cb);
-  ScheduleAfter(period, Callback([this, periodic_id]() { PeriodicTick(periodic_id); }));
+  ScheduleAfter(period, [this, periodic_id]() { PeriodicTick(periodic_id); });
 }
 
 }  // namespace tashkent

@@ -7,26 +7,37 @@
 // schedule callbacks here.
 //
 // Hot-path layout (see docs/ARCHITECTURE.md, "Hot path & performance model"):
-// event callbacks are InlineCallbacks stored in a free-listed slab
-// (src/common/slab_list.h) — scheduling an event is a slab-slot pop plus a
-// binary-heap push, with zero heap allocation once the slab and heap vectors
-// have grown to the run's working size. EventIds are generation-tagged slot
-// handles, so Cancel is O(1), double-cancel is detected, and a stale id from
-// a recycled slot can never cancel the slot's new occupant. Cancellation
-// stays lazy in the heap (the dead entry is skipped when popped), but the
-// heap is compacted once dead entries outnumber live ones, so a cancel-heavy
+// each pending event is a record in a free-listed slab
+// (src/common/slab_list.h), holding an InlineCallback with 96 bytes of
+// capture storage and the slot's 32-bit generation, plus a 16-byte entry in
+// a 4-ary min-heap. Scheduling an event is a slab-slot pop, the caller's
+// callable constructed in place in that record, and a 4-ary-heap push, with
+// zero heap allocation once the slab and heap vectors have grown to the
+// run's working size. EventIds are generation-tagged slot handles, so
+// Cancel is O(1), double-cancel is detected, and a stale id from a recycled
+// slot can never cancel the slot's new occupant. Cancellation stays lazy in
+// the heap (the dead entry is skipped when popped), but the heap is
+// compacted once dead entries outnumber live ones, so a cancel-heavy
 // workload cannot bloat it.
 //
 // Heap micro-layout: the sort key (when, seq) is packed into one 64-bit
 // integer — `when` in the high 40 bits (12.7 simulated days; exceeding it
 // throws), a 24-bit sequence in the low bits — so each heap entry is 16
-// bytes and a sift step is a single integer compare. The 24-bit sequence
+// bytes and a sift step is a single integer compare. The heap is 4-ary:
+// node i's children are 4i+1..4i+4, 64 adjacent bytes, so it is half as
+// deep as a binary heap. A pop walks the root's hole down to a leaf, each
+// step picking the least of four children with conditional moves rather
+// than branches, then sifts the former last entry up into it (Floyd's
+// method: that entry usually belongs near the bottom). The 24-bit sequence
 // wraps by RENUMBERING: when 2^24 schedules have happened, live heap entries
 // are re-assigned dense sequence numbers in their current firing order,
 // which preserves the comparison outcome of every pair (same-tick order is
 // relative, not absolute) and lets the counter restart. Renumbering also
-// drops lazily-cancelled entries. tests/sim_test.cc crosses the boundary
-// explicitly via the test-seam constructor.
+// drops lazily-cancelled entries. Renumbering and compaction leave the
+// entries sorted, and a sorted array is a valid 4-ary heap. Keys are unique,
+// so the pop order is the same as any other correct priority queue's.
+// tests/sim_test.cc crosses the boundary explicitly via the test-seam
+// constructor, and checks the kernel against a std::map model.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -73,12 +84,20 @@ class Simulator {
 
   // Schedules `cb` to run at absolute time `when`; times in the past are
   // clamped to Now(). Throws std::overflow_error past kMaxTime (~12.7
-  // simulated days — far beyond any campaign).
-  EventId ScheduleAt(SimTime when, Callback cb);
+  // simulated days — far beyond any campaign). `cb` is a lambda (or any
+  // callable a Callback can hold), constructed directly in the event's slab
+  // record, or a Callback, moved in.
+  template <typename F>
+  EventId ScheduleAt(SimTime when, F&& cb) {
+    const uint32_t slot = slab_.Alloc();
+    slab_[slot].cb.Emplace(std::forward<F>(cb));
+    return Enqueue(when, slot);
+  }
 
   // Schedules `cb` to run `delay` after Now(); negative delays clamp to 0.
-  EventId ScheduleAfter(SimDuration delay, Callback cb) {
-    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  template <typename F>
+  EventId ScheduleAfter(SimDuration delay, F&& cb) {
+    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::forward<F>(cb));
   }
 
   // Cancels a pending event in O(1): the slab slot is freed immediately (the
@@ -95,7 +114,8 @@ class Simulator {
   // Registers a callback every `period`, first firing at `start`. It keeps
   // firing until StopPeriodic is called with the returned id. Ids are dense
   // (1, 2, ...) and never reused; StopPeriodic on an unknown or already
-  // stopped id does nothing.
+  // stopped id does nothing. Throws std::invalid_argument unless `period` is
+  // positive: a period of zero would re-fire at one tick forever.
   uint64_t SchedulePeriodic(SimTime start, SimDuration period, Callback cb);
   void StopPeriodic(uint64_t periodic_id);
 
@@ -117,7 +137,8 @@ class Simulator {
   static constexpr size_t kCompactMinHeap = 64;
 
   // 16-byte heap entry: `key` packs (when << kSeqBits) | seq, so the heap
-  // comparator is one integer compare.
+  // comparator is one integer compare, and a node's four children fill 64
+  // bytes.
   struct HeapEntry {
     uint64_t key;
     uint32_t slot;
@@ -125,14 +146,10 @@ class Simulator {
 
     SimTime when() const { return static_cast<SimTime>(key >> kSeqBits); }
   };
-  // Ordering for std::*_heap (max-heap semantics): "a fires after b" puts the
-  // earliest (when, seq) at the front.
-  struct FiresAfter {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a.key > b.key;
-    }
-  };
+  static_assert(sizeof(HeapEntry) == 16, "four heap entries fill a cache line");
 
+  // Slab record: the callback, built in place by ScheduleAt, and the
+  // generation that ids and heap entries for this occupancy carry.
   struct EventRecord {
     Callback cb;
     uint32_t gen = 0;  // bumped on fire/cancel; matches live ids only
@@ -151,6 +168,14 @@ class Simulator {
     return (static_cast<uint64_t>(when) << kSeqBits) | seq;
   }
 
+  // ScheduleAt's non-template half: pushes the heap entry for `slot`, whose
+  // callback is already built, and mints its id.
+  EventId Enqueue(SimTime when, uint32_t slot);
+  // 4-ary min-heap on HeapEntry::key.
+  void HeapPush(HeapEntry e);
+  void HeapPopFront();
+  // Drops dead entries and sorts the rest by key (a valid heap).
+  void SortLiveEntries();
   // Runs events with time <= `limit` (the shared RunUntil/RunAll core).
   void RunEvents(SimTime limit);
   // Bumps the slot's generation and returns it to the free list.
@@ -167,7 +192,7 @@ class Simulator {
   uint64_t seq_limit_;
   uint64_t executed_ = 0;
   uint64_t seq_renumbers_ = 0;
-  std::vector<HeapEntry> heap_;   // binary heap via std::push_heap/pop_heap
+  std::vector<HeapEntry> heap_;   // 4-ary min-heap: children of i are 4i+1..4i+4
   Slab<EventRecord> slab_;        // event records; callbacks stored inline
   size_t live_events_ = 0;
   size_t cancelled_in_heap_ = 0;

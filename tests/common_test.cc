@@ -229,6 +229,28 @@ TEST(InlineCallback, MutableCaptureStateSurvivesCalls) {
   EXPECT_EQ(counter(), 3);
 }
 
+TEST(InlineCallback, EmplaceReplacesInPlace) {
+  auto old_token = std::make_shared<int>(1);
+  auto new_token = std::make_shared<int>(2);
+  int seen = 0;
+  InlineCallback<void(), 32> cb = [old_token, &seen] { seen = *old_token; };
+  // A callable is built in place; the one it replaces is destroyed first.
+  cb.Emplace([new_token, &seen] { seen = *new_token; });
+  EXPECT_EQ(old_token.use_count(), 1);
+  EXPECT_EQ(new_token.use_count(), 2);
+  cb();
+  EXPECT_EQ(seen, 2);
+  // An InlineCallback of the same type is moved in, not wrapped.
+  InlineCallback<void(), 32> other = [&seen] { seen = 3; };
+  cb.Emplace(std::move(other));
+  EXPECT_FALSE(static_cast<bool>(other));  // NOLINT(bugprone-use-after-move): the contract
+  EXPECT_EQ(new_token.use_count(), 1);
+  cb();
+  EXPECT_EQ(seen, 3);
+  cb.Emplace(nullptr);
+  EXPECT_FALSE(static_cast<bool>(cb));
+}
+
 TEST(InlineCallback, SmallerCapacityNestsIntoLarger) {
   InlineCallback<void(bool), 32> small = [](bool) {};
   InlineCallback<void(bool), 96> big = std::move(small);

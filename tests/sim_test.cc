@@ -1,8 +1,15 @@
 // Unit tests for the discrete-event simulator and FIFO server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/fifo_server.h"
 #include "src/sim/simulator.h"
 
@@ -82,6 +89,18 @@ TEST(Simulator, PeriodicFiresUntilStopped) {
   sim.StopPeriodic(pid);
   sim.RunUntil(Millis(200));
   EXPECT_EQ(count, 5);
+}
+
+TEST(Simulator, NonPositivePeriodThrows) {
+  Simulator sim;
+  int count = 0;
+  // A zero period would re-fire at one tick forever; neither call may
+  // register anything, so the clock never has to run.
+  EXPECT_THROW(sim.SchedulePeriodic(Millis(10), 0, [&]() { ++count; }), std::invalid_argument);
+  EXPECT_THROW(sim.SchedulePeriodic(Millis(10), -Millis(5), [&]() { ++count; }),
+               std::invalid_argument);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(count, 0);
 }
 
 TEST(Simulator, PeriodicCanStopItself) {
@@ -426,6 +445,233 @@ TEST(Simulator, SchedulingPastPackedTimeRangeThrows) {
   EXPECT_THROW(sim.ScheduleAt(Simulator::kMaxTime + 1, []() {}), std::overflow_error);
   // The documented limit itself is schedulable (~12.7 simulated days).
   EXPECT_NE(sim.ScheduleAt(Simulator::kMaxTime, []() {}), Simulator::kInvalidEvent);
+}
+
+// --- differential kernel test -------------------------------------------------
+
+// Drives the kernel with a seeded script and checks it against a std::map
+// keyed by (fire time, schedule index): every firing must be the model's
+// least key, at that time, and the live and executed counts must agree after
+// every step. The script mixes lambda and Callback schedules (some with a
+// non-trivial capture), same-tick bursts, schedules into the past, cancels
+// from inside and outside callbacks of live, fired and stale recycled ids,
+// and cancel storms; the low renumber limit makes sequence renumbering and
+// heap compaction both run.
+class KernelDifferential {
+ public:
+  explicit KernelDifferential(uint64_t seed) : sim_(/*seq_renumber_limit=*/512), rng_(seed) {}
+
+  void Run(uint64_t budget) {
+    budget_ = budget;
+    for (int i = 0; i < 64; ++i) {
+      Schedule(static_cast<SimTime>(rng_.NextBelow(100)));
+    }
+    while (!model_.empty()) {
+      sim_.RunUntil(sim_.Now() + static_cast<SimDuration>(rng_.NextBelow(200)));
+      ExpectCountsAgree();
+      if (fired_ < budget_) {
+        Act();
+      }
+    }
+    sim_.RunAll();
+  }
+
+  void ExpectCountsAgree() {
+    EXPECT_EQ(sim_.executed_events(), fired_);
+    EXPECT_EQ(sim_.pending_events(), model_.size());
+  }
+
+  const Simulator& sim() const { return sim_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+  uint64_t fired() const { return fired_; }
+  uint64_t compactions() const { return compactions_; }
+  uint64_t cancels_accepted() const { return cancels_accepted_; }
+  uint64_t stale_cancels() const { return stale_cancels_; }
+  long token_uses() const { return token_.use_count(); }
+
+ private:
+  void Schedule(SimTime when) {
+    const uint64_t idx = ids_.size();
+    const SimTime fire_at = std::max(when, sim_.Now());
+    Simulator::EventId id = Simulator::kInvalidEvent;
+    switch (rng_.NextBelow(4)) {
+      case 0:
+        id = sim_.ScheduleAt(when, [this, idx]() { Fired(idx); });
+        break;
+      case 1:
+        id = sim_.ScheduleAt(when, Simulator::Callback([this, idx]() { Fired(idx); }));
+        break;
+      case 2:
+        // A capture with a destructor: cancel and fire must each destroy it
+        // exactly once (token_uses() returns to 1 at the end).
+        id = sim_.ScheduleAfter(when - sim_.Now(), [this, idx, t = token_]() {
+          (void)t;
+          Fired(idx);
+        });
+        break;
+      default: {
+        Simulator::Callback cb([this, idx, t = token_]() {
+          (void)t;
+          Fired(idx);
+        });
+        id = sim_.ScheduleAfter(when - sim_.Now(), std::move(cb));
+        break;
+      }
+    }
+    ids_.push_back(id);
+    fire_at_.push_back(fire_at);
+    model_.emplace(std::make_pair(fire_at, idx), idx);
+  }
+
+  void Fired(uint64_t idx) {
+    ++fired_;
+    const auto least = model_.begin();
+    if (least == model_.end() || least->second != idx || least->first.first != sim_.Now()) {
+      if (first_mismatch_.empty()) {
+        first_mismatch_ = "firing " + std::to_string(fired_) + ": kernel fired #" +
+                          std::to_string(idx) + " at " + std::to_string(sim_.Now()) +
+                          ", model expected " +
+                          (least == model_.end() ? std::string("nothing")
+                                                 : "#" + std::to_string(least->second) + " at " +
+                                                       std::to_string(least->first.first));
+      }
+      model_.erase({fire_at_[idx], idx});
+    } else {
+      model_.erase(least);
+    }
+    ExpectCountsAgree();
+    if (fired_ < budget_) {
+      Act();
+    }
+  }
+
+  void Act() {
+    const SimTime now = sim_.Now();
+    const uint64_t r = rng_.NextBelow(100);
+    if (r < 60) {
+      const uint64_t n = model_.size() < 120 ? 1 + rng_.NextBelow(3) : rng_.NextBelow(2);
+      for (uint64_t i = 0; i < n; ++i) {
+        Schedule(now + static_cast<SimTime>(rng_.NextBelow(300)));
+      }
+    } else if (r < 70) {
+      // Same-tick burst, at this tick or a later one.
+      const SimTime at = now + static_cast<SimTime>(rng_.NextBelow(2) * rng_.NextBelow(50));
+      const uint64_t n = 2 + rng_.NextBelow(7);
+      for (uint64_t i = 0; i < n; ++i) {
+        Schedule(at);
+      }
+    } else if (r < 75) {
+      Schedule(now - static_cast<SimTime>(rng_.NextBelow(20)));  // clamps to now
+    }
+    if (rng_.NextBelow(100) < 40) {
+      CancelOne();
+    }
+    if (rng_.NextBelow(1000) < 4) {
+      // Cancel storm: dead entries outnumber live ones, so the heap compacts.
+      std::vector<uint64_t> live;
+      for (const auto& kv : model_) {
+        live.push_back(kv.second);
+      }
+      for (uint64_t idx : live) {
+        if (rng_.NextBelow(10) < 8) {
+          Cancel(idx);
+        }
+      }
+    }
+  }
+
+  void CancelOne() {
+    const uint64_t n = ids_.size();
+    // Mostly recent ids (often still live), sometimes any id ever issued
+    // (mostly fired or cancelled, their slots recycled since).
+    const uint64_t idx = rng_.NextBelow(2) == 0 ? n - 1 - rng_.NextBelow(std::min<uint64_t>(n, 48))
+                                                : rng_.NextBelow(n);
+    Cancel(idx);
+  }
+
+  void Cancel(uint64_t idx) {
+    const bool live = model_.erase({fire_at_[idx], idx}) == 1;
+    const size_t heap_before = sim_.heap_entries();
+    const bool cancelled = sim_.Cancel(ids_[idx]);
+    EXPECT_EQ(cancelled, live) << "cancel of #" << idx;
+    if (sim_.heap_entries() < heap_before) {
+      ++compactions_;
+    }
+    cancels_accepted_ += cancelled ? 1 : 0;
+    stale_cancels_ += live ? 0 : 1;
+    ExpectCountsAgree();
+  }
+
+  Simulator sim_;
+  Rng rng_;
+  uint64_t budget_ = 0;
+  std::map<std::pair<SimTime, uint64_t>, uint64_t> model_;  // (when, idx) -> idx
+  std::vector<Simulator::EventId> ids_;                      // by schedule index
+  std::vector<SimTime> fire_at_;                             // by schedule index
+  std::shared_ptr<int> token_ = std::make_shared<int>(0);
+  std::string first_mismatch_;
+  uint64_t fired_ = 0;
+  uint64_t compactions_ = 0;
+  uint64_t cancels_accepted_ = 0;
+  uint64_t stale_cancels_ = 0;
+};
+
+TEST(Simulator, DifferentialAgainstOrderedMapModel) {
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    KernelDifferential d(seed);
+    d.Run(/*budget=*/20000);
+    EXPECT_EQ(d.first_mismatch(), "");
+    EXPECT_GE(d.fired(), 20000u);
+    d.ExpectCountsAgree();
+    EXPECT_EQ(d.sim().pending_events(), 0u);
+    // Every path of the script ran.
+    EXPECT_GT(d.sim().seq_renumbers(), 0u);
+    EXPECT_GT(d.compactions(), 0u);
+    EXPECT_GT(d.cancels_accepted(), 0u);
+    EXPECT_GT(d.stale_cancels(), 0u);
+    // Each non-trivial capture was destroyed: on firing or on cancel.
+    EXPECT_EQ(d.token_uses(), 1);
+  }
+}
+
+TEST(FifoServer, MixedCompletionsSerializeInFifoOrder) {
+  Simulator sim;
+  FifoServer server(&sim, "disk");
+  std::vector<int> order;
+  std::vector<SimTime> finished_at;
+  std::vector<SimTime> expect_at;
+  std::vector<int> expect_order;
+  SimTime end = 0;
+  // 40 jobs overflow the ring's first 8 slots several times, so jobs are
+  // also built in slots a pop left holding a moved-from completion.
+  for (int i = 0; i < 40; ++i) {
+    const SimDuration service = Millis(1 + i % 4);
+    end += service;
+    auto record = [&, i]() {
+      order.push_back(i);
+      finished_at.push_back(sim.Now());
+    };
+    switch (i % 3) {
+      case 0:
+        server.Submit(service, record);  // lambda, built in the ring slot
+        break;
+      case 1:
+        server.Submit(service, FifoServer::Done(record));  // a Done, moved in
+        break;
+      default:
+        server.Submit(service, nullptr);  // no completion, as Replica::FlushRound
+        continue;
+    }
+    expect_order.push_back(i);
+    expect_at.push_back(end);
+  }
+  sim.RunAll();
+  EXPECT_EQ(order, expect_order);
+  EXPECT_EQ(finished_at, expect_at);
+  EXPECT_EQ(server.jobs_completed(), 40u);
+  EXPECT_EQ(server.total_busy_time(), end);
+  EXPECT_EQ(sim.Now(), end);
 }
 
 }  // namespace
