@@ -18,7 +18,7 @@ cmake --build build -j"$(nproc)"
 # --- sanitizer pass ----------------------------------------------------------
 # The slab event kernel, inline-callback storage, and free-listed LRU are
 # exactly the code where lifetime bugs hide (use-after-free of a recycled
-# slot, double-destroy of a capture, off-by-one in page-block recycling);
+# slot, double-destroy of a capture, off-by-one in LRU-group recycling);
 # Address+UB sanitizers run the whole test suite over them on every CI pass.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
@@ -199,9 +199,12 @@ EOF
 # 1.45-2.43 (median 2.16; 1.05-1.65 before the 4-ary heap and in-place
 # callbacks), filter storm 1.31-2.83, pool 2.48-5.40. The kernel floor, 1.2,
 # sits below that minimum; the binary-heap kernel fell under it in 6 of its
-# 24 runs. (The pool storm's single 256 MB pool stays cache-resident, so LRU
-# node size and page-block memory barely show in its ratio.) A missing
-# scalar fails.
+# 24 runs. With grouped LRU slots, 24 runs on a 4-vCPU AMD EPYC (g++ 12.2,
+# RelWithDebInfo) read kernel 1.93-2.40, filter storm 1.36-1.96 and pool
+# 2.47-3.02 (median 2.90, against 2.81 for 32-page blocks and 16-byte LRU
+# nodes in 24 alternated runs): the pool storm's single 256 MB pool stays
+# cache-resident, so LRU node size and slot-table memory barely show in its
+# ratio. A missing scalar fails.
 python3 - <<'EOF' || { echo "ci: perf speedup floors failed" >&2; exit 1; }
 import json, sys
 s = json.load(open('build/bench-out/BENCH_perf.json'))['scalars']

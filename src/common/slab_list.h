@@ -10,13 +10,16 @@
 //                    grows the vector), Free() pushes the slot back. Slots
 //                    are stable uint32 indices, never pointers, so the vector
 //                    may reallocate while handles stay valid.
-//   * SlabList<T>  — Slab plus an intrusive doubly-linked list over the live
-//                    slots (PushFront/PushBack/Unlink/MoveRunToFront/
-//                    head/tail). Free slots reuse the `next` link as the
-//                    free-list pointer, so the node layout is exactly the
-//                    hand-rolled original's.
+//   * ListOps      — the list algorithm alone (PushFront/PushBack/Unlink/
+//                    MoveRunToFront/head/tail) over any node array whose
+//                    elements carry uint32 prev/next links. The buffer pool
+//                    runs its LRU on bare 8-byte ListLinks, whose slots it
+//                    computes from each entry's page (src/storage/buffer_pool.h).
+//   * SlabList<T>  — Slab plus ListOps over nodes that carry a payload (the
+//                    pool's dirty FIFO). Free slots reuse the `next` link as
+//                    the free-list pointer.
 //
-// Both are deliberately minimal: no iterators beyond head()/next()/prev()
+// All are deliberately minimal: no iterators beyond head()/next()/prev()
 // walking, no destruction hooks (payloads are reset by the owner), no
 // shrinking. The owners' behavior under this helper is pinned by
 // tests/golden_digest_test.cc — the dedup provably changes nothing.
@@ -76,11 +79,105 @@ class Slab {
   uint32_t free_head_ = kNilSlot;
 };
 
-// Intrusive doubly-linked list threaded through a free-listed slab. The
-// caller owns membership: Alloc() hands out an unlinked slot, PushFront /
-// PushBack link it, Unlink removes it (it may be re-linked or Freed). A
-// freed slot reuses `next` as the free-list pointer — the classic layout the
-// buffer pool's LRU and dirty FIFO both hand-rolled.
+// Payload-free list node: the two links alone, 8 bytes, eight to a cache
+// line. An owner that can compute everything else about a node from its
+// slot number keeps a std::vector<ListLink> and drives it with ListOps.
+struct ListLink {
+  uint32_t prev = kNilSlot;
+  uint32_t next = kNilSlot;
+};
+
+// The intrusive doubly-linked list algorithm, written once: the head and
+// tail of a list whose nodes live in the owner's array. `Nodes` is any
+// indexable container whose elements have uint32 `prev` and `next` members
+// (SlabList's nodes, or a bare std::vector<ListLink>). The caller owns
+// membership: a slot is linked by PushFront / PushBack and removed by
+// Unlink, which leaves the slot's own links as they were.
+class ListOps {
+ public:
+  template <typename Nodes>
+  void PushFront(Nodes& nodes, uint32_t slot) {
+    auto& n = nodes[slot];
+    n.prev = kNilSlot;
+    n.next = head_;
+    if (head_ != kNilSlot) {
+      nodes[head_].prev = slot;
+    }
+    head_ = slot;
+    if (tail_ == kNilSlot) {
+      tail_ = slot;
+    }
+  }
+
+  template <typename Nodes>
+  void PushBack(Nodes& nodes, uint32_t slot) {
+    auto& n = nodes[slot];
+    n.next = kNilSlot;
+    n.prev = tail_;
+    if (tail_ != kNilSlot) {
+      nodes[tail_].next = slot;
+    }
+    tail_ = slot;
+    if (head_ == kNilSlot) {
+      head_ = slot;
+    }
+  }
+
+  template <typename Nodes>
+  void Unlink(Nodes& nodes, uint32_t slot) {
+    const auto& n = nodes[slot];
+    if (n.prev != kNilSlot) {
+      nodes[n.prev].next = n.next;
+    } else {
+      head_ = n.next;
+    }
+    if (n.next != kNilSlot) {
+      nodes[n.next].prev = n.prev;
+    } else {
+      tail_ = n.prev;
+    }
+  }
+
+  // Moves the linked run front..back (front nearer the head, back reachable
+  // from front by next) to the head in O(1), keeping its internal order.
+  // A single node is the run (slot, slot).
+  template <typename Nodes>
+  void MoveRunToFront(Nodes& nodes, uint32_t front, uint32_t back) {
+    if (front == head_) {
+      return;
+    }
+    const uint32_t before = nodes[front].prev;  // not nil: front is not the head
+    const uint32_t after = nodes[back].next;
+    nodes[before].next = after;
+    if (after != kNilSlot) {
+      nodes[after].prev = before;
+    } else {
+      tail_ = before;
+    }
+    nodes[front].prev = kNilSlot;
+    nodes[back].next = head_;
+    nodes[head_].prev = back;
+    head_ = front;
+  }
+
+  uint32_t head() const { return head_; }
+  uint32_t tail() const { return tail_; }
+
+  void Clear() {
+    head_ = kNilSlot;
+    tail_ = kNilSlot;
+  }
+
+ private:
+  uint32_t head_ = kNilSlot;
+  uint32_t tail_ = kNilSlot;
+};
+
+// Intrusive doubly-linked list threaded through a free-listed slab: the
+// ListOps algorithm over nodes that carry a payload. The caller owns
+// membership: Alloc() hands out an unlinked slot, PushFront / PushBack link
+// it, Unlink removes it (it may be re-linked or Freed). A freed slot reuses
+// `next` as the free-list pointer.
 template <typename T>
 class SlabList {
  public:
@@ -100,72 +197,18 @@ class SlabList {
     free_head_ = slot;
   }
 
-  void PushFront(uint32_t slot) {
-    Node& n = nodes_[slot];
-    n.prev = kNilSlot;
-    n.next = head_;
-    if (head_ != kNilSlot) {
-      nodes_[head_].prev = slot;
-    }
-    head_ = slot;
-    if (tail_ == kNilSlot) {
-      tail_ = slot;
-    }
-  }
-
-  void PushBack(uint32_t slot) {
-    Node& n = nodes_[slot];
-    n.next = kNilSlot;
-    n.prev = tail_;
-    if (tail_ != kNilSlot) {
-      nodes_[tail_].next = slot;
-    }
-    tail_ = slot;
-    if (head_ == kNilSlot) {
-      head_ = slot;
-    }
-  }
-
-  void Unlink(uint32_t slot) {
-    Node& n = nodes_[slot];
-    if (n.prev != kNilSlot) {
-      nodes_[n.prev].next = n.next;
-    } else {
-      head_ = n.next;
-    }
-    if (n.next != kNilSlot) {
-      nodes_[n.next].prev = n.prev;
-    } else {
-      tail_ = n.prev;
-    }
-  }
-
-  // Moves the linked run front..back (front nearer the head, back reachable
-  // from front by next()) to the head in O(1), keeping its internal order.
-  // A single node is the run (slot, slot).
+  void PushFront(uint32_t slot) { list_.PushFront(nodes_, slot); }
+  void PushBack(uint32_t slot) { list_.PushBack(nodes_, slot); }
+  void Unlink(uint32_t slot) { list_.Unlink(nodes_, slot); }
   void MoveRunToFront(uint32_t front, uint32_t back) {
-    if (front == head_) {
-      return;
-    }
-    const uint32_t before = nodes_[front].prev;  // not nil: front is not the head
-    const uint32_t after = nodes_[back].next;
-    nodes_[before].next = after;
-    if (after != kNilSlot) {
-      nodes_[after].prev = before;
-    } else {
-      tail_ = before;
-    }
-    nodes_[front].prev = kNilSlot;
-    nodes_[back].next = head_;
-    nodes_[head_].prev = back;
-    head_ = front;
+    list_.MoveRunToFront(nodes_, front, back);
   }
 
   T& operator[](uint32_t slot) { return nodes_[slot].value; }
   const T& operator[](uint32_t slot) const { return nodes_[slot].value; }
 
-  uint32_t head() const { return head_; }
-  uint32_t tail() const { return tail_; }
+  uint32_t head() const { return list_.head(); }
+  uint32_t tail() const { return list_.tail(); }
   uint32_t next(uint32_t slot) const { return nodes_[slot].next; }
   uint32_t prev(uint32_t slot) const { return nodes_[slot].prev; }
 
@@ -174,8 +217,7 @@ class SlabList {
   void Clear() {
     nodes_.clear();
     free_head_ = kNilSlot;
-    head_ = kNilSlot;
-    tail_ = kNilSlot;
+    list_.Clear();
   }
 
  private:
@@ -185,15 +227,9 @@ class SlabList {
     uint32_t next = kNilSlot;  // doubles as the free-list link when free
   };
 
- public:
-  // Bytes per node, so owners can pin their payload's packing.
-  static constexpr size_t kNodeBytes = sizeof(Node);
-
- private:
   std::vector<Node> nodes_;
   uint32_t free_head_ = kNilSlot;
-  uint32_t head_ = kNilSlot;
-  uint32_t tail_ = kNilSlot;
+  ListOps list_;
 };
 
 }  // namespace tashkent

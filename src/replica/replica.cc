@@ -1,6 +1,7 @@
 #include "src/replica/replica.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -19,13 +20,38 @@ Bytes CheckedUsableMemory(ReplicaId id, const ReplicaConfig& config) {
   return config.memory - config.reserved;
 }
 
+// An out-of-range skew samples pages past a relation's end, so every skew
+// the pool will sample with is checked once, here, not per page.
+void CheckSkew(ReplicaId id, const char* field, const AccessSkew& skew) {
+  auto fail = [&](const char* name, double value, const char* range) {
+    throw std::invalid_argument("replica " + std::to_string(id) + ": " + field + "." + name +
+                                " " + std::to_string(value) + " outside " + range);
+  };
+  // Written so NaN fails every comparison and is rejected.
+  if (!(skew.hot_fraction >= 0.0 && skew.hot_fraction <= 1.0)) {
+    fail("hot_fraction", skew.hot_fraction, "[0, 1]");
+  }
+  if (!(skew.hot_weight >= 0.0 && skew.hot_weight <= 1.0)) {
+    fail("hot_weight", skew.hot_weight, "[0, 1]");
+  }
+  if (!(skew.zipf_s >= 0.0 && std::isfinite(skew.zipf_s))) {
+    fail("zipf_s", skew.zipf_s, "[0, inf)");
+  }
+}
+
+const ReplicaConfig& CheckedSkews(ReplicaId id, const ReplicaConfig& config) {
+  CheckSkew(id, "skew", config.skew);
+  CheckSkew(id, "write_skew", config.write_skew);
+  return config;
+}
+
 }  // namespace
 
 Replica::Replica(Simulator* sim, const Schema* schema, ReplicaId id, ReplicaConfig config, Rng rng)
     : sim_(sim),
       schema_(schema),
       id_(id),
-      config_(config),
+      config_(CheckedSkews(id, config)),
       rng_(rng),
       pool_(CheckedUsableMemory(id, config), config.chunk_pages),
       cpu_(sim, "cpu/" + std::to_string(id)),

@@ -64,7 +64,9 @@ struct ReplicaConfig {
   // Monitor daemon sampling and smoothing (EWMA weight of a new sample).
   SimDuration monitor_period = Seconds(1.0);
   double monitor_alpha = 0.30;
-  // Hot/cold access skew for random pages and scan-window placement.
+  // Hot/cold access skew for random pages and scan-window placement. The
+  // constructor throws std::invalid_argument unless both skews' hot_fraction
+  // and hot_weight lie in [0, 1] and zipf_s is finite and non-negative.
   AccessSkew skew;
   // Write skew: inserts append and updates hit recent rows, so writes
   // concentrate on a small leading region of each table. This keeps

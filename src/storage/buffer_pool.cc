@@ -59,8 +59,8 @@ uint64_t AccessSkew::SampleWindowStart(Rng& rng, Pages pages, Pages window) cons
 
 namespace {
 
-// Pool key limits: LruEntry packs a 32-bit page or chunk index, a 16-bit
-// relation id and a 15-bit weight.
+// Pool key limits: a group header packs a 32-bit page or chunk group index
+// and a 16-bit relation id, and chunk_weight is 16 bits wide.
 constexpr uint64_t kMaxRelations = uint64_t{1} << 16;
 constexpr Pages kMaxRelationPages = Pages{1} << 32;
 constexpr Pages kMaxChunkPages = Pages{1} << 15;
@@ -86,7 +86,7 @@ BufferPool::BufferPool(Bytes capacity, Pages chunk_pages)
     : capacity_pages_(std::max<Pages>(BytesToPages(capacity), 1)),
       chunk_pages_(CheckedChunkPages(chunk_pages)) {}
 
-// --- LRU slab plumbing (shared SlabList helper) ------------------------------
+// --- Grouped LRU slots ---------------------------------------------------------
 
 BufferPool::RelState& BufferPool::State(RelationId rel) {
   const size_t idx = static_cast<size_t>(rel);
@@ -102,44 +102,75 @@ BufferPool::RelState& BufferPool::State(RelationId rel) {
 
 BufferPool::RelState& BufferPool::PageState(const RelationMeta& rel) {
   RelState& rs = State(rel.id);
-  const size_t blocks = static_cast<size_t>((rel.pages + kBlockMask) >> kBlockShift);
-  if (rs.page_block.size() < blocks) {
+  const size_t groups = static_cast<size_t>((rel.pages + kGroupMask) >> kGroupShift);
+  if (rs.page_group.size() < groups) {
     CheckRelationPages(rel);
-    rs.page_block.resize(blocks, kNilSlot);
+    rs.page_group.resize(groups, kNilSlot);
   }
   return rs;
 }
 
-uint32_t BufferPool::PushEntry(const LruEntry& e, RelState& rs) {
-  const uint32_t slot = lru_.Alloc();
-  lru_[slot] = e;
-  lru_.PushFront(slot);
-  used_pages_ += e.weight();
-  rs.resident += e.weight();
-  return slot;
+uint32_t BufferPool::TakeGroup(RelationId rel, uint64_t index, bool chunk) {
+  uint32_t group = free_group_;
+  if (group != kNilSlot) {
+    free_group_ = groups_[group].base;
+  } else {
+    group = static_cast<uint32_t>(groups_.size());
+    groups_.emplace_back();
+    // push_back, not resize: resize's out-of-line fill costs a call per fresh
+    // group, and a cold pool takes one on most misses.
+    for (uint32_t i = 0; i < kGroupSlots; ++i) {
+      links_.push_back(ListLink{kAbsent, kNilSlot});
+    }
+  }
+  groups_[group] = Group{static_cast<uint32_t>(index >> kGroupShift), static_cast<uint16_t>(rel),
+                         static_cast<uint8_t>(chunk), 0};
+  if (!chunk) {
+    ++live_page_groups_;
+  }
+  return group;
+}
+
+inline uint32_t BufferPool::SlotFor(uint32_t& group, RelationId rel, uint64_t index, bool chunk) {
+  if (group == kNilSlot) {
+    group = TakeGroup(rel, index, chunk);
+  }
+  return group << kGroupShift | static_cast<uint32_t>(index & kGroupMask);
+}
+
+void BufferPool::Insert(uint32_t slot, Pages weight, RelState& rs) {
+  ++groups_[slot >> kGroupShift].live;
+  lru_.PushFront(links_, slot);
+  used_pages_ += weight;
+  rs.resident += weight;
 }
 
 Pages BufferPool::RemoveEntry(uint32_t slot) {
-  const LruEntry e = lru_[slot];
-  lru_.Unlink(slot);
-  lru_.Free(slot);
-  RelState& rs = rels_[e.rel];
-  if (e.is_chunk()) {
-    rs.chunk_slot[e.index] = kNilSlot;
+  lru_.Unlink(links_, slot);
+  links_[slot].prev = kAbsent;
+  const uint32_t group = slot >> kGroupShift;
+  Group& g = groups_[group];
+  RelState& rs = rels_[g.rel];
+  Pages weight = 1;
+  uint32_t* entry = nullptr;
+  if (g.chunk != 0) {
+    weight = rs.chunk_weight[uint64_t{g.base} << kGroupShift | (slot & kGroupMask)];
+    entry = &rs.chunk_group[g.base];
     --rs.resident_chunks;
   } else {
-    uint32_t& block = rs.page_block[e.index >> kBlockShift];
-    PageBlock& b = blocks_[block];
-    b.slot[e.index & kBlockMask] = kNilSlot;
-    if (--b.live == 0) {
-      blocks_.Free(block);
-      block = kNilSlot;
-      --live_blocks_;
-    }
+    entry = &rs.page_group[g.base];
   }
-  used_pages_ -= e.weight();
-  rs.resident -= e.weight();
-  return e.weight();
+  if (--g.live == 0) {
+    if (g.chunk == 0) {
+      --live_page_groups_;
+    }
+    g.base = free_group_;
+    free_group_ = group;
+    *entry = kNilSlot;
+  }
+  used_pages_ -= weight;
+  rs.resident -= weight;
+  return weight;
 }
 
 void BufferPool::EvictToFit() {
@@ -151,26 +182,22 @@ void BufferPool::EvictToFit() {
 bool BufferPool::TouchPage(RelState& rs, RelationId rel, uint64_t page) {
   if (rs.resident_chunks != 0) {
     const uint64_t chunk = page / static_cast<uint64_t>(chunk_pages_);
-    if (chunk < rs.chunk_slot.size() && rs.chunk_slot[chunk] != kNilSlot) {
-      lru_.MoveRunToFront(rs.chunk_slot[chunk], rs.chunk_slot[chunk]);
-      return true;
+    if ((chunk >> kGroupShift) < rs.chunk_group.size()) {
+      const uint32_t group = rs.chunk_group[chunk >> kGroupShift];
+      const uint32_t slot = group << kGroupShift | static_cast<uint32_t>(chunk & kGroupMask);
+      if (group != kNilSlot && links_[slot].prev != kAbsent) {
+        lru_.MoveRunToFront(links_, slot, slot);
+        return true;
+      }
     }
   }
-  uint32_t& block = rs.page_block[page >> kBlockShift];
-  if (block == kNilSlot) {
-    block = blocks_.Alloc();
-    ++live_blocks_;
-  } else {
-    const uint32_t slot = blocks_[block].slot[page & kBlockMask];
-    if (slot != kNilSlot) {
-      lru_.MoveRunToFront(slot, slot);
-      return true;
-    }
+  const uint32_t slot = SlotFor(rs.page_group[page >> kGroupShift], rel, page, false);
+  if (links_[slot].prev != kAbsent) {
+    lru_.MoveRunToFront(links_, slot, slot);
+    return true;
   }
-  PageBlock& b = blocks_[block];
-  b.slot[page & kBlockMask] = PushEntry(LruEntry::Page(rel, page), rs);
-  ++b.live;
-  EvictToFit();  // never evicts this page, so its block stays live
+  Insert(slot, 1, rs);
+  EvictToFit();  // never evicts this page, so its group stays live
   return false;
 }
 
@@ -181,30 +208,37 @@ PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint6
   const uint64_t total_chunks = full_chunks + (tail > 0 ? 1 : 0);
   end = std::min(end, total_chunks);
   RelState& rs = State(rel.id);
-  if (rs.chunk_slot.size() < total_chunks) {
+  if (rs.chunk_weight.size() < total_chunks) {
     CheckRelationPages(rel);
-    rs.chunk_slot.resize(total_chunks, kNilSlot);
+    rs.chunk_weight.resize(total_chunks, 0);
+    rs.chunk_group.resize((total_chunks + kGroupMask) >> kGroupShift, kNilSlot);
   }
-  std::vector<uint32_t>& slots = rs.chunk_slot;
   auto weight = [&](uint64_t c) { return c < full_chunks ? chunk_pages_ : tail; };
   for (uint64_t c = first; c < end; ++c) {
-    const uint32_t back = slots[c];
-    if (back == kNilSlot) {
-      slots[c] = PushEntry(LruEntry::Chunk(rel.id, c, weight(c)), rs);
+    const uint32_t back = SlotFor(rs.chunk_group[c >> kGroupShift], rel.id, c, true);
+    if (links_[back].prev == kAbsent) {
+      rs.chunk_weight[c] = static_cast<uint16_t>(weight(c));
+      Insert(back, weight(c), rs);
       ++rs.resident_chunks;
       out.pages_missed += weight(c);
-      EvictToFit();  // may evict this scan's own chunks, slots[c] included
+      EvictToFit();  // may evict this scan's own chunks, chunk c included
       continue;
     }
     // Hit: the chunks that follow and already sit just ahead of this one in
-    // the LRU form a run; moving it whole equals moving each in turn.
+    // the LRU form a run; moving it whole equals moving each in turn. A
+    // linked node's prev is resident, so matching chunk c+1's slot is enough.
     uint32_t front = back;
     out.pages_hit += weight(c);
-    while (c + 1 < end && slots[c + 1] != kNilSlot && lru_.prev(front) == slots[c + 1]) {
-      front = slots[++c];
-      out.pages_hit += weight(c);
+    while (c + 1 < end) {
+      const uint32_t group = rs.chunk_group[(c + 1) >> kGroupShift];
+      if (group == kNilSlot ||
+          links_[front].prev != (group << kGroupShift | static_cast<uint32_t>((c + 1) & kGroupMask))) {
+        break;
+      }
+      front = links_[front].prev;
+      out.pages_hit += weight(++c);
     }
-    lru_.MoveRunToFront(front, back);
+    lru_.MoveRunToFront(links_, front, back);
   }
   stats_.hits += static_cast<uint64_t>(out.pages_hit);
   stats_.misses += static_cast<uint64_t>(out.pages_missed);
@@ -311,22 +345,23 @@ void BufferPool::DropRelation(RelationId rel) {
     return;
   }
   RelState& rs = rels_[static_cast<size_t>(rel)];
-  // The relation's own tables name every entry it holds, so no LRU walk.
-  // Each walk stops once the relation's count reaches zero, so a drop that
-  // removes nothing (common under update filtering) walks nothing.
-  for (size_t c = 0; c < rs.chunk_slot.size() && rs.resident_chunks > 0; ++c) {
-    if (rs.chunk_slot[c] != kNilSlot) {
-      RemoveEntry(rs.chunk_slot[c]);
-    }
-  }
-  for (size_t d = 0; d < rs.page_block.size() && rs.resident > 0; ++d) {
-    // Removing the block's last page recycles it and clears page_block[d].
-    for (uint32_t i = 0; i < kBlockPages && rs.page_block[d] != kNilSlot; ++i) {
-      const uint32_t slot = blocks_[rs.page_block[d]].slot[i];
-      if (slot != kNilSlot) {
+  // The relation's own directories name every entry it holds, so no LRU
+  // walk. Each walk stops once the relation's count reaches zero, so a drop
+  // that removes nothing (common under update filtering) walks nothing.
+  // Removing a group's last entry recycles the group and clears its entry.
+  auto drop_group = [&](uint32_t& group) {
+    for (uint32_t i = 0; i < kGroupSlots && group != kNilSlot; ++i) {
+      const uint32_t slot = group << kGroupShift | i;
+      if (links_[slot].prev != kAbsent) {
         RemoveEntry(slot);
       }
     }
+  };
+  for (size_t d = 0; d < rs.chunk_group.size() && rs.resident_chunks > 0; ++d) {
+    drop_group(rs.chunk_group[d]);
+  }
+  for (size_t d = 0; d < rs.page_group.size() && rs.resident > 0; ++d) {
+    drop_group(rs.page_group[d]);
   }
   for (uint32_t slot = dirty_.head(); slot != kNilSlot && rs.dirty > 0;) {
     const uint32_t next = dirty_.next(slot);
@@ -339,8 +374,10 @@ void BufferPool::DropRelation(RelationId rel) {
 
 void BufferPool::Clear() {
   lru_.Clear();
-  blocks_.Clear();
-  live_blocks_ = 0;
+  links_.clear();
+  groups_.clear();
+  free_group_ = kNilSlot;
+  live_page_groups_ = 0;
   dirty_.Clear();
   dirty_pages_ = 0;
   rels_.clear();

@@ -16,29 +16,37 @@
 // update filtering removes.
 //
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
-// the LRU is an intrusive doubly-linked list threaded through a free-listed
-// slab (SlabList, src/common/slab_list.h); nothing allocates per touch, only
-// amortized slab/table growth. Every entry is found by indexing, never by
-// hashing or walking the list:
-//   * Chunk entries sit in a per-relation slot table (chunk number -> LRU
-//     slot), sized to the relation's chunk count by the first scan that
-//     touches it. A per-relation count of resident chunks lets random
-//     touches skip the table entirely while a relation has no chunks cached.
-//   * Single-page entries sit in 32-page blocks of LRU slots. Each relation
-//     keeps a page directory (page >> kBlockShift -> block id); a block is
-//     taken from the pool's block slab when its first page becomes resident
-//     and recycled when its last page leaves, so block memory tracks resident
-//     pages, not database size. A touch is two indexed loads.
+// the LRU is an intrusive doubly-linked list (ListOps, src/common/
+// slab_list.h) over bare 8-byte {prev, next} links; nothing allocates per
+// touch, only amortized table growth. Every entry is found by indexing,
+// never by hashing or walking the list:
+//   * LRU slots come in groups of 8 (kGroupShift = 3). A group covers 8
+//     consecutive pages (a page group) or 8 consecutive chunks (a chunk
+//     group) of one relation, and an entry's slot is computed from its page
+//     or chunk number: group << 3 | (index & 7). A slot that is not resident
+//     has prev == kAbsent, so one group's links are one cache line and a hit
+//     is directory -> link -> neighbours.
+//   * Each relation keeps a page directory (page >> 3 -> group) sized by its
+//     first random touch, and a chunk directory (chunk >> 3 -> group) plus a
+//     16-bit weight per chunk sized by its first scan. A weight is written
+//     when its chunk is inserted, so a resident tail chunk keeps its weight
+//     when the relation grows. A per-relation count of resident chunks lets
+//     random touches skip the chunk directory while it holds nothing.
+//   * Each group has an 8-byte header {base, relation, chunk flag, live
+//     count}. A group is taken from the pool's free list when its first slot
+//     becomes resident and recycled when its last one leaves, so group memory
+//     tracks resident entries, not database size. Eviction reads the
+//     victim's header to find its weight and the directory entry to clear.
 //   * A scan hit at chunk c extends a run while the LRU node just ahead of
 //     the run is chunk c+1's, then splices the run to the front in O(1)
-//     (SlabList::MoveRunToFront). That equals moving each chunk to the front
+//     (ListOps::MoveRunToFront). That equals moving each chunk to the front
 //     in turn — the run keeps its order — because a hit never evicts. A miss
 //     still inserts and evicts one chunk at a time, so a scan that evicts its
 //     own untouched chunks behaves exactly as before.
-// The dirty FIFO is a second SlabList; its dedup is a per-relation bitmap
-// (one bit per page) allocated by the relation's first DirtyRandom, so a
-// read-only relation never has one. DropRelation walks the relation's own
-// chunk table and page directory, never the LRU.
+// The dirty FIFO is a SlabList; its dedup is a per-relation bitmap (one bit
+// per page) allocated by the relation's first DirtyRandom, so a read-only
+// relation never has one. DropRelation walks the relation's own
+// directories, never the LRU.
 // Limits, checked where tables are sized (never per page) and thrown as
 // std::invalid_argument: relation ids < 2^16, relation sizes < 2^32 pages,
 // 1 <= chunk_pages < 2^15.
@@ -157,9 +165,9 @@ class BufferPool {
   Pages used_pages() const { return used_pages_; }
   Pages dirty_pages() const { return dirty_pages_; }
 
-  // Page blocks currently holding at least one resident single page; never
+  // Page groups currently holding at least one resident single page; never
   // more than the resident single-page entries.
-  size_t live_page_blocks() const { return live_blocks_; }
+  size_t live_page_groups() const { return live_page_groups_; }
 
   // Resident pages of one relation; the experimental working-set measurement
   // in Section 5.3 reads this.
@@ -171,30 +179,28 @@ class BufferPool {
   Pages chunk_pages() const { return chunk_pages_; }
 
  private:
-  // Single pages are indexed in blocks of kBlockPages LRU slots.
-  static constexpr int kBlockShift = 5;
-  static constexpr uint32_t kBlockPages = 1u << kBlockShift;
-  static constexpr uint64_t kBlockMask = kBlockPages - 1;
+  // LRU slots come in groups of kGroupSlots consecutive slots. A group covers
+  // kGroupSlots consecutive pages (a page group) or chunks (a chunk group) of
+  // one relation, and an entry's slot is group << kGroupShift | (index &
+  // kGroupMask), computed from its page or chunk number, never stored.
+  static constexpr int kGroupShift = 3;
+  static constexpr uint32_t kGroupSlots = 1u << kGroupShift;
+  static constexpr uint64_t kGroupMask = kGroupSlots - 1;
+  // The prev link of a slot that holds no resident entry. kNilSlot marks a
+  // list end, so a resident slot's prev is never kAbsent.
+  static constexpr uint32_t kAbsent = kNilSlot - 1;
+  static_assert(sizeof(ListLink) * kGroupSlots == 64, "one group's links fill one cache line");
 
-  // LRU entry payload; the SlabList threads the recency links (front = MRU).
-  // Eviction and DropRelation read it back to find the table slot to clear.
-  struct LruEntry {
-    static constexpr uint16_t kChunkFlag = 0x8000;
-    uint32_t index;        // page number, or chunk number for a chunk entry
-    uint16_t rel;          // relation id
-    uint16_t flag_weight;  // weight in pages, | kChunkFlag for a chunk entry
-
-    static LruEntry Page(RelationId rel, uint64_t page) {
-      return {static_cast<uint32_t>(page), static_cast<uint16_t>(rel), 1};
-    }
-    static LruEntry Chunk(RelationId rel, uint64_t chunk, Pages weight) {
-      return {static_cast<uint32_t>(chunk), static_cast<uint16_t>(rel),
-              static_cast<uint16_t>(kChunkFlag | weight)};
-    }
-    bool is_chunk() const { return (flag_weight & kChunkFlag) != 0; }
-    Pages weight() const { return static_cast<Pages>(flag_weight & ~kChunkFlag); }
+  // What a group's slots hold; eviction reads it to find the entry's weight
+  // and the directory entry to clear. A free group chains to the next free
+  // one through `base`.
+  struct Group {
+    uint32_t base;  // page (or chunk) >> kGroupShift: its directory index
+    uint16_t rel;   // relation id
+    uint8_t chunk;  // 1 for a chunk group, 0 for a page group
+    uint8_t live;   // resident slots
   };
-  static_assert(SlabList<LruEntry>::kNodeBytes == 16, "LRU nodes pack four to a cache line");
+  static_assert(sizeof(Group) == 8, "group headers are 8 bytes");
 
   // Dirty-FIFO entry payload; the SlabList threads insertion order
   // (front = oldest).
@@ -203,26 +209,15 @@ class BufferPool {
     uint32_t rel;
   };
 
-  // kBlockPages consecutive pages of one relation: LRU slot per page
-  // (kNilSlot if not resident as a single page) and how many are resident.
-  struct PageBlock {
-    PageBlock() {
-      for (uint32_t& s : slot) {
-        s = kNilSlot;
-      }
-    }
-    uint32_t slot[kBlockPages];
-    uint32_t live = 0;
-  };
-
   // Per-relation bookkeeping, indexed by relation id.
   struct RelState {
-    std::vector<uint32_t> chunk_slot;  // chunk number -> LRU slot, kNilSlot if absent
-    std::vector<uint32_t> page_block;  // page >> kBlockShift -> block id, kNilSlot if none
-    std::vector<uint64_t> dirty_bits;  // one bit per page pending in the dirty FIFO
-    uint32_t resident_chunks = 0;      // chunk entries currently in the LRU
-    Pages resident = 0;                // resident pages (chunks + single pages)
-    Pages dirty = 0;                   // pages pending in the dirty FIFO
+    std::vector<uint32_t> page_group;    // page >> kGroupShift -> group, kNilSlot if none
+    std::vector<uint32_t> chunk_group;   // chunk >> kGroupShift -> group, kNilSlot if none
+    std::vector<uint16_t> chunk_weight;  // pages of each chunk, written when it is inserted
+    std::vector<uint64_t> dirty_bits;    // one bit per page pending in the dirty FIFO
+    uint32_t resident_chunks = 0;        // chunk entries currently in the LRU
+    Pages resident = 0;                  // resident pages (chunks + single pages)
+    Pages dirty = 0;                     // pages pending in the dirty FIFO
   };
 
   RelState& State(RelationId rel);
@@ -235,8 +230,13 @@ class BufferPool {
   // Touches one page of a random access; returns true on a hit. On a miss the
   // page is inserted as a single-page entry (and the pool evicts to fit).
   bool TouchPage(RelState& rs, RelationId rel, uint64_t page);
-  uint32_t PushEntry(const LruEntry& e, RelState& rs);  // at MRU, no eviction
-  Pages RemoveEntry(uint32_t slot);  // unlinks, frees, clears its table slot; returns weight
+  // The slot of `index` under directory entry `group`, taking a fresh group
+  // for the directory entry if it has none.
+  uint32_t SlotFor(uint32_t& group, RelationId rel, uint64_t index, bool chunk);
+  uint32_t TakeGroup(RelationId rel, uint64_t index, bool chunk);  // free list first
+  // Links the non-resident `slot` at the MRU end; no eviction.
+  void Insert(uint32_t slot, Pages weight, RelState& rs);
+  Pages RemoveEntry(uint32_t slot);  // unlinks, clears its directory entry if last; returns weight
   void EvictToFit();
   void EraseDirty(uint32_t slot);
 
@@ -244,9 +244,11 @@ class BufferPool {
   Pages chunk_pages_;
   Pages used_pages_ = 0;
 
-  SlabList<LruEntry> lru_;         // recency list: front = MRU, back = victim
-  Slab<PageBlock> blocks_;         // page blocks; ids are slab slots
-  size_t live_blocks_ = 0;
+  std::vector<ListLink> links_;  // kGroupSlots per group; prev == kAbsent if not resident
+  std::vector<Group> groups_;    // one header per group
+  uint32_t free_group_ = kNilSlot;
+  size_t live_page_groups_ = 0;
+  ListOps lru_;                  // recency list over links_: front = MRU, back = victim
 
   SlabList<DirtyEntry> dirty_;     // write-back FIFO: front = oldest
   Pages dirty_pages_ = 0;

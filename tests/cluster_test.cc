@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,22 @@ TEST(Experiment, AbortedTransactionsCounted) {
   const ExperimentResult r = cluster.Run(Seconds(20.0), Seconds(60.0));
   EXPECT_GT(r.committed, 0u);
   EXPECT_GT(r.aborted, 0u);  // concurrent hot-row writers must conflict
+}
+
+TEST(ClusterConfig, RejectsOutOfRangeWorkloadSkew) {
+  // Workload::skew reaches every replica's pool; one past the relation's end
+  // must be refused when the cluster is built, not sampled.
+  Workload w = BuildTpcw(kTpcwSmallEbs);
+  w.skew = AccessSkew{1.5, 1.0};
+  const ClusterConfig config = MakeClusterConfig(512 * kMiB, 2);
+  try {
+    Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
+    ADD_FAILURE() << "an out-of-range Workload::skew constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("skew.hot_fraction"), std::string::npos) << e.what();
+  }
+  w.skew = AccessSkew{1.0, 0.0};
+  EXPECT_NO_THROW(Cluster(w, kTpcwOrdering, "LeastConnections", config));
 }
 
 TEST(Spill, DisabledSpillKeepsTypesInGroup) {

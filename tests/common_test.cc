@@ -440,6 +440,77 @@ TEST(SlabList, MoveRunToFront) {
   ExpectOrder(one, {7});
 }
 
+// --- ListOps over payload-free links -----------------------------------------
+
+// Walks the list both ways over bare links; checks both walks agree with
+// `expect` (slots, front..back).
+void ExpectLinkOrder(const ListOps& list, const std::vector<ListLink>& links,
+                     const std::vector<uint32_t>& expect) {
+  std::vector<uint32_t> forward;
+  for (uint32_t s = list.head(); s != kNilSlot; s = links[s].next) {
+    forward.push_back(s);
+  }
+  EXPECT_EQ(forward, expect);
+  std::vector<uint32_t> backward;
+  for (uint32_t s = list.tail(); s != kNilSlot; s = links[s].prev) {
+    backward.push_back(s);
+  }
+  EXPECT_EQ(backward, std::vector<uint32_t>(expect.rbegin(), expect.rend()));
+}
+
+TEST(ListOps, MoveRunsOverBareLinks) {
+  static_assert(sizeof(ListLink) == 8, "a payload-free node is its two links");
+  std::vector<ListLink> links(6);
+  ListOps list;
+  for (uint32_t s = 0; s < 5; ++s) {
+    list.PushBack(links, s);
+  }
+  ExpectLinkOrder(list, links, {0, 1, 2, 3, 4});
+
+  list.MoveRunToFront(links, 0, 2);  // run already at the head: no-op
+  ExpectLinkOrder(list, links, {0, 1, 2, 3, 4});
+
+  list.MoveRunToFront(links, 3, 4);  // run ending at the tail
+  ExpectLinkOrder(list, links, {3, 4, 0, 1, 2});
+  EXPECT_EQ(list.tail(), 2u);
+
+  list.MoveRunToFront(links, 1, 2);  // again, the tail moves to the run's left
+  ExpectLinkOrder(list, links, {1, 2, 3, 4, 0});
+  EXPECT_EQ(list.tail(), 0u);
+
+  list.PushFront(links, 5);  // a slot never linked before
+  ExpectLinkOrder(list, links, {5, 1, 2, 3, 4, 0});
+}
+
+TEST(ListOps, UnlinkOnlyNodeThenRelink) {
+  std::vector<ListLink> links(3);
+  ListOps list;
+  list.PushFront(links, 1);
+  ExpectLinkOrder(list, links, {1});
+  list.MoveRunToFront(links, 1, 1);  // the only node is head, tail and run
+  ExpectLinkOrder(list, links, {1});
+
+  list.Unlink(links, 1);  // the only node: the list is empty again
+  EXPECT_EQ(list.head(), kNilSlot);
+  EXPECT_EQ(list.tail(), kNilSlot);
+
+  // An unlinked slot relinks at either end with fresh links.
+  list.PushBack(links, 0);
+  list.PushFront(links, 1);
+  list.PushBack(links, 2);
+  ExpectLinkOrder(list, links, {1, 0, 2});
+  list.Unlink(links, 0);
+  ExpectLinkOrder(list, links, {1, 2});
+  list.PushFront(links, 0);
+  ExpectLinkOrder(list, links, {0, 1, 2});
+  list.Unlink(links, 2);  // the tail
+  list.PushBack(links, 2);
+  ExpectLinkOrder(list, links, {0, 1, 2});
+  list.Clear();
+  EXPECT_EQ(list.head(), kNilSlot);
+  EXPECT_EQ(list.tail(), kNilSlot);
+}
+
 TEST(SlabList, ChurnKeepsListConsistent) {
   // Differential against a std::vector model: random push/unlink/free.
   SlabList<uint64_t> list;

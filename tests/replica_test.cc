@@ -2,6 +2,8 @@
 // writeset production and application, background writer, monitor.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,6 +183,68 @@ TEST_F(ReplicaTest, ThrashingScanAlwaysReadsDisk) {
     replica_->Execute(t, [](ExecOutcome) {});
     sim_.RunAll();
     EXPECT_EQ(replica_->stats().disk_read_bytes - before, MiB(600));
+  }
+}
+
+// An out-of-range skew would sample pages past a relation's end, so the
+// constructor rejects it by field name; every in-range edge still constructs.
+TEST(ReplicaConfigCheck, RejectsOutOfRangeSkews) {
+  Simulator sim;
+  Schema schema;
+  schema.AddTable("t", MiB(16));
+  auto make = [&](const ReplicaConfig& config) {
+    Replica replica(&sim, &schema, 3, config, Rng(1));
+  };
+  auto expect_rejected = [&](const ReplicaConfig& config, const std::string& field) {
+    try {
+      make(config);
+      ADD_FAILURE() << "no std::invalid_argument naming " << field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ReplicaConfig base;
+  base.memory = 128 * kMiB;
+  base.reserved = 0;
+
+  ReplicaConfig c = base;
+  c.skew = AccessSkew{1.5, 1.0};
+  EXPECT_THROW(make(c), std::invalid_argument);
+  expect_rejected(c, "skew.hot_fraction");
+  c.skew = AccessSkew{-0.1, 0.9};
+  expect_rejected(c, "skew.hot_fraction");
+  c.skew = AccessSkew{nan, 0.9};
+  expect_rejected(c, "skew.hot_fraction");
+  c.skew = AccessSkew{0.35, 1.01};
+  expect_rejected(c, "skew.hot_weight");
+  c.skew = AccessSkew{0.35, nan};
+  expect_rejected(c, "skew.hot_weight");
+  c.skew = AccessSkew{};
+  c.skew.zipf_s = -0.5;
+  expect_rejected(c, "skew.zipf_s");
+  c.skew.zipf_s = inf;
+  expect_rejected(c, "skew.zipf_s");
+  c.skew.zipf_s = nan;
+  expect_rejected(c, "skew.zipf_s");
+
+  c = base;
+  c.write_skew = AccessSkew{2.0, 0.95};
+  expect_rejected(c, "write_skew.hot_fraction");
+  c.write_skew = AccessSkew{0.03, -1.0};
+  expect_rejected(c, "write_skew.hot_weight");
+  c.write_skew.hot_weight = 0.95;
+  c.write_skew.zipf_s = -1.0;
+  expect_rejected(c, "write_skew.zipf_s");
+
+  // The edges of the ranges, and the skews the campaigns use, construct.
+  for (const AccessSkew& ok : {AccessSkew{}, AccessSkew{1.0, 0.0}, AccessSkew{0.0, 1.0},
+                               AccessSkew{0.03, 0.95}, AccessSkew{0.35, 0.90, 1.3}}) {
+    c = base;
+    c.skew = ok;
+    c.write_skew = ok;
+    EXPECT_NO_THROW(make(c));
   }
 }
 

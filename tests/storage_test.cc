@@ -364,7 +364,7 @@ TEST(BufferPool, RejectsRelationsOfTwoToThe32Pages) {
 TEST(BufferPool, WarmReplayIsAllocationFree) {
   // The first pass sizes every slab, table, directory and bitmap; a Resize to
   // one page then evicts everything (the script ends on a full-chunk scan,
-  // heavier than one page) and recycles every page block. Replaying the same
+  // heavier than one page) and recycles every LRU group. Replaying the same
   // seeded script must reuse them all without touching the heap.
   BufferPool pool(PagesToBytes(300), 32);
   const std::vector<RelationMeta> rels = {MakeRel(0, 2000), MakeRel(1, 640), MakeRel(2, 96)};
@@ -399,7 +399,7 @@ TEST(BufferPool, WarmReplayIsAllocationFree) {
   pool.TakeDirtyForFlush(pool.dirty_pages());
   pool.Resize(PagesToBytes(1));
   EXPECT_EQ(pool.used_pages(), 0);
-  EXPECT_EQ(pool.live_page_blocks(), 0u);
+  EXPECT_EQ(pool.live_page_groups(), 0u);
   pool.Resize(PagesToBytes(300));
   const BufferPoolStats first = pool.stats();
   uint64_t allocations = 0;
@@ -724,10 +724,10 @@ void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps, int& mixed
       pool.DropRelation(rel.id);
       ref.DropRelation(rel.id);
     }
-    // Block memory tracks resident single pages, not relation sizes.
+    // Page-group memory tracks resident single pages, not relation sizes.
     const size_t singles = ref.SinglePageEntries();
-    ASSERT_LE(pool.live_page_blocks(), singles) << what << " step " << step;
-    ASSERT_EQ(pool.live_page_blocks() == 0, singles == 0) << what << " step " << step;
+    ASSERT_LE(pool.live_page_groups(), singles) << what << " step " << step;
+    ASSERT_EQ(pool.live_page_groups() == 0, singles == 0) << what << " step " << step;
     ASSERT_EQ(pool.used_pages(), ref.used_pages()) << what << " step " << step;
     ASSERT_EQ(pool.dirty_pages(), ref.dirty_pages()) << what << " step " << step;
     ASSERT_LE(pool.used_pages(), pool.capacity_pages()) << what << " step " << step;
@@ -756,8 +756,8 @@ TEST(BufferPool, MatchesReferencePoolOnRandomSequences) {
       {96, 4, zipf},
       {160, 8, hot},
       {600, 16, uniform},  // holds every relation: runs stay long
-      // Relations spanning dozens to hundreds of page blocks under uniform
-      // skew, so blocks are freed and reused constantly.
+      // Relations spanning dozens to hundreds of page groups under uniform
+      // skew, so groups are freed and reused constantly.
       {800, 32, uniform, {1000, 2500, 5000, 40, 7}},
       {3000, 16, zipf, {1200, 4100, 64}},
   };
