@@ -15,6 +15,12 @@
 //   }
 //   static RegisterCampaign fig3{{"fig3", "Figure 3", "<title>", "<setup>", Cells, Report}};
 //
+// A campaign owns one paper configuration's runs and every artifact computed
+// from them: when several figures or tables report the same configuration
+// (Figures 3, 5, 7 and Tables 1, 5 all run TPC-W MidDB at 512 MB), one
+// campaign runs each cell once and reports all of them, so every artifact
+// reads the same runs. Campaigns never read each other's cells.
+//
 // The helpers below build the common cell shapes. Cell `run` lambdas execute
 // on worker threads: they derive every stream from the seed they are handed
 // and share no mutable state (see the determinism contract in campaign.h).

@@ -14,6 +14,9 @@
 // With `--json DIR` each campaign writes BENCH_<name>.json into DIR and the
 // runner writes a merged BENCH_campaign.json manifest.
 // docs/REPRODUCING.md maps each figure/table to its campaign command.
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,6 +41,19 @@ int Usage(const char* argv0) {
                "      --no-progress        suppress per-cell progress lines on stderr\n",
                argv0);
   return 2;
+}
+
+// Parses all of `text` as a decimal integer in [lo, hi]. strtoull would take
+// "-1" as 2^64-1, so a sign is refused outright.
+bool ParseInteger(const char* text, unsigned long long lo, unsigned long long hi,
+                  unsigned long long* value) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoull(text, &end, 10);
+  return errno == 0 && *end == '\0' && *value >= lo && *value <= hi;
 }
 
 int RunList(int argc, char** argv) {
@@ -74,11 +90,13 @@ int RunRun(int argc, char** argv) {
       if (i + 1 >= argc) {
         return Usage("tashkent_bench");
       }
-      options.jobs = std::atoi(argv[++i]);
-      if (options.jobs < 1) {
-        std::fprintf(stderr, "tashkent_bench: --jobs must be >= 1\n");
+      unsigned long long jobs = 0;
+      if (!ParseInteger(argv[++i], 1, INT_MAX, &jobs)) {
+        std::fprintf(stderr, "tashkent_bench: --jobs takes an integer from 1 to %d, got '%s'\n",
+                     INT_MAX, argv[i]);
         return 2;
       }
+      options.jobs = static_cast<int>(jobs);
     } else if (arg == "--json") {
       options.json_dir = ".";
       if (i + 1 < argc && argv[i + 1][0] != '-') {
@@ -88,7 +106,14 @@ int RunRun(int argc, char** argv) {
       if (i + 1 >= argc) {
         return Usage("tashkent_bench");
       }
-      options.base_seed = std::strtoull(argv[++i], nullptr, 10);
+      unsigned long long seed = 0;
+      if (!ParseInteger(argv[++i], 0, ULLONG_MAX, &seed)) {
+        std::fprintf(stderr,
+                     "tashkent_bench: --seed takes an integer from 0 to %llu, got '%s'\n",
+                     ULLONG_MAX, argv[i]);
+        return 2;
+      }
+      options.base_seed = seed;
     } else if (arg == "--no-progress") {
       options.progress = false;
     } else if (arg == "all") {

@@ -2,7 +2,7 @@
 # Tier-1 verify: configure, build, run the full test suite (plain and
 # ASan+UBSan), run the smoke and faults campaigns under ASan+UBSan, lint for
 # determinism, then exercise the campaign runner (smoke, perf, marathon,
-# skew, faults, table5, fig7 and ablation campaigns) under hard gates on the
+# skew, faults, fig3 and ablation campaigns) under hard gates on the
 # JSON it emits, check the perfbench workloads' pinned outcomes, and check
 # the docs cover every campaign, verb and metric. The gates are python3 scripts, so a
 # host without python3 fails here instead of skipping them.
@@ -44,7 +44,7 @@ python3 scripts/lint_determinism.py src/ bench/ \
 python3 tests/lint_test.py \
   || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
 
-# --- CI campaigns: smoke perf marathon skew faults table5 fig7 ablation -------
+# --- CI campaigns: smoke perf marathon skew faults fig3 ablation --------------
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
@@ -52,14 +52,14 @@ python3 tests/lint_test.py \
 # marathon campaign's bounded certifier log and conflict index must actually
 # be bounded; the skew campaign's fluid-client inert pair must stay
 # byte-identical; the faults campaign's zero-loss ledger must hold on every
-# cell. table5, fig7 and
-# ablation put the cells that run update filtering in dynamic and freeze mode
-# under the executed-events gate. ONE invocation, so the manifest covers all
-# eight campaigns and the executed-events gate below checks every cell of them
-# (each invocation rewrites BENCH_campaign.json from scratch).
+# cell. fig3 and ablation put the cells that run update filtering in dynamic
+# and freeze mode under the executed-events gate. ONE invocation, so the
+# manifest covers all seven campaigns and the executed-events gate below
+# checks every cell of them (each invocation rewrites BENCH_campaign.json
+# from scratch).
 rm -rf build/bench-out
 mkdir -p build/bench-out
-./build/tashkent_bench run smoke perf marathon skew faults table5 fig7 ablation --jobs 2 \
+./build/tashkent_bench run smoke perf marathon skew faults fig3 ablation --jobs 2 \
   --json build/bench-out
 test -s build/bench-out/BENCH_smoke.json
 test -s build/bench-out/BENCH_perf.json
@@ -227,22 +227,29 @@ EOF
 # --- executed-events gate ----------------------------------------------------
 # Executed simulator events are deterministic, so every cell of this run must
 # appear in the committed full-grid manifest with the same count; a change
-# means the simulation itself changed. A change that alters simulated
-# behaviour on purpose regenerates the baseline (bench/baselines/README.md).
+# means the simulation itself changed. The gate also fails when a campaign of
+# this run lacks a cell that the baseline lists for it, so a campaign cannot
+# lose a cell unnoticed. A change that alters simulated behaviour on purpose,
+# or adds or removes cells, regenerates the baseline
+# (bench/baselines/README.md).
 python3 - <<'EOF' || { echo "ci: executed-events gate failed" >&2; exit 1; }
 import json, sys
 def events(path):
     doc = json.load(open(path))
-    return {f"{c['name']}:{cell['id']}": cell['executed_events']
+    return {(c['name'], cell['id']): cell['executed_events']
             for c in doc['campaigns'] for cell in c['cells']}
 base = events('bench/baselines/BENCH_campaign.json')
 run = events('build/bench-out/BENCH_campaign.json')
-bad = [f"{cell}: missing from the baseline" for cell in sorted(run) if cell not in base]
-bad += [f"{cell}: {base[cell]} executed events in the baseline, {n} in this run"
-        for cell, n in sorted(run.items()) if cell in base and n != base[cell]]
+campaigns = {name for name, _ in run}
+bad = [f"{c}:{i}: missing from the baseline" for c, i in sorted(run) if (c, i) not in base]
+bad += [f"{c}:{i}: {base[c, i]} executed events in the baseline, {n} in this run"
+        for (c, i), n in sorted(run.items()) if (c, i) in base and n != base[c, i]]
+bad += [f"{c}:{i}: in the baseline but missing from this run"
+        for c, i in sorted(base) if c in campaigns and (c, i) not in run]
 for b in bad:
     print(f"events gate: {b}", file=sys.stderr)
-print(f"events gate: {len(run) - len(bad)} of {len(run)} cells match the baseline")
+matched = sum(1 for cell, n in run.items() if base.get(cell) == n)
+print(f"events gate: {matched} of {len(run)} cells match the baseline")
 sys.exit(1 if bad else 0)
 EOF
 
@@ -271,6 +278,30 @@ done < <(./build/tashkent_bench list --names)
 if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
+
+# Each row of the docs/REPRODUCING.md matrix must give the cell count that
+# the committed full-grid baseline records for its campaign, so the matrix's
+# Cells column cannot drift from the grid.
+python3 - <<'EOF' || { echo "ci: docs/REPRODUCING.md matrix cell counts are wrong" >&2; exit 1; }
+import json, re, sys
+base = {c['name']: len(c['cells'])
+        for c in json.load(open('bench/baselines/BENCH_campaign.json'))['campaigns']}
+text = open('docs/REPRODUCING.md').read()
+matrix = text.split('## Figure/table → campaign matrix', 1)[1].split('\n## ', 1)[0]
+rows = [[col.strip() for col in line.strip().strip('|').split('|')]
+        for line in matrix.splitlines() if re.match(r'\|\s*[^-|\s]', line)][1:]
+bad = []
+for row in rows:
+    name, cells = row[1].strip('`'), row[-1]
+    if name not in base:
+        bad.append(f"row '{name}' names no campaign in the baseline")
+    elif cells != str(base[name]):
+        bad.append(f"row '{name}' gives {cells} cells, the baseline has {base[name]}")
+for b in bad:
+    print(f"matrix check: {b}", file=sys.stderr)
+print(f"matrix check: {len(rows) - len(bad)} of {len(rows)} rows match the baseline's cell counts")
+sys.exit(1 if bad or not rows else 0)
+EOF
 
 # Every Verb alternative must appear in the operator's handbook. The verb
 # list is extracted from the `// verb: <Name>` tags on the aggregates in

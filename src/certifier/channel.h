@@ -20,11 +20,12 @@
 // whole batch instead of between its members. No component schedules work
 // that collides with a certification arrival tick this way (arrivals land
 // RTT after their submission tick; a foreign event would need the exact
-// same microsecond), and the full 179-cell grid was byte-identical with
-// batching on vs off when batching landed. The property is empirical, not
-// structural, so the unbatched channel survives as `batch_arrivals = false`:
-// tests/certifier_test.cc runs it as the differential reference, and a
-// scenario that ever breaks the equivalence can be bisected against it.
+// same microsecond), and when batching landed every campaign cell of the
+// time was byte-identical with batching on vs off. The property is
+// empirical, not structural, so the unbatched channel survives as
+// `batch_arrivals = false`: tests/certifier_test.cc runs it as the
+// differential reference, and a scenario that ever breaks the equivalence
+// can be bisected against it.
 // Clusters and standalone proxies always batch.
 //
 // Re-entrancy: an arrival handler may submit again (a recovery pull chases

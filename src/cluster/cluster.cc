@@ -22,6 +22,12 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
       certifier_(config.certifier),
       certifier_channel_(&sim_, /*batch_arrivals=*/true),
       timeline_(config.timeline_bucket) {
+  if (config_.timeline_bucket <= 0) {
+    // TimeSeries::Record divides by the width: 0 would trap, and a negative
+    // width would index a bucket far past the end.
+    throw std::invalid_argument("ClusterConfig.timeline_bucket must be positive, got " +
+                                std::to_string(config_.timeline_bucket));
+  }
   Rng root(config_.seed);
 
   if (workload.skew) {

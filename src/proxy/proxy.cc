@@ -9,18 +9,6 @@
 
 namespace tashkent {
 
-const char* ReplicaLifecycleName(ReplicaLifecycle s) {
-  switch (s) {
-    case ReplicaLifecycle::kUp:
-      return "up";
-    case ReplicaLifecycle::kDown:
-      return "down";
-    case ReplicaLifecycle::kRecovering:
-      return "recovering";
-  }
-  return "?";
-}
-
 Proxy::Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig config,
              CertifierChannel* channel)
     : sim_(sim),

@@ -96,8 +96,6 @@ enum class ReplicaLifecycle {
   kRecovering,
 };
 
-const char* ReplicaLifecycleName(ReplicaLifecycle s);
-
 struct ProxyStats {
   uint64_t committed = 0;
   uint64_t aborted = 0;        // certification (write-write) aborts

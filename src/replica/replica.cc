@@ -231,7 +231,7 @@ void Replica::FlushRound() {
     return;
   }
   stats_.disk_write_bytes += PagesToBytes(flushed);
-  disk_.Submit(config_.disk.WriteTime(flushed), nullptr, JobPriority::kForeground);
+  disk_.Submit(config_.disk.WriteTime(flushed), nullptr);
 }
 
 void Replica::MonitorRound() {

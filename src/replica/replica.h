@@ -155,8 +155,7 @@ class Replica {
   // Smoothed utilizations reported by the monitor daemon (Section 2.4).
   double smoothed_cpu() const { return cpu_ewma_.value(); }
   double smoothed_disk() const { return disk_ewma_.value(); }
-  // Instantaneous queue depths, exposed for LARD-style connection counting.
-  size_t cpu_queue() const { return cpu_.queue_length(); }
+  // Instantaneous disk queue depth (queued jobs plus the one in service).
   size_t disk_queue() const { return disk_.queue_length(); }
 
   ReplicaId id() const { return id_; }

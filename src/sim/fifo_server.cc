@@ -3,14 +3,13 @@
 namespace tashkent {
 
 void FifoServer::StartNext() {
-  RingQueue<Job>& queue = fg_queue_.empty() ? bg_queue_ : fg_queue_;
-  if (queue.empty()) {
+  if (queue_.empty()) {
     return;
   }
-  Job& job = queue.front();
+  Job& job = queue_.front();
   const SimDuration service = job.service;
   active_done_ = std::move(job.done);
-  queue.pop_front();
+  queue_.pop_front();
   busy_ = true;
   util_.AddBusy(service);
   total_busy_ += service;

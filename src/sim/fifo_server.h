@@ -3,13 +3,11 @@
 // Models serially shared hardware resources: a replica's CPU and its disk I/O
 // channel. Jobs are (service time, completion callback) pairs; the server
 // processes one job at a time in arrival order and integrates busy time so the
-// monitor daemon can report utilization. Optional two-level priority lets the
-// background dirty-page writer yield to foreground transaction reads, matching
-// how the OS elevator favors reads over lazy write-back.
+// monitor daemon can report utilization.
 //
 // Hot-path layout: completion callbacks are InlineCallbacks (captures stored
-// inline in the queue slots, no per-job heap allocation), the queues are
-// RingQueues (steady-state pushes never touch the heap), and the in-service
+// inline in the queue slots, no per-job heap allocation), the queue is a
+// RingQueue (steady-state pushes never touch the heap), and the in-service
 // job's callback is parked in a member slot so the simulator event that
 // completes it captures only `this`. Submit builds each job in its ring
 // slot, so a completion is constructed once and then moved only as it
@@ -32,11 +30,6 @@
 
 namespace tashkent {
 
-enum class JobPriority : uint8_t {
-  kForeground = 0,  // transaction work
-  kBackground = 1,  // dirty-page write-back, maintenance
-};
-
 class FifoServer {
  public:
   // Per-job completion callback. The capacity covers the largest capture,
@@ -55,8 +48,8 @@ class FifoServer {
   // `done` is anything a Done can hold (a lambda, a Done, or nullptr for no
   // completion), built directly in the job's queue slot.
   template <typename F>
-  void Submit(SimDuration service, F&& done, JobPriority prio = JobPriority::kForeground) {
-    Job& job = (prio == JobPriority::kForeground ? fg_queue_ : bg_queue_).push_slot();
+  void Submit(SimDuration service, F&& done) {
+    Job& job = queue_.push_slot();
     job.service = service < 0 ? 0 : service;
     job.done.Emplace(std::forward<F>(done));
     if (!busy_) {
@@ -68,7 +61,7 @@ class FifoServer {
   double SampleUtilization() { return util_.Sample(sim_->Now()); }
 
   bool busy() const { return busy_; }
-  size_t queue_length() const { return fg_queue_.size() + bg_queue_.size() + (busy_ ? 1 : 0); }
+  size_t queue_length() const { return queue_.size() + (busy_ ? 1 : 0); }
   SimDuration total_busy_time() const { return total_busy_; }
   uint64_t jobs_completed() const { return jobs_completed_; }
   const std::string& name() const { return name_; }
@@ -85,8 +78,7 @@ class FifoServer {
 
   Simulator* sim_;
   std::string name_;
-  RingQueue<Job> fg_queue_;
-  RingQueue<Job> bg_queue_;
+  RingQueue<Job> queue_;
   Done active_done_;  // completion callback of the job in service
   bool busy_ = false;
   UtilizationIntegrator util_;

@@ -326,19 +326,6 @@ TEST(FifoServer, SerializesJobs) {
   EXPECT_EQ(completions[2], Millis(30));
 }
 
-TEST(FifoServer, BackgroundYieldsToForeground) {
-  Simulator sim;
-  FifoServer server(&sim, "disk");
-  std::vector<char> order;
-  // Occupy the server, then queue one background and one foreground job; the
-  // foreground job must run first even though it arrived later.
-  server.Submit(Millis(10), [&]() { order.push_back('x'); });
-  server.Submit(Millis(10), [&]() { order.push_back('b'); }, JobPriority::kBackground);
-  server.Submit(Millis(10), [&]() { order.push_back('f'); });
-  sim.RunAll();
-  EXPECT_EQ(order, (std::vector<char>{'x', 'f', 'b'}));
-}
-
 TEST(FifoServer, TracksBusyTimeAndUtilization) {
   Simulator sim;
   FifoServer server(&sim, "cpu");
