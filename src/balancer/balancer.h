@@ -47,7 +47,8 @@ class LoadBalancer {
   // --- Topology hooks (churn verbs, src/cluster/verb.h) --------------------
   // A replica joined the cluster at runtime (AddReplica). The default appends
   // it to the routable proxy list and signals a topology change; policies
-  // with derived state extend OnTopologyChange rather than this.
+  // with derived state extend OnTopologyChange rather than this (MALB also
+  // attaches the new proxy to its idle sets first).
   virtual void OnReplicaAdded(Proxy* proxy) {
     context_.proxies.push_back(proxy);
     OnTopologyChange();

@@ -24,16 +24,11 @@ void LardBalancer::DecaySet(std::vector<Member>& set) {
   if (set.size() <= 1) {
     return;  // keep at least one member for locality
   }
+  // A decay may drop every member, emptying the set; Route() re-seeds it.
   const SimTime now = context_.sim->Now();
   set.erase(std::remove_if(set.begin(), set.end(),
-                           [&](const Member& m) {
-                             return now - m.last_used > config_.set_decay && set.size() > 1;
-                           }),
+                           [&](const Member& m) { return now - m.last_used > config_.set_decay; }),
             set.end());
-  if (set.empty()) {
-    // remove_if above can in principle clear everything; restore nothing —
-    // Route() re-seeds an empty set.
-  }
 }
 
 size_t LardBalancer::Route(const TxnType& type) {

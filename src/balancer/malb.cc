@@ -13,6 +13,23 @@ MalbBalancer::MalbBalancer(BalancerContext context, MalbConfig config)
     throw std::invalid_argument("MALB requires at least one replica");
   }
   RefreshCapacities();
+  idle_.Resize(context_.proxies.size());
+  for (size_t r = 0; r < context_.proxies.size(); ++r) {
+    context_.proxies[r]->AttachIdleSets(&idle_, r);
+  }
+}
+
+MalbBalancer::~MalbBalancer() {
+  for (Proxy* proxy : context_.proxies) {
+    proxy->DetachIdleSets(&idle_);
+  }
+}
+
+void MalbBalancer::OnReplicaAdded(Proxy* proxy) {
+  const size_t index = context_.proxies.size();
+  idle_.Resize(index + 1);
+  proxy->AttachIdleSets(&idle_, index);
+  LoadBalancer::OnReplicaAdded(proxy);
 }
 
 void MalbBalancer::RefreshCapacities() {
@@ -213,6 +230,10 @@ void MalbBalancer::InitialAllocation() {
 }
 
 size_t MalbBalancer::Route(const TxnType& type) {
+  if (idle_.superseded()) {
+    throw std::logic_error(
+        "MALB: another balancer re-attached this balancer's proxies; its idle sets are stale");
+  }
   const RuntimeGroup& group = groups_[group_of_type_[type.id]];
   const std::vector<size_t>& candidates =
       group.replicas.empty() ? groups_.front().replicas : group.replicas;
@@ -248,20 +269,20 @@ size_t MalbBalancer::Route(const TxnType& type) {
     const double limit =
         config_.spill_factor * static_cast<double>(context_.proxies[best]->max_in_flight());
     if (static_cast<double>(best_out) >= limit) {
-      size_t idle = best;
-      size_t idle_out = best_out;
-      for (size_t r = 0; r < context_.proxies.size(); ++r) {
-        if (!context_.proxies[r]->available()) {
-          continue;
-        }
-        const size_t out = context_.proxies[r]->outstanding();
-        if (out < idle_out) {
-          idle = r;
-          idle_out = out;
+      // The lowest-index available replica with the fewest outstanding
+      // transactions, when that is 0 or 1 and strictly fewer than best_out.
+      const auto available = [this](size_t r) { return context_.proxies[r]->available(); };
+      if (best_out > 0) {
+        const size_t idle = idle_.Lowest(0, available);
+        if (idle != IdleSets::kNone) {
+          return idle;
         }
       }
-      if (idle_out <= 1) {
-        return idle;
+      if (best_out > 1) {
+        const size_t idle = idle_.Lowest(1, available);
+        if (idle != IdleSets::kNone) {
+          return idle;
+        }
       }
     }
   }

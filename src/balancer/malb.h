@@ -39,6 +39,7 @@
 #include "src/core/availability.h"
 #include "src/core/bin_packing.h"
 #include "src/core/working_set.h"
+#include "src/proxy/idle_sets.h"
 
 namespace tashkent {
 
@@ -84,8 +85,12 @@ struct MalbConfig {
 class MalbBalancer : public LoadBalancer {
  public:
   MalbBalancer(BalancerContext context, MalbConfig config = {});
+  // Detaches the proxies that still report to this balancer's idle sets.
+  ~MalbBalancer() override;
 
   void Start() override;
+  // Throws std::logic_error once another balancer has re-attached one of
+  // this balancer's proxies (its idle sets are stale).
   size_t Route(const TxnType& type) override;
   std::string name() const override;
 
@@ -112,6 +117,9 @@ class MalbBalancer : public LoadBalancer {
   // are hosted at a loss wherever they land, as in the paper.
   bool Fits(size_t replica, const RuntimeGroup& group) const;
 
+  // Attaches the new proxy to the idle sets, then the default append and
+  // topology change.
+  void OnReplicaAdded(Proxy* proxy) override;
   // Capacities or replica count changed (AddReplica / ResizeMemory): re-read
   // per-replica memory, re-validate it, and re-pack if the packing changed.
   void OnTopologyChange() override;
@@ -125,6 +133,10 @@ class MalbBalancer : public LoadBalancer {
 
   // Forces one allocation tick immediately (tests).
   void TickForTest() { AllocationTick(); }
+
+  // The spill valve's view of replica loads (tests compare it with every
+  // proxy's outstanding()).
+  const IdleSets& idle_sets() const { return idle_; }
 
   // Permanently freezes the current allocation (Figure 6 static baseline).
   // A truly static configuration also forgoes the spill valve — no dynamic
@@ -174,6 +186,9 @@ class MalbBalancer : public LoadBalancer {
   uint64_t PackingSignature(const PackingResult& packing) const;
 
   MalbConfig config_;
+  // Replicas with 0 and with 1 outstanding transaction, kept current by
+  // their gatekeepers; the spill valve reads them instead of every proxy.
+  IdleSets idle_;
   std::vector<Pages> capacity_pages_;  // usable pages per proxy index
   std::vector<TypeWorkingSet> working_sets_;
   PackingResult packing_;

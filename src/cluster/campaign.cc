@@ -164,7 +164,9 @@ json::Value ManifestJson(const CampaignRunSummary& summary) {
     c.Set("figure", run.campaign->figure);
     c.Set("title", run.campaign->title);
     if (!run.json_path.empty()) {
-      c.Set("json", run.json_path);
+      // Relative to the manifest's own directory, where every document is
+      // written, so the manifest does not depend on the --json argument.
+      c.Set("json", run.json_path.substr(run.json_path.find_last_of('/') + 1));
     }
     if (!run.report_error.empty()) {
       c.Set("report_error", run.report_error);

@@ -12,6 +12,7 @@
 
 #include "src/common/inline_callback.h"
 #include "src/common/ring_queue.h"
+#include "src/proxy/idle_sets.h"
 
 namespace tashkent {
 
@@ -28,8 +29,28 @@ class Gatekeeper {
   // holder must call Release() exactly once when the admitted work finishes.
   void Admit(Work work);
 
-  // Frees a slot and admits the next queued arrival, if any.
+  // Frees a slot and admits the next queued arrival, if any. Throws
+  // std::logic_error when no admitted work holds a slot.
   void Release();
+
+  // Reports this replica's outstanding count to `sets` (non-null) at
+  // `index` from now on. A gatekeeper reports to one set at a time:
+  // attaching to another set supersedes the previous one.
+  void AttachIdleSets(IdleSets* sets, size_t index) {
+    if (idle_sets_ != nullptr && idle_sets_ != sets) {
+      idle_sets_->Supersede();
+    }
+    idle_sets_ = sets;
+    idle_index_ = index;
+    sets->Assign(index, outstanding());
+  }
+  // Stops reporting if this gatekeeper still reports to `sets`.
+  void DetachIdleSets(const IdleSets* sets) {
+    if (idle_sets_ == sets) {
+      idle_sets_ = nullptr;
+    }
+  }
+  const IdleSets* idle_sets() const { return idle_sets_; }
 
   int in_flight() const { return in_flight_; }
   size_t queued() const { return queue_.size(); }
@@ -39,9 +60,22 @@ class Gatekeeper {
   int max_in_flight() const { return max_in_flight_; }
 
  private:
+  void Raised() {
+    if (idle_sets_ != nullptr) {
+      idle_sets_->Raised(idle_index_, outstanding());
+    }
+  }
+  void Lowered() {
+    if (idle_sets_ != nullptr) {
+      idle_sets_->Lowered(idle_index_, outstanding());
+    }
+  }
+
   int max_in_flight_;
   int in_flight_ = 0;
   RingQueue<Work> queue_;
+  IdleSets* idle_sets_ = nullptr;
+  size_t idle_index_ = 0;
 };
 
 }  // namespace tashkent

@@ -236,6 +236,11 @@ class Proxy {
 
   size_t outstanding() const { return gatekeeper_.outstanding(); }
   int max_in_flight() const { return gatekeeper_.max_in_flight(); }
+  // The gatekeeper's idle-set reporting (src/proxy/idle_sets.h); a balancer
+  // attaches its proxies and detaches them when it goes away.
+  void AttachIdleSets(IdleSets* sets, size_t index) { gatekeeper_.AttachIdleSets(sets, index); }
+  void DetachIdleSets(const IdleSets* sets) { gatekeeper_.DetachIdleSets(sets); }
+  const IdleSets* idle_sets() const { return gatekeeper_.idle_sets(); }
   Version applied_version() const { return applied_version_; }
   ReplicaId replica_id() const { return replica_->id(); }
   Replica& replica() { return *replica_; }

@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/balancer/lard.h"
 #include "src/balancer/malb.h"
 #include "src/balancer/simple.h"
 #include "src/core/availability.h"
 #include "src/core/working_set.h"
+#include "src/proxy/idle_sets.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -321,6 +325,298 @@ TEST_F(MalbTest, SnapshotLoadsCoverAllGroups) {
     total += l.replicas;
   }
   EXPECT_EQ(total, 16);
+}
+
+TEST_F(MalbTest, SupersededBalancerRouteThrows) {
+  MalbBalancer a(Ctx(), MalbConfig{});
+  a.Start();
+  const TxnType& type = workload_.registry.Get(0);
+  EXPECT_NO_THROW(a.Route(type));
+  // A proxy reports to one balancer at a time: b's attach leaves a stale.
+  MalbBalancer b(Ctx(), MalbConfig{});
+  b.Start();
+  EXPECT_THROW(a.Route(type), std::logic_error);
+  EXPECT_NO_THROW(b.Route(type));
+  for (const auto& p : proxies_) {
+    EXPECT_EQ(p->idle_sets(), &b.idle_sets());
+  }
+}
+
+TEST_F(MalbTest, DestructorDetachesProxies) {
+  auto a = std::make_unique<MalbBalancer>(Ctx(), MalbConfig{});
+  const IdleSets* sets = &a->idle_sets();
+  for (const auto& p : proxies_) {
+    EXPECT_EQ(p->idle_sets(), sets);
+  }
+  a.reset();
+  for (const auto& p : proxies_) {
+    EXPECT_EQ(p->idle_sets(), nullptr);
+  }
+  // A successor attaches without superseding anything, and a superseded
+  // balancer's destructor leaves the successor's attachments alone.
+  auto b = std::make_unique<MalbBalancer>(Ctx(), MalbConfig{});
+  EXPECT_FALSE(b->idle_sets().superseded());
+  auto c = std::make_unique<MalbBalancer>(Ctx(), MalbConfig{});
+  EXPECT_TRUE(b->idle_sets().superseded());
+  b.reset();
+  for (const auto& p : proxies_) {
+    EXPECT_EQ(p->idle_sets(), &c->idle_sets());
+  }
+  c.reset();
+  for (const auto& p : proxies_) {
+    EXPECT_EQ(p->idle_sets(), nullptr);
+  }
+}
+
+// --- MALB spill valve: idle-set lookup vs. the all-proxy scan ---------------
+
+// How often the differential script met each case the idle-set lookup must
+// get right.
+struct SpillCases {
+  int zero_over_lower_one = 0;  // a load-0 spill target beat a lower-index load-1 one
+  int tie_keeps_best = 0;       // best_out == 1 and a lower-index load-1 replica exists
+  int down_zero_skipped = 0;    // a down load-0 replica below the pick was passed over
+  int group_down_fallback = 0;  // every replica of the type's group was down
+  int spill_to_added = 0;       // a replica added at runtime received a spill
+};
+
+// MALB's Route as it read before the idle sets: the group scan, the
+// whole-group-down fallback and the spill valve as a scan of every proxy.
+size_t ReferenceRoute(const MalbBalancer& malb, const std::vector<Proxy*>& proxies,
+                      double spill_factor, TxnTypeId type, size_t initial_replicas,
+                      SpillCases* cases) {
+  const auto& groups = malb.runtime_groups();
+  const auto type_groups = malb.GroupTypeIds();
+  size_t g = 0;
+  for (size_t i = 0; i < type_groups.size(); ++i) {
+    for (TxnTypeId t : type_groups[i]) {
+      if (t == type) {
+        g = i;
+      }
+    }
+  }
+  const std::vector<size_t>& candidates =
+      groups[g].replicas.empty() ? groups.front().replicas : groups[g].replicas;
+  if (candidates.empty()) {
+    return 0;
+  }
+  size_t best = candidates[0];
+  size_t best_out = SIZE_MAX;
+  for (size_t candidate : candidates) {
+    if (!proxies[candidate]->available()) {
+      continue;
+    }
+    const size_t out = proxies[candidate]->outstanding();
+    if (out < best_out) {
+      best = candidate;
+      best_out = out;
+    }
+  }
+  if (best_out == SIZE_MAX) {
+    ++cases->group_down_fallback;
+    for (size_t r = 0; r < proxies.size(); ++r) {
+      if (proxies[r]->available()) {
+        return r;
+      }
+    }
+    return best;
+  }
+  if (spill_factor > 0 && !malb.filtering_installed()) {
+    const double limit = spill_factor * static_cast<double>(proxies[best]->max_in_flight());
+    if (static_cast<double>(best_out) >= limit) {
+      size_t idle = best;
+      size_t idle_out = best_out;
+      for (size_t r = 0; r < proxies.size(); ++r) {
+        if (!proxies[r]->available()) {
+          continue;
+        }
+        const size_t out = proxies[r]->outstanding();
+        if (out < idle_out) {
+          idle = r;
+          idle_out = out;
+        }
+      }
+      const size_t pick = idle_out <= 1 ? idle : best;
+      bool down_zero_below = false;
+      bool one_below = false;
+      for (size_t r = 0; r < pick; ++r) {
+        const size_t out = proxies[r]->outstanding();
+        if (!proxies[r]->available()) {
+          down_zero_below |= out == 0;
+        } else {
+          one_below |= out == 1;
+        }
+      }
+      cases->down_zero_skipped += down_zero_below && best_out > 0 ? 1 : 0;
+      cases->zero_over_lower_one += one_below && pick != best ? 1 : 0;
+      cases->tie_keeps_best += one_below && pick == best && best_out == 1 ? 1 : 0;
+      cases->spill_to_added += pick != best && pick >= initial_replicas ? 1 : 0;
+      return pick;
+    }
+  }
+  return best;
+}
+
+// A hand-wired MALB cluster on TPC-W whose gatekeepers admit one or two
+// transactions at a time, so a few submissions back a group up.
+class SpillRig {
+ public:
+  SpillRig(const Workload& workload, size_t replicas, int slots, MalbConfig config)
+      : workload_(workload), slots_(slots), spill_factor_(config.spill_factor) {
+    ctx_.sim = &sim_;
+    ctx_.registry = &workload.registry;
+    ctx_.schema = &workload.schema;
+    for (size_t r = 0; r < replicas; ++r) {
+      ctx_.proxies.push_back(NewProxy());
+    }
+    malb_ = std::make_unique<MalbBalancer>(ctx_, config);
+    malb_->Start();
+  }
+
+  // Runs `steps` seeded operations and compares every type's Route with the
+  // reference after each one.
+  void Run(uint64_t seed, int steps, SpillCases* cases) {
+    Rng rng(seed);
+    const size_t initial = ctx_.proxies.size();
+    const size_t types = workload_.registry.size();
+    for (int step = 0; step < steps; ++step) {
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 30) {
+        // A backlog burst on one group: every member gets 1-4 more.
+        const auto& groups = malb_->runtime_groups();
+        const auto& members = groups[rng.NextBelow(groups.size())].replicas;
+        const uint64_t depth = 1 + rng.NextBelow(4);
+        for (size_t r : members) {
+          for (uint64_t k = 0; k < depth; ++k) {
+            Submit(r, rng);
+          }
+        }
+      } else if (op < 45) {
+        // Route-driven arrivals.
+        for (int k = 0; k < 8; ++k) {
+          const TxnType& type = workload_.registry.Get(rng.NextBelow(types));
+          ctx_.proxies[malb_->Route(type)]->SubmitTransaction(type, [](bool) {});
+        }
+      } else if (op < 80) {
+        sim_.RunUntil(sim_.Now() + Micros(static_cast<int64_t>(rng.NextBelow(40'000))));
+      } else if (op < 86) {
+        ctx_.proxies[rng.NextBelow(ctx_.proxies.size())]->Crash();
+      } else if (op < 94) {
+        for (Proxy* p : ctx_.proxies) {
+          if (p->lifecycle() == ReplicaLifecycle::kDown && rng.NextBelow(4) == 0) {
+            p->Recover();
+          }
+        }
+      } else if (op < 96) {
+        // A whole group goes down.
+        const auto& groups = malb_->runtime_groups();
+        for (size_t r : groups[rng.NextBelow(groups.size())].replicas) {
+          ctx_.proxies[r]->Crash();
+        }
+      } else if (op < 98) {
+        Proxy* proxy = NewProxy();
+        malb_->OnReplicaAdded(proxy);
+        ctx_.proxies.push_back(proxy);
+        proxy->JoinAsNew();
+      } else {
+        Submit(rng.NextBelow(ctx_.proxies.size()), rng);
+      }
+      ASSERT_NO_FATAL_FAILURE(ExpectSetsMatch()) << "step " << step;
+      for (TxnTypeId t = 0; t < types; ++t) {
+        ASSERT_EQ(malb_->Route(workload_.registry.Get(t)),
+                  ReferenceRoute(*malb_, ctx_.proxies, spill_factor_, t, initial, cases))
+            << "step " << step << ", type " << t;
+      }
+    }
+  }
+
+  // After every step the idle sets equal a recomputation from outstanding().
+  void ExpectSetsMatch() const {
+    const IdleSets& sets = malb_->idle_sets();
+    for (size_t r = 0; r < ctx_.proxies.size(); ++r) {
+      const size_t out = ctx_.proxies[r]->outstanding();
+      ASSERT_EQ(sets.zero(r), out == 0) << "replica " << r << " outstanding " << out;
+      ASSERT_EQ(sets.one(r), out == 1) << "replica " << r << " outstanding " << out;
+    }
+  }
+
+  MalbBalancer& malb() { return *malb_; }
+
+ private:
+  Proxy* NewProxy() {
+    ReplicaConfig rc;
+    rc.memory = 256 * kMiB;
+    const ReplicaId id = static_cast<ReplicaId>(replicas_.size());
+    replicas_.push_back(std::make_unique<Replica>(&sim_, &workload_.schema, id, rc, Rng(id + 1)));
+    ProxyConfig pc;
+    pc.max_in_flight = slots_;
+    proxies_.push_back(std::make_unique<Proxy>(&sim_, replicas_.back().get(), &certifier_, pc));
+    return proxies_.back().get();
+  }
+
+  void Submit(size_t replica, Rng& rng) {
+    const TxnType& type = workload_.registry.Get(rng.NextBelow(workload_.registry.size()));
+    ctx_.proxies[replica]->SubmitTransaction(type, [](bool) {});
+  }
+
+  const Workload& workload_;
+  int slots_;
+  double spill_factor_;
+  Simulator sim_;
+  Certifier certifier_;
+  std::vector<std::unique_ptr<Replica>> replicas_;
+  std::vector<std::unique_ptr<Proxy>> proxies_;
+  BalancerContext ctx_;
+  std::unique_ptr<MalbBalancer> malb_;
+};
+
+TEST_F(MalbTest, SpillLookupMatchesAllProxyScan) {
+  struct Variant {
+    const char* name;
+    size_t replicas;
+    int slots;  // gatekeeper admission limit
+    double spill_factor;
+    bool filtering;
+  };
+  // A spill limit of 1 (slots x spill_factor) spills from best_out 1, where
+  // a tie with a lower-index load-1 replica must keep best. One slot sends
+  // the 1 <-> 2 crossings through the gatekeeper's queue.
+  const Variant variants[] = {
+      {"spill 2", 64, 2, 2.0, false},
+      {"spill 0.5", 96, 2, 0.5, false},
+      {"one slot", 128, 1, 1.0, false},
+      {"256 replicas", 256, 2, 0.5, false},
+      {"filtering", 64, 2, 2.0, true},
+      {"no spill", 64, 2, 0.0, false},
+  };
+  SpillCases spilling;
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    MalbConfig config;
+    config.spill_factor = v.spill_factor;
+    config.update_filtering = v.filtering;
+    config.stable_ticks_for_filtering = 1;
+    SpillRig rig(workload_, v.replicas, v.slots, config);
+    if (v.filtering) {
+      // The idle cluster is stable at once: filtering installs, spills stop.
+      rig.malb().TickForTest();
+      rig.malb().TickForTest();
+      ASSERT_TRUE(rig.malb().filtering_installed());
+    }
+    SpillCases cases;
+    ASSERT_NO_FATAL_FAILURE(rig.Run(0x5eed + v.replicas, 400, &cases));
+    EXPECT_GT(cases.group_down_fallback, 0);
+    if (v.spill_factor > 0 && !v.filtering) {
+      spilling.zero_over_lower_one += cases.zero_over_lower_one;
+      spilling.tie_keeps_best += cases.tie_keeps_best;
+      spilling.down_zero_skipped += cases.down_zero_skipped;
+      spilling.spill_to_added += cases.spill_to_added;
+    }
+  }
+  EXPECT_GT(spilling.zero_over_lower_one, 0);
+  EXPECT_GT(spilling.tie_keeps_best, 0);
+  EXPECT_GT(spilling.down_zero_skipped, 0);
+  EXPECT_GT(spilling.spill_to_added, 0);
 }
 
 }  // namespace

@@ -265,6 +265,8 @@ TEST(CampaignTest, ManifestJsonRoundTrips) {
   EXPECT_EQ(reparsed.At("failed_cells").AsNumber(), 1.0);
   const json::Value& c = reparsed.At("campaigns").Items().at(0);
   EXPECT_EQ(c.At("name").AsString(), "test-fast");
+  // The document's file name relative to the manifest, not the path given.
+  EXPECT_EQ(c.At("json").AsString(), "BENCH_test-fast.json");
   const json::Value& cells = c.At("cells");
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_TRUE(cells.Items()[0].At("ok").AsBool());

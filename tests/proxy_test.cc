@@ -44,6 +44,57 @@ TEST(Gatekeeper, FifoOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(Gatekeeper, ReleaseWithoutAdmitThrows) {
+  Gatekeeper g(2);
+  EXPECT_THROW(g.Release(), std::logic_error);
+  EXPECT_EQ(g.outstanding(), 0u);
+  g.Admit([] {});
+  g.Release();
+  EXPECT_THROW(g.Release(), std::logic_error);
+  EXPECT_EQ(g.outstanding(), 0u);
+}
+
+// The idle sets follow the count through the queue and back: the zero bit
+// at 0, the one bit at 1, neither above.
+TEST(Gatekeeper, IdleSetsFollowOutstanding) {
+  IdleSets sets;
+  sets.Resize(70);
+  Gatekeeper g(1);
+  g.Admit([] {});  // counted before the attach: Assign reads it
+  g.AttachIdleSets(&sets, 69);
+  const auto check = [&] {
+    EXPECT_EQ(sets.zero(69), g.outstanding() == 0) << g.outstanding();
+    EXPECT_EQ(sets.one(69), g.outstanding() == 1) << g.outstanding();
+  };
+  check();
+  for (int i = 0; i < 3; ++i) {
+    g.Admit([] {});
+    check();
+  }
+  for (int i = 0; i < 4; ++i) {
+    g.Release();
+    check();
+  }
+  EXPECT_FALSE(sets.zero(68));
+  EXPECT_EQ(sets.Lowest(0, [](size_t) { return true; }), 69u);
+  EXPECT_EQ(sets.Lowest(1, [](size_t) { return true; }), IdleSets::kNone);
+  EXPECT_EQ(sets.Lowest(0, [](size_t) { return false; }), IdleSets::kNone);
+
+  // Re-attaching elsewhere supersedes the first set; detaching by a set the
+  // gatekeeper no longer reports to changes nothing.
+  IdleSets other;
+  other.Resize(1);
+  g.AttachIdleSets(&other, 0);
+  EXPECT_TRUE(sets.superseded());
+  EXPECT_FALSE(other.superseded());
+  g.DetachIdleSets(&sets);
+  g.Admit([] {});
+  EXPECT_TRUE(other.one(0));
+  g.DetachIdleSets(&other);
+  g.Release();
+  EXPECT_TRUE(other.one(0));  // no longer reported
+}
+
 class ProxyTest : public ::testing::Test {
  protected:
   ProxyTest() {
