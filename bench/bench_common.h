@@ -37,6 +37,7 @@
 #include "src/cluster/experiment.h"
 #include "src/cluster/scenario.h"
 #include "src/cluster/sink.h"
+#include "src/core/bin_packing.h"
 
 namespace tashkent {
 namespace bench {
@@ -179,21 +180,32 @@ inline RunRecord RecOf(std::string label, const CellOutput& cell, double paper_t
   return r;
 }
 
-// Builds a RunRecord from loose pieces (cells that measure below the Cluster
-// layer, e.g. the Section 5.3 knee rig).
-inline RunRecord Rec(std::string label, std::string policy, std::string workload,
-                     std::string mix, ExperimentResult result, double paper_tps = 0.0,
-                     double paper_write_kb = 0.0, double paper_read_kb = 0.0) {
-  RunRecord r;
-  r.label = std::move(label);
-  r.policy = std::move(policy);
-  r.workload = std::move(workload);
-  r.mix = std::move(mix);
-  r.paper_tps = paper_tps;
-  r.paper_write_kb = paper_write_kb;
-  r.paper_read_kb = paper_read_kb;
-  r.result = std::move(result);
-  return r;
+// Reports the MALB-SC static packing (what the balancer computes before any
+// load exists) of `w` on `config`'s replicas: the group count against the
+// paper's, each group's estimate, and the groups. A pure computation, so
+// the groupings tables emit it from their report stage with no cluster run.
+inline void ReportStaticPacking(const Workload& w, const ClusterConfig& config, ResultSink& out,
+                                int paper_group_count) {
+  const auto ws = BuildWorkingSets(w.registry, w.schema);
+  const Pages capacity = BytesToPages(config.replica.memory - config.replica.reserved);
+  const auto packing = PackTransactionGroups(ws, capacity, EstimationMethod::kSizeContent);
+  out.AddScalar("static group count (paper " + std::to_string(paper_group_count) + ")",
+                static_cast<double>(packing.groups.size()));
+  std::vector<GroupReport> static_groups;
+  for (const auto& g : packing.groups) {
+    GroupReport gr;
+    for (TxnTypeId t : g.types) {
+      gr.types.push_back(w.registry.Get(t).name);
+    }
+    gr.replicas = 0;  // not yet allocated
+    static_groups.push_back(std::move(gr));
+    const std::string id = "static group " + std::to_string(static_groups.size());
+    out.AddScalar(id + " est MB", BytesToMiB(PagesToBytes(g.estimate_pages)));
+    if (g.overflow) {
+      out.Note(id + " overflows replica capacity (working set > memory)");
+    }
+  }
+  out.AddGroups("static packing (replicas column all 0: not yet allocated)", static_groups);
 }
 
 }  // namespace bench

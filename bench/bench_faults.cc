@@ -15,9 +15,9 @@
 //     twice, or a retry certified twice past the dedup window); the upper
 //     bound catches a lost one (certified but never acknowledged — only
 //     in-flight certifications may be outstanding at collection). Violations
-//     throw, which fails the cell and the bench run. The cells require
-//     max_attempts = 0 (retry forever) and no replica kills, so no
-//     certified-then-client-aborted transaction can blur the bound.
+//     throw, which fails the cell and the bench run. Retries never give up
+//     and the cells kill no replica, so no certified-then-client-aborted
+//     transaction can blur the bound.
 //
 //   * Fault-plan-off is byte-inert. The "inert/pair" cell runs the SAME seed
 //     twice — "plain" with no fault surface touched, "armed" with the retry
@@ -65,7 +65,6 @@ RetryPolicy FaultRetry() {
   retry.backoff_factor = 2.0;
   retry.backoff_max = Millis(50);
   retry.jitter = 0.25;
-  retry.max_attempts = 0;  // retry forever — required for the exact invariant
   return retry;
 }
 

@@ -5,7 +5,6 @@
 //        [ExecSearch, OrderDispl, OrderInqur, ProducDet] 1,
 //        [HomeAction, NewProduct, SearchRequ, AdmiRqust] 1.
 #include "bench/bench_common.h"
-#include "src/core/bin_packing.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -22,35 +21,9 @@ std::vector<CampaignCell> Cells() {
   };
 }
 
-// Static packing (what the balancer computes before any load exists) is a
-// pure computation — emitted from the report stage, no cluster run needed.
-void ReportStaticPacking(const Workload& w, const ClusterConfig& config, ResultSink& out,
-                         double paper_group_count) {
-  const auto ws = BuildWorkingSets(w.registry, w.schema);
-  const Pages capacity = BytesToPages(config.replica.memory - config.replica.reserved);
-  const auto packing = PackTransactionGroups(ws, capacity, EstimationMethod::kSizeContent);
-  out.AddScalar("static group count (paper " + std::to_string(static_cast<int>(paper_group_count)) + ")",
-                static_cast<double>(packing.groups.size()));
-  std::vector<GroupReport> static_groups;
-  for (const auto& g : packing.groups) {
-    GroupReport gr;
-    for (TxnTypeId t : g.types) {
-      gr.types.push_back(w.registry.Get(t).name);
-    }
-    gr.replicas = 0;  // not yet allocated
-    static_groups.push_back(std::move(gr));
-    const std::string id = "static group " + std::to_string(static_groups.size());
-    out.AddScalar(id + " est MB", BytesToMiB(PagesToBytes(g.estimate_pages)));
-    if (g.overflow) {
-      out.Note(id + " overflows replica capacity (working set > memory)");
-    }
-  }
-  out.AddGroups("static packing (replicas column all 0: not yet allocated)", static_groups);
-}
-
 void Report(const CampaignOutputs& r, ResultSink& out) {
   out.Begin("Table 2: TPC-W MALB-SC groupings", "MidDB 1.8GB, capacity 442MB, 16 replicas");
-  ReportStaticPacking(Mid(), MakeClusterConfig(512 * kMiB), out, 6);
+  bench::ReportStaticPacking(Mid(), MakeClusterConfig(512 * kMiB), out, 6);
 
   // Dynamic allocation after a converged run (paper's replica counts:
   // BestSeller 2, AdminResponse 4, BuyConfirm 7, others 1 each).

@@ -6,7 +6,6 @@
 //         RegisterUser, SearchItemsByRegion, StoreBuyNow] 1,
 //        [RegisterItem, SearchItemsByCategory, StoreBid, viewItem] 2.
 #include "bench/bench_common.h"
-#include "src/core/bin_packing.h"
 #include "src/workload/rubis.h"
 
 namespace tashkent {
@@ -26,27 +25,7 @@ std::vector<CampaignCell> Cells() {
 void Report(const CampaignOutputs& r, ResultSink& out) {
   out.Begin("Table 4: RUBiS MALB-SC groupings", "DB 2.2GB, capacity 442MB, 16 replicas");
 
-  const Workload w = Rubis();
-  const ClusterConfig config = MakeClusterConfig(512 * kMiB);
-  const auto ws = BuildWorkingSets(w.registry, w.schema);
-  const Pages capacity = BytesToPages(config.replica.memory - config.replica.reserved);
-  const auto packing = PackTransactionGroups(ws, capacity, EstimationMethod::kSizeContent);
-  out.AddScalar("static group count (paper 4)", static_cast<double>(packing.groups.size()));
-  std::vector<GroupReport> static_groups;
-  for (const auto& g : packing.groups) {
-    GroupReport gr;
-    for (TxnTypeId t : g.types) {
-      gr.types.push_back(w.registry.Get(t).name);
-    }
-    gr.replicas = 0;  // not yet allocated
-    static_groups.push_back(std::move(gr));
-    const std::string id = "static group " + std::to_string(static_groups.size());
-    out.AddScalar(id + " est MB", BytesToMiB(PagesToBytes(g.estimate_pages)));
-    if (g.overflow) {
-      out.Note(id + " overflows replica capacity (working set > memory)");
-    }
-  }
-  out.AddGroups("static packing (replicas column all 0: not yet allocated)", static_groups);
+  bench::ReportStaticPacking(Rubis(), MakeClusterConfig(512 * kMiB), out, 4);
 
   const CellOutput& run = r.Get("malb-sc");
   out.AddRun(bench::RecOf("MALB-SC (converged)", run, 43));

@@ -6,6 +6,15 @@
 #include <stdexcept>
 
 namespace tashkent {
+namespace {
+
+// Allocation tick period; the paper's monitors feed continuously, decisions
+// happen at this cadence.
+constexpr SimDuration kAllocationPeriod = Seconds(5.0);
+// Catalog re-read / re-pack period.
+constexpr SimDuration kRegroupPeriod = Seconds(60.0);
+
+}  // namespace
 
 MalbBalancer::MalbBalancer(BalancerContext context, MalbConfig config)
     : LoadBalancer(std::move(context)), config_(config) {
@@ -105,7 +114,7 @@ size_t MalbBalancer::ThinnestFeasibleGroup(size_t replica) const {
 
 void MalbBalancer::OnTopologyChange() {
   RefreshCapacities();
-  if (groups_.empty() || config_.freeze_allocation || filtering_installed_) {
+  if (groups_.empty() || frozen_ || filtering_installed_) {
     // Not started yet, pinned (Figure 6 baseline), or filtering froze the
     // grouping; membership fixes still happen on the next allocation tick.
     return;
@@ -144,11 +153,11 @@ std::string MalbBalancer::name() const {
 void MalbBalancer::Start() {
   BuildGroups();
   InitialAllocation();
-  if (!config_.freeze_allocation) {
-    context_.sim->SchedulePeriodic(context_.sim->Now() + config_.allocation_period,
-                                   config_.allocation_period, [this]() { AllocationTick(); });
-    context_.sim->SchedulePeriodic(context_.sim->Now() + config_.regroup_period,
-                                   config_.regroup_period, [this]() { RegroupTick(); });
+  if (!frozen_) {
+    context_.sim->SchedulePeriodic(context_.sim->Now() + kAllocationPeriod, kAllocationPeriod,
+                                   [this]() { AllocationTick(); });
+    context_.sim->SchedulePeriodic(context_.sim->Now() + kRegroupPeriod, kRegroupPeriod,
+                                   [this]() { RegroupTick(); });
   }
 }
 
@@ -328,7 +337,7 @@ std::vector<GroupLoad> MalbBalancer::SnapshotLoads() const {
 }
 
 void MalbBalancer::AllocationTick() {
-  if (config_.freeze_allocation) {
+  if (frozen_) {
     return;
   }
   // Availability first: drop crashed replicas from their groups and adopt
@@ -582,7 +591,7 @@ void MalbBalancer::ApplyFastTargets(const std::vector<int>& targets) {
 }
 
 void MalbBalancer::RegroupTick() {
-  if (filtering_installed_ || config_.freeze_allocation) {
+  if (filtering_installed_ || frozen_) {
     return;
   }
   RepackIfChanged();

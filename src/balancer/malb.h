@@ -57,16 +57,8 @@ enum class FilteringMode {
 struct MalbConfig {
   EstimationMethod method = EstimationMethod::kSizeContent;
   AllocationConfig alloc;
-  // Allocation tick period; the paper's monitors feed continuously, decisions
-  // happen at this cadence.
-  SimDuration allocation_period = Seconds(5.0);
-  // Catalog re-read / re-pack period.
-  SimDuration regroup_period = Seconds(60.0);
   bool enable_merging = true;
   bool enable_fast_realloc = true;
-  // Freeze dynamic allocation entirely (used for the Figure 6 static-config
-  // baseline).
-  bool freeze_allocation = false;
   // Update filtering (Section 3).
   bool update_filtering = false;
   FilteringMode filtering_mode = FilteringMode::kDynamic;
@@ -140,18 +132,19 @@ class MalbBalancer : public LoadBalancer {
 
   // Permanently freezes the current allocation (Figure 6 static baseline).
   // A truly static configuration also forgoes the spill valve — no dynamic
-  // reaction of any kind.
+  // reaction of any kind. Called before Start(), it also schedules no ticks.
   void Freeze() {
-    config_.freeze_allocation = true;
+    frozen_ = true;
     config_.spill_factor = 0.0;
   }
 
-  // Cumulative count of rebalance-driven replica placements (group moves,
-  // fast-realloc pushes, split steals, merge re-homes) over the balancer's
-  // life. Excludes churn-driven adoption (PruneAndAdoptReplicas) — that is
-  // availability work, not load rebalancing. The skew campaign reports the
-  // window delta as its rebalance-cost column.
+  // Rebalance-driven replica placements (group moves, fast-realloc pushes,
+  // split steals, merge re-homes) since the last window opened
+  // (ResetMoveCount). Excludes churn-driven adoption (PruneAndAdoptReplicas)
+  // — that is availability work, not load rebalancing. The skew campaign
+  // reports it as its rebalance-cost column.
   uint64_t replica_moves() const { return replica_moves_; }
+  void ResetMoveCount() { replica_moves_ = 0; }
 
  private:
   void RefreshCapacities();
@@ -195,6 +188,7 @@ class MalbBalancer : public LoadBalancer {
   std::vector<RuntimeGroup> groups_;
   std::vector<size_t> group_of_type_;  // TxnTypeId -> runtime group index
   int stable_ticks_ = 0;
+  bool frozen_ = false;  // Freeze(): allocation never changes again
   bool filtering_installed_ = false;
   uint64_t packing_signature_ = 0;
   uint64_t replica_moves_ = 0;

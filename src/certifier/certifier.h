@@ -117,9 +117,16 @@ class Certifier {
   void Failover();
   bool serving() const { return serving_; }
   uint64_t epoch() const { return epoch_; }
+  // Crashes, failovers and retries re-served from the dedup window since the
+  // last window opened (ResetFaultStats zeroes them).
   uint64_t crashes() const { return crashes_; }
   uint64_t failovers() const { return failovers_; }
   uint64_t dedup_hits() const { return dedup_hits_; }
+  void ResetFaultStats() {
+    crashes_ = 0;
+    failovers_ = 0;
+    dedup_hits_ = 0;
+  }
   const StandbyImage& standby_image() const { return standby_; }
 
   // Registers the prod callback: invoked with the replica id when it falls

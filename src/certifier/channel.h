@@ -89,8 +89,8 @@ struct FaultPlan {
   }
 };
 
-// Message-level fault accounting (cumulative; Cluster window-scopes with
-// snapshots).
+// Message-level fault accounting since the last window opened
+// (CertifierChannel::ResetFaultStats).
 struct ChannelFaultStats {
   uint64_t dropped = 0;            // lost to the drop probability
   uint64_t partition_dropped = 0;  // lost to a partition window
@@ -126,6 +126,7 @@ class CertifierChannel {
   void AddPartition(uint32_t sender, SimTime from, SimTime to);
   bool faults_armed() const { return faulty_; }
   const ChannelFaultStats& fault_stats() const { return fault_stats_; }
+  void ResetFaultStats() { fault_stats_ = ChannelFaultStats{}; }
 
   // Events actually scheduled vs arrivals submitted; the difference is the
   // group-commit saving. Dropped messages count as neither; a duplicate

@@ -217,7 +217,6 @@ void Cluster::CrashCertifier() {
   }
   certifier_.Crash();
   cert_down_mark_ = sim_.Now();
-  ++cert_crashes_win_;
 }
 
 void Cluster::FailoverCertifier() {
@@ -226,7 +225,6 @@ void Cluster::FailoverCertifier() {
   if (was_down) {
     cert_downtime_accum_s_ += ToSeconds(sim_.Now() - cert_down_mark_);
   }
-  ++cert_failovers_win_;
   awaiting_failover_commit_ = true;
   failover_at_ = sim_.Now();
 }
@@ -304,6 +302,8 @@ void Cluster::ResizeMemory(size_t index, Bytes memory) {
 }
 
 void Cluster::ResetMetrics() {
+  // Opening a window zeroes every counter it reports: one reset per
+  // component (see the metric lists in cluster.h).
   committed_ = 0;
   aborted_ = 0;
   response_s_.Reset();
@@ -313,29 +313,21 @@ void Cluster::ResetMetrics() {
   for (auto& p : proxies_) {
     p->ResetStats();
   }
-  // Window-scope the certifier-memory HWMs: start from the current live
-  // footprint.
-  log_chunks_hwm_ = static_cast<uint64_t>(certifier_.log_chunk_count());
-  arena_bytes_hwm_ = certifier_.arena().allocated_bytes();
-  conflict_rows_hwm_ = static_cast<uint64_t>(certifier_.conflict_rows());
-  // Window-scope the cumulative pool/move counters via snapshots.
-  pool_hits_snap_ = 0;
-  pool_misses_snap_ = 0;
-  for (const auto& r : replicas_) {
-    pool_hits_snap_ += r->pool().stats().hits;
-    pool_misses_snap_ += r->pool().stats().misses;
+  certifier_channel_.ResetFaultStats();
+  certifier_.ResetFaultStats();
+  if (malb_ != nullptr) {
+    malb_->ResetMoveCount();
   }
-  malb_moves_snap_ = malb_ != nullptr ? malb_->replica_moves() : 0;
-  // Window-scope the fault/failover accounting.
-  channel_snap_ = certifier_channel_.fault_stats();
-  dedup_hits_snap_ = certifier_.dedup_hits();
-  cert_crashes_win_ = 0;
-  cert_failovers_win_ = 0;
   cert_downtime_accum_s_ = 0.0;
   failover_recovery_accum_s_ = 0.0;
   if (!certifier_.serving()) {
     cert_down_mark_ = sim_.Now();  // an outage spanning the window boundary
   }
+  // The certifier-memory HWMs start from the current live footprint.
+  log_chunks_hwm_ = 0;
+  arena_bytes_hwm_ = 0;
+  conflict_rows_hwm_ = 0;
+  SampleCertifierHwm();
 }
 
 ExperimentResult Cluster::Measure(SimDuration measure) {
@@ -359,9 +351,16 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) {
 
   Bytes reads = 0;
   Bytes writes = 0;
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+  std::vector<double> executed;
+  executed.reserve(replicas_.size());
   for (const auto& r : replicas_) {
     reads += r->stats().disk_read_bytes + r->stats().apply_read_bytes;
     writes += r->stats().disk_write_bytes;
+    pool_hits += r->pool().stats().hits;
+    pool_misses += r->pool().stats().misses;
+    executed.push_back(static_cast<double>(r->stats().txns_executed));
   }
 
   double recovery_time_s = 0.0;
@@ -382,22 +381,20 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) {
     out.write_queue_hwm = std::max(out.write_queue_hwm, p->stats().write_queue_hwm);
   }
   const ChannelFaultStats& ch = certifier_channel_.fault_stats();
-  out.msgs_dropped =
-      (ch.dropped + ch.partition_dropped) - (channel_snap_.dropped + channel_snap_.partition_dropped);
-  out.msgs_duplicated = ch.duplicated - channel_snap_.duplicated;
-  out.msgs_delayed = ch.delayed - channel_snap_.delayed;
-  out.dedup_hits = certifier_.dedup_hits() - dedup_hits_snap_;
-  out.cert_crashes = cert_crashes_win_;
-  out.cert_failovers = cert_failovers_win_;
+  out.msgs_dropped = ch.dropped + ch.partition_dropped;
+  out.msgs_duplicated = ch.duplicated;
+  out.msgs_delayed = ch.delayed;
+  out.dedup_hits = certifier_.dedup_hits();
+  out.cert_crashes = certifier_.crashes();
+  out.cert_failovers = certifier_.failovers();
   out.cert_downtime_s = cert_downtime_accum_s_ +
                         (certifier_.serving() ? 0.0 : ToSeconds(sim_.Now() - cert_down_mark_));
   out.failover_recovery_s = failover_recovery_accum_s_;
   out.join_latency_s = out.joins > 0 ? join_time_s / static_cast<double>(out.joins) : 0.0;
-  out.log_chunks_hwm =
-      std::max(log_chunks_hwm_, static_cast<uint64_t>(certifier_.log_chunk_count()));
-  out.arena_bytes_hwm = std::max(arena_bytes_hwm_, certifier_.arena().allocated_bytes());
-  out.conflict_rows_hwm =
-      std::max(conflict_rows_hwm_, static_cast<uint64_t>(certifier_.conflict_rows()));
+  SampleCertifierHwm();
+  out.log_chunks_hwm = log_chunks_hwm_;
+  out.arena_bytes_hwm = arena_bytes_hwm_;
+  out.conflict_rows_hwm = conflict_rows_hwm_;
   // Client-visible attempts = commits + aborts (the abort count includes the
   // rejections, since a refused submission reports as an abort to its client).
   const double attempts = static_cast<double>(committed_ + aborted_);
@@ -412,35 +409,28 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) {
   }
 
   // Unevenness: coefficient of variation of per-replica executed
-  // transactions over the window (window-scoped because ResetMetrics resets
-  // ReplicaStats). Includes down replicas — an outage IS uneven load.
-  if (!replicas_.empty()) {
+  // transactions over the window. Includes down replicas — an outage IS
+  // uneven load.
+  if (!executed.empty()) {
     double sum = 0.0;
-    for (const auto& r : replicas_) {
-      sum += static_cast<double>(r->stats().txns_executed);
+    for (const double x : executed) {
+      sum += x;
     }
-    const double mean = sum / static_cast<double>(replicas_.size());
+    const double mean = sum / static_cast<double>(executed.size());
     if (mean > 0.0) {
       double var = 0.0;
-      for (const auto& r : replicas_) {
-        const double d = static_cast<double>(r->stats().txns_executed) - mean;
+      for (const double x : executed) {
+        const double d = x - mean;
         var += d * d;
       }
-      out.unevenness = std::sqrt(var / static_cast<double>(replicas_.size())) / mean;
+      out.unevenness = std::sqrt(var / static_cast<double>(executed.size())) / mean;
     }
   }
-  uint64_t pool_hits = 0;
-  uint64_t pool_misses = 0;
-  for (const auto& r : replicas_) {
-    pool_hits += r->pool().stats().hits;
-    pool_misses += r->pool().stats().misses;
-  }
-  const uint64_t d_hits = pool_hits - pool_hits_snap_;
-  const uint64_t d_misses = pool_misses - pool_misses_snap_;
-  out.miss_rate = (d_hits + d_misses) > 0
-                      ? static_cast<double>(d_misses) / static_cast<double>(d_hits + d_misses)
+  out.miss_rate = (pool_hits + pool_misses) > 0
+                      ? static_cast<double>(pool_misses) /
+                            static_cast<double>(pool_hits + pool_misses)
                       : 0.0;
-  out.realloc_moves = malb_ != nullptr ? malb_->replica_moves() - malb_moves_snap_ : 0;
+  out.realloc_moves = malb_ != nullptr ? malb_->replica_moves() : 0;
   out.clients_modeled = static_cast<uint64_t>(clients_->population());
   out.fluid = config_.fluid_clients;
 

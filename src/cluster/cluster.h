@@ -98,6 +98,11 @@ inline bool operator==(const GroupReport& a, const GroupReport& b) {
 // campaign's scalars, and DifferingMetrics. Adding a metric is one list line
 // plus the line in Cluster::Collect that sets it (docs/ARCHITECTURE.md).
 // Supported types: double, uint64_t, bool.
+//
+// A window is scoped by zeroing: Cluster::ResetMetrics zeroes every counter
+// a window reports when the window opens (one reset call per component), and
+// Collect reads the counters as they stand. A new counter joins its
+// component's reset; nothing is snapshotted and subtracted.
 
 // The run-record columns of every BENCH_*.json "runs" object, in key order
 // (docs/OPERATIONS.md has the glossary). Appending changes every result
@@ -333,11 +338,6 @@ class Cluster {
   bool awaiting_failover_commit_ = false;
   SimTime failover_at_ = 0;
   double failover_recovery_accum_s_ = 0.0;
-  uint64_t cert_crashes_win_ = 0;
-  uint64_t cert_failovers_win_ = 0;
-  // Window snapshots of cumulative channel/certifier fault counters.
-  ChannelFaultStats channel_snap_;
-  uint64_t dedup_hits_snap_ = 0;
 
   // Measurement state.
   uint64_t committed_ = 0;
@@ -348,12 +348,6 @@ class Cluster {
   uint64_t arena_bytes_hwm_ = 0;
   uint64_t conflict_rows_hwm_ = 0;
   uint64_t prunes_ = 0;
-  // Buffer-pool hit/miss and MALB move counts are lifetime totals kept by
-  // their owners (ResetMetrics resets only ReplicaStats and ProxyStats), so
-  // window metrics are deltas against these ResetMetrics-time snapshots.
-  uint64_t pool_hits_snap_ = 0;
-  uint64_t pool_misses_snap_ = 0;
-  uint64_t malb_moves_snap_ = 0;
   PercentileTracker response_s_;
   TimeSeries timeline_;
   bool started_ = false;

@@ -1,10 +1,11 @@
-// High-level experiment driver shared by the benches and examples.
+// Experiment setup shared by the benches and examples: the standard cluster
+// config and the cached client calibration.
 //
-// The modern surface is string-named policies (PolicyRegistry) plus
-// ScenarioBuilder phases; RunExperiment(workload, mix, policy, ...) is the
-// one-shot warmup+measure convenience, implemented as a two-phase scenario.
-// RunComparison-style bar charts are a loop over policy names ("RoundRobin",
-// "LeastConnections", "LARD", "MALB-S", "MALB-SC", "MALB-SCAP").
+// Experiments themselves are string-named policies (PolicyRegistry) run
+// through ScenarioBuilder phases; a one-window run is
+// ScenarioBuilder().Warmup(d).Measure(d, label). RunComparison-style bar
+// charts are a loop over policy names ("RoundRobin", "LeastConnections",
+// "LARD", "MALB-S", "MALB-SC", "MALB-SCAP").
 #ifndef SRC_CLUSTER_EXPERIMENT_H_
 #define SRC_CLUSTER_EXPERIMENT_H_
 
@@ -17,15 +18,6 @@
 #include "src/cluster/scenario.h"
 
 namespace tashkent {
-
-// Runs one warmup+measure experiment: builds the cluster for the named
-// policy, auto-calibrates the client population when clients_per_replica is 0
-// (the paper's 85%-of-standalone-peak methodology), and returns the metrics.
-ExperimentResult RunExperiment(const Workload& workload, const std::string& mix,
-                               const std::string& policy, ClusterConfig config,
-                               int clients_per_replica = 0,
-                               SimDuration warmup = Seconds(240.0),
-                               SimDuration measure = Seconds(240.0));
 
 // Shared calibration: returns clients/replica for the configuration (cached
 // per process by workload name + mix + RAM + DB size). Thread-safe:

@@ -218,15 +218,8 @@ void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
   PendingCert& pending = pending_certs_[slot];
   pending.timeout = Simulator::kInvalidEvent;
   ++stats_.cert_timeouts;
-  if (lifecycle_ == ReplicaLifecycle::kDown ||
-      (retry_.max_attempts > 0 && pending.attempts >= retry_.max_attempts)) {
-    // Give up: the client sees an abort and retries elsewhere. (A copy still
-    // in flight may yet commit at the certifier — only max_attempts > 0
-    // opens that window, which is why the invariant-gated campaigns run with
-    // retry-forever.)
-    if (retry_.max_attempts > 0 && pending.attempts >= retry_.max_attempts) {
-      ++stats_.gave_up;
-    }
+  if (lifecycle_ == ReplicaLifecycle::kDown) {
+    // The replica failed: the client sees an abort and retries elsewhere.
     ++cert_gen_[slot];
     FinishTransaction(false, ReleaseCert(slot));
     return;

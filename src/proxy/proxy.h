@@ -63,11 +63,11 @@ struct RetryPolicy {
   double backoff_factor = 2.0;
   SimDuration backoff_max = Millis(50);
   double jitter = 0.2;
-  // Attempts before reporting the transaction aborted to its client. 0 =
-  // retry forever: writes queue behind the gatekeeper's admission bound,
-  // which is the degraded-mode backpressure (at most max_in_flight
-  // certifications can pile up per proxy while the certifier is away).
-  int max_attempts = 0;
+  // A certification retries until it is decided (or its replica goes down):
+  // writes queue behind the gatekeeper's admission bound, which is the
+  // degraded-mode backpressure (at most max_in_flight certifications can
+  // pile up per proxy while the certifier is away). No client is told
+  // "aborted" while a copy of its write may still certify.
 };
 
 struct ProxyConfig {
@@ -124,7 +124,7 @@ struct ProxyStats {
   uint64_t pull_retries = 0;     // pull resubmissions sent
   uint64_t fenced = 0;           // stale-epoch responses refused; resent to the new primary
   uint64_t stale_responses = 0;  // duplicate/late responses discarded (txn already decided)
-  uint64_t gave_up = 0;          // transactions failed at RetryPolicy::max_attempts
+  uint64_t gave_up = 0;          // always 0 (retries never give up); perfbench still reads it
   uint64_t write_queue_hwm = 0;  // peak certifications parked awaiting response/retry
 };
 

@@ -162,7 +162,11 @@ class Replica {
   BufferPool& pool() { return pool_; }
   const BufferPool& pool() const { return pool_; }
   const ReplicaStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ReplicaStats{}; }
+  // Zeroes this replica's counters and its buffer pool's.
+  void ResetStats() {
+    stats_ = ReplicaStats{};
+    pool_.ResetStats();
+  }
   const ReplicaConfig& config() const { return config_; }
 
   // Drops a relation from cache entirely (update filtering lets unused tables

@@ -305,9 +305,8 @@ TEST_F(MalbTest, FilteringSubscriptionsRespectAvailability) {
 }
 
 TEST_F(MalbTest, FrozenAllocationNeverMoves) {
-  MalbConfig config;
-  config.freeze_allocation = true;
-  MalbBalancer malb(Ctx(), config);
+  MalbBalancer malb(Ctx(), MalbConfig{});
+  malb.Freeze();
   malb.Start();
   const auto before = malb.GroupReplicaCounts();
   malb.TickForTest();

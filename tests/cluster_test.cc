@@ -10,6 +10,7 @@
 
 #include "src/cluster/calibration.h"
 #include "src/cluster/experiment.h"
+#include "src/cluster/scenario.h"
 #include "src/workload/tpcw.h"
 
 namespace tashkent {
@@ -107,6 +108,104 @@ TEST(Metrics, DifferingMetricsNamesEveryMetric) {
     EXPECT_EQ(DifferingMetrics(changed, base), std::vector<std::string>{c.name});
     EXPECT_EQ(DifferingMetrics(changed, changed), std::vector<std::string>{});
   }
+}
+
+// Replica-side window counters the result folds into ratios, read from the
+// components directly so they can be summed exactly.
+struct ReplicaCounts {
+  uint64_t read_bytes = 0;
+  uint64_t write_bytes = 0;
+  uint64_t executed = 0;
+  uint64_t pool_hits = 0;
+  uint64_t pool_misses = 0;
+};
+
+ReplicaCounts ReadReplicaCounts(const Cluster& cluster) {
+  ReplicaCounts c;
+  for (const auto& r : cluster.replicas()) {
+    c.read_bytes += r->stats().disk_read_bytes + r->stats().apply_read_bytes;
+    c.write_bytes += r->stats().disk_write_bytes;
+    c.executed += r->stats().txns_executed;
+    c.pool_hits += r->pool().stats().hits;
+    c.pool_misses += r->pool().stats().misses;
+  }
+  return c;
+}
+
+// A measure window reports what happened inside it and nothing else: a run
+// measured as T1 then T2 sums, count by count, to the same run measured as
+// one T1+T2 window. T1 holds a certifier crash and failover and a replica
+// kill and recovery under dropped, duplicated and delayed messages, so
+// every component's counters move before the T2 window opens; a component
+// whose reset is missing carries T1 into T2 and breaks the sum.
+TEST(Metrics, WindowsAddUp) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  ClusterConfig config = MakeClusterConfig(256 * kMiB, 6);
+  config.clients_per_replica = 6;
+  config.faults.drop = 0.02;
+  config.faults.duplicate = 0.02;
+  config.faults.delay_probability = 0.05;
+  config.faults.delay_mean = Millis(3);
+  const SimDuration t1 = Seconds(60.0);
+  const SimDuration t2 = Seconds(60.0);
+  const auto opening = [] {
+    ScenarioBuilder b;
+    b.Warmup(Seconds(20.0))
+        .At(Seconds(5.0), CrashCertifier{})
+        .At(Seconds(8.0), FailoverCertifier{})
+        .At(Seconds(15.0), KillReplica{1})
+        .At(Seconds(25.0), RecoverReplica{1});
+    return b;
+  };
+
+  Cluster split(w, kTpcwOrdering, "MALB-SC", config);
+  const ExperimentResult a = opening().Measure(t1, "t1").RunOn(split).ByLabel("t1");
+  const ReplicaCounts ra = ReadReplicaCounts(split);
+  const ExperimentResult b = ScenarioBuilder().Measure(t2, "t2").RunOn(split).ByLabel("t2");
+  const ReplicaCounts rb = ReadReplicaCounts(split);
+
+  Cluster whole(w, kTpcwOrdering, "MALB-SC", config);
+  const ExperimentResult ab = opening().Measure(t1 + t2, "all").RunOn(whole).ByLabel("all");
+  const ReplicaCounts rab = ReadReplicaCounts(whole);
+
+  // Every component's counters moved in T1.
+  EXPECT_GT(a.committed, 0u);
+  EXPECT_GT(a.recoveries, 0u);
+  EXPECT_GT(a.realloc_moves, 0u);
+  EXPECT_GT(a.msgs_dropped, 0u);
+  EXPECT_GT(a.dedup_hits, 0u);
+  EXPECT_EQ(a.cert_crashes, 1u);
+  EXPECT_EQ(a.cert_failovers, 1u);
+  EXPECT_GT(ra.pool_hits, 0u);
+
+#define EXPECT_ADDS_UP(field) EXPECT_EQ(a.field + b.field, ab.field) << #field
+  EXPECT_ADDS_UP(committed);
+  EXPECT_ADDS_UP(aborted);
+  EXPECT_ADDS_UP(rejected);
+  EXPECT_ADDS_UP(recoveries);
+  EXPECT_ADDS_UP(joins);
+  EXPECT_ADDS_UP(replay_applied);
+  EXPECT_ADDS_UP(replay_filtered);
+  EXPECT_ADDS_UP(realloc_moves);
+  EXPECT_ADDS_UP(msgs_dropped);
+  EXPECT_ADDS_UP(msgs_duplicated);
+  EXPECT_ADDS_UP(msgs_delayed);
+  EXPECT_ADDS_UP(cert_timeouts);
+  EXPECT_ADDS_UP(cert_retries);
+  EXPECT_ADDS_UP(pull_retries);
+  EXPECT_ADDS_UP(fenced);
+  EXPECT_ADDS_UP(stale_responses);
+  EXPECT_ADDS_UP(dedup_hits);
+  EXPECT_ADDS_UP(cert_crashes);
+  EXPECT_ADDS_UP(cert_failovers);
+#undef EXPECT_ADDS_UP
+  EXPECT_NEAR(a.cert_downtime_s + b.cert_downtime_s, ab.cert_downtime_s, 1e-9);
+
+  EXPECT_EQ(ra.read_bytes + rb.read_bytes, rab.read_bytes);
+  EXPECT_EQ(ra.write_bytes + rb.write_bytes, rab.write_bytes);
+  EXPECT_EQ(ra.executed + rb.executed, rab.executed);
+  EXPECT_EQ(ra.pool_hits + rb.pool_hits, rab.pool_hits);
+  EXPECT_EQ(ra.pool_misses + rb.pool_misses, rab.pool_misses);
 }
 
 TEST(Experiment, AbortedTransactionsCounted) {

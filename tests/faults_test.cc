@@ -117,7 +117,6 @@ RetryPolicy TestRetry() {
   retry.backoff_factor = 2.0;
   retry.backoff_max = Millis(50);
   retry.jitter = 0.2;
-  retry.max_attempts = 0;
   return retry;
 }
 

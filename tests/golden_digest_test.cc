@@ -32,14 +32,21 @@
 // before the swap, proving the flat conflict index and its pruning at the
 // GSI-safe point change no verdict — the diff is pure key insertion.
 //
+// A second golden, BENCH_faults.json, pins the `faults` campaign (seed 42,
+// "cells" block removed). Smoke has no fault cell, so without it no byte
+// check would cover how the channel's message counts, the certifier's dedup
+// hits, crashes and failovers, and the downtime accounting are scoped to a
+// measure window.
+//
 // If this test fails after an intentional semantic change to the simulation,
 // regenerate the golden:
 //   ./build/tashkent_bench run smoke --json /tmp/g --no-progress
 //   cp /tmp/g/BENCH_smoke.json tests/golden/BENCH_smoke.json
+// (likewise `run faults` for BENCH_faults.json, minus its "cells" block)
 // and say so in the PR — a silent regeneration defeats the check.
 //
-// Compiled together with bench/bench_smoke.cc (see CMakeLists.txt) so the
-// real registered campaign runs in-process.
+// Compiled together with bench/bench_smoke.cc and bench/bench_faults.cc (see
+// CMakeLists.txt) so the real registered campaigns run in-process.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -88,34 +95,41 @@ uint64_t Digest(const json::Value& doc) {
   return h;
 }
 
-TEST(GoldenDigest, SmokeCampaignMatchesPreRefactorBaseline) {
-  const Campaign* smoke = CampaignRegistry::Instance().Find("smoke");
-  ASSERT_NE(smoke, nullptr) << "smoke campaign not registered (link bench_smoke.cc)";
+// Runs the registered campaign `name` at seed 42 and expects its document to
+// equal tests/golden/BENCH_<name>.json, host timing aside.
+void ExpectMatchesGolden(const std::string& name) {
+  const Campaign* campaign = CampaignRegistry::Instance().Find(name);
+  ASSERT_NE(campaign, nullptr) << name << " campaign not registered (link its bench file)";
 
   CampaignRunOptions options;
   options.jobs = 2;
   options.base_seed = 42;  // the seed the golden was captured with
   options.json_dir = "golden-digest-out";
   options.progress = false;
-  const CampaignRunRecord record = RunCampaign(*smoke, options);
+  const CampaignRunRecord record = RunCampaign(*campaign, options);
   for (const CellRecord& cell : record.cells) {
     ASSERT_TRUE(cell.ok) << cell.id << ": " << cell.error;
   }
   ASSERT_FALSE(record.json_path.empty());
 
+  const std::string golden_file = "BENCH_" + name + ".json";
   const json::Value current =
       StripHostTiming(json::Value::Parse(ReadFile(record.json_path)));
   const json::Value golden =
-      StripHostTiming(json::Value::Parse(ReadFile(std::string(GOLDEN_DIR) + "/BENCH_smoke.json")));
+      StripHostTiming(json::Value::Parse(ReadFile(std::string(GOLDEN_DIR) + "/" + golden_file)));
 
   EXPECT_EQ(current, golden)
       << "simulated results diverged from the pre-refactor baseline\n"
       << "  golden digest:  " << Digest(golden) << "\n"
       << "  current digest: " << Digest(current) << "\n"
       << "  current file:   " << record.json_path << "\n"
-      << "If the change is intentional, regenerate tests/golden/BENCH_smoke.json "
-      << "(see the header comment) and call it out in the PR.";
+      << "If the change is intentional, regenerate tests/golden/" << golden_file
+      << " (see the header comment) and call it out in the PR.";
 }
+
+TEST(GoldenDigest, SmokeCampaignMatchesPreRefactorBaseline) { ExpectMatchesGolden("smoke"); }
+
+TEST(GoldenDigest, FaultsCampaignMatchesBaseline) { ExpectMatchesGolden("faults"); }
 
 // The per-cell timing block must exist, cover every cell, and carry positive
 // event counts — the manifest-side perf accounting the next PRs track.

@@ -305,7 +305,6 @@ RetryPolicy OracleRetry() {
   retry.timeout = Millis(2);
   retry.backoff_base = Micros(500);
   retry.backoff_max = Millis(50);
-  retry.max_attempts = 0;
   return retry;
 }
 

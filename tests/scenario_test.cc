@@ -90,19 +90,6 @@ TEST(Scenario, MeasureRejectsADuplicateLabel) {
   EXPECT_EQ(b.phases().size(), 4u);
 }
 
-TEST(Scenario, RunExperimentEqualsTwoPhaseScenario) {
-  const Workload w = BuildTpcw(kTpcwSmallEbs);
-  ClusterConfig config = TestConfig(7);
-  const ExperimentResult direct =
-      RunExperiment(w, kTpcwShopping, "LeastConnections", config,
-                    config.clients_per_replica, Seconds(30.0), Seconds(60.0));
-  const ScenarioResult scenario = ScenarioBuilder()
-                                      .Warmup(Seconds(30.0))
-                                      .Measure(Seconds(60.0), "m")
-                                      .Run(w, kTpcwShopping, "LeastConnections", config);
-  EXPECT_EQ(DifferingMetrics(direct, scenario.ByLabel("m")), std::vector<std::string>{});
-}
-
 // Gives each run-list field a value distinct from every other field (and from
 // its default) and returns the value the JSON document must hold for it.
 json::Value SetDistinct(double& field, int index) {
