@@ -187,8 +187,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
   }
 
   const ScenarioResult& churn_timeline = r.Get("failrecover/tpcw/plain").scenario;
-  out.AddTimeline("TPC-W fail/recover throughput (plain)", churn_timeline.timeline,
-                  churn_timeline.timeline_bucket);
+  out.AddTimeline("TPC-W fail/recover throughput (plain)", churn_timeline.timeline);
 }
 
 RegisterCampaign churn{{"churn", "",

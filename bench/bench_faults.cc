@@ -307,8 +307,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
   out.Note(
       "inert/pair runs one seed twice (retry armed under an empty plan vs fault-free) "
       "and requires identical results and executed-event counts.");
-  out.AddTimeline("failover/storm", r.Get("failover/storm").scenario.timeline,
-                  r.Get("failover/storm").scenario.timeline_bucket);
+  out.AddTimeline("failover/storm", r.Get("failover/storm").scenario.timeline);
 }
 
 RegisterCampaign faults{{"faults", "",

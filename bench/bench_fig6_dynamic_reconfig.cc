@@ -74,7 +74,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
       bench::RecOf("LeastConnections, browsing", r.Get("lc-browsing"), 37, 0, 0, "browsing"));
   out.AddRatio("static / dynamic browsing (paper 0.42)", 19.0 / 45.0,
                browsing > 0 ? static_browsing.tps / browsing : 0.0);
-  out.AddTimeline("MALB-SC throughput timeline", dynamic.timeline, dynamic.timeline_bucket);
+  out.AddTimeline("MALB-SC throughput timeline", dynamic.timeline);
 }
 
 RegisterCampaign fig6{{"fig6", "Figure 6",

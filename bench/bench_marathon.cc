@@ -169,7 +169,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
            "commit since version 0.");
 
   const ScenarioResult& timeline = bounded.scenario;
-  out.AddTimeline("marathon bounded throughput", timeline.timeline, timeline.timeline_bucket);
+  out.AddTimeline("marathon bounded throughput", timeline.timeline);
 }
 
 RegisterCampaign marathon{{"marathon", "",

@@ -23,8 +23,11 @@
 //     (the subscription test on every applied writeset). The manifest's
 //     `cells` block records their host wall time and events/sec, and their
 //     executed-event counts are checked against the committed baseline.
-//     (Event Cancel has no product callers; its hot-path coverage is the
-//     kernel storm's decoy cancellation traffic above.)
+//     (Event Cancel's product callers are the proxy, which cancels a retry
+//     timeout when its response arrives, and FluidClientPool, which cancels
+//     its next arrival when it reschedules. None of these cells arms retry
+//     or fluid clients, so the kernel storm's decoy cancellation traffic
+//     above is Cancel's hot-path coverage here.)
 //
 // Unlike every other campaign, the throughput scalars here are HOST
 // wall-clock derived and therefore not byte-stable across runs or machines;

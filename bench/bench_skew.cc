@@ -216,7 +216,7 @@ void Report(const CampaignOutputs& r, ResultSink& out) {
 
   out.AddRun(bench::RecOf("diurnal 64r (50k-100k)", r.Get("diurnal/64r-100k")));
   out.AddRun(bench::RecOf("spike 64r browsing->shopping", r.Get("spike/64r-100k")));
-  out.AddTimeline("flash/256r-1m", flash.scenario.timeline, flash.scenario.timeline_bucket);
+  out.AddTimeline("flash/256r-1m", flash.scenario.timeline);
 }
 
 RegisterCampaign skew{{"skew", "", "Skew: fluid clients, Zipfian popularity, flash crowds",

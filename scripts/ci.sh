@@ -4,8 +4,9 @@
 # determinism, then exercise the campaign runner (smoke, perf, marathon,
 # skew, faults, fig3 and ablation campaigns) under hard gates on the
 # JSON it emits, check the perfbench workloads' pinned outcomes, and check
-# the docs cover every campaign, verb and metric. The gates are python3 scripts, so a
-# host without python3 fails here instead of skipping them.
+# the docs cover every campaign, verb, metric and configuration field. The
+# gates are python3 scripts, so a host without python3 fails here instead of
+# skipping them.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -344,6 +345,54 @@ done <<< "${metrics}"
 if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
+
+# Every field of the configuration structs a user can set must have a row in
+# docs/ARCHITECTURE.md's knob table (the first table after "Which knobs
+# stay"), written as `Struct::field`, so a new single-value field needs a
+# written reason there. The fields are read from the struct bodies in the
+# headers: each two-space-indented declaration is one field.
+python3 - <<'EOF' || { echo "ci: docs/ARCHITECTURE.md knob table is incomplete" >&2; exit 1; }
+import re, sys
+headers = {
+    'ClusterConfig': 'src/cluster/cluster.h',
+    'CheckpointPolicy': 'src/cluster/cluster.h',
+    'ReplicaConfig': 'src/replica/replica.h',
+    'ProxyConfig': 'src/proxy/proxy.h',
+    'RetryPolicy': 'src/proxy/proxy.h',
+    'MalbConfig': 'src/balancer/malb.h',
+}
+field = re.compile(r'^  [A-Za-z_][\w:<>]* ([a-z_]\w*)(?: = [^;]*|\{[^;]*\})?;(?:\s*//.*)?$')
+text = open('docs/ARCHITECTURE.md').read()
+if '**Which knobs stay.**' not in text:
+    sys.exit("docs/ARCHITECTURE.md has no 'Which knobs stay' section")
+after = text.split('**Which knobs stay.**', 1)[1].splitlines()
+first = next((i for i, line in enumerate(after) if line.startswith('|')), None)
+if first is None:
+    sys.exit("the 'Which knobs stay' section has no table")
+table = []
+for line in after[first:]:
+    if not line.startswith('|'):
+        break
+    table.append(line)
+table = '\n'.join(table)
+bad, total = [], 0
+for struct, header in headers.items():
+    m = re.search(r'^struct ' + struct + r' \{\n(.*?)^\};', open(header).read(), re.S | re.M)
+    if not m:
+        bad.append(f"struct {struct} not found in {header}")
+        continue
+    fields = [f.group(1) for f in map(field.match, m.group(1).splitlines()) if f]
+    if not fields:
+        bad.append(f"no fields read from struct {struct} in {header}")
+    for name in fields:
+        total += 1
+        if f'`{struct}::{name}`' not in table:
+            bad.append(f"`{struct}::{name}` has no row in the knob table")
+for b in bad:
+    print(f"knob check: {b}", file=sys.stderr)
+print(f"knob check: {total - len(bad)} of {total} configuration fields have a knob-table row")
+sys.exit(1 if bad else 0)
+EOF
 
 # --- markdown link check -----------------------------------------------------
 # Every relative link in README.md and docs/*.md must resolve to a file that

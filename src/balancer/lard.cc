@@ -27,7 +27,7 @@ void LardBalancer::DecaySet(std::vector<Member>& set) {
   // A decay may drop every member, emptying the set; Route() re-seeds it.
   const SimTime now = context_.sim->Now();
   set.erase(std::remove_if(set.begin(), set.end(),
-                           [&](const Member& m) { return now - m.last_used > config_.set_decay; }),
+                           [&](const Member& m) { return now - m.last_used > kLardSetDecay; }),
             set.end());
 }
 
@@ -63,7 +63,7 @@ size_t LardBalancer::Route(const TxnType& type) {
     return pick;
   }
 
-  if (member_out > config_.t_high) {
+  if (member_out > kLardTHigh) {
     // The set is overloaded; recruit a lightly loaded replica if one exists.
     // Past 2*T_high the imbalance is severe and the original LARD recruits
     // the globally least-loaded node unconditionally — the spreading dynamic
@@ -72,8 +72,8 @@ size_t LardBalancer::Route(const TxnType& type) {
     const bool already_member =
         std::any_of(set.begin(), set.end(),
                     [candidate](const Member& m) { return m.replica == candidate; });
-    if (!already_member && (context_.proxies[candidate]->outstanding() < config_.t_low ||
-                            member_out >= 2 * config_.t_high)) {
+    if (!already_member && (context_.proxies[candidate]->outstanding() < kLardTLow ||
+                            member_out >= 2 * kLardTHigh)) {
       set.push_back(Member{candidate, now});
       return candidate;
     }

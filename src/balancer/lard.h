@@ -21,16 +21,13 @@
 
 namespace tashkent {
 
-struct LardConfig {
-  size_t t_low = 2;    // outstanding connections considered "lightly loaded"
-  size_t t_high = 5;   // outstanding connections considered "overloaded"
-  SimDuration set_decay = Seconds(30.0);  // drop set members unused this long
-};
+inline constexpr size_t kLardTLow = 2;   // outstanding connections considered "lightly loaded"
+inline constexpr size_t kLardTHigh = 5;  // outstanding connections considered "overloaded"
+inline constexpr SimDuration kLardSetDecay = Seconds(30.0);  // drop set members unused this long
 
 class LardBalancer : public LoadBalancer {
  public:
-  LardBalancer(BalancerContext context, LardConfig config = {})
-      : LoadBalancer(std::move(context)), config_(config) {}
+  explicit LardBalancer(BalancerContext context) : LoadBalancer(std::move(context)) {}
 
   size_t Route(const TxnType& type) override;
   std::string name() const override { return "LARD"; }
@@ -47,7 +44,6 @@ class LardBalancer : public LoadBalancer {
   size_t GloballyLeastLoaded() const;
   void DecaySet(std::vector<Member>& set);
 
-  LardConfig config_;
   std::unordered_map<TxnTypeId, std::vector<Member>> sets_;
   mutable std::vector<size_t> scratch_set_;
 };

@@ -359,11 +359,10 @@ void MalbBalancer::AllocationTick() {
   if (TrySplitMostLoaded(loads)) {
     moved = true;
   } else if (config_.enable_fast_realloc &&
-             ShouldFastReallocate(loads, static_cast<int>(context_.proxies.size()),
-                                  config_.alloc)) {
+             ShouldFastReallocate(loads, static_cast<int>(context_.proxies.size()))) {
     ApplyFastTargets(ComputeFastTargets(loads, static_cast<int>(context_.proxies.size())));
     moved = true;
-  } else if (auto move = PickRebalanceMove(loads, config_.alloc)) {
+  } else if (auto move = PickRebalanceMove(loads)) {
     MoveReplica(move->from, move->to);
     moved = true;
   } else if (config_.enable_merging && TryMerge(loads)) {
@@ -454,7 +453,7 @@ bool MalbBalancer::TrySplitMostLoaded(const std::vector<GroupLoad>& loads) {
 }
 
 bool MalbBalancer::TryMerge(const std::vector<GroupLoad>& loads) {
-  auto pick = PickMergeCandidates(loads, config_.alloc);
+  auto pick = PickMergeCandidates(loads);
   if (!pick) {
     return false;
   }
@@ -668,7 +667,7 @@ void MalbBalancer::InstallSubscriptions() {
     group_replicas.push_back(std::move(ids));
     group_tables.push_back(GroupTables(g));
   }
-  const auto standbys = PlanStandbys(group_replicas, group_tables, config_.min_copies);
+  const auto standbys = PlanStandbys(group_replicas, group_tables, kMinCopies);
 
   for (size_t g = 0; g < groups_.size(); ++g) {
     for (size_t r : groups_[g].replicas) {

@@ -21,7 +21,7 @@
 // Update filtering (Section 3): once the allocation has been stable for a few
 // ticks, dynamics freeze and each proxy receives the table subscription for
 // its group(s), plus standby subscriptions so every type and table keeps
-// `min_copies` up-to-date replicas.
+// kMinCopies up-to-date replicas.
 //
 // Engineering note (extension over the paper, see DESIGN.md): utilizations
 // saturate at 100% under closed-loop overload, hiding demand differences
@@ -54,16 +54,18 @@ enum class FilteringMode {
   kDynamic,
 };
 
+// Availability target under update filtering: every type and table keeps
+// this many up-to-date replicas.
+inline constexpr int kMinCopies = 2;
+
 struct MalbConfig {
   EstimationMethod method = EstimationMethod::kSizeContent;
-  AllocationConfig alloc;
   bool enable_merging = true;
   bool enable_fast_realloc = true;
   // Update filtering (Section 3).
   bool update_filtering = false;
   FilteringMode filtering_mode = FilteringMode::kDynamic;
   int stable_ticks_for_filtering = 3;
-  int min_copies = 2;  // availability target under filtering
   // Weight of the queue-pressure extension; 0 disables it.
   double queue_pressure_weight = 1.0;
   // Spill safety valve: when every replica of a group is severely backlogged

@@ -30,8 +30,8 @@ PolicyRegistry::PolicyRegistry() {
   Register("LeastConnections", [](BalancerContext ctx, const ClusterConfig&) {
     return std::make_unique<LeastConnectionsBalancer>(std::move(ctx));
   });
-  Register("LARD", [](BalancerContext ctx, const ClusterConfig& config) {
-    return std::make_unique<LardBalancer>(std::move(ctx), config.lard);
+  Register("LARD", [](BalancerContext ctx, const ClusterConfig&) {
+    return std::make_unique<LardBalancer>(std::move(ctx));
   });
   Register("MALB-S", MalbFactory(EstimationMethod::kSize));
   Register("MALB-SC", MalbFactory(EstimationMethod::kSizeContent));

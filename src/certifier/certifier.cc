@@ -68,11 +68,7 @@ void Certifier::DedupRecord(ReplicaId replica, uint64_t txn_seq,
   }
   std::vector<DedupEntry>& ring = dedup_[replica];
   if (ring.empty()) {
-    // Cold path (first sequenced request from this proxy); window must be a
-    // power of two for the mask index.
-    assert((config_.dedup_window & (config_.dedup_window - 1)) == 0 &&
-           config_.dedup_window > 0);
-    ring.resize(config_.dedup_window);
+    ring.resize(kDedupWindow);  // cold path: first sequenced request from this proxy
   }
   ring[txn_seq & (ring.size() - 1)] = DedupEntry{txn_seq, result.committed,
                                                  result.commit_version};
@@ -147,7 +143,7 @@ void Certifier::MaybeProdLaggards() {
   const Version head = head_version();
   for (ReplicaId r = 0; r < replica_version_.size(); ++r) {
     if (!prod_outstanding_[r] && head > replica_version_[r] &&
-        head - replica_version_[r] > config_.prod_threshold) {
+        head - replica_version_[r] > kProdThreshold) {
       prod_outstanding_[r] = true;
       prod_cb_(r);
     }

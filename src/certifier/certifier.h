@@ -12,7 +12,7 @@
 // network latency (src/certifier/channel.h, which also batches same-tick
 // arrivals into one event — the group-commit analogue) and invokes it;
 // replication of the certifier itself (leader + 2 backups in the paper) is
-// modeled by the configured latency.
+// modeled by the fixed latencies below (kNetworkOneWay, kCertifyCost).
 //
 // Hot-path layout: the log is a chunked stable-address store
 // (src/gsi/writeset_store.h) — appending moves the writeset into the current
@@ -33,20 +33,20 @@
 
 namespace tashkent {
 
-struct CertifierConfig {
-  // One-way proxy->certifier network latency (LAN).
-  SimDuration network_one_way = Micros(120);
-  // Certifier processing (conflict test + log append + group commit share).
-  SimDuration certify_cost = Micros(200);
-  // Replicas lagging by more than this many commits get prodded.
-  uint64_t prod_threshold = 25;
-  // Idle proxies pull updates at this period.
-  SimDuration pull_period = Millis(500);
-  // Per-replica dedup ring size (power of two). Must exceed the deepest
-  // retry/duplicate pile-up a proxy can have outstanding — with the default
-  // gatekeeper bound of 8 in-flight writes, 128 leaves a wide margin.
-  uint32_t dedup_window = 128;
-};
+// One-way proxy->certifier network latency (LAN).
+inline constexpr SimDuration kNetworkOneWay = Micros(120);
+// Certifier processing (conflict test + log append + group commit share).
+inline constexpr SimDuration kCertifyCost = Micros(200);
+// Replicas lagging by more than this many commits get prodded.
+inline constexpr uint64_t kProdThreshold = 25;
+// Idle proxies pull updates at this period.
+inline constexpr SimDuration kPullPeriod = Millis(500);
+// Per-replica dedup ring size (power of two). Must exceed the deepest
+// retry/duplicate pile-up a proxy can have outstanding — with the default
+// gatekeeper bound of 8 in-flight writes, 128 leaves a wide margin.
+inline constexpr uint32_t kDedupWindow = 128;
+static_assert((kDedupWindow & (kDedupWindow - 1)) == 0,
+              "the dedup ring is indexed by txn_seq & (kDedupWindow - 1)");
 
 // Sentinel txn_seq for requests that are never resent: no dedup lookup or
 // record happens. Proxies pass it while their retry protocol is unarmed;
@@ -68,7 +68,7 @@ class Certifier {
   // invoked on the certification hot path whenever a laggard is detected).
   using ProdCallback = InlineCallback<void(ReplicaId), 48>;
 
-  explicit Certifier(CertifierConfig config = {}) : config_(config) {}
+  Certifier() = default;
 
   Certifier(const Certifier&) = delete;
   Certifier& operator=(const Certifier&) = delete;
@@ -130,7 +130,7 @@ class Certifier {
   const StandbyImage& standby_image() const { return standby_; }
 
   // Registers the prod callback: invoked with the replica id when it falls
-  // more than prod_threshold commits behind the log head.
+  // more than kProdThreshold commits behind the log head.
   void SetProdCallback(ProdCallback cb) { prod_cb_ = std::move(cb); }
 
   Version head_version() const { return next_version_ - 1; }
@@ -145,7 +145,6 @@ class Certifier {
     return log_.SkipUnwanted(from, hi, sub);
   }
   size_t log_size() const { return log_.size(); }
-  const CertifierConfig& config() const { return config_; }
 
   uint64_t certified_count() const { return certified_; }
   uint64_t aborted_count() const { return aborted_; }
@@ -191,9 +190,10 @@ class Certifier {
 
  private:
   // One decided (replica, txn_seq) verdict, parked in a direct-mapped ring
-  // indexed by txn_seq & (window - 1). Sequences are per-proxy monotonic and
-  // live retries span far less than the window, so an occupied slot whose seq
-  // differs is always an expired record, never a collision of live requests.
+  // indexed by txn_seq & (kDedupWindow - 1). Sequences are per-proxy
+  // monotonic and live retries span far less than the window, so an occupied
+  // slot whose seq differs is always an expired record, never a collision of
+  // live requests.
   struct DedupEntry {
     uint64_t seq = kNoTxnSeq;
     bool committed = false;
@@ -211,7 +211,6 @@ class Certifier {
   // (the log itself is synchronously replicated in the paper's deployment).
   void ShipToStandby();
 
-  CertifierConfig config_;
   ConflictChecker checker_;
   WritesetLog log_;
   WritesetArena arena_;

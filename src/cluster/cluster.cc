@@ -19,14 +19,21 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
       mix_name_(std::move(mix_name)),
       policy_name_(std::move(policy)),
       config_(config),
-      certifier_(config.certifier),
       certifier_channel_(&sim_, /*batch_arrivals=*/true),
-      timeline_(config.timeline_bucket) {
-  if (config_.timeline_bucket <= 0) {
-    // TimeSeries::Record divides by the width: 0 would trap, and a negative
-    // width would index a bucket far past the end.
-    throw std::invalid_argument("ClusterConfig.timeline_bucket must be positive, got " +
-                                std::to_string(config_.timeline_bucket));
+      timeline_(kTimelineBucket) {
+  if (config_.checkpoint.auto_prune && !config_.checkpoint.checkpoint_join) {
+    // Pruning drops the log prefix a legacy join replays from version 0: the
+    // first join after an effective prune would throw from inside the
+    // simulation instead of here.
+    throw std::invalid_argument(
+        "ClusterConfig.checkpoint: auto_prune requires checkpoint_join (turn both off for "
+        "legacy joins)");
+  }
+  if (config_.faults.armed()) {
+    // A lossy/partitioned channel without retries silently loses
+    // transactions; arming a plan implies the retry protocol. Normalised
+    // before the proxies copy config_.proxy.
+    config_.proxy.retry.enabled = true;
   }
   Rng root(config_.seed);
 
@@ -113,21 +120,15 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
 
   // Fault wiring comes LAST and forks from the root only when armed, so a
   // fault-capable build with the knobs off replays every pre-fault seed
-  // stream (replicas, clients, topology) bit for bit.
-  if (config_.faults.armed() && !config_.proxy.retry.enabled) {
-    // A lossy/partitioned channel without retries silently loses
-    // transactions; arming a plan implies the retry protocol.
-    config_.proxy.retry.enabled = true;
-  }
-  if (config_.faults.armed() || config_.proxy.retry.enabled) {
+  // stream (replicas, clients, topology) bit for bit. An armed plan has
+  // already enabled retry above.
+  if (config_.proxy.retry.enabled) {
     faults_rng_ = root.Fork();
     if (config_.faults.armed()) {
       certifier_channel_.ArmFaults(config_.faults, faults_rng_.Fork());
     }
-    if (config_.proxy.retry.enabled) {
-      for (auto& p : proxies_) {
-        p->ArmRetry(config_.proxy.retry, faults_rng_.Fork());
-      }
+    for (auto& p : proxies_) {
+      p->ArmRetry(faults_rng_.Fork());
     }
   }
 }
@@ -195,7 +196,7 @@ size_t Cluster::AddReplica(Bytes memory) {
     proxy->SetCheckpointSource([this]() { return BuildCheckpointImage(); });
   }
   if (config_.proxy.retry.enabled) {
-    proxy->ArmRetry(config_.proxy.retry, faults_rng_.Fork());
+    proxy->ArmRetry(faults_rng_.Fork());
   }
   proxy->JoinAsNew();
   return proxies_.size() - 1;

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "src/balancer/balancer.h"
-#include "src/balancer/lard.h"
 #include "src/balancer/malb.h"
 #include "src/certifier/certifier.h"
 #include "src/certifier/channel.h"
@@ -45,10 +44,15 @@ struct CheckpointPolicy {
   // index below the GSI-safe point (min over every replica of its applied
   // version and its parked certifications' snapshots; Proxy::snapshot_floor).
   // Both floors are conservative — what lies below them is provably dead — so
-  // pruning never changes results, only bounds certifier memory.
+  // pruning never changes results, only bounds certifier memory. Requires
+  // checkpoint_join: a legacy join into a pruned log cannot replay, so the
+  // Cluster constructor throws std::invalid_argument on auto_prune without it.
   bool auto_prune = true;
   SimDuration prune_period = Seconds(30.0);
 };
+
+// Width of the throughput timeline buckets (Figure 6 uses 30 s).
+inline constexpr SimDuration kTimelineBucket = Seconds(30.0);
 
 struct ClusterConfig {
   size_t replicas = 16;
@@ -58,10 +62,8 @@ struct ClusterConfig {
   // instead of replica.memory (everything else in `replica` still applies).
   // The constructor throws std::invalid_argument on a size mismatch.
   std::vector<Bytes> replica_memory;
-  CertifierConfig certifier;
   ProxyConfig proxy;
   CheckpointPolicy checkpoint;
-  LardConfig lard;
   MalbConfig malb;  // method is overridden by the MALB-S/SC/SCAP factories
   // Clients per replica; 0 means the caller must calibrate (see
   // calibration.h) — the Cluster constructor requires a concrete value.
@@ -78,8 +80,6 @@ struct ClusterConfig {
   // would silently lose transactions.
   FaultPlan faults;
   uint64_t seed = 42;
-  // Width of the throughput timeline buckets (Figure 6 uses 30 s).
-  SimDuration timeline_bucket = Seconds(30.0);
 };
 
 struct GroupReport {
@@ -292,10 +292,9 @@ class Cluster {
   // The currently active mix (tracks SwitchMix).
   const std::string& mix_name() const { return mix_name_; }
 
-  // Whole-run throughput timeline (never reset by Measure), for scenario
-  // drivers that stitch phases together.
+  // Whole-run throughput timeline in kTimelineBucket buckets (never reset by
+  // Measure), for scenario drivers that stitch phases together.
   const std::vector<double>& timeline_buckets() const { return timeline_.buckets(); }
-  SimDuration timeline_bucket_width() const { return timeline_.bucket_width(); }
 
  private:
   void ResetMetrics();

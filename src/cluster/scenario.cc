@@ -15,7 +15,7 @@ const ExperimentResult& ScenarioResult::ByLabel(const std::string& label) const 
 }
 
 double ScenarioResult::PhaseMeanTps(double from_s, double to_s, double skip_s) const {
-  const double width = ToSeconds(timeline_bucket);
+  const double width = ToSeconds(kTimelineBucket);
   double total_committed = 0.0;
   int n = 0;
   for (size_t i = 0; i < timeline.size(); ++i) {
@@ -76,7 +76,6 @@ ScenarioResult ScenarioBuilder::RunOn(Cluster& cluster) const {
   }
   out.total = elapsed;
   out.timeline = cluster.timeline_buckets();
-  out.timeline_bucket = cluster.timeline_bucket_width();
   out.mutations = mutator.log();
   out.executed_events = cluster.sim().executed_events();
   return out;

@@ -36,8 +36,8 @@
 //
 // Each Measure phase resets the metric counters, runs for its duration, and
 // records one labeled ExperimentResult. The merged throughput timeline spans
-// the whole scenario (warmups included), bucketed per
-// ClusterConfig::timeline_bucket — the Figure 6 plot falls straight out.
+// the whole scenario (warmups included), bucketed per kTimelineBucket —
+// the Figure 6 plot falls straight out.
 // MeasureRecord::start is scenario-relative simulated time (the sum of the
 // durations executed before the window), so PhaseMeanTps windows line up
 // with the script.
@@ -81,9 +81,9 @@ struct MeasureRecord {
 
 struct ScenarioResult {
   std::vector<MeasureRecord> measures;
-  // Whole-scenario committed-transactions timeline (warmups included).
+  // Whole-scenario committed transactions per kTimelineBucket (warmups
+  // included).
   std::vector<double> timeline;
-  SimDuration timeline_bucket = Seconds(30.0);
   SimDuration total = Seconds(0.0);  // total simulated scenario time
   // Verbs applied during the run, in execution order (scheduled verbs
   // stamped when they fired) — lines up against the timeline.

@@ -64,7 +64,7 @@ struct ConsolePrinter {
   }
 
   void operator()(const TimelineEvent& e) const {
-    const double width_s = ToSeconds(e.bucket_width);
+    const double width_s = ToSeconds(kTimelineBucket);
     std::printf("\n%s (%.0f s buckets, tps):\n", e.label.c_str(), width_s);
     for (size_t i = 0; i < e.buckets.size(); i += 4) {
       std::printf("  t=%5.0fs  %6.1f tps\n", static_cast<double>(i) * width_s,
@@ -153,7 +153,7 @@ struct JsonCollector {
     }
     json::Value timeline = json::Value::Object();
     timeline.Set("label", e.label);
-    timeline.Set("bucket_s", ToSeconds(e.bucket_width));
+    timeline.Set("bucket_s", ToSeconds(kTimelineBucket));
     timeline.Set("buckets", std::move(buckets));
     timelines.Append(std::move(timeline));
   }

@@ -85,10 +85,10 @@ struct GroupsEvent {
   std::string label;
   std::vector<GroupReport> groups;
 };
+// Committed transactions per kTimelineBucket.
 struct TimelineEvent {
   std::string label;
   std::vector<double> buckets;
-  SimDuration bucket_width;
 };
 struct NoteEvent {
   std::string text;
@@ -113,9 +113,8 @@ class ResultSink {
   void AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
     events_.push_back(GroupsEvent{label, groups});
   }
-  void AddTimeline(const std::string& label, const std::vector<double>& buckets,
-                   SimDuration bucket_width) {
-    events_.push_back(TimelineEvent{label, buckets, bucket_width});
+  void AddTimeline(const std::string& label, const std::vector<double>& buckets) {
+    events_.push_back(TimelineEvent{label, buckets});
   }
   void Note(const std::string& text) { events_.push_back(NoteEvent{text}); }
 

@@ -85,7 +85,6 @@ class TimeSeries {
 
   // Per-bucket sums, index i covering [i*width, (i+1)*width).
   const std::vector<double>& buckets() const { return buckets_; }
-  SimDuration bucket_width() const { return width_; }
 
  private:
   SimDuration width_;

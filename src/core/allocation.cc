@@ -14,8 +14,7 @@ double GroupLoad::FutureLoadIfRemoved() const {
   return Load() * static_cast<double>(replicas) / static_cast<double>(replicas - 1);
 }
 
-std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& groups,
-                                                  const AllocationConfig& config) {
+std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& groups) {
   if (groups.size() < 2) {
     return std::nullopt;
   }
@@ -46,7 +45,7 @@ std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& 
   if (max_load <= 1e-9) {
     return std::nullopt;  // no load signal at all: nothing to balance
   }
-  if (max_load < config.hysteresis * min_future) {
+  if (max_load < kHysteresis * min_future) {
     return std::nullopt;  // within hysteresis band: leave the allocation alone
   }
   return ReallocationMove{donor, most_loaded};
@@ -143,25 +142,23 @@ std::vector<int> ComputeFastTargets(const std::vector<GroupLoad>& groups, int to
   return targets;
 }
 
-bool ShouldFastReallocate(const std::vector<GroupLoad>& groups, int total_replicas,
-                          const AllocationConfig& config) {
+bool ShouldFastReallocate(const std::vector<GroupLoad>& groups, int total_replicas) {
   if (groups.size() < 2) {
     return false;
   }
-  if (!PickRebalanceMove(groups, config)) {
+  if (!PickRebalanceMove(groups)) {
     return false;
   }
   const std::vector<int> targets = ComputeFastTargets(groups, total_replicas);
   for (size_t i = 0; i < groups.size(); ++i) {
-    if (std::abs(targets[i] - groups[i].replicas) > config.fast_trigger_delta) {
+    if (std::abs(targets[i] - groups[i].replicas) > kFastTriggerDelta) {
       return true;
     }
   }
   return false;
 }
 
-std::optional<std::pair<size_t, size_t>> PickMergeCandidates(const std::vector<GroupLoad>& groups,
-                                                             const AllocationConfig& config) {
+std::optional<std::pair<size_t, size_t>> PickMergeCandidates(const std::vector<GroupLoad>& groups) {
   size_t first = groups.size();
   size_t second = groups.size();
   double first_load = std::numeric_limits<double>::infinity();
@@ -171,7 +168,7 @@ std::optional<std::pair<size_t, size_t>> PickMergeCandidates(const std::vector<G
       continue;
     }
     const double load = groups[i].Load();
-    if (load >= config.merge_threshold) {
+    if (load >= kMergeThreshold) {
       continue;
     }
     if (load < first_load) {

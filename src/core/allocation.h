@@ -41,17 +41,15 @@ struct GroupLoad {
   double TotalDemand() const { return Load() * static_cast<double>(replicas); }
 };
 
-struct AllocationConfig {
-  // A re-allocation happens only if the most loaded group's load is at least
-  // this factor of the donor's *future* load (Section 2.4, 1.25).
-  double hysteresis = 1.25;
-  // Groups below this utilization with a single replica are merge candidates
-  // ("drastically under-utilized").
-  double merge_threshold = 0.35;
-  // Fast reallocation triggers when some group's balance-equation target
-  // differs from its current allocation by more than one replica.
-  int fast_trigger_delta = 1;
-};
+// A re-allocation happens only if the most loaded group's load is at least
+// this factor of the donor's *future* load (Section 2.4, 1.25).
+inline constexpr double kHysteresis = 1.25;
+// Groups below this utilization with a single replica are merge candidates
+// ("drastically under-utilized").
+inline constexpr double kMergeThreshold = 0.35;
+// Fast reallocation triggers when some group's balance-equation target
+// differs from its current allocation by more than one replica.
+inline constexpr int kFastTriggerDelta = 1;
 
 // One replica moved from group `from` to group `to`.
 struct ReallocationMove {
@@ -60,8 +58,7 @@ struct ReallocationMove {
 };
 
 // Single-step rebalance: returns the hysteresis-gated move, if any.
-std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& groups,
-                                                  const AllocationConfig& config);
+std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& groups);
 
 // Balance-equation targets: n_g proportional to demand_g, conservatively
 // rounded (floors first, every group keeps at least one replica, leftovers go
@@ -70,15 +67,13 @@ std::optional<ReallocationMove> PickRebalanceMove(const std::vector<GroupLoad>& 
 std::vector<int> ComputeFastTargets(const std::vector<GroupLoad>& groups, int total_replicas);
 
 // True when fast reallocation should run instead of a single step: some group
-// is more than `fast_trigger_delta` away from its balance-equation target and
+// is more than kFastTriggerDelta away from its balance-equation target and
 // the hysteresis gate passes.
-bool ShouldFastReallocate(const std::vector<GroupLoad>& groups, int total_replicas,
-                          const AllocationConfig& config);
+bool ShouldFastReallocate(const std::vector<GroupLoad>& groups, int total_replicas);
 
 // Indices of the two least-loaded single-replica groups eligible for merging,
 // if both are below the merge threshold.
-std::optional<std::pair<size_t, size_t>> PickMergeCandidates(const std::vector<GroupLoad>& groups,
-                                                             const AllocationConfig& config);
+std::optional<std::pair<size_t, size_t>> PickMergeCandidates(const std::vector<GroupLoad>& groups);
 
 }  // namespace tashkent
 

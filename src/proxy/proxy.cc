@@ -115,16 +115,10 @@ void Proxy::RunAdmitted(const TxnType& type, TxnDone done) {
   });
 }
 
-SimDuration Proxy::CertificationRtt() const {
-  const CertifierConfig& cc = certifier_->config();
-  return 2 * cc.network_one_way + cc.certify_cost;
-}
+static_assert(RetryPolicy{}.timeout > 2 * kNetworkOneWay + kCertifyCost,
+              "the default retry timeout must exceed the certification RTT");
 
-void Proxy::ArmRetry(const RetryPolicy& policy, Rng rng) {
-  retry_ = policy;
-  retry_armed_ = policy.enabled;
-  retry_rng_ = rng;
-}
+SimDuration Proxy::CertificationRtt() const { return 2 * kNetworkOneWay + kCertifyCost; }
 
 void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   // One round trip to the certifier: the request carries the writeset and the
@@ -159,9 +153,9 @@ void Proxy::SendCert(uint32_t slot) {
   channel_->ScheduleArrival(
       CertificationRtt(), [this, seq, slot, gen]() { OnCertifyArrive(slot, gen, seq); },
       static_cast<uint32_t>(replica_->id()));
-  if (retry_armed_) {
-    pending.timeout =
-        sim_->ScheduleAfter(retry_.timeout, [this, slot, gen]() { OnCertTimeout(slot, gen); });
+  if (config_.retry.enabled) {
+    pending.timeout = sim_->ScheduleAfter(config_.retry.timeout,
+                                          [this, slot, gen]() { OnCertTimeout(slot, gen); });
   }
 }
 
@@ -203,11 +197,11 @@ void Proxy::OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
     pending.timeout = Simulator::kInvalidEvent;
   }
   last_certifier_contact_ = sim_->Now();
-  // Unarmed, the only resend is a fenced one, which the certifier refused
+  // Without retry, the only resend is a fenced one, which the certifier refused
   // undecided: there is nothing to dedup.
   CertifyResult result = certifier_->Certify(std::move(pending.ws), replica_->id(),
                                              applied_version_,
-                                             retry_armed_ ? txn_seq : kNoTxnSeq);
+                                             config_.retry.enabled ? txn_seq : kNoTxnSeq);
   HandleCertifyResult(result, ReleaseCert(slot));
 }
 
@@ -235,16 +229,17 @@ void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
 }
 
 SimDuration Proxy::BackoffDelay(int attempt) {
-  double backoff = static_cast<double>(retry_.backoff_base);
-  const double cap = static_cast<double>(retry_.backoff_max);
+  const RetryPolicy& retry = config_.retry;
+  double backoff = static_cast<double>(retry.backoff_base);
+  const double cap = static_cast<double>(retry.backoff_max);
   for (int i = 1; i < attempt && backoff < cap; ++i) {
-    backoff *= retry_.backoff_factor;
+    backoff *= retry.backoff_factor;
   }
   if (backoff > cap) {
     backoff = cap;
   }
-  if (retry_.jitter > 0.0) {
-    backoff *= 1.0 + retry_.jitter * (2.0 * retry_rng_.NextDouble() - 1.0);
+  if (retry.jitter > 0.0) {
+    backoff *= 1.0 + retry.jitter * (2.0 * retry_rng_.NextDouble() - 1.0);
   }
   const auto d = static_cast<SimDuration>(backoff);
   return d > 0 ? d : 1;
@@ -495,12 +490,11 @@ void Proxy::FinishTransaction(bool committed, const TxnDone& done) {
 }
 
 void Proxy::StartDaemons() {
-  const SimDuration period = certifier_->config().pull_period;
-  sim_->SchedulePeriodic(sim_->Now() + period, period, [this]() {
+  sim_->SchedulePeriodic(sim_->Now() + kPullPeriod, kPullPeriod, [this]() {
     // Pull only if we have not talked to the certifier recently, and never
     // while fail-stopped (a down machine does not run its pull daemon).
     if (lifecycle_ != ReplicaLifecycle::kDown &&
-        sim_->Now() - last_certifier_contact_ >= certifier_->config().pull_period) {
+        sim_->Now() - last_certifier_contact_ >= kPullPeriod) {
       PullUpdates();
     }
   });
@@ -512,7 +506,7 @@ void Proxy::OnProd() {
   }
   ++stats_.prods;
   // Short notification message, then the proxy requests updates.
-  sim_->ScheduleAfter(certifier_->config().network_one_way, [this]() { PullUpdates(); });
+  sim_->ScheduleAfter(kNetworkOneWay, [this]() { PullUpdates(); });
 }
 
 void Proxy::PullUpdates() {
@@ -530,9 +524,9 @@ void Proxy::SendPull() {
   const uint64_t gen = pull_gen_;
   channel_->ScheduleArrival(CertificationRtt(), [this, gen]() { OnPullArrive(gen); },
                             static_cast<uint32_t>(replica_->id()));
-  if (retry_armed_) {
+  if (config_.retry.enabled) {
     pull_timeout_ =
-        sim_->ScheduleAfter(retry_.timeout, [this, gen]() { OnPullTimeout(gen); });
+        sim_->ScheduleAfter(config_.retry.timeout, [this, gen]() { OnPullTimeout(gen); });
   }
 }
 

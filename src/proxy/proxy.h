@@ -53,7 +53,8 @@ namespace tashkent {
 struct RetryPolicy {
   bool enabled = false;
   // Response deadline per attempt; must exceed the certification RTT
-  // (440 us at the default latencies) or every attempt times out.
+  // (2 * kNetworkOneWay + kCertifyCost = 440 us) or every attempt times out.
+  // A static_assert next to Proxy::CertificationRtt holds the default to it.
   SimDuration timeout = Millis(2);
   // Exponential backoff between attempts: base * factor^(attempt-1), capped
   // at `max`, then scaled by a uniform jitter in [1-jitter, 1+jitter] drawn
@@ -149,14 +150,13 @@ class Proxy {
   // Starts the periodic 500 ms update pull.
   void StartDaemons();
 
-  // Arms the retry/timeout/backoff protocol with `policy` and a seeded
-  // jitter stream (the cluster forks it from its fault stream). Every
+  // Seeds the backoff jitter of the retry protocol that ProxyConfig::retry
+  // enables (the cluster forks the stream from its fault stream). Every
   // round trip already carries a per-proxy transaction sequence, a response
-  // generation guard, and the sending epoch for failover fencing; arming
-  // adds a timeout event per attempt and hands the sequence to the
+  // generation guard, and the sending epoch for failover fencing; enabled
+  // retry adds a timeout event per attempt and hands the sequence to the
   // certifier as its dedup key.
-  void ArmRetry(const RetryPolicy& policy, Rng rng);
-  bool retry_armed() const { return retry_armed_; }
+  void ArmRetry(Rng rng) { retry_rng_ = rng; }
   // The newest certifier epoch this proxy has learned (via fenced responses).
   uint64_t known_epoch() const { return known_epoch_; }
   // Update transactions committed to clients over the proxy's whole life
@@ -274,7 +274,7 @@ class Proxy {
 
   // --- Certifier round trips -----------------------------------------------
   // One attempt: a channel round trip carrying (slot, generation, txn_seq),
-  // plus a timeout event when retry is armed. `slot` indexes the parked
+  // plus a timeout event when retry is enabled. `slot` indexes the parked
   // payload in pending_certs_. The GENERATION guard makes every outcome
   // idempotent: the slot's generation is bumped exactly once, when the first
   // surviving response is accepted — any later copy (a duplicate, a late
@@ -330,10 +330,10 @@ class Proxy {
   struct PendingCert {
     Writeset ws;
     TxnDone done;
-    uint64_t txn_seq = 0;     // per-proxy monotonic; the dedup key when armed
+    uint64_t txn_seq = 0;     // per-proxy monotonic; the dedup key with retry on
     uint64_t sent_epoch = 0;  // certifier epoch the last attempt targeted
     int attempts = 0;
-    Simulator::EventId timeout = Simulator::kInvalidEvent;  // armed only
+    Simulator::EventId timeout = Simulator::kInvalidEvent;  // retry only
   };
 
   Simulator* sim_;
@@ -348,8 +348,6 @@ class Proxy {
   SimTime last_certifier_contact_ = 0;
   bool pull_in_progress_ = false;
   // --- Round-trip state -----------------------------------------------------
-  bool retry_armed_ = false;
-  RetryPolicy retry_;
   Rng retry_rng_{0};
   uint64_t next_txn_seq_ = 1;
   uint64_t known_epoch_ = 1;

@@ -56,8 +56,8 @@ Replica::Replica(Simulator* sim, const Schema* schema, ReplicaId id, ReplicaConf
       pool_(CheckedUsableMemory(id, config), config.chunk_pages),
       cpu_(sim, "cpu/" + std::to_string(id)),
       disk_(sim, "disk/" + std::to_string(id)),
-      cpu_ewma_(config.monitor_alpha),
-      disk_ewma_(config.monitor_alpha) {}
+      cpu_ewma_(kMonitorAlpha),
+      disk_ewma_(kMonitorAlpha) {}
 
 void Replica::ResizeMemory(Bytes memory) {
   ReplicaConfig resized = config_;
@@ -77,22 +77,22 @@ void Replica::Execute(const TxnType& type, ExecDone done) {
       const Pages window =
           step.window_pages > 0 ? std::min(step.window_pages, rel.pages) : rel.pages;
       const PoolAccess access = pool_.TouchScanWindow(rel, window, rng_, config_.skew);
-      disk_time += config_.disk.SequentialReadTime(access.pages_missed);
-      cpu_time += window * config_.cpu_per_scan_page;
+      disk_time += DiskModel::SequentialReadTime(access.pages_missed);
+      cpu_time += window * kCpuPerScanPage;
       outcome.pages_read_seq += access.pages_missed;
       outcome.pages_touched += window;
     } else {
       const PoolAccess access = pool_.TouchRandom(rel, step.pages_per_exec, rng_, config_.skew);
-      disk_time += config_.disk.RandomReadTime(access.pages_missed);
-      cpu_time += step.pages_per_exec * config_.cpu_per_random_page;
+      disk_time += DiskModel::RandomReadTime(access.pages_missed);
+      cpu_time += step.pages_per_exec * kCpuPerRandomPage;
       outcome.pages_read_rand += access.pages_missed;
       outcome.pages_touched += step.pages_per_exec;
     }
     if (step.write_pages > 0) {
       const BufferPool::DirtyResult dirt =
           pool_.DirtyRandom(rel, step.write_pages, rng_, config_.write_skew);
-      disk_time += config_.disk.RandomReadTime(dirt.access.pages_missed);
-      cpu_time += step.write_pages * config_.cpu_per_random_page;
+      disk_time += DiskModel::RandomReadTime(dirt.access.pages_missed);
+      cpu_time += step.write_pages * kCpuPerRandomPage;
       outcome.pages_read_rand += dirt.access.pages_missed;
       outcome.pages_touched += step.write_pages;
     }
@@ -170,30 +170,22 @@ void Replica::StageApply(const Writeset& ws, ApplyBatch& batch) {
 }
 
 void Replica::SubmitApplyBatch(const ApplyBatch& batch, ApplyDone done) {
-  const SimDuration disk_time = config_.disk.RandomReadTime(batch.missed);
-  const SimDuration cpu_time = batch.touched * config_.cpu_per_apply_page;
+  const SimDuration disk_time = DiskModel::RandomReadTime(batch.missed);
+  const SimDuration cpu_time = batch.touched * kCpuPerApplyPage;
   stats_.apply_read_bytes += PagesToBytes(batch.missed);
   stats_.writesets_applied += batch.count;
-
-  auto cpu_stage = [this, cpu_time, done = std::move(done)]() mutable {
-    cpu_.Submit(cpu_time, [done = std::move(done)]() {
-      if (done) {
-        done();
-      }
-    });
-  };
-  if (disk_time > 0) {
-    disk_.Submit(disk_time, std::move(cpu_stage));
-  } else {
-    cpu_stage();
-  }
+  SubmitDiskThenCpu(disk_time, cpu_time, std::move(done));
 }
 
 void Replica::InstallCheckpoint(const ClusterCheckpoint& ckpt, ApplyDone done) {
   ++stats_.checkpoint_installs;
   stats_.checkpoint_bytes += ckpt.bytes();
-  const SimDuration disk_time = config_.disk.SequentialReadTime(ckpt.total_pages);
-  const SimDuration cpu_time = ckpt.total_pages * config_.cpu_per_apply_page;
+  const SimDuration disk_time = DiskModel::SequentialReadTime(ckpt.total_pages);
+  const SimDuration cpu_time = ckpt.total_pages * kCpuPerApplyPage;
+  SubmitDiskThenCpu(disk_time, cpu_time, std::move(done));
+}
+
+void Replica::SubmitDiskThenCpu(SimDuration disk_time, SimDuration cpu_time, ApplyDone done) {
   auto cpu_stage = [this, cpu_time, done = std::move(done)]() mutable {
     cpu_.Submit(cpu_time, [done = std::move(done)]() {
       if (done) {
@@ -216,12 +208,12 @@ void Replica::StartDaemons() {
   // Stagger daemon phases across replicas so 16 monitors do not tick in
   // lockstep.
   const SimDuration flush_phase = static_cast<SimDuration>(
-      rng_.NextBelow(static_cast<uint64_t>(config_.flush_period)));
+      rng_.NextBelow(static_cast<uint64_t>(kFlushPeriod)));
   const SimDuration monitor_phase = static_cast<SimDuration>(
-      rng_.NextBelow(static_cast<uint64_t>(config_.monitor_period)));
-  sim_->SchedulePeriodic(sim_->Now() + flush_phase, config_.flush_period,
+      rng_.NextBelow(static_cast<uint64_t>(kMonitorPeriod)));
+  sim_->SchedulePeriodic(sim_->Now() + flush_phase, kFlushPeriod,
                          [this]() { FlushRound(); });
-  sim_->SchedulePeriodic(sim_->Now() + monitor_phase, config_.monitor_period,
+  sim_->SchedulePeriodic(sim_->Now() + monitor_phase, kMonitorPeriod,
                          [this]() { MonitorRound(); });
 }
 
@@ -231,7 +223,7 @@ void Replica::FlushRound() {
     return;
   }
   stats_.disk_write_bytes += PagesToBytes(flushed);
-  disk_.Submit(config_.disk.WriteTime(flushed), nullptr);
+  disk_.Submit(DiskModel::WriteTime(flushed), nullptr);
 }
 
 void Replica::MonitorRound() {

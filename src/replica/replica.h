@@ -41,6 +41,21 @@
 
 namespace tashkent {
 
+// CPU cost per page processed, by access style. Sequential pages stream
+// through tuple-at-a-time processing cheaply; random pages pay lookup
+// overhead.
+inline constexpr SimDuration kCpuPerScanPage = Micros(9);
+inline constexpr SimDuration kCpuPerRandomPage = Micros(60);
+// CPU cost to apply one remote writeset page (read-modify-write, no
+// planning).
+inline constexpr SimDuration kCpuPerApplyPage = Micros(25);
+// Background writer cadence; each round flushes at most
+// ReplicaConfig::flush_batch_pages.
+inline constexpr SimDuration kFlushPeriod = Millis(500);
+// Monitor daemon sampling and smoothing (EWMA weight of a new sample).
+inline constexpr SimDuration kMonitorPeriod = Seconds(1.0);
+inline constexpr double kMonitorAlpha = 0.30;
+
 struct ReplicaConfig {
   // Physical RAM of the machine (the paper sweeps 256 MB / 512 MB / 1 GB).
   Bytes memory = 512 * kMiB;
@@ -49,21 +64,8 @@ struct ReplicaConfig {
   Bytes reserved = 70 * kMiB;
   // Scan granularity of the buffer pool.
   Pages chunk_pages = 32;
-  DiskModel disk;
-  // CPU cost per page processed, by access style. Sequential pages stream
-  // through tuple-at-a-time processing cheaply; random pages pay lookup
-  // overhead.
-  SimDuration cpu_per_scan_page = Micros(9);
-  SimDuration cpu_per_random_page = Micros(60);
-  // CPU cost to apply one remote writeset page (read-modify-write, no
-  // planning).
-  SimDuration cpu_per_apply_page = Micros(25);
-  // Background writer cadence; each round flushes at most `flush_batch_pages`.
-  SimDuration flush_period = Millis(500);
+  // Dirty pages the background writer flushes per kFlushPeriod round.
   Pages flush_batch_pages = 512;
-  // Monitor daemon sampling and smoothing (EWMA weight of a new sample).
-  SimDuration monitor_period = Seconds(1.0);
-  double monitor_alpha = 0.30;
   // Hot/cold access skew for random pages and scan-window placement. The
   // constructor throws std::invalid_argument unless both skews' hot_fraction
   // and hot_weight lie in [0, 1] and zipf_s is finite and non-negative.
@@ -189,6 +191,10 @@ class Replica {
 
   void RunCpuPhase(uint32_t slot);
   void FinishExecution(uint32_t slot);
+  // Queues `disk_time` on the disk channel, then `cpu_time` on the CPU, then
+  // fires `done` (a zero disk time goes straight to the CPU). The writeset
+  // apply and the checkpoint install both submit through it.
+  void SubmitDiskThenCpu(SimDuration disk_time, SimDuration cpu_time, ApplyDone done);
   Writeset BuildWriteset(const TxnType& type);
   void FlushRound();
   void MonitorRound();

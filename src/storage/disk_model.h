@@ -15,24 +15,24 @@ struct DiskModel {
   // Streaming read bandwidth. 7200 rpm drives of the era sustain 50-70 MB/s;
   // sequential scans through PostgreSQL also pay per-tuple CPU, modeled
   // separately in the engine.
-  double sequential_read_mbps = 64.0;
+  static constexpr double kSequentialReadMbps = 64.0;
 
   // Cost of one random 8 KB page read (seek + half rotation + transfer).
-  SimDuration random_read_per_page = Micros(13000);
+  static constexpr SimDuration kRandomReadPerPage = Micros(13000);
 
   // Cost of writing back one dirty 8 KB page. The background writer sorts and
   // coalesces, so this is cheaper than a cold random read.
-  SimDuration write_per_page = Micros(4000);
+  static constexpr SimDuration kWritePerPage = Micros(4000);
 
-  SimDuration SequentialReadTime(Pages pages) const {
+  static SimDuration SequentialReadTime(Pages pages) {
     const double bytes = static_cast<double>(PagesToBytes(pages));
-    const double seconds = bytes / (sequential_read_mbps * 1024.0 * 1024.0);
+    const double seconds = bytes / (kSequentialReadMbps * 1024.0 * 1024.0);
     return Seconds(seconds);
   }
 
-  SimDuration RandomReadTime(Pages pages) const { return pages * random_read_per_page; }
+  static SimDuration RandomReadTime(Pages pages) { return pages * kRandomReadPerPage; }
 
-  SimDuration WriteTime(Pages pages) const { return pages * write_per_page; }
+  static SimDuration WriteTime(Pages pages) { return pages * kWritePerPage; }
 };
 
 }  // namespace tashkent

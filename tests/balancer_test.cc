@@ -97,14 +97,11 @@ TEST_F(BalancerTest, LardKeepsTypeOnItsReplica) {
 
 TEST_F(BalancerTest, LardSpreadsOverloadedType) {
   Build(4);
-  LardConfig config;
-  config.t_low = 2;
-  config.t_high = 4;
-  LardBalancer lard(Ctx(), config);
+  LardBalancer lard(Ctx());
   const TxnType& t = registry_.Get(0);
   const size_t first = lard.Route(t);
-  // Pile outstanding work on the assigned replica beyond t_high.
-  for (int i = 0; i < 6; ++i) {
+  // Pile outstanding work on the assigned replica beyond kLardTHigh.
+  for (int i = 0; i < static_cast<int>(kLardTHigh) + 1; ++i) {
     proxies_[first]->SubmitTransaction(t, [](bool) {});
   }
   const size_t second = lard.Route(t);
@@ -235,14 +232,12 @@ struct FilteringCluster {
     config.update_filtering = true;
     config.filtering_mode = mode;
     config.stable_ticks_for_filtering = 1;
-    config.min_copies = kMinCopies;
     malb = std::make_unique<MalbBalancer>(ctx, config);
     malb->Start();
     malb->TickForTest();
     malb->TickForTest();
   }
 
-  static constexpr int kMinCopies = 2;
   Simulator sim;
   Certifier certifier;
   std::vector<std::unique_ptr<Replica>> replicas;
@@ -253,7 +248,7 @@ struct FilteringCluster {
 // Independent oracle: each runtime group's tables come from the working sets
 // of its types (not from the balancer's own GroupTables), and only available
 // replicas' subscriptions count. CheckAvailability then demands both type
-// and table availability at min_copies.
+// and table availability at kMinCopies.
 AvailabilityReport CheckClusterAvailability(const Workload& workload,
                                             const FilteringCluster& c) {
   std::map<TxnTypeId, RelationSet> tables_of;
@@ -280,7 +275,7 @@ AvailabilityReport CheckClusterAvailability(const Workload& workload,
           p->subscription().has_value() ? *p->subscription() : all_tables;
     }
   }
-  return CheckAvailability(group_tables, subscriptions, FilteringCluster::kMinCopies);
+  return CheckAvailability(group_tables, subscriptions, kMinCopies);
 }
 
 TEST_F(MalbTest, FilteringSubscriptionsRespectAvailability) {

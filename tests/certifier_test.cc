@@ -78,17 +78,17 @@ TEST(Certifier, PullReturnsMissedUpdates) {
 }
 
 TEST(Certifier, ProdsLaggingReplicas) {
-  CertifierConfig config;
-  config.prod_threshold = 3;
-  Certifier c(config);
+  Certifier c;
   std::vector<ReplicaId> prodded;
   c.SetProdCallback([&](ReplicaId r) { prodded.push_back(r); });
 
-  // Replica 1 makes itself known at version 0, then replica 0 commits 5
-  // updates; replica 1 falls 5 > 3 behind and gets prodded once.
+  // Replica 1 makes itself known at version 0, then replica 0 commits
+  // kProdThreshold + 2 updates; replica 1 falls past the threshold and gets
+  // prodded once.
+  constexpr int kLag = static_cast<int>(kProdThreshold) + 2;
   c.Pull(1, 0);
   Version applied = 0;
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kLag; ++i) {
     const auto r = c.Certify(MakeWs({{1, static_cast<uint64_t>(i)}}), 0, applied);
     applied = r.commit_version;
   }
@@ -97,7 +97,7 @@ TEST(Certifier, ProdsLaggingReplicas) {
 
   // After the replica pulls, it can be prodded again.
   c.Pull(1, c.head_version());
-  for (int i = 0; i < 5; ++i) {
+  for (int i = 0; i < kLag; ++i) {
     const auto r = c.Certify(MakeWs({{2, static_cast<uint64_t>(i)}}), 0, applied);
     applied = r.commit_version;
   }
@@ -352,21 +352,20 @@ TEST(Certifier, DedupWindowIsPerReplica) {
 // Sequence numbers past the window size evict older records (direct-mapped
 // ring); a duplicate inside the window still hits after unrelated traffic.
 TEST(Certifier, DedupRingEvictsByWindow) {
-  CertifierConfig config;
-  config.dedup_window = 4;
-  Certifier c(config);
+  Certifier c;
   Version applied = 0;
   const auto first = c.Certify(MakeWs({{1, 100}}), 0, applied, 1);
   ASSERT_TRUE(first.committed);
   applied = first.commit_version;
-  // seq 5 maps to the same ring slot as seq 1 (5 & 3 == 1) and evicts it.
-  for (uint64_t seq = 2; seq <= 5; ++seq) {
+  // seq kDedupWindow + 1 maps to the same ring slot as seq 1 and evicts it.
+  constexpr uint64_t kWrap = kDedupWindow + 1;
+  for (uint64_t seq = 2; seq <= kWrap; ++seq) {
     const auto r = c.Certify(MakeWs({{1, 100 + seq}}), 0, applied, seq);
     ASSERT_TRUE(r.committed);
     applied = r.commit_version;
   }
-  EXPECT_EQ(c.Certify(MakeWs({{1, 105}}), 0, applied, 5).commit_version,
-            applied);               // seq 5 still in the window: re-served
+  EXPECT_EQ(c.Certify(MakeWs({{1, 100 + kWrap}}), 0, applied, kWrap).commit_version,
+            applied);  // seq kWrap still in the window: re-served
   EXPECT_EQ(c.dedup_hits(), 1u);
   // seq 1 was evicted: a (pathologically late) duplicate re-certifies fresh
   // instead of hitting the window. The proxy's generation guard makes this

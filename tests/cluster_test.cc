@@ -245,22 +245,6 @@ TEST(ClusterConfig, RejectsOutOfRangeWorkloadSkew) {
   EXPECT_NO_THROW(Cluster(w, kTpcwOrdering, "LeastConnections", config));
 }
 
-TEST(ClusterConfig, RejectsNonPositiveTimelineBucket) {
-  // Every commit records into the timeline, which divides by the bucket
-  // width: a zero or negative width must be refused when the cluster is built.
-  const Workload w = BuildTpcw(kTpcwSmallEbs);
-  for (const SimDuration width : {SimDuration{0}, -Seconds(30.0)}) {
-    ClusterConfig config = MakeClusterConfig(512 * kMiB, 2);
-    config.timeline_bucket = width;
-    try {
-      Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
-      ADD_FAILURE() << "timeline_bucket " << width << " constructed";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("timeline_bucket"), std::string::npos) << e.what();
-    }
-  }
-}
-
 TEST(Spill, DisabledSpillKeepsTypesInGroup) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   ClusterConfig config = MakeClusterConfig(512 * kMiB);

@@ -41,36 +41,36 @@ TEST(GroupLoad, PaperDonorSelectionExample) {
   EXPECT_NEAR(a.FutureLoadIfRemoved(), 0.40, 1e-9);
   EXPECT_NEAR(b.FutureLoadIfRemoved(), 0.30, 1e-9);
 
-  AllocationConfig config;
   // Most loaded is a hot third group; donor must be B (index 2).
   const std::vector<GroupLoad> groups = {G(3, 0.9, 0.1), a, b};
-  const auto move = PickRebalanceMove(groups, config);
+  const auto move = PickRebalanceMove(groups);
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->from, 2u);
   EXPECT_EQ(move->to, 0u);
 }
 
+// The examples below are worked at the paper's thresholds.
+static_assert(kHysteresis == 1.25);
+static_assert(kMergeThreshold == 0.35);
+
 TEST(Allocation, HysteresisBlocksSmallImbalance) {
-  AllocationConfig config;  // 1.25
   // Most loaded 0.50 vs donor future 0.45: 0.50 < 1.25*0.45 -> no move.
   const std::vector<GroupLoad> groups = {G(2, 0.50, 0.0), G(3, 0.30, 0.0)};
-  EXPECT_FALSE(PickRebalanceMove(groups, config).has_value());
+  EXPECT_FALSE(PickRebalanceMove(groups).has_value());
 }
 
 TEST(Allocation, MoveWhenBeyondHysteresis) {
-  AllocationConfig config;
   const std::vector<GroupLoad> groups = {G(2, 0.90, 0.0), G(3, 0.20, 0.0)};
   // Donor future load = 0.30; 0.90 >= 1.25 * 0.30.
-  const auto move = PickRebalanceMove(groups, config);
+  const auto move = PickRebalanceMove(groups);
   ASSERT_TRUE(move.has_value());
   EXPECT_EQ(move->from, 1u);
   EXPECT_EQ(move->to, 0u);
 }
 
 TEST(Allocation, NoDonorWhenAllOthersSingle) {
-  AllocationConfig config;
   const std::vector<GroupLoad> groups = {G(1, 0.95, 0.0), G(1, 0.05, 0.0)};
-  EXPECT_FALSE(PickRebalanceMove(groups, config).has_value());
+  EXPECT_FALSE(PickRebalanceMove(groups).has_value());
 }
 
 TEST(FastTargets, PaperBalanceEquationExample) {
@@ -120,40 +120,34 @@ TEST(FastTargets, ProportionalToDemand) {
 }
 
 TEST(ShouldFastReallocate, TriggersOnLargeShift) {
-  AllocationConfig config;
   // Current allocation is far from the balance targets.
   const std::vector<GroupLoad> groups = {G(2, 0.95, 0.0), G(8, 0.05, 0.0)};
-  EXPECT_TRUE(ShouldFastReallocate(groups, 10, config));
+  EXPECT_TRUE(ShouldFastReallocate(groups, 10));
 }
 
 TEST(ShouldFastReallocate, QuietWhenBalanced) {
-  AllocationConfig config;
   const std::vector<GroupLoad> groups = {G(5, 0.50, 0.0), G(5, 0.50, 0.0)};
-  EXPECT_FALSE(ShouldFastReallocate(groups, 10, config));
+  EXPECT_FALSE(ShouldFastReallocate(groups, 10));
 }
 
 TEST(Merge, PicksTwoLowestSingleReplicaGroups) {
-  AllocationConfig config;
-  config.merge_threshold = 0.35;
   const std::vector<GroupLoad> groups = {G(1, 0.10, 0.0), G(1, 0.05, 0.0), G(1, 0.30, 0.0),
                                          G(4, 0.90, 0.0)};
-  const auto pick = PickMergeCandidates(groups, config);
+  const auto pick = PickMergeCandidates(groups);
   ASSERT_TRUE(pick.has_value());
   EXPECT_EQ(pick->first, 1u);   // lowest
   EXPECT_EQ(pick->second, 0u);  // second lowest
 }
 
 TEST(Merge, RequiresTwoCandidates) {
-  AllocationConfig config;
   const std::vector<GroupLoad> groups = {G(1, 0.10, 0.0), G(1, 0.80, 0.0), G(2, 0.20, 0.0)};
   // Only one group qualifies (single replica and below threshold).
-  EXPECT_FALSE(PickMergeCandidates(groups, config).has_value());
+  EXPECT_FALSE(PickMergeCandidates(groups).has_value());
 }
 
 TEST(Merge, MultiReplicaGroupsNotCandidates) {
-  AllocationConfig config;
   const std::vector<GroupLoad> groups = {G(2, 0.05, 0.0), G(2, 0.02, 0.0)};
-  EXPECT_FALSE(PickMergeCandidates(groups, config).has_value());
+  EXPECT_FALSE(PickMergeCandidates(groups).has_value());
 }
 
 }  // namespace

@@ -60,11 +60,10 @@ TEST_P(FailureTest, RestartedReplicaCatchesUp) {
   const Version head_before = cluster.certifier().head_version();
   cluster.Advance(Seconds(10.0));
   const Version head = cluster.certifier().head_version();
-  const CertifierConfig& cc = cluster.certifier().config();
   const double commits_per_pull =
-      static_cast<double>(head - head_before) * ToSeconds(cc.pull_period) / 10.0;
+      static_cast<double>(head - head_before) * ToSeconds(kPullPeriod) / 10.0;
   EXPECT_LE(static_cast<double>(head - restarted.applied_version()),
-            static_cast<double>(cc.prod_threshold) + std::ceil(commits_per_pull));
+            static_cast<double>(kProdThreshold) + std::ceil(commits_per_pull));
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, FailureTest,

@@ -129,16 +129,22 @@ class FaultProxyTest : public ::testing::Test {
     rc.reserved = 0;
     channel_ = std::make_unique<CertifierChannel>(&sim_, /*batch_arrivals=*/true);
     replica_ = std::make_unique<Replica>(&sim_, &schema_, 0, rc, Rng(1));
-    ProxyConfig pc;
-    pc.max_in_flight = 4;
-    proxy_ = std::make_unique<Proxy>(&sim_, replica_.get(), &certifier_, pc, channel_.get());
-    proxy_->ArmRetry(TestRetry(), Rng(7));
+    BuildProxy(TestRetry());
 
     update_.name = "update";
     update_.id = 1;
     update_.base_cpu = Millis(1);
     update_.writeset_bytes = 275;
     update_.plan.steps = {Write(table_, 1, 2)};
+  }
+
+  // (Re)builds the proxy with `retry` as its ProxyConfig::retry, armed.
+  void BuildProxy(const RetryPolicy& retry) {
+    ProxyConfig pc;
+    pc.max_in_flight = 4;
+    pc.retry = retry;
+    proxy_ = std::make_unique<Proxy>(&sim_, replica_.get(), &certifier_, pc, channel_.get());
+    proxy_->ArmRetry(Rng(7));
   }
 
   Simulator sim_;
@@ -197,7 +203,7 @@ TEST_F(FaultProxyTest, RetryRacingFailoverIsFencedThenCommits) {
 TEST_F(FaultProxyTest, TimeoutRacingLateResponseCommitsOnce) {
   RetryPolicy hair_trigger = TestRetry();
   hair_trigger.timeout = Micros(200);  // below the 440 us certification RTT
-  proxy_->ArmRetry(hair_trigger, Rng(7));
+  BuildProxy(hair_trigger);
 
   int commits = 0;
   proxy_->SubmitTransaction(update_, [&](bool ok) { commits += ok ? 1 : 0; });

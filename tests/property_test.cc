@@ -142,7 +142,6 @@ TEST_P(AllocationProperty, TargetsConserveReplicasAndFloors) {
 
 TEST_P(AllocationProperty, RebalanceMovePassesHysteresis) {
   Rng rng(GetParam() + 100);
-  AllocationConfig config;
   for (int iter = 0; iter < 200; ++iter) {
     const size_t n = 2 + rng.NextBelow(8);
     std::vector<GroupLoad> groups(n);
@@ -151,7 +150,7 @@ TEST_P(AllocationProperty, RebalanceMovePassesHysteresis) {
       g.cpu = rng.NextDouble() * 1.5;  // may exceed 1 with queue pressure
       g.disk = rng.NextDouble();
     }
-    const auto move = PickRebalanceMove(groups, config);
+    const auto move = PickRebalanceMove(groups);
     if (!move) {
       continue;
     }
@@ -159,7 +158,7 @@ TEST_P(AllocationProperty, RebalanceMovePassesHysteresis) {
     EXPECT_GE(groups[move->from].replicas, 2);
     // The move is justified: target load >= hysteresis * donor future load.
     EXPECT_GE(groups[move->to].Load(),
-              config.hysteresis * groups[move->from].FutureLoadIfRemoved() - 1e-9);
+              kHysteresis * groups[move->from].FutureLoadIfRemoved() - 1e-9);
   }
 }
 

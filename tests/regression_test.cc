@@ -84,21 +84,19 @@ TEST(Regression, LardSetDecayDropsIdleMembers) {
   for (auto& p : proxies) {
     ctx.proxies.push_back(p.get());
   }
-  LardConfig config;
-  config.set_decay = Seconds(10.0);
-  LardBalancer lard(std::move(ctx), config);
+  LardBalancer lard(std::move(ctx));
 
   const TxnType& txn = registry.Get(0);
   // Grow the set to 2 by overloading the home replica.
   const size_t home = lard.Route(txn);
-  for (int i = 0; i < 2 * static_cast<int>(config.t_high) + 2; ++i) {
+  for (int i = 0; i < 2 * static_cast<int>(kLardTHigh) + 2; ++i) {
     proxies[home]->SubmitTransaction(txn, [](bool) {});
   }
   lard.Route(txn);
   EXPECT_GE(lard.ReplicaSet(0).size(), 2u);
   // After the decay window with no routes, the set shrinks again.
   sim.RunAll();
-  sim.RunUntil(sim.Now() + Seconds(30.0));
+  sim.RunUntil(sim.Now() + kLardSetDecay + Seconds(1.0));
   lard.Route(txn);
   EXPECT_EQ(lard.ReplicaSet(0).size(), 1u);
 }

@@ -47,7 +47,7 @@ TEST(Report, ConsolePrintsEventsInCallOrder) {
   g.types = {"A", "B"};
   g.replicas = 3;
   sink.AddGroups("packing", {g});
-  sink.AddTimeline("timeline", {100.0, 0.0, 0.0, 0.0, 250.0}, Seconds(10.0));
+  sink.AddTimeline("timeline", {300.0, 0.0, 0.0, 0.0, 750.0});  // kTimelineBucket = 30 s
 
   testing::internal::CaptureStdout();
   PrintConsole(sink);
@@ -74,9 +74,9 @@ TEST(Report, ConsolePrintsEventsInCallOrder) {
             "transaction group                                                      replicas\n"
             "[A, B]                                                                        3\n"
             "\n"
-            "timeline (10 s buckets, tps):\n"
+            "timeline (30 s buckets, tps):\n"
             "  t=    0s    10.0 tps\n"
-            "  t=   40s    25.0 tps\n");
+            "  t=  120s    25.0 tps\n");
   // JSON keeps only the last header.
   const json::Value doc = ToJson(sink);
   EXPECT_EQ(doc.At("bench").AsString(), "Figure 2: second");

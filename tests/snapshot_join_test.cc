@@ -214,6 +214,34 @@ TEST(SnapshotJoin, LegacyJoinPastThePruneLineThrows) {
   EXPECT_THROW(cluster.AddReplica(), std::runtime_error);
 }
 
+// Pruning without checkpoint joins would strand the next legacy join (it
+// replays from version 0), so the combination is refused when the cluster is
+// built, naming both fields; the other three combinations construct.
+TEST(SnapshotJoin, AutoPruneWithoutCheckpointJoinIsRejected) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  ClusterConfig config = Config();
+  config.checkpoint.checkpoint_join = false;
+  ASSERT_TRUE(config.checkpoint.auto_prune);  // the default
+  try {
+    Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
+    ADD_FAILURE() << "auto_prune without checkpoint_join constructed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("auto_prune"), std::string::npos) << what;
+    EXPECT_NE(what.find("checkpoint_join"), std::string::npos) << what;
+  }
+  for (const bool join : {false, true}) {
+    for (const bool prune : {false, true}) {
+      if (prune && !join) {
+        continue;
+      }
+      config.checkpoint.checkpoint_join = join;
+      config.checkpoint.auto_prune = prune;
+      EXPECT_NO_THROW(Cluster(w, kTpcwOrdering, "LeastConnections", config));
+    }
+  }
+}
+
 // --- 5. mini-marathon campaign fixture: jobs-4 == jobs-1 ---------------------
 
 Campaign MarathonFixture() {

@@ -211,14 +211,13 @@ TEST(BufferPool, StatsAccumulate) {
 }
 
 TEST(DiskModel, Costs) {
-  DiskModel d;
-  d.sequential_read_mbps = 80.0;
-  // 80 MB at 80 MB/s = 1 s.
-  EXPECT_NEAR(ToSeconds(d.SequentialReadTime(BytesToPages(MiB(80)))), 1.0, 1e-6);
-  EXPECT_EQ(d.RandomReadTime(10), 10 * d.random_read_per_page);
-  EXPECT_EQ(d.WriteTime(4), 4 * d.write_per_page);
+  // 64 MB at 64 MB/s = 1 s.
+  static_assert(DiskModel::kSequentialReadMbps == 64.0);
+  EXPECT_NEAR(ToSeconds(DiskModel::SequentialReadTime(BytesToPages(MiB(64)))), 1.0, 1e-6);
+  EXPECT_EQ(DiskModel::RandomReadTime(10), 10 * DiskModel::kRandomReadPerPage);
+  EXPECT_EQ(DiskModel::WriteTime(4), 4 * DiskModel::kWritePerPage);
   // Random reads are far more expensive per byte than sequential.
-  EXPECT_GT(d.RandomReadTime(1000), d.SequentialReadTime(1000));
+  EXPECT_GT(DiskModel::RandomReadTime(1000), DiskModel::SequentialReadTime(1000));
 }
 
 TEST(AccessSkew, HotBias) {
