@@ -233,7 +233,7 @@ SimDuration Proxy::BackoffDelay(int attempt) {
   double backoff = static_cast<double>(retry.backoff_base);
   const double cap = static_cast<double>(retry.backoff_max);
   for (int i = 1; i < attempt && backoff < cap; ++i) {
-    backoff *= retry.backoff_factor;
+    backoff *= kBackoffFactor;
   }
   if (backoff > cap) {
     backoff = cap;

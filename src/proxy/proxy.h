@@ -43,6 +43,9 @@
 
 namespace tashkent {
 
+// Growth of the backoff between certifier attempts (see RetryPolicy).
+inline constexpr double kBackoffFactor = 2.0;
+
 // Retry/timeout/backoff policy for the certifier round trips. Every round
 // trip is sequenced and generation-guarded either way; enabling the policy
 // adds only a timeout event per attempt (with backoff resends) and certifier
@@ -56,12 +59,11 @@ struct RetryPolicy {
   // (2 * kNetworkOneWay + kCertifyCost = 440 us) or every attempt times out.
   // A static_assert next to Proxy::CertificationRtt holds the default to it.
   SimDuration timeout = Millis(2);
-  // Exponential backoff between attempts: base * factor^(attempt-1), capped
-  // at `max`, then scaled by a uniform jitter in [1-jitter, 1+jitter] drawn
-  // from the proxy's seeded retry stream (never wall clock —
+  // Exponential backoff between attempts: base * kBackoffFactor^(attempt-1),
+  // capped at `max`, then scaled by a uniform jitter in [1-jitter, 1+jitter]
+  // drawn from the proxy's seeded retry stream (never wall clock —
   // scripts/lint_determinism.py and its self-test pin that).
   SimDuration backoff_base = Micros(500);
-  double backoff_factor = 2.0;
   SimDuration backoff_max = Millis(50);
   double jitter = 0.2;
   // A certification retries until it is decided (or its replica goes down):
@@ -287,7 +289,7 @@ class Proxy {
   void SendPull();
   void OnPullArrive(uint64_t pull_gen);
   void OnPullTimeout(uint64_t pull_gen);
-  // base * factor^(attempt-1), capped, jittered from the seeded stream.
+  // base * kBackoffFactor^(attempt-1), capped, jittered from the seeded stream.
   SimDuration BackoffDelay(int attempt);
 
   // --- Serial writeset applier --------------------------------------------

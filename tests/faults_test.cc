@@ -114,7 +114,6 @@ RetryPolicy TestRetry() {
   retry.enabled = true;
   retry.timeout = Millis(2);
   retry.backoff_base = Micros(500);
-  retry.backoff_factor = 2.0;
   retry.backoff_max = Millis(50);
   retry.jitter = 0.2;
   return retry;
