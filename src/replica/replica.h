@@ -62,7 +62,8 @@ struct ReplicaConfig {
   // Memory reserved for OS, PostgreSQL processes, proxy and monitoring
   // daemons (the paper subtracts 70 MB).
   Bytes reserved = 70 * kMiB;
-  // Scan granularity of the buffer pool.
+  // Scan granularity of the buffer pool: a power of two in [1, 2^15), or the
+  // pool's constructor throws std::invalid_argument.
   Pages chunk_pages = 32;
   // Dirty pages the background writer flushes per kFlushPeriod round.
   Pages flush_batch_pages = 512;

@@ -27,18 +27,42 @@ uint64_t AccessSkew::SampleZipfRank(Rng& rng, uint64_t n) const {
   return rank >= n ? n - 1 : rank;
 }
 
+namespace {
+
+// Draws pages in [0, pages) under one skew. Built once per TouchRandom or
+// DirtyRandom call, so the hot-set size is computed once, not per page. The
+// two-level draw is the hot/cold choice, then a uniform page below the hot
+// size or the relation size; Zipf and single-page relations take
+// AccessSkew's own path.
+class PageSampler {
+ public:
+  PageSampler(const AccessSkew& skew, Pages pages)
+      : skew_(skew),
+        hot_weight_(skew.hot_weight),
+        pages_(pages),
+        hot_(pages <= 1 || skew.zipf_s > 0.0
+                 ? 0
+                 : static_cast<uint64_t>(std::max<Pages>(
+                       static_cast<Pages>(skew.hot_fraction * static_cast<double>(pages)), 1))) {}
+
+  uint64_t Next(Rng& rng) const {
+    if (hot_ != 0) {
+      return rng.NextBelow(rng.NextBool(hot_weight_) ? hot_ : static_cast<uint64_t>(pages_));
+    }
+    return pages_ > 1 ? skew_.SampleZipfRank(rng, static_cast<uint64_t>(pages_)) : 0;
+  }
+
+ private:
+  const AccessSkew& skew_;
+  double hot_weight_;
+  Pages pages_;
+  uint64_t hot_;  // hot-set size of the two-level draw; 0 for the other paths
+};
+
+}  // namespace
+
 uint64_t AccessSkew::SamplePage(Rng& rng, Pages pages) const {
-  if (pages <= 1) {
-    return 0;
-  }
-  if (zipf_s > 0.0) {
-    return SampleZipfRank(rng, static_cast<uint64_t>(pages));
-  }
-  const Pages hot = std::max<Pages>(static_cast<Pages>(hot_fraction * static_cast<double>(pages)), 1);
-  if (rng.NextBool(hot_weight)) {
-    return rng.NextBelow(static_cast<uint64_t>(hot));
-  }
-  return rng.NextBelow(static_cast<uint64_t>(pages));
+  return PageSampler(*this, pages).Next(rng);
 }
 
 uint64_t AccessSkew::SampleWindowStart(Rng& rng, Pages pages, Pages window) const {
@@ -65,10 +89,11 @@ constexpr uint64_t kMaxRelations = uint64_t{1} << 16;
 constexpr Pages kMaxRelationPages = Pages{1} << 32;
 constexpr Pages kMaxChunkPages = Pages{1} << 15;
 
+// A power of two, so a page's chunk is a shift, not a division.
 Pages CheckedChunkPages(Pages chunk_pages) {
-  if (chunk_pages < 1 || chunk_pages >= kMaxChunkPages) {
+  if (chunk_pages < 1 || chunk_pages >= kMaxChunkPages || (chunk_pages & (chunk_pages - 1)) != 0) {
     throw std::invalid_argument("BufferPool: chunk_pages " + std::to_string(chunk_pages) +
-                                " outside [1, 2^15)");
+                                " is not a power of two in [1, 2^15)");
   }
   return chunk_pages;
 }
@@ -84,7 +109,8 @@ void CheckRelationPages(const RelationMeta& rel) {
 
 BufferPool::BufferPool(Bytes capacity, Pages chunk_pages)
     : capacity_pages_(std::max<Pages>(BytesToPages(capacity), 1)),
-      chunk_pages_(CheckedChunkPages(chunk_pages)) {}
+      chunk_pages_(CheckedChunkPages(chunk_pages)),
+      chunk_shift_(__builtin_ctzll(static_cast<uint64_t>(chunk_pages_))) {}
 
 // --- Grouped LRU slots ---------------------------------------------------------
 
@@ -116,6 +142,15 @@ uint32_t BufferPool::TakeGroup(RelationId rel, uint64_t index, bool chunk) {
     free_group_ = groups_[group].base;
   } else {
     group = static_cast<uint32_t>(groups_.size());
+    if (groups_.size() == groups_.capacity()) {
+      // Every live group holds a resident entry of at least one page and a
+      // fresh group is taken before EvictToFit runs, so at most
+      // capacity_pages_ + 1 are live: grow to that bound once, not by
+      // doubling.
+      const size_t bound = static_cast<size_t>(capacity_pages_) + 1;
+      groups_.reserve(bound);
+      links_.reserve(bound * kGroupSlots);
+    }
     groups_.emplace_back();
     // push_back, not resize: resize's out-of-line fill costs a call per fresh
     // group, and a cold pool takes one on most misses.
@@ -181,7 +216,7 @@ void BufferPool::EvictToFit() {
 
 bool BufferPool::TouchPage(RelState& rs, RelationId rel, uint64_t page) {
   if (rs.resident_chunks != 0) {
-    const uint64_t chunk = page / static_cast<uint64_t>(chunk_pages_);
+    const uint64_t chunk = page >> chunk_shift_;
     if ((chunk >> kGroupShift) < rs.chunk_group.size()) {
       const uint32_t group = rs.chunk_group[chunk >> kGroupShift];
       const uint32_t slot = group << kGroupShift | static_cast<uint32_t>(chunk & kGroupMask);
@@ -203,8 +238,8 @@ bool BufferPool::TouchPage(RelState& rs, RelationId rel, uint64_t page) {
 
 PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint64_t end) {
   PoolAccess out;
-  const uint64_t full_chunks = static_cast<uint64_t>(rel.pages / chunk_pages_);
-  const Pages tail = rel.pages % chunk_pages_;
+  const uint64_t full_chunks = static_cast<uint64_t>(rel.pages >> chunk_shift_);
+  const Pages tail = rel.pages & (chunk_pages_ - 1);
   const uint64_t total_chunks = full_chunks + (tail > 0 ? 1 : 0);
   end = std::min(end, total_chunks);
   RelState& rs = State(rel.id);
@@ -227,17 +262,28 @@ PoolAccess BufferPool::ScanChunks(const RelationMeta& rel, uint64_t first, uint6
     // Hit: the chunks that follow and already sit just ahead of this one in
     // the LRU form a run; moving it whole equals moving each in turn. A
     // linked node's prev is resident, so matching chunk c+1's slot is enough.
+    // Inside a group that slot is the next one; only a run that crosses into
+    // a new group reads the directory.
+    const uint64_t run_first = c;
     uint32_t front = back;
-    out.pages_hit += weight(c);
     while (c + 1 < end) {
-      const uint32_t group = rs.chunk_group[(c + 1) >> kGroupShift];
-      if (group == kNilSlot ||
-          links_[front].prev != (group << kGroupShift | static_cast<uint32_t>((c + 1) & kGroupMask))) {
+      uint32_t next = front + 1;
+      if (((c + 1) & kGroupMask) == 0) {
+        const uint32_t group = rs.chunk_group[(c + 1) >> kGroupShift];
+        if (group == kNilSlot) {
+          break;
+        }
+        next = group << kGroupShift;
+      }
+      if (links_[front].prev != next) {
         break;
       }
-      front = links_[front].prev;
-      out.pages_hit += weight(++c);
+      front = next;
+      ++c;
     }
+    // Only the relation's last chunk can be partial, and it can only end a run.
+    out.pages_hit += static_cast<Pages>(c - run_first + 1) * chunk_pages_ -
+                     (c < full_chunks ? 0 : chunk_pages_ - tail);
     lru_.MoveRunToFront(links_, front, back);
   }
   stats_.hits += static_cast<uint64_t>(out.pages_hit);
@@ -270,8 +316,7 @@ PoolAccess BufferPool::TouchScanWindow(const RelationMeta& rel, Pages window, Rn
   }
   const uint64_t start_page = skew.SampleWindowStart(rng, rel.pages, window);
   const uint64_t last_page = start_page + static_cast<uint64_t>(window) - 1;
-  const uint64_t chunk = static_cast<uint64_t>(chunk_pages_);
-  return ScanChunks(rel, start_page / chunk, last_page / chunk + 1);
+  return ScanChunks(rel, start_page >> chunk_shift_, (last_page >> chunk_shift_) + 1);
 }
 
 PoolAccess BufferPool::TouchRandom(const RelationMeta& rel, int n_pages, Rng& rng,
@@ -281,8 +326,9 @@ PoolAccess BufferPool::TouchRandom(const RelationMeta& rel, int n_pages, Rng& rn
     return out;
   }
   RelState& rs = PageState(rel);
+  const PageSampler sampler(skew, rel.pages);
   for (int i = 0; i < n_pages; ++i) {
-    if (TouchPage(rs, rel.id, skew.SamplePage(rng, rel.pages))) {
+    if (TouchPage(rs, rel.id, sampler.Next(rng))) {
       ++out.pages_hit;
     } else {
       ++out.pages_missed;
@@ -304,8 +350,9 @@ BufferPool::DirtyResult BufferPool::DirtyRandom(const RelationMeta& rel, int n_p
   if (rs.dirty_bits.size() < words) {
     rs.dirty_bits.resize(words, 0);
   }
+  const PageSampler sampler(skew, rel.pages);
   for (int i = 0; i < n_pages; ++i) {
-    const uint64_t page = skew.SamplePage(rng, rel.pages);
+    const uint64_t page = sampler.Next(rng);
     // Read-modify-write: a missing page is fetched before being modified.
     if (TouchPage(rs, rel.id, page)) {
       ++out.access.pages_hit;

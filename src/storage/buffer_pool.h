@@ -18,7 +18,7 @@
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
 // the LRU is an intrusive doubly-linked list (ListOps, src/common/
 // slab_list.h) over bare 8-byte {prev, next} links; nothing allocates per
-// touch, only amortized table growth. Every entry is found by indexing,
+// touch, and group storage grows once. Every entry is found by indexing,
 // never by hashing or walking the list:
 //   * LRU slots come in groups of 8 (kGroupShift = 3). A group covers 8
 //     consecutive pages (a page group) or 8 consecutive chunks (a chunk
@@ -31,25 +31,39 @@
 //     16-bit weight per chunk sized by its first scan. A weight is written
 //     when its chunk is inserted, so a resident tail chunk keeps its weight
 //     when the relation grows. A per-relation count of resident chunks lets
-//     random touches skip the chunk directory while it holds nothing.
+//     random touches skip the chunk directory while it holds nothing; when
+//     they do probe it, the chunk is page >> chunk_shift_.
 //   * Each group has an 8-byte header {base, relation, chunk flag, live
 //     count}. A group is taken from the pool's free list when its first slot
 //     becomes resident and recycled when its last one leaves, so group memory
 //     tracks resident entries, not database size. Eviction reads the
 //     victim's header to find its weight and the directory entry to clear.
+//   * Live groups never exceed capacity_pages + 1: each holds a resident
+//     entry of at least one page, and a fresh group is taken before
+//     EvictToFit runs. The first fresh group that finds group storage full
+//     reserves it to that bound, so it grows once (again only after a Resize
+//     raises the bound), not by doubling. The constructor reserves nothing,
+//     so building a cluster's pools stays cheap.
 //   * A scan hit at chunk c extends a run while the LRU node just ahead of
 //     the run is chunk c+1's, then splices the run to the front in O(1)
 //     (ListOps::MoveRunToFront). That equals moving each chunk to the front
-//     in turn — the run keeps its order — because a hit never evicts. A miss
-//     still inserts and evicts one chunk at a time, so a scan that evicts its
-//     own untouched chunks behaves exactly as before.
+//     in turn — the run keeps its order — because a hit never evicts. Within
+//     a group chunk c+1's slot is the next slot, so the run reads the chunk
+//     directory only where it crosses into a new group, and its pages are
+//     counted once, when it ends. A miss still inserts and evicts one chunk
+//     at a time, so a scan that evicts its own untouched chunks behaves
+//     exactly as before.
+//   * TouchRandom and DirtyRandom build one page sampler per call, which
+//     computes the relation's hot-set size once and inlines the two-level
+//     draw. AccessSkew::SamplePage delegates to it, so one implementation
+//     draws every page.
 // The dirty FIFO is a SlabList; its dedup is a per-relation bitmap (one bit
 // per page) allocated by the relation's first DirtyRandom, so a read-only
 // relation never has one. DropRelation walks the relation's own
 // directories, never the LRU.
-// Limits, checked where tables are sized (never per page) and thrown as
-// std::invalid_argument: relation ids < 2^16, relation sizes < 2^32 pages,
-// 1 <= chunk_pages < 2^15.
+// Limits, thrown as std::invalid_argument: chunk_pages is a power of two in
+// [1, 2^15), checked by the constructor; relation ids < 2^16 and relation
+// sizes < 2^32 pages, checked where tables are sized (never per page).
 // Eviction order, hit outcomes and stats are bit-identical to the earlier
 // std::list + unordered_map implementation (bench/legacy_baseline.h keeps a
 // frozen copy; the perf campaign compares checksums).
@@ -88,7 +102,7 @@ struct AccessSkew {
   // P(rank r) ~ 1/(r+1)^s. Typical web skews are s in [0.6, 1.3].
   double zipf_s = 0.0;
 
-  // Samples a page in [0, pages).
+  // Samples a page in [0, pages); one draw of the pool's page sampler.
   uint64_t SamplePage(Rng& rng, Pages pages) const;
   // Samples a window start so the window [start, start+window) stays in
   // range.
@@ -112,7 +126,8 @@ class BufferPool {
  public:
   // `capacity` is the usable cache size in bytes (RAM minus the 70 MB the
   // paper reserves for OS/PostgreSQL/proxy/daemons). `chunk_pages` sets scan
-  // granularity; std::invalid_argument unless 1 <= chunk_pages < 2^15.
+  // granularity; std::invalid_argument unless it is a power of two in
+  // [1, 2^15).
   BufferPool(Bytes capacity, Pages chunk_pages = 32);
 
   // A full sequential scan of the relation: touches every chunk, returns how
@@ -233,7 +248,9 @@ class BufferPool {
   // The slot of `index` under directory entry `group`, taking a fresh group
   // for the directory entry if it has none.
   uint32_t SlotFor(uint32_t& group, RelationId rel, uint64_t index, bool chunk);
-  uint32_t TakeGroup(RelationId rel, uint64_t index, bool chunk);  // free list first
+  // Free list first; a fresh group first reserves storage for the most
+  // groups that can be live at once.
+  uint32_t TakeGroup(RelationId rel, uint64_t index, bool chunk);
   // Links the non-resident `slot` at the MRU end; no eviction.
   void Insert(uint32_t slot, Pages weight, RelState& rs);
   Pages RemoveEntry(uint32_t slot);  // unlinks, clears its directory entry if last; returns weight
@@ -242,6 +259,7 @@ class BufferPool {
 
   Pages capacity_pages_;
   Pages chunk_pages_;
+  int chunk_shift_;  // log2(chunk_pages_): page >> chunk_shift_ is its chunk
   Pages used_pages_ = 0;
 
   std::vector<ListLink> links_;  // kGroupSlots per group; prev == kAbsent if not resident

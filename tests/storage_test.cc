@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -321,12 +322,37 @@ void ExpectInvalidNaming(Fn fn, const std::string& value) {
 }
 
 TEST(BufferPool, RejectsChunkSizesOutsideTheEntryWeight) {
+  // A chunk's weight is 16 bits, and a page's chunk is a shift, so
+  // chunk_pages is a power of two below 2^15.
   EXPECT_THROW(BufferPool(PagesToBytes(64), 0), std::invalid_argument);
   ExpectInvalidNaming([] { BufferPool(PagesToBytes(64), -3); }, "-3");
   ExpectInvalidNaming([] { BufferPool(PagesToBytes(64), 1 << 15); }, "32768");
-  BufferPool largest(PagesToBytes(1 << 16), (1 << 15) - 1);
+  for (const Pages bad : {Pages{3}, Pages{24}, Pages{(1 << 15) - 1}}) {
+    ExpectInvalidNaming([bad] { BufferPool(PagesToBytes(64), bad); }, std::to_string(bad));
+  }
+  BufferPool largest(PagesToBytes(1 << 16), 1 << 14);
   EXPECT_EQ(largest.TouchScan(MakeRel(0, 1 << 15)).pages_missed, 1 << 15);
   EXPECT_EQ(largest.ResidentPages(0), 1 << 15);
+
+  // Random touches find a page's chunk by shift. Three chunks in a pool that
+  // holds two: the scan evicts chunk 0, so its pages miss (once each) and
+  // the pages of chunks 1 and 2 hit. A shift off by one either way moves
+  // pages across the chunk 0/1 boundary.
+  BufferPool pool(PagesToBytes((2 << 14) + 512), 1 << 14);
+  const RelationMeta rel = MakeRel(1, 3 << 14);
+  EXPECT_EQ(pool.TouchScan(rel).pages_missed, 3 << 14);
+  EXPECT_EQ(pool.ResidentPages(rel.id), 2 << 14);
+  const AccessSkew uniform{1.0, 0.0};
+  Rng rng(4);
+  Rng mirror(4);
+  std::set<uint64_t> singles;
+  Pages expect_hits = 0;
+  for (int i = 0; i < 256; ++i) {
+    const uint64_t page = uniform.SamplePage(mirror, rel.pages);
+    expect_hits += page >= (1 << 14) || !singles.insert(page).second ? 1 : 0;
+  }
+  EXPECT_EQ(pool.TouchRandom(rel, 256, rng, uniform).pages_hit, expect_hits);
+  EXPECT_EQ(pool.ResidentPages(rel.id), (2 << 14) + static_cast<Pages>(singles.size()));
 }
 
 TEST(BufferPool, RejectsRelationIdsPastSixteenBits) {
@@ -411,6 +437,72 @@ TEST(BufferPool, WarmReplayIsAllocationFree) {
   // The replay did the same work again.
   EXPECT_EQ(pool.stats().misses, 2 * first.misses);
   EXPECT_EQ(pool.stats().dirtied_pages, 2 * first.dirtied_pages);
+}
+
+TEST(BufferPool, GroupStorageGrowsOnce) {
+  // At most capacity_pages + 1 groups are live at once, so the first fresh
+  // group reserves group storage for that bound: once the directories are
+  // sized, a cold pool filling up to its maximum of live groups allocates
+  // nothing. A Resize to a larger pool raises the bound, which may cost one
+  // more reserve (group headers and links), then nothing again.
+  BufferPool pool(PagesToBytes(512), 8);
+  const std::vector<RelationMeta> rels = {MakeRel(0, 40000), MakeRel(1, 6000), MakeRel(2, 300)};
+  const AccessSkew uniform{1.0, 0.0};
+  Rng rng(3);
+  for (const RelationMeta& rel : rels) {
+    pool.TouchScanWindow(rel, 1, rng, uniform);
+    pool.TouchRandom(rel, 1, rng, uniform);
+  }
+  EXPECT_LE(pool.live_page_groups(), rels.size());
+  // Random pages of big relations sit almost alone in their groups, so live
+  // page groups approach one per resident page; windowed scans and drops
+  // mix chunk groups in and recycle groups.
+  size_t peak = 0;  // most live page groups seen by the script
+  auto script = [&](uint64_t seed, int steps) {
+    Rng script_rng(seed);
+    peak = 0;
+    for (int step = 0; step < steps; ++step) {
+      const RelationMeta& rel = rels[script_rng.NextBelow(rels.size())];
+      switch (script_rng.NextBelow(16)) {
+        case 0:
+          pool.TouchScanWindow(rel, 16, script_rng, uniform);
+          break;
+        case 1:
+          if (script_rng.NextBelow(8) == 0) {
+            pool.DropRelation(rel.id);
+          }
+          break;
+        default:
+          pool.TouchRandom(rel, 16, script_rng, uniform);
+          break;
+      }
+      peak = std::max(peak, pool.live_page_groups());
+    }
+  };
+  uint64_t allocations = 0;
+  {
+    AllocGuard::Forbid forbid;
+    script(21, 600);
+    allocations = forbid.seen();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(peak, 400u);
+  EXPECT_LE(pool.used_pages(), pool.capacity_pages());
+
+  pool.Resize(PagesToBytes(2048));
+  {
+    AllocGuard::Forbid forbid;
+    script(22, 2400);
+    allocations = forbid.seen();
+  }
+  EXPECT_LE(allocations, 2u);
+  EXPECT_GT(peak, 513u);  // past the first bound
+  {
+    AllocGuard::Forbid forbid;
+    script(23, 2400);
+    allocations = forbid.seen();
+  }
+  EXPECT_EQ(allocations, 0u);
 }
 
 // --- Differential test against a reference pool ------------------------------
@@ -744,6 +836,162 @@ void RunDifferential(const DiffConfig& cfg, uint64_t seed, int steps, int& mixed
   }
 }
 
+// The first seed whose fresh Rng makes `draw` return `want`.
+template <typename Draw>
+uint64_t SeedDrawing(Draw draw, uint64_t want) {
+  for (uint64_t seed = 1; seed < 100000; ++seed) {
+    Rng probe(seed);
+    if (draw(probe) == want) {
+      return seed;
+    }
+  }
+  ADD_FAILURE() << "no seed draws " << want;
+  return 0;
+}
+
+// A relation to draw over and a seed whose one uniform draw
+// (kUniformDraw) is `page`: page 0 is drawn over the whole relation, which
+// sizes its page directory; any other page over the first page + 1 pages.
+constexpr AccessSkew kUniformDraw{0.0, 0.0};
+struct PageDraw {
+  RelationMeta rel;
+  uint64_t seed;
+};
+PageDraw DrawOf(const RelationMeta& rel, uint64_t page) {
+  PageDraw d{rel, 0};
+  if (page > 0) {
+    d.rel.pages = static_cast<Pages>(page) + 1;
+  }
+  d.seed = SeedDrawing([&](Rng& r) { return kUniformDraw.SamplePage(r, d.rel.pages); }, page);
+  return d;
+}
+
+// Runs each call on a BufferPool and a ReferencePool and checks that both
+// report the same outcome.
+class TwinPools {
+ public:
+  TwinPools(Pages capacity_pages, Pages chunk_pages)
+      : pool_(PagesToBytes(capacity_pages), chunk_pages), ref_(capacity_pages, chunk_pages) {}
+
+  PoolAccess TouchScan(const RelationMeta& rel) { return Check(pool_.TouchScan(rel), ref_.TouchScan(rel)); }
+
+  // A window of `window` pages starting at page `start`: the uniform window
+  // start is drawn from the first seed that yields `start`.
+  PoolAccess TouchScanWindow(const RelationMeta& rel, Pages window, uint64_t start) {
+    const AccessSkew uniform{1.0, 0.0};
+    const uint64_t seed =
+        SeedDrawing([&](Rng& r) { return uniform.SampleWindowStart(r, rel.pages, window); }, start);
+    Rng a(seed);
+    Rng b(seed);
+    return Check(pool_.TouchScanWindow(rel, window, a, uniform),
+                 ref_.TouchScanWindow(rel, window, b, uniform));
+  }
+
+  // One random touch of page `page`.
+  PoolAccess TouchPage(const RelationMeta& rel, uint64_t page) {
+    const PageDraw d = DrawOf(rel, page);
+    Rng a(d.seed);
+    Rng b(d.seed);
+    return Check(pool_.TouchRandom(d.rel, 1, a, kUniformDraw),
+                 ref_.TouchRandom(d.rel, 1, b, kUniformDraw));
+  }
+
+  // Shrinks both pools a page at a time, so eviction order is compared.
+  void ShrinkComparing(const std::vector<RelationMeta>& rels) {
+    for (Pages cap = pool_.used_pages(); cap >= 1; --cap) {
+      pool_.Resize(PagesToBytes(cap));
+      ref_.Resize(cap);
+      for (const RelationMeta& r : rels) {
+        ASSERT_EQ(pool_.ResidentPages(r.id), ref_.ResidentPages(r.id)) << "capacity " << cap;
+      }
+    }
+  }
+
+ private:
+  PoolAccess Check(PoolAccess a, PoolAccess b) {
+    EXPECT_EQ(a.pages_hit, b.pages_hit);
+    EXPECT_EQ(a.pages_missed, b.pages_missed);
+    EXPECT_EQ(pool_.used_pages(), ref_.used_pages());
+    EXPECT_EQ(pool_.stats().evicted_pages, ref_.stats().evicted_pages);
+    return a;
+  }
+
+  BufferPool pool_;
+  ReferencePool ref_;
+};
+
+TEST(BufferPool, GroupStorageHoldsCapacityPlusOneGroups) {
+  // A full 16-page pool whose pages each sit in their own page group takes a
+  // 17th group on the next miss, before it evicts: the reserve made at the
+  // first group covers that without growing.
+  BufferPool pool(PagesToBytes(16), 8);
+  const RelationMeta rel = MakeRel(0, 8 * 17);
+  auto touch = [&](uint64_t page) {
+    const PageDraw d = DrawOf(rel, page);
+    Rng rng(d.seed);
+    return pool.TouchRandom(d.rel, 1, rng, kUniformDraw).pages_missed;
+  };
+  EXPECT_EQ(touch(0), 1);
+  uint64_t allocations = 0;
+  {
+    AllocGuard::Forbid forbid;
+    for (uint64_t group = 1; group <= 16; ++group) {
+      EXPECT_EQ(touch(group * 8), 1);
+    }
+    allocations = forbid.seen();
+  }
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(pool.used_pages(), 16);
+  EXPECT_EQ(pool.live_page_groups(), 16u);
+  EXPECT_EQ(pool.stats().evicted_pages, 1u);
+}
+
+TEST(BufferPool, ScanRunEdgesMatchReferencePool) {
+  // 4-page chunks, 8 chunks (32 pages) per group. Relation 0 has 22 full
+  // chunks and a 2-page tail chunk 22, in groups 0 (chunks 0-7), 1 (8-15)
+  // and 2 (16-22). Relation 1's page group is taken between chunk groups 0
+  // and 1, so chunk 7's slot + 1 is its page 0, not chunk 8.
+  TwinPools twins(1000, 4);
+  const RelationMeta rel = MakeRel(0, 22 * 4 + 2);
+  const RelationMeta other = MakeRel(1, 64);
+
+  // Chunks 0-7 miss; then page 0 of relation 1 sits just ahead of chunk 7.
+  EXPECT_EQ(twins.TouchScanWindow(rel, 32, 0).pages_missed, 32);
+  EXPECT_EQ(twins.TouchPage(other, 0).pages_missed, 1);
+
+  // The run 0-7 crosses into group 1, whose directory entry is empty: the
+  // run ends and chunks 8 and 9 miss.
+  PoolAccess a = twins.TouchScanWindow(rel, 40, 0);
+  EXPECT_EQ(a.pages_hit, 32);
+  EXPECT_EQ(a.pages_missed, 8);
+
+  // A full scan: the run 0-9 crosses into the now live group 1, then
+  // chunks 10-22 miss, the partial tail chunk included.
+  a = twins.TouchScan(rel);
+  EXPECT_EQ(a.pages_hit, 40);
+  EXPECT_EQ(a.pages_missed, 50);
+
+  // A full scan that is one run, ending on the partial tail chunk.
+  EXPECT_EQ(twins.TouchScan(rel).pages_hit, 90);
+
+  // Chunk 5 is touched alone, so it is resident but no longer just ahead of
+  // chunk 4: a scan of chunks 0-5 makes two runs.
+  EXPECT_EQ(twins.TouchPage(rel, 5 * 4 + 1).pages_hit, 1);
+  EXPECT_EQ(twins.TouchScanWindow(rel, 24, 0).pages_hit, 24);
+
+  // Windows starting mid-group: chunks 13-18 cross from group 1 into
+  // group 2; chunks 19-22 end on the partial tail chunk.
+  EXPECT_EQ(twins.TouchScanWindow(rel, 20, 13 * 4 + 2).pages_hit, 24);
+  EXPECT_EQ(twins.TouchScanWindow(rel, 13, 19 * 4 + 1).pages_hit, 14);
+
+  // A run broken mid-group whose hits end on the tail: chunk 20 alone,
+  // then chunks 17-22.
+  EXPECT_EQ(twins.TouchPage(rel, 20 * 4).pages_hit, 1);
+  EXPECT_EQ(twins.TouchScanWindow(rel, 19, 17 * 4 + 3).pages_hit, 5 * 4 + 2);
+
+  twins.ShrinkComparing({rel, other});
+}
+
 TEST(BufferPool, MatchesReferencePoolOnRandomSequences) {
   const AccessSkew hot{};                 // default two-level skew
   const AccessSkew uniform{1.0, 0.0};
@@ -759,6 +1007,12 @@ TEST(BufferPool, MatchesReferencePoolOnRandomSequences) {
       // skew, so groups are freed and reused constantly.
       {800, 32, uniform, {1000, 2500, 5000, 40, 7}},
       {3000, 16, zipf, {1200, 4100, 64}},
+      // One- and two-page chunks: every chunk full, then tails of one page.
+      {48, 1, hot},
+      {90, 2, uniform},
+      // Each relation's partial tail chunk is the first chunk of a group.
+      {140, 4, uniform, {33, 66, 97, 131, 259}},
+      {300, 8, hot, {65, 130, 262, 7}},
   };
   int mixed_drops = 0;
   for (const DiffConfig& cfg : configs) {
