@@ -193,8 +193,8 @@ PoolOutcome RunPoolStorm(Pool& pool, uint64_t seed, int iters) {
 // filters. Every kFilterColdEvery-th writeset also touches one cold table, so
 // chunks are occasionally mixed and real applies happen. One subscriber
 // crashes early and recovers after the last burst, routing a ~200k-version
-// replay through the batched recovery pump — the chunk skip-scan's headline
-// case. Run once with the mask fast path and once with mask_filtering=false
+// replay through the apply pump in recovery mode — the chunk skip-scan's
+// headline case. Run once with the mask fast path and once with mask_filtering=false
 // (the frozen TouchesAny baseline); filtering decisions, event counts, and
 // the stats checksum must be identical — only wall time may differ.
 constexpr int kFilterReplicas = 16;    // replica 0 writes; 1..15 subscribe

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
-# ASan+UBSan), run the smoke and faults campaigns under ASan+UBSan, lint for
-# determinism, then exercise the campaign runner (smoke, perf, marathon,
-# skew, faults, fig3 and ablation campaigns) under hard gates on the
+# ASan+UBSan), run the smoke, faults and churn campaigns under ASan+UBSan,
+# lint for determinism, then exercise the campaign runner (smoke, perf,
+# marathon, skew, faults, churn, fig3 and ablation campaigns) under hard gates on the
 # JSON it emits, check the perfbench workloads' pinned outcomes, and check
 # the docs cover every campaign, verb, metric and configuration field. The
 # gates are python3 scripts, so a host without python3 fails here instead of
@@ -25,13 +25,14 @@ cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
 cmake --build build-asan -j"$(nproc)"
 (cd build-asan && ctest --output-on-failure -j"$(nproc)")
-# The same binary runs whole campaigns with asserts on: smoke, and faults,
+# The same binary runs whole campaigns with asserts on: smoke; faults,
 # whose retry, dedup and failover paths are where a stale slot or a broken
-# invariant would show. Their documents are compared with the plain build's
-# below (the asan gate).
+# invariant would show; and churn, whose fail/recover cells drive recovery
+# replay through the apply pump. Their documents are compared with the plain
+# build's below (the asan gate).
 rm -rf build-asan/bench-out
 mkdir -p build-asan/bench-out
-./build-asan/tashkent_bench run smoke faults --jobs 2 --json build-asan/bench-out
+./build-asan/tashkent_bench run smoke faults churn --jobs 2 --json build-asan/bench-out
 
 # --- determinism lint --------------------------------------------------------
 # Static gate for the `--jobs N` == `--jobs 1` bit-identity contract: no
@@ -45,7 +46,7 @@ python3 scripts/lint_determinism.py src/ bench/ \
 python3 tests/lint_test.py \
   || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
 
-# --- CI campaigns: smoke perf marathon skew faults fig3 ablation --------------
+# --- CI campaigns: smoke perf marathon skew faults churn fig3 ablation --------
 # A short parallel run through the real binary: grid expansion, worker pool,
 # JSON documents, and the merged manifest all have to work; the perf campaign's
 # old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
@@ -53,20 +54,23 @@ python3 tests/lint_test.py \
 # marathon campaign's bounded certifier log and conflict index must actually
 # be bounded; the skew campaign's fluid-client inert pair must stay
 # byte-identical; the faults campaign's zero-loss ledger must hold on every
-# cell. fig3 and ablation put the cells that run update filtering in dynamic
-# and freeze mode under the executed-events gate. ONE invocation, so the
-# manifest covers all seven campaigns and the executed-events gate below
-# checks every cell of them (each invocation rewrites BENCH_campaign.json
-# from scratch).
+# cell. churn puts recovery replay (its fail/recover cells, plain and
+# filtered) and elastic joins, and fig3 and ablation the cells that run
+# update filtering in dynamic and freeze mode, under the executed-events
+# gate. ONE
+# invocation, so the manifest covers all eight campaigns and the
+# executed-events gate below checks every cell of them (each invocation
+# rewrites BENCH_campaign.json from scratch).
 rm -rf build/bench-out
 mkdir -p build/bench-out
-./build/tashkent_bench run smoke perf marathon skew faults fig3 ablation --jobs 2 \
+./build/tashkent_bench run smoke perf marathon skew faults churn fig3 ablation --jobs 2 \
   --json build/bench-out
 test -s build/bench-out/BENCH_smoke.json
 test -s build/bench-out/BENCH_perf.json
 test -s build/bench-out/BENCH_marathon.json
 test -s build/bench-out/BENCH_skew.json
 test -s build/bench-out/BENCH_faults.json
+test -s build/bench-out/BENCH_churn.json
 test -s build/bench-out/BENCH_campaign.json
 if grep -q "checksums diverge" build/bench-out/BENCH_perf.json; then
   echo "ci: perf campaign checksum mismatch — old/new hot paths diverged" >&2
@@ -110,12 +114,12 @@ EOF
 
 # --- asan gate ---------------------------------------------------------------
 # Sanitizers and asserts must not change what is simulated: the ASan+UBSan
-# Debug build's smoke and faults documents equal the plain build's, once
+# Debug build's smoke, faults and churn documents equal the plain build's, once
 # the host-timing `cells` key is removed.
 python3 - <<'EOF' || { echo "ci: asan campaign documents differ from the plain build's" >&2; exit 1; }
 import json, sys
 bad = []
-for name in ('smoke', 'faults'):
+for name in ('smoke', 'faults', 'churn'):
     docs = []
     for out in ('build/bench-out', 'build-asan/bench-out'):
         doc = json.load(open(f'{out}/BENCH_{name}.json'))
@@ -123,7 +127,7 @@ for name in ('smoke', 'faults'):
         docs.append(json.dumps(doc, sort_keys=True))
     if docs[0] != docs[1]:
         bad.append(name)
-print(f"asan gate: smoke and faults documents {'differ: ' + ', '.join(bad) if bad else 'match'}")
+print(f"asan gate: smoke, faults and churn documents {'differ: ' + ', '.join(bad) if bad else 'match'}")
 sys.exit(1 if bad else 0)
 EOF
 

@@ -42,6 +42,11 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
     // replica (including ones added at runtime, which copy config_.replica).
     config_.replica.skew = *workload.skew;
   }
+  if (config_.replicas == 0) {
+    // Every balancer routes over a non-empty proxy list (LeastConnections
+    // would divide by zero, RoundRobin index an empty one).
+    throw std::invalid_argument("ClusterConfig.replicas must be at least 1, got 0");
+  }
   if (!config_.replica_memory.empty() && config_.replica_memory.size() != config_.replicas) {
     throw std::invalid_argument(
         "ClusterConfig.replica_memory has " + std::to_string(config_.replica_memory.size()) +

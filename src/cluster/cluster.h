@@ -55,6 +55,7 @@ struct CheckpointPolicy {
 inline constexpr SimDuration kTimelineBucket = Seconds(30.0);
 
 struct ClusterConfig {
+  // At least 1; the constructor throws std::invalid_argument for 0.
   size_t replicas = 16;
   ReplicaConfig replica;
   // Per-replica RAM overrides for heterogeneous clusters: when non-empty it

@@ -96,9 +96,6 @@ void Proxy::InstallCheckpoint() {
     }
     installing_ = false;
     AdvanceApplied(v);
-    if (apply_next_ <= v) {
-      apply_next_ = v + 1;  // never read log entries the image already covers
-    }
     PullUpdates();
   });
 }
@@ -292,125 +289,85 @@ void Proxy::EnqueueRemotes(WritesetRange remotes) {
 }
 
 void Proxy::PumpApplier() {
-  if (lifecycle_ == ReplicaLifecycle::kDown) {
-    return;  // a fail-stopped machine applies nothing; Recover() drains later
-  }
-  if (installing_) {
-    return;  // the image covers these versions; the install completion resumes
-  }
-  if (pump_active_ || applying_) {
+  // A fail-stopped machine applies nothing (Recover() drains later); during a
+  // checkpoint install the image covers these versions (its completion
+  // resumes); and one pump or one apply runs at a time.
+  if (lifecycle_ == ReplicaLifecycle::kDown || installing_ || pump_active_ || applying_) {
     return;
   }
-  if (lifecycle_ == ReplicaLifecycle::kRecovering) {
-    PumpApplierBatched();
-    return;
-  }
-  // From here on the replica is up: recovery replay never reaches this loop,
-  // so nothing below counts replay work or finishes a recovery.
+  // `recovering` is read in three places: (1) the skip-scan gate, (2) when
+  // the applied version moves, (3) whether the loop stops at the first wanted
+  // writeset. Replay work is counted in the lifetime counters and, while
+  // recovering, in the replay counters too (`replay` is 1 then, else 0).
   pump_active_ = true;
+  const bool recovering = lifecycle_ == ReplicaLifecycle::kRecovering;
+  const uint64_t replay = recovering ? 1 : 0;
   const bool mask_fast = config_.mask_filtering && subscription_.has_value();
-  // Chunk skip-scan is legal here only while no waiter is parked: skipping
-  // coalesces a run of per-version AdvanceApplied calls into one, which is
-  // invisible when AdvanceApplied is pure bookkeeping but would re-order
-  // waiter firings (and with them commit completions) otherwise. The batched
-  // recovery pump has no such gate — it already defers AdvanceApplied.
-  bool try_skip = mask_fast && waiters_.empty();
-  while (!ApplyQueueEmpty()) {
-    if (apply_next_ <= applied_version_) {
-      ++apply_next_;  // already covered (e.g. own commit)
-      continue;
+  Replica::ApplyBatch batch;
+  Version last = applied_version_;  // newest version this pump has passed
+  // Versions through `v` pass unapplied, `n` of them filtered. (2) Up, the
+  // applied version follows each pass, so commits parked on them fire in log
+  // order; recovering, it moves once, when the batch lands.
+  auto pass = [&](Version v, uint64_t n) {
+    stats_.writesets_filtered += n;
+    stats_.replay_filtered += replay * n;
+    last = v;
+    if (!recovering) {
+      AdvanceApplied(v);
     }
-    if (try_skip || (mask_fast && waiters_.empty() &&
-                     (apply_next_ - 1) % WritesetLog::kChunkEntries == 0)) {
-      try_skip = false;
+  };
+  bool first = true;  // the skip-scan also probes where the pump starts
+  for (;;) {
+    // Versions the applied prefix already covers (an own commit, a checkpoint
+    // image) are never read.
+    apply_next_ = std::max(apply_next_, applied_version_ + 1);
+    if (ApplyQueueEmpty()) {
+      break;
+    }
+    const bool probe = first || (apply_next_ - 1) % WritesetLog::kChunkEntries == 0;
+    first = false;
+    // (1) Skipping coalesces a run of per-version advances into one. Up, that
+    // would re-order waiter firings (and with them commit completions), so it
+    // runs only while no waiter is parked; recovering, the advance is
+    // deferred to the batch anyway.
+    if (probe && mask_fast && (recovering || waiters_.empty())) {
       const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
       if (hop > apply_next_) {
         // Every version in [apply_next_, hop) is provably unwanted; identical
         // to the per-entry filter branch below run hop - apply_next_ times.
         const uint64_t skipped = hop - apply_next_;
-        stats_.writesets_filtered += skipped;
         stats_.mask_skipped += skipped;
         apply_next_ = hop;
-        AdvanceApplied(hop - 1);
+        pass(hop - 1, skipped);
         continue;
       }
     }
-    const Writeset& ws = certifier_->LogEntry(apply_next_);
+    const Writeset& ws = certifier_->LogEntry(apply_next_++);
     if (!Wanted(ws)) {
-      ++apply_next_;
-      ++stats_.writesets_filtered;
-      AdvanceApplied(ws.commit_version);
+      pass(ws.commit_version, 1);
       continue;
     }
-    ++apply_next_;
-    const Version version = ws.commit_version;
     ++stats_.writesets_applied;
+    stats_.replay_applied += replay;
+    replica_->StageApply(ws, batch);
+    last = ws.commit_version;
+    if (!recovering) {
+      break;  // (3) up: resume when this apply completes
+    }
+  }
+  pump_active_ = false;
+  if (batch.count > 0) {
+    // One disk/CPU submission: a single writeset when up, the whole replayed
+    // run when recovering.
     applying_ = true;
-    replica_->ApplyWriteset(ws, [this, version]() {
+    replica_->SubmitApplyBatch(batch, [this, last]() {
       applying_ = false;
-      AdvanceApplied(version);
+      AdvanceApplied(last);
       PumpApplier();
     });
-    break;  // resume when the asynchronous apply completes
+  } else if (last > applied_version_) {
+    AdvanceApplied(last);  // a replay that filtered everything
   }
-  pump_active_ = false;
-}
-
-void Proxy::PumpApplierBatched() {
-  // Recovery fast path: stage every pending log entry's buffer-pool work
-  // (identical draws, identical order as the per-writeset pump), then charge
-  // disk and CPU once for the whole run. Version bookkeeping advances when
-  // the batch completes — during recovery nothing commits locally, so the
-  // deferred AdvanceApplied only changes wall time, not outcomes.
-  pump_active_ = true;
-  Replica::ApplyBatch batch;
-  Version last = applied_version_;
-  const bool mask_fast = config_.mask_filtering && subscription_.has_value();
-  bool try_skip = mask_fast;  // AdvanceApplied is already deferred: no waiter gate
-  while (!ApplyQueueEmpty()) {
-    if (apply_next_ <= applied_version_) {
-      ++apply_next_;  // already covered (e.g. the checkpoint image)
-      continue;
-    }
-    if (try_skip || (mask_fast && (apply_next_ - 1) % WritesetLog::kChunkEntries == 0)) {
-      try_skip = false;
-      const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
-      if (hop > apply_next_) {
-        // Recovery replay of a narrow subscription drops to O(chunks): whole
-        // chunks of unwanted history advance the cursor without being read.
-        const uint64_t skipped = hop - apply_next_;
-        stats_.writesets_filtered += skipped;
-        stats_.replay_filtered += skipped;
-        stats_.mask_skipped += skipped;
-        last = hop - 1;
-        apply_next_ = hop;
-        continue;
-      }
-    }
-    const Writeset& ws = certifier_->LogEntry(apply_next_);
-    ++apply_next_;
-    if (!Wanted(ws)) {
-      ++stats_.writesets_filtered;
-      ++stats_.replay_filtered;
-    } else {
-      ++stats_.writesets_applied;
-      ++stats_.replay_applied;
-      replica_->StageApply(ws, batch);
-    }
-    last = ws.commit_version;
-  }
-  pump_active_ = false;
-  if (batch.count == 0) {
-    AdvanceApplied(last);  // everything filtered (or queue already drained)
-    MaybeFinishRecovery();
-    return;
-  }
-  applying_ = true;
-  replica_->SubmitApplyBatch(batch, [this, last]() {
-    applying_ = false;
-    AdvanceApplied(last);
-    PumpApplier();
-  });
   MaybeFinishRecovery();
 }
 

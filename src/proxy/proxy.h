@@ -262,9 +262,6 @@ class Proxy {
   // Starts the asynchronous checkpoint install (state transfer) that Recover
   // chose; pulls the (version, head] delta once the image lands.
   void InstallCheckpoint();
-  // Drains the pending log run [apply_next_, apply_hi_] as one batched
-  // disk/CPU submission (every recovery replay takes this path).
-  void PumpApplierBatched();
   // The post-certification completion: enqueue remotes, pump, wait for the
   // predecessor prefix, finish the transaction.
   void HandleCertifyResult(const CertifyResult& result, TxnDone done);
@@ -299,9 +296,15 @@ class Proxy {
   // is a dense version range [apply_next_, apply_hi_] into the certifier
   // log (responses only ever extend the high end).
   void EnqueueRemotes(WritesetRange remotes);
+  // The one apply loop, for an up replica and for recovery replay alike. Up,
+  // it submits the first wanted writeset and advances the applied version
+  // per entry; recovering, it stages every pending writeset into one
+  // disk/CPU batch and advances the applied version once, when the batch
+  // lands. Either way the replica's state stays a prefix of the certifier
+  // log, projected onto its subscription.
   void PumpApplier();
-  // The update-filtering decision for log entry `ws`, shared by both apply
-  // pumps: everything is wanted without a subscription; otherwise the mask
+  // The update-filtering decision for log entry `ws`, the pump's one wanted
+  // probe: everything is wanted without a subscription; otherwise the mask
   // probe, or the TouchesAny reference path when mask_filtering is off.
   bool Wanted(const Writeset& ws) const {
     if (!subscription_.has_value()) {
@@ -377,7 +380,7 @@ class Proxy {
 
   Version apply_next_ = 1;  // next log version the applier will look at
   Version apply_hi_ = 0;    // highest version enqueued (old max_enqueued_)
-  bool applying_ = false;     // an async ApplyWriteset is in flight
+  bool applying_ = false;     // an apply batch (one writeset when up) is in flight
   bool pump_active_ = false;  // re-entrancy guard
   ReplicaLifecycle lifecycle_ = ReplicaLifecycle::kUp;
   SimTime recovery_started_ = 0;

@@ -152,12 +152,6 @@ Writeset Replica::BuildWriteset(const TxnType& type) {
   return ws;
 }
 
-void Replica::ApplyWriteset(const Writeset& ws, ApplyDone done) {
-  ApplyBatch batch;
-  StageApply(ws, batch);
-  SubmitApplyBatch(batch, std::move(done));
-}
-
 void Replica::StageApply(const Writeset& ws, ApplyBatch& batch) {
   for (const auto& [rel_id, pages] : ws.table_pages) {
     const RelationMeta& rel = schema_->Get(rel_id);

@@ -105,7 +105,8 @@ class Replica {
   // Per-transaction execution-done continuation (carries the proxy's
   // transaction-done callback inline).
   using ExecDone = InlineCallback<void(ExecOutcome), 128>;
-  // Per-writeset apply-done continuation (the proxy's applier pump).
+  // Apply-batch (and checkpoint-install) done continuation (the proxy's
+  // applier pump).
   using ApplyDone = InlineCallback<void(), 32>;
 
   // Throws std::invalid_argument when config.memory <= config.reserved: a
@@ -125,19 +126,16 @@ class Replica {
   // Execute again).
   void Execute(const TxnType& type, ExecDone done);
 
-  // Applies a remote writeset: reads and dirties the pages it touches.
-  // `done` fires when the apply has been processed by disk and CPU.
-  void ApplyWriteset(const Writeset& ws, ApplyDone done);
-
-  // --- Batched apply (the recovery-replay fast path) ------------------------
-  // A contiguous WritesetRange run can be applied as ONE disk/CPU submission:
-  // StageApply performs each writeset's buffer-pool work (dirtying pages,
-  // consuming exactly the same random draws as ApplyWriteset would, in the
-  // same order) while accumulating the aggregate cost; SubmitApplyBatch then
-  // charges the disk once with the combined random-read time and the CPU once
-  // with the combined apply burst. Costs and cache trajectory are identical
-  // to the per-writeset path — only the event-level interleaving (and thus
-  // the replay's wall time) differs.
+  // --- Writeset apply -------------------------------------------------------
+  // Remote writesets apply in two steps. StageApply performs one writeset's
+  // buffer-pool work now (reading and dirtying the pages it touches, drawing
+  // from the replica's stream) and adds its cost to `batch`;
+  // SubmitApplyBatch then charges the disk once with the combined
+  // random-read time and the CPU once with the combined apply burst, and
+  // fires `done` when both are processed. An up replica's proxy submits one
+  // writeset per batch; recovery replay stages a whole log run into one. The
+  // staged draws and costs are the same either way; only the event
+  // interleaving (and thus the replay's wall time) differs.
   struct ApplyBatch {
     Pages missed = 0;   // pool misses staged so far (disk random reads)
     Pages touched = 0;  // pages dirtied so far (CPU apply burst)

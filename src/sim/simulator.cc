@@ -200,43 +200,25 @@ void Simulator::RunUntil(SimTime end) {
 
 void Simulator::RunAll() { RunEvents(kMaxTime); }
 
-uint64_t Simulator::SchedulePeriodic(SimTime start, SimDuration period, Callback cb) {
+void Simulator::SchedulePeriodic(SimTime start, SimDuration period, Callback cb) {
   if (period <= 0) {
     throw std::invalid_argument("Simulator::SchedulePeriodic: period must be positive, got " +
                                 std::to_string(period) + " us");
   }
-  periodics_.push_back(PeriodicTask{period, std::move(cb), true});
+  periodics_.push_back(PeriodicTask{period, std::move(cb)});
   const uint64_t pid = periodics_.size();
   ScheduleAt(start, [this, pid]() { PeriodicTick(pid); });
-  return pid;
-}
-
-void Simulator::StopPeriodic(uint64_t periodic_id) {
-  if (periodic_id == 0 || periodic_id > periodics_.size()) {
-    return;
-  }
-  PeriodicTask& task = periodics_[periodic_id - 1];
-  task.live = false;
-  task.cb = nullptr;  // destroy the capture now, not at simulator teardown
 }
 
 void Simulator::PeriodicTick(uint64_t periodic_id) {
-  PeriodicTask& task = periodics_[periodic_id - 1];
-  if (!task.live) {
-    return;  // stopped while the tick event was pending
-  }
-  const SimDuration period = task.period;
-  // The callback runs outside the registry entry: it may call StopPeriodic on
-  // itself or SchedulePeriodic, which can grow (reallocate) the vector — so
-  // the entry is indexed again afterwards.
-  Callback cb = std::move(task.cb);
+  // The callback runs outside the registry entry: it may call
+  // SchedulePeriodic, which can grow (reallocate) the vector — so the entry
+  // is indexed again afterwards.
+  Callback cb = std::move(periodics_[periodic_id - 1].cb);
   cb();
-  PeriodicTask& after = periodics_[periodic_id - 1];
-  if (!after.live) {
-    return;  // the callback stopped its own periodic
-  }
-  after.cb = std::move(cb);
-  ScheduleAfter(period, [this, periodic_id]() { PeriodicTick(periodic_id); });
+  PeriodicTask& task = periodics_[periodic_id - 1];
+  task.cb = std::move(cb);
+  ScheduleAfter(task.period, [this, periodic_id]() { PeriodicTick(periodic_id); });
 }
 
 }  // namespace tashkent

@@ -111,13 +111,10 @@ class Simulator {
   // Runs every pending event. Intended for tests; production runs are bounded.
   void RunAll();
 
-  // Registers a callback every `period`, first firing at `start`. It keeps
-  // firing until StopPeriodic is called with the returned id. Ids are dense
-  // (1, 2, ...) and never reused; StopPeriodic on an unknown or already
-  // stopped id does nothing. Throws std::invalid_argument unless `period` is
-  // positive: a period of zero would re-fire at one tick forever.
-  uint64_t SchedulePeriodic(SimTime start, SimDuration period, Callback cb);
-  void StopPeriodic(uint64_t periodic_id);
+  // Registers a callback every `period`, first firing at `start`; it fires
+  // for the simulator's whole life. Throws std::invalid_argument unless
+  // `period` is positive: a period of zero would re-fire at one tick forever.
+  void SchedulePeriodic(SimTime start, SimDuration period, Callback cb);
 
   // Live (scheduled and neither fired nor cancelled) events only; cancelled
   // entries still parked in the heap are not counted.
@@ -158,7 +155,6 @@ class Simulator {
   struct PeriodicTask {
     SimDuration period = 0;
     Callback cb;
-    bool live = false;  // cleared by StopPeriodic; the entry is never reused
   };
 
   static EventId MakeId(uint32_t slot, uint32_t gen) {
@@ -196,8 +192,8 @@ class Simulator {
   Slab<EventRecord> slab_;        // event records; callbacks stored inline
   size_t live_events_ = 0;
   size_t cancelled_in_heap_ = 0;
-  // Indexed by periodic id - 1. Every caller starts its periodics once, so
-  // stopped entries are not recycled.
+  // Indexed by periodic id - 1 (ids are dense from 1); a periodic fires for
+  // the simulator's whole life, so entries are never removed.
   std::vector<PeriodicTask> periodics_;
 };
 

@@ -245,6 +245,23 @@ TEST(ClusterConfig, RejectsOutOfRangeWorkloadSkew) {
   EXPECT_NO_THROW(Cluster(w, kTpcwOrdering, "LeastConnections", config));
 }
 
+TEST(ClusterConfig, RejectsZeroReplicas) {
+  // With no replica every balancer routes over an empty proxy list; the
+  // cluster must refuse to be built rather than crash once clients arrive.
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  const ClusterConfig config = MakeClusterConfig(512 * kMiB, 0, 1);
+  try {
+    Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
+    cluster.SetPopulation(2);
+    cluster.Advance(Seconds(5.0));
+    ADD_FAILURE() << "a zero-replica cluster constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("ClusterConfig.replicas"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Cluster(w, kTpcwOrdering, "RoundRobin", config), std::invalid_argument);
+}
+
 TEST(Spill, DisabledSpillKeepsTypesInGroup) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   ClusterConfig config = MakeClusterConfig(512 * kMiB);

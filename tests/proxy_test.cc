@@ -396,6 +396,52 @@ TEST_F(ProxyTest, MaskSkipEngagesOnNarrowSubscription) {
   EXPECT_EQ(replicas_[1]->stats().writesets_applied, 0u);
 }
 
+TEST_F(ProxyTest, ReplayWithAParkedCommitSkipsAndThenCommits) {
+  // The one case where the pump's skip-scan gate differs between lifecycles:
+  // a commit is parked on the applied version while the replica recovers.
+  // Up, the skip-scan waits for an empty waiter list; recovering, it hops
+  // anyway, because the applied version moves only when the replayed batch
+  // lands, so no skip can fire the parked commit out of order.
+  for (int i = 0; i < 600; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
+  }
+  sim_.RunAll();
+  ASSERT_EQ(certifier_.head_version(), 600u);
+
+  proxies_[1]->SetSubscription(RelationSet{table_b_});
+  bool done = false;
+  bool committed = false;
+  proxies_[1]->SubmitTransaction(update_b_, [&](bool ok) {
+    done = true;
+    committed = ok;
+  });
+  // Crash once the replica has executed the update, well inside the
+  // certification round trip.
+  while (replicas_[1]->stats().txns_executed == 0) {
+    sim_.RunUntil(sim_.Now() + Micros(10));
+  }
+  proxies_[1]->Crash();
+  sim_.RunAll();
+  // The response certified the update while the replica was down; the
+  // commit is parked on version 600, which the replica has not applied.
+  EXPECT_EQ(certifier_.head_version(), 601u);
+  EXPECT_FALSE(done);
+  EXPECT_EQ(proxies_[1]->applied_version(), 0u);
+
+  proxies_[1]->Recover();
+  sim_.RunAll();
+  const ProxyStats& s = proxies_[1]->stats();
+  EXPECT_EQ(s.mask_skipped, 512u);
+  EXPECT_EQ(s.replay_filtered, 600u);
+  EXPECT_EQ(s.replay_applied, 1u);  // its own writeset, certified while down
+  EXPECT_TRUE(done);
+  EXPECT_TRUE(committed);
+  EXPECT_EQ(proxies_[1]->applied_version(), 601u);
+  EXPECT_EQ(proxies_[1]->applied_version(), certifier_.head_version());
+  EXPECT_EQ(s.committed, 1u);
+  EXPECT_EQ(s.recoveries, 1u);
+}
+
 TEST_F(ProxyTest, SetSubscriptionRejectsRelationPastTheMask) {
   // A relation id past TableMask::kBits has no mask bit: the subscription is
   // refused whole and the installed one keeps filtering.

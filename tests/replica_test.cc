@@ -117,11 +117,15 @@ TEST_F(ReplicaTest, UpdateProducesWriteset) {
   EXPECT_EQ(ws.items.size(), 3u);
 }
 
-TEST_F(ReplicaTest, ApplyWritesetDirtiesPages) {
+TEST_F(ReplicaTest, ApplyBatchDirtiesPages) {
   Writeset ws;
   ws.table_pages = {{table_, 4}};
+  Replica::ApplyBatch batch;
+  replica_->StageApply(ws, batch);
+  EXPECT_EQ(batch.count, 1u);
+  EXPECT_EQ(batch.touched, 4);
   bool done = false;
-  replica_->ApplyWriteset(ws, [&]() { done = true; });
+  replica_->SubmitApplyBatch(batch, [&]() { done = true; });
   sim_.RunAll();
   EXPECT_TRUE(done);
   EXPECT_EQ(replica_->stats().writesets_applied, 1u);
@@ -136,7 +140,9 @@ TEST_F(ReplicaTest, BackgroundWriterFlushesDirtyPages) {
   replica_->StartDaemons();
   Writeset ws;
   ws.table_pages = {{table_, 8}};
-  replica_->ApplyWriteset(ws, nullptr);
+  Replica::ApplyBatch batch;
+  replica_->StageApply(ws, batch);
+  replica_->SubmitApplyBatch(batch, nullptr);
   sim_.RunUntil(Seconds(3.0));
   EXPECT_EQ(replica_->pool().dirty_pages(), 0);
   // All distinct dirtied pages (<= 8 after hot-region coalescing) flushed.

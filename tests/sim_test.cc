@@ -80,15 +80,14 @@ TEST(Simulator, PastSchedulingClampsToNow) {
   EXPECT_EQ(fired_at, Millis(100));
 }
 
-TEST(Simulator, PeriodicFiresUntilStopped) {
+TEST(Simulator, PeriodicFiresEveryPeriod) {
   Simulator sim;
   int count = 0;
-  const uint64_t pid = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++count; });
+  sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++count; });
   sim.RunUntil(Millis(55));
   EXPECT_EQ(count, 5);  // t=10..50
-  sim.StopPeriodic(pid);
   sim.RunUntil(Millis(200));
-  EXPECT_EQ(count, 5);
+  EXPECT_EQ(count, 20);  // t=10..200
 }
 
 TEST(Simulator, NonPositivePeriodThrows) {
@@ -101,19 +100,6 @@ TEST(Simulator, NonPositivePeriodThrows) {
                std::invalid_argument);
   EXPECT_EQ(sim.pending_events(), 0u);
   EXPECT_EQ(count, 0);
-}
-
-TEST(Simulator, PeriodicCanStopItself) {
-  Simulator sim;
-  int count = 0;
-  uint64_t pid = 0;
-  pid = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() {
-    if (++count == 3) {
-      sim.StopPeriodic(pid);
-    }
-  });
-  sim.RunUntil(Seconds(10.0));
-  EXPECT_EQ(count, 3);
 }
 
 TEST(Simulator, CancelAfterFireReturnsFalse) {
@@ -218,35 +204,19 @@ TEST(Simulator, CancelFromInsideCallback) {
   EXPECT_EQ(fired, 0);
 }
 
-TEST(Simulator, PeriodicStopsAnotherPeriodicMidTick) {
-  Simulator sim;
-  int a_count = 0;
-  int b_count = 0;
-  uint64_t b = 0;
-  sim.SchedulePeriodic(Millis(10), Millis(10), [&]() {
-    if (++a_count == 2) {
-      sim.StopPeriodic(b);
-    }
-  });
-  b = sim.SchedulePeriodic(Millis(11), Millis(10), [&]() { ++b_count; });
-  sim.RunUntil(Millis(100));
-  EXPECT_EQ(b_count, 1);  // b fired at t=11 only; stopped during a's t=20 tick
-  EXPECT_GE(a_count, 5);
-}
-
-TEST(Simulator, PeriodicRestartedFromInsideItsOwnTick) {
+TEST(Simulator, PeriodicStartedFromInsideItsOwnTick) {
   Simulator sim;
   int first_count = 0;
   int second_count = 0;
-  uint64_t pid = 0;
-  pid = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() {
+  // The registration grows the periodic registry while the registering
+  // periodic's own tick is running.
+  sim.SchedulePeriodic(Millis(10), Millis(10), [&]() {
     if (++first_count == 2) {
-      sim.StopPeriodic(pid);
       sim.SchedulePeriodic(sim.Now() + Millis(5), Millis(50), [&]() { ++second_count; });
     }
   });
   sim.RunUntil(Millis(130));
-  EXPECT_EQ(first_count, 2);   // t=10, t=20, then stopped itself
+  EXPECT_EQ(first_count, 13);  // t=10, 20, ..., 130: its cadence is unchanged
   EXPECT_EQ(second_count, 3);  // t=25, 75, 125
 }
 
@@ -272,26 +242,6 @@ TEST(Simulator, PeriodicStartedFromAnotherPeriodicsTickKeepsBothCadences) {
   for (size_t i = 0; i < inner.size(); ++i) {
     EXPECT_EQ(inner[i], Millis(23) + Millis(7) * static_cast<SimDuration>(i));
   }
-}
-
-TEST(Simulator, StopPeriodicOnUnknownOrStoppedIdDoesNothing) {
-  Simulator sim;
-  sim.StopPeriodic(0);
-  sim.StopPeriodic(7);  // never issued
-  int kept = 0;
-  int stopped = 0;
-  const uint64_t keep = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++kept; });
-  const uint64_t stop = sim.SchedulePeriodic(Millis(10), Millis(10), [&]() { ++stopped; });
-  sim.RunUntil(Millis(25));
-  sim.StopPeriodic(stop);
-  sim.StopPeriodic(stop);      // already stopped
-  sim.StopPeriodic(stop + 1);  // one past the last issued id
-  sim.RunUntil(Millis(55));
-  EXPECT_EQ(kept, 5);     // t=10..50, untouched by the no-op stops
-  EXPECT_EQ(stopped, 2);  // t=10, 20
-  sim.StopPeriodic(keep);
-  sim.RunUntil(Millis(100));
-  EXPECT_EQ(kept, 5);
 }
 
 TEST(Simulator, SlabSlotsAreRecycledAcrossManyCycles) {
