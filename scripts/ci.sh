@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
 # ASan+UBSan), run the smoke, faults and churn campaigns under ASan+UBSan,
-# lint for determinism, then exercise the campaign runner (smoke, perf,
-# marathon, skew, faults, churn, fig3 and ablation campaigns) under hard gates on the
-# JSON it emits, check the perfbench workloads' pinned outcomes, and check
-# the docs cover every campaign, verb, metric and configuration field. The
-# gates are python3 scripts, so a host without python3 fails here instead of
-# skipping them.
+# lint for determinism, then run the whole campaign grid (`run all`, at
+# --jobs 2 and again at --jobs 1) under hard gates on the JSON it emits:
+# every cell's executed events and every result document's digest against
+# bench/baselines/, --jobs 1 equal to --jobs 2, and the marathon, asan, skew
+# and faults gates. Then check the perfbench workloads' pinned outcomes, and
+# check the docs cover every campaign, verb, metric and configuration field.
+# The gates are python3 scripts, so a host without python3 fails here
+# instead of skipping them.
 set -euo pipefail
 cd "$(dirname "$0")/.." || exit 1
 
@@ -29,7 +31,7 @@ cmake --build build-asan -j"$(nproc)"
 # whose retry, dedup and failover paths are where a stale slot or a broken
 # invariant would show; and churn, whose fail/recover cells drive recovery
 # replay through the apply pump. Their documents are compared with the plain
-# build's below (the asan gate).
+# build's below (the document gates).
 rm -rf build-asan/bench-out
 mkdir -p build-asan/bench-out
 ./build-asan/tashkent_bench run smoke faults churn --jobs 2 --json build-asan/bench-out
@@ -46,36 +48,22 @@ python3 scripts/lint_determinism.py src/ bench/ \
 python3 tests/lint_test.py \
   || { echo "ci: determinism-lint tests failed" >&2; exit 1; }
 
-# --- CI campaigns: smoke perf marathon skew faults churn fig3 ablation --------
-# A short parallel run through the real binary: grid expansion, worker pool,
-# JSON documents, and the merged manifest all have to work; the perf campaign's
-# old-vs-new hot-path comparison (legacy baselines, checksum cross-checks,
-# representative cells) must run end to end and keep its speedups; the
-# marathon campaign's bounded certifier log and conflict index must actually
-# be bounded; the skew campaign's fluid-client inert pair must stay
-# byte-identical; the faults campaign's zero-loss ledger must hold on every
-# cell. churn puts recovery replay (its fail/recover cells, plain and
-# filtered) and elastic joins, and fig3 and ablation the cells that run
-# update filtering in dynamic and freeze mode, under the executed-events
-# gate. ONE
-# invocation, so the manifest covers all eight campaigns and the
-# executed-events gate below checks every cell of them (each invocation
-# rewrites BENCH_campaign.json from scratch).
-rm -rf build/bench-out
-mkdir -p build/bench-out
-./build/tashkent_bench run smoke perf marathon skew faults churn fig3 ablation --jobs 2 \
-  --json build/bench-out
-test -s build/bench-out/BENCH_smoke.json
-test -s build/bench-out/BENCH_perf.json
-test -s build/bench-out/BENCH_marathon.json
-test -s build/bench-out/BENCH_skew.json
-test -s build/bench-out/BENCH_faults.json
-test -s build/bench-out/BENCH_churn.json
+# --- CI campaigns: the whole grid ---------------------------------------------
+# Every registered campaign through the real binary, in ONE invocation, so
+# the merged manifest lists every cell and the gates below see the whole
+# grid: grid expansion, worker pool, JSON documents and manifest all have to
+# work; the marathon campaign's bounded certifier log and conflict index
+# must actually be bounded; the skew and faults inert pairs must stay
+# byte-identical; the faults zero-loss ledger must hold on every cell; and
+# every cell's executed events and every document's digest must equal the
+# committed baseline. The grid runs a second time at --jobs 1, whose
+# documents must equal the --jobs 2 run's (seeds derive from grid
+# coordinates, never from execution order).
+rm -rf build/bench-out build/bench-out-j1
+mkdir -p build/bench-out build/bench-out-j1
+./build/tashkent_bench run all --jobs 2 --json build/bench-out
+./build/tashkent_bench run all --jobs 1 --no-progress --json build/bench-out-j1 > /dev/null
 test -s build/bench-out/BENCH_campaign.json
-if grep -q "checksums diverge" build/bench-out/BENCH_perf.json; then
-  echo "ci: perf campaign checksum mismatch — old/new hot paths diverged" >&2
-  exit 1
-fi
 
 # The bounded-log gate: with auto-pruning on, the certifier log's chunk
 # high-water mark must PLATEAU across the marathon's churn epochs (last epoch
@@ -112,24 +100,21 @@ ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
 sys.exit(0 if ok else 1)
 EOF
 
-# --- asan gate ---------------------------------------------------------------
-# Sanitizers and asserts must not change what is simulated: the ASan+UBSan
-# Debug build's smoke, faults and churn documents equal the plain build's, once
-# the host-timing `cells` key is removed.
-python3 - <<'EOF' || { echo "ci: asan campaign documents differ from the plain build's" >&2; exit 1; }
-import json, sys
-bad = []
-for name in ('smoke', 'faults', 'churn'):
-    docs = []
-    for out in ('build/bench-out', 'build-asan/bench-out'):
-        doc = json.load(open(f'{out}/BENCH_{name}.json'))
-        doc.pop('cells', None)
-        docs.append(json.dumps(doc, sort_keys=True))
-    if docs[0] != docs[1]:
-        bad.append(name)
-print(f"asan gate: smoke, faults and churn documents {'differ: ' + ', '.join(bad) if bad else 'match'}")
-sys.exit(1 if bad else 0)
-EOF
+# --- document gates ----------------------------------------------------------
+# Every result document, with the host-timing `cells` key removed, must hash
+# to the digest recorded in bench/baselines/documents.sha256, so a change to
+# anything simulated fails here and names the documents that moved
+# (bench/baselines/README.md says how a deliberate change regenerates them).
+# The --jobs 1 run must write the same documents as the --jobs 2 run. And
+# sanitizers and asserts must not change what is simulated: the ASan+UBSan
+# Debug build's smoke, faults and churn documents equal the plain build's.
+python3 scripts/document_digests.py check build/bench-out \
+  || { echo "ci: result documents differ from bench/baselines/documents.sha256" >&2; exit 1; }
+python3 scripts/document_digests.py compare build/bench-out build/bench-out-j1 \
+  || { echo "ci: --jobs 1 documents differ from the --jobs 2 run's" >&2; exit 1; }
+python3 scripts/document_digests.py compare build/bench-out build-asan/bench-out \
+  smoke faults churn \
+  || { echo "ci: asan campaign documents differ from the plain build's" >&2; exit 1; }
 
 # --- inert-pair byte gates ---------------------------------------------------
 # The skew and faults campaigns each run one inert cell on the same seed
@@ -195,48 +180,13 @@ print(f"faults gate: zero-loss ledger holds on {len(cells)} cells")
 sys.exit(1 if bad else 0)
 EOF
 
-# --- perf speedup floors -----------------------------------------------------
-# Each speedup divides the new hot path's throughput by its frozen reference
-# (bench/legacy_baseline.h's kernel and pool; the TouchesAny filter behind
-# ProxyConfig::mask_filtering=false), and both sides run in this invocation on
-# this host, so host speed cancels out of the ratio. Ranges over 24 runs of
-# the campaign step above on a 4-vCPU Xeon (g++ 12.2, RelWithDebInfo): kernel
-# 1.45-2.43 (median 2.16; 1.05-1.65 before the 4-ary heap and in-place
-# callbacks), filter storm 1.31-2.83, pool 2.48-5.40. The kernel floor, 1.2,
-# sits below that minimum; the binary-heap kernel fell under it in 6 of its
-# 24 runs. With grouped LRU slots, 24 runs on a 4-vCPU AMD EPYC (g++ 12.2,
-# RelWithDebInfo) read kernel 1.93-2.40, filter storm 1.36-1.96 and pool
-# 2.47-3.02 (median 2.90, against 2.81 for 32-page blocks and 16-byte LRU
-# nodes in 24 alternated runs): the pool storm's single 256 MB pool stays
-# cache-resident, so LRU node size and slot-table memory barely show in its
-# ratio. A missing scalar fails.
-python3 - <<'EOF' || { echo "ci: perf speedup floors failed" >&2; exit 1; }
-import json, sys
-s = json.load(open('build/bench-out/BENCH_perf.json'))['scalars']
-ok = True
-for name, floor in [('kernel speedup (slab / legacy)', 1.2),
-                    ('filter-storm speedup (mask / touchesany)', 1.0),
-                    ('pool speedup (slab / legacy)', 1.5)]:
-    value = s.get(name)
-    if value is None:
-        print(f"perf gate: '{name}' is missing from BENCH_perf.json", file=sys.stderr)
-        ok = False
-        continue
-    print(f"perf gate: {name} = {value:.2f} (floor {floor})")
-    if value < floor:
-        print(f"perf gate: {name} is below its floor", file=sys.stderr)
-        ok = False
-sys.exit(0 if ok else 1)
-EOF
-
 # --- executed-events gate ----------------------------------------------------
-# Executed simulator events are deterministic, so every cell of this run must
+# Executed simulator events are deterministic, so every cell of the grid must
 # appear in the committed full-grid manifest with the same count; a change
-# means the simulation itself changed. The gate also fails when a campaign of
-# this run lacks a cell that the baseline lists for it, so a campaign cannot
-# lose a cell unnoticed. A change that alters simulated behaviour on purpose,
-# or adds or removes cells, regenerates the baseline
-# (bench/baselines/README.md).
+# means the simulation itself changed. The gate also fails when the run lacks
+# a cell that the baseline lists, so no cell is lost unnoticed. A change that
+# alters simulated behaviour on purpose, or adds or removes cells,
+# regenerates the baseline (bench/baselines/README.md).
 python3 - <<'EOF' || { echo "ci: executed-events gate failed" >&2; exit 1; }
 import json, sys
 def events(path):
@@ -245,12 +195,11 @@ def events(path):
             for c in doc['campaigns'] for cell in c['cells']}
 base = events('bench/baselines/BENCH_campaign.json')
 run = events('build/bench-out/BENCH_campaign.json')
-campaigns = {name for name, _ in run}
 bad = [f"{c}:{i}: missing from the baseline" for c, i in sorted(run) if (c, i) not in base]
 bad += [f"{c}:{i}: {base[c, i]} executed events in the baseline, {n} in this run"
         for (c, i), n in sorted(run.items()) if (c, i) in base and n != base[c, i]]
 bad += [f"{c}:{i}: in the baseline but missing from this run"
-        for c, i in sorted(base) if c in campaigns and (c, i) not in run]
+        for c, i in sorted(base) if (c, i) not in run]
 for b in bad:
     print(f"events gate: {b}", file=sys.stderr)
 matched = sum(1 for cell, n in run.items() if base.get(cell) == n)

@@ -302,7 +302,7 @@ void Proxy::PumpApplier() {
   pump_active_ = true;
   const bool recovering = lifecycle_ == ReplicaLifecycle::kRecovering;
   const uint64_t replay = recovering ? 1 : 0;
-  const bool mask_fast = config_.mask_filtering && subscription_.has_value();
+  const bool subscribed = subscription_.has_value();  // else nothing is skipped
   Replica::ApplyBatch batch;
   Version last = applied_version_;  // newest version this pump has passed
   // Versions through `v` pass unapplied, `n` of them filtered. (2) Up, the
@@ -330,7 +330,7 @@ void Proxy::PumpApplier() {
     // would re-order waiter firings (and with them commit completions), so it
     // runs only while no waiter is parked; recovering, the advance is
     // deferred to the batch anyway.
-    if (probe && mask_fast && (recovering || waiters_.empty())) {
+    if (probe && subscribed && (recovering || waiters_.empty())) {
       const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
       if (hop > apply_next_) {
         // Every version in [apply_next_, hop) is provably unwanted; identical

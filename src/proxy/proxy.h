@@ -79,13 +79,6 @@ struct ProxyConfig {
   // Certifier-path retry protocol (see RetryPolicy). The Cluster forks the
   // jitter stream from its fault stream and calls ArmRetry when enabled.
   RetryPolicy retry;
-  // Update-filtering fast path (src/storage/table_mask.h): decide "wanted"
-  // with the log entry's TableMask against the cached subscription mask, and
-  // skip whole certifier-log chunks whose union mask misses the
-  // subscription. Filtering DECISIONS are identical either way, so this knob
-  // only freezes the TouchesAny cost model for differential tests and the
-  // filter-storm perf baseline.
-  bool mask_filtering = true;
 };
 
 // Replica lifecycle as the proxy tracks it (docs/OPERATIONS.md diagrams it):
@@ -181,8 +174,12 @@ class Proxy {
   }
 
   // --- Failure injection / lifecycle ----------------------------------------
-  // Crash: fail-stop — the replica stops serving and in-flight work is
-  // dropped (clients see aborts and retry elsewhere).
+  // Crash: fail-stop for new work — SubmitTransaction rejects and the pump
+  // applies nothing until Recover(). Work already admitted drains rather
+  // than aborting: in-flight transactions finish, and a commit certified
+  // while the replica is down parks until replay has applied past it. Only
+  // with retry armed does a pending certification abort, at its timeout.
+  // (ROADMAP.md item 9, "Crash means crash", weighs dropping it instead.)
   //
   // Recover: begins recovery from the crashed state. The cache restarts cold;
   // the durable state is the certifier log prefix at applied_version_. When
@@ -305,13 +302,8 @@ class Proxy {
   void PumpApplier();
   // The update-filtering decision for log entry `ws`, the pump's one wanted
   // probe: everything is wanted without a subscription; otherwise the mask
-  // probe, or the TouchesAny reference path when mask_filtering is off.
-  bool Wanted(const Writeset& ws) const {
-    if (!subscription_.has_value()) {
-      return true;
-    }
-    return config_.mask_filtering ? WantedByMask(ws) : ws.TouchesAny(*subscription_);
-  }
+  // probe.
+  bool Wanted(const Writeset& ws) const { return !subscription_ || WantedByMask(ws); }
   // The mask-probe wanted-decision (≡ `ws.TouchesAny(*subscription_)`, see
   // src/storage/table_mask.h).
   bool WantedByMask(const Writeset& ws) const {

@@ -65,8 +65,8 @@
 // [1, 2^15), checked by the constructor; relation ids < 2^16 and relation
 // sizes < 2^32 pages, checked where tables are sized (never per page).
 // Eviction order, hit outcomes and stats are bit-identical to the earlier
-// std::list + unordered_map implementation (bench/legacy_baseline.h keeps a
-// frozen copy; the perf campaign compares checksums).
+// std::list + unordered_map implementation (tests/storage_test.cc replays
+// random call sequences against ReferencePool, a std::list + std::map model).
 #ifndef SRC_STORAGE_BUFFER_POOL_H_
 #define SRC_STORAGE_BUFFER_POOL_H_
 

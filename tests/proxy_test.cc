@@ -259,9 +259,8 @@ TEST_F(ProxyTest, GatekeeperLimitsConcurrency) {
 // traffic from replica 0, randomized subscription churn on replicas 1/2
 // (including mid-run SetSubscription while writesets are in flight), and a
 // crash/recover arc on replica 2 so the batched recovery replay runs — and
-// returns a digest of everything user-visible. The mask fast path must make
-// this digest bit-identical to the frozen TouchesAny baseline.
-std::vector<uint64_t> RunChurnScenario(bool mask_filtering) {
+// returns a digest of everything user-visible.
+std::vector<uint64_t> RunChurnScenario() {
   Simulator sim;
   Schema schema;
   std::vector<RelationId> tables;
@@ -273,7 +272,6 @@ std::vector<uint64_t> RunChurnScenario(bool mask_filtering) {
   rc.memory = 64 * kMiB;
   rc.reserved = 0;
   ProxyConfig pc;
-  pc.mask_filtering = mask_filtering;
   std::vector<std::unique_ptr<Replica>> replicas;
   std::vector<std::unique_ptr<Proxy>> proxies;
   for (ReplicaId r = 0; r < 3; ++r) {
@@ -293,8 +291,8 @@ std::vector<uint64_t> RunChurnScenario(bool mask_filtering) {
     updates.push_back(ty);
   }
 
-  // Precompute every random choice so both runs see byte-identical scripts
-  // (the Rng is consumed here, before any scheduling).
+  // Precompute every random choice (the Rng is consumed here, before any
+  // scheduling).
   Rng rng(42);
   std::vector<size_t> table_of;  // table written by update i
   for (int i = 0; i < 300; ++i) {
@@ -349,8 +347,8 @@ std::vector<uint64_t> RunChurnScenario(bool mask_filtering) {
   std::vector<uint64_t> digest;
   for (ReplicaId r = 0; r < 3; ++r) {
     const ProxyStats& s = proxies[r]->stats();
-    // Everything user-visible — deliberately NOT mask_skipped, which is the
-    // one counter allowed to differ between the two modes.
+    // Everything user-visible — deliberately NOT mask_skipped, which counts
+    // how a filtering decision was reached, not the decision.
     digest.insert(digest.end(),
                   {proxies[r]->applied_version(), s.committed, s.aborted,
                    s.writesets_applied, s.writesets_filtered, s.replay_applied,
@@ -360,17 +358,26 @@ std::vector<uint64_t> RunChurnScenario(bool mask_filtering) {
   return digest;
 }
 
-TEST(ProxyMaskDifferential, ChurnScenarioMatchesTouchesAnyBaseline) {
-  const std::vector<uint64_t> mask = RunChurnScenario(true);
-  const std::vector<uint64_t> legacy = RunChurnScenario(false);
-  EXPECT_EQ(mask, legacy)
-      << "mask-filtered run diverged from the frozen TouchesAny baseline";
+// The digest is pinned to the one that the mask path and a per-entry
+// TouchesAny filter both produced when the two still ran side by side; any
+// change to what filtering decides, or to when replay applies, moves it.
+TEST(ProxyMaskFiltering, ChurnScenarioMatchesPinnedDigest) {
+  const std::vector<uint64_t> digest = RunChurnScenario();
+  // Per replica: applied version, committed, aborted, writesets applied,
+  // filtered, replay applied, replay filtered, recoveries, pulls, prods, and
+  // the replica's own applied count.
+  const std::vector<uint64_t> pinned = {
+      300, 300, 0, 0,   0,   0, 0,  0, 0,  0,  0,    //
+      300, 0,   0, 119, 181, 0, 0,  0, 26, 26, 119,  //
+      300, 0,   0, 61,  239, 3, 7,  1, 26, 24, 61,   //
+  };
+  EXPECT_EQ(digest, pinned);
   // The scenario actually exercised filtering and recovery replay: committed
   // updates, filtered writesets, and a completed recovery all present.
   uint64_t filtered = 0, recoveries = 0;
   for (size_t r = 0; r < 3; ++r) {
-    filtered += mask[r * 11 + 4];
-    recoveries += mask[r * 11 + 7];
+    filtered += digest[r * 11 + 4];
+    recoveries += digest[r * 11 + 7];
   }
   EXPECT_GT(filtered, 0u);
   EXPECT_EQ(recoveries, 1u);
@@ -394,6 +401,50 @@ TEST_F(ProxyTest, MaskSkipEngagesOnNarrowSubscription) {
   EXPECT_EQ(proxies_[1]->stats().writesets_applied, 0u);
   EXPECT_GT(proxies_[1]->stats().mask_skipped, 0u) << "chunk skip-scan never engaged";
   EXPECT_EQ(replicas_[1]->stats().writesets_applied, 0u);
+}
+
+TEST_F(ProxyTest, ParkedCommitHoldsTheSkipScanOffWhileUp) {
+  // The ordering gate of the up pump: while a commit waits on the applied
+  // version, a chunk skip would move that version past several entries in
+  // one step, so the pump probes entry by entry until the waiter has fired.
+  // Log: one b-writeset, then 599 a-writesets (two whole a-only chunks).
+  proxies_[1]->SetSubscription(RelationSet{table_b_});
+  proxies_[0]->SubmitTransaction(update_b_, [](bool) {});
+  for (int i = 0; i < 599; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
+  }
+  sim_.RunAll();
+  ASSERT_EQ(certifier_.head_version(), 600u);
+
+  // Replica 1's update certifies as version 601 with (0, 600] to apply. The
+  // pump starts applying version 1 (wanted) and the commit parks on 600;
+  // when that apply lands, versions 2..600 pass with the waiter still parked.
+  bool committed = false;
+  uint64_t skipped_at_commit = 0;
+  uint64_t filtered_at_commit = 0;
+  proxies_[1]->SubmitTransaction(update_b_, [&](bool ok) {
+    committed = ok;
+    skipped_at_commit = proxies_[1]->stats().mask_skipped;
+    filtered_at_commit = proxies_[1]->stats().writesets_filtered;
+  });
+  sim_.RunAll();
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(filtered_at_commit, 599u);
+  EXPECT_EQ(skipped_at_commit, 0u) << "skip-scan ran while a commit was parked";
+  EXPECT_EQ(proxies_[1]->stats().mask_skipped, 0u);
+  EXPECT_EQ(proxies_[1]->stats().writesets_applied, 1u);
+  EXPECT_EQ(proxies_[1]->applied_version(), 601u);
+
+  // With no waiter parked, the same kind of backlog is chunk-skipped, so the
+  // zero above is the gate's doing.
+  for (int i = 0; i < 600; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
+  }
+  sim_.RunAll();
+  proxies_[1]->OnProd();
+  sim_.RunAll();
+  EXPECT_EQ(proxies_[1]->applied_version(), 1201u);
+  EXPECT_GT(proxies_[1]->stats().mask_skipped, 0u);
 }
 
 TEST_F(ProxyTest, ReplayWithAParkedCommitSkipsAndThenCommits) {

@@ -379,6 +379,63 @@ TEST(WritesetLogMasks, PruneResetsRecycledChunkMasks) {
   EXPECT_FALSE(recycled.Test(kTableA));
 }
 
+// The skip-scan's safety contract, brute-forced against TouchesAny: over a
+// seeded log of several chunks (each chunk writes a few tables of its own, so
+// whole chunks miss a subscription) and many random subscriptions, start
+// points and window ends, no version in [from, SkipUnwanted(from, hi, sub))
+// is wanted. The skip may stop early; it must never pass a wanted entry.
+// The same probes run again after a prune has recycled the first chunk.
+TEST(WritesetLogMasks, SkipNeverPassesAWantedEntry) {
+  constexpr RelationId kTables = 16;
+  WritesetLog log;
+  WritesetArena arena;
+  Rng rng(20261019);
+  const Version head = 5 * WritesetLog::kChunkEntries + 100;
+  std::vector<RelationId> palette;
+  for (Version v = 1; v <= head; ++v) {
+    if ((v - 1) % WritesetLog::kChunkEntries == 0) {
+      palette.clear();
+      for (int i = 0; i < 3; ++i) {
+        palette.push_back(static_cast<RelationId>(rng.NextBelow(kTables)));
+      }
+    }
+    Writeset ws = MakeWs(v, 1);
+    ws.table_pages.clear();
+    const uint64_t touches = 1 + rng.NextBelow(2);
+    for (uint64_t t = 0; t < touches; ++t) {
+      ws.table_pages.push_back(TableWrite{palette[rng.NextBelow(palette.size())], 1});
+    }
+    log.Append(std::move(ws), arena);
+  }
+
+  uint64_t hopped = 0;
+  const auto probe_all = [&](Version lowest) {
+    for (int probe = 0; probe < 2000; ++probe) {
+      RelationSet sub;
+      const uint64_t width = 1 + rng.NextBelow(3);
+      for (uint64_t t = 0; t < width; ++t) {
+        sub.insert(static_cast<RelationId>(rng.NextBelow(kTables)));
+      }
+      const Version from = lowest + rng.NextBelow(head - lowest + 1);
+      const Version hi = from + rng.NextBelow(head - from + 1);
+      const Version hop = log.SkipUnwanted(from, hi, BuildMask(sub));
+      ASSERT_GE(hop, from);
+      ASSERT_LE(hop, hi + 1);
+      for (Version v = from; v < hop; ++v) {
+        ASSERT_FALSE(log.Get(v).TouchesAny(sub))
+            << "skip from " << from << " to " << hop << " passed wanted version " << v;
+      }
+      hopped += hop - from;
+    }
+  };
+  probe_all(1);
+  log.PruneBelow(WritesetLog::kChunkEntries + 10, arena);
+  ASSERT_EQ(log.pruned_below(), WritesetLog::kChunkEntries + 10);
+  probe_all(WritesetLog::kChunkEntries + 11);
+  // The skip engaged, so the check above is not vacuous.
+  EXPECT_GT(hopped, 100 * WritesetLog::kChunkEntries);
+}
+
 TEST(WritesetLogMasks, AppendRejectsRelationPastTheMaskAndKeepsTheLog) {
   // A hand-built writeset naming a relation id past TableMask::kBits has no
   // mask bit: Append throws before touching the log.
