@@ -299,6 +299,49 @@ if [ "${missing}" -ne 0 ]; then
   exit 1
 fi
 
+# The proxy lifecycle table in docs/OPERATIONS.md (the first table after
+# "### Lifecycle table") must have exactly one row per (state, event) pair.
+# The states are the ReplicaLifecycle enumerators in proxy.h; the events are
+# the `lifecycle: <event>` tags on the handlers' guards in proxy.cc, so a new
+# state or a newly tagged handler without rows fails here. The ProxyLifecycle
+# suite (tests/proxy_lifecycle_test.cc) then drives every row.
+python3 - <<'EOF' || { echo "ci: docs/OPERATIONS.md lifecycle table is incomplete" >&2; exit 1; }
+import re, sys
+enum = re.search(r'enum class ReplicaLifecycle \{(.*?)\};', open('src/proxy/proxy.h').read(), re.S)
+states = re.findall(r'^\s*(k\w+),', enum.group(1), re.M) if enum else []
+events = sorted(set(re.findall(r'lifecycle: ([a-z-]+)', open('src/proxy/proxy.cc').read())))
+text = open('docs/OPERATIONS.md').read()
+if '\n### Lifecycle table\n' not in text:
+    sys.exit("docs/OPERATIONS.md has no '### Lifecycle table' section")
+lines = text.split('\n### Lifecycle table\n', 1)[1].splitlines()
+first = next((i for i, line in enumerate(lines) if line.startswith('|')), len(lines))
+rows = []
+for line in lines[first + 2:]:
+    if not line.startswith('|'):
+        break
+    rows.append(tuple(cell.strip().strip('`') for cell in line.strip('|').split('|')[:2]))
+bad = []
+if not states or not events or not rows:
+    bad.append(f"read {len(states)} states from proxy.h, {len(events)} events from proxy.cc "
+               f"and {len(rows)} table rows")
+for state, event in sorted(set(rows)):
+    if state not in states:
+        bad.append(f"row ({state}, {event}) names no ReplicaLifecycle enumerator")
+    if event not in events:
+        bad.append(f"row ({state}, {event}) names no event tagged in proxy.cc")
+for state, event in sorted({r for r in rows if rows.count(r) > 1}):
+    bad.append(f"({state}, {event}) has {rows.count((state, event))} rows")
+for state in states:
+    for event in events:
+        if (state, event) not in rows:
+            bad.append(f"({state}, {event}) has no row")
+for b in bad:
+    print(f"lifecycle check: {b}", file=sys.stderr)
+print(f"lifecycle check: {len(set(rows))} of {len(states) * len(events)} (state, event) pairs "
+      f"have a row ({len(states)} states, {len(events)} events)")
+sys.exit(1 if bad else 0)
+EOF
+
 # Every field of the configuration structs a user can set must have a row in
 # docs/ARCHITECTURE.md's knob table (the first table after "Which knobs
 # stay"), written as `Struct::field`, so a new single-value field needs a

@@ -57,22 +57,13 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
     if (!config_.replica_memory.empty()) {
       rc.memory = config_.replica_memory[r];
     }
-    replicas_.push_back(std::make_unique<Replica>(&sim_, &workload.schema,
-                                                  static_cast<ReplicaId>(r), rc,
-                                                  root.Fork()));
-    proxies_.push_back(std::make_unique<Proxy>(&sim_, replicas_.back().get(), &certifier_,
-                                               config_.proxy, &certifier_channel_));
+    AddReplicaAndProxy(rc, root.Fork());
   }
   certifier_.SetProdCallback([this](ReplicaId r) {
     if (r < proxies_.size()) {
       proxies_[r]->OnProd();
     }
   });
-  if (config_.checkpoint.checkpoint_join) {
-    for (auto& p : proxies_) {
-      p->SetCheckpointSource([this]() { return BuildCheckpointImage(); });
-    }
-  }
 
   BalancerContext ctx;
   ctx.sim = &sim_;
@@ -180,12 +171,7 @@ size_t Cluster::AddReplica(Bytes memory) {
   if (memory > 0) {
     rc.memory = memory;
   }
-  const ReplicaId id = static_cast<ReplicaId>(replicas_.size());
-  replicas_.push_back(std::make_unique<Replica>(&sim_, &workload_->schema, id, rc,
-                                                topology_rng_.Fork()));
-  proxies_.push_back(std::make_unique<Proxy>(&sim_, replicas_.back().get(), &certifier_,
-                                             config_.proxy, &certifier_channel_));
-  Proxy* proxy = proxies_.back().get();
+  Proxy* proxy = AddReplicaAndProxy(rc, topology_rng_.Fork());
   if (started_) {
     replicas_.back()->StartDaemons();
     proxy->StartDaemons();
@@ -193,18 +179,26 @@ size_t Cluster::AddReplica(Bytes memory) {
   // The balancer learns about the proxy before it joins, so routing state is
   // ready the moment recovery completes.
   balancer_->OnReplicaAdded(proxy);
+  if (config_.proxy.retry.enabled) {
+    proxy->ArmRetry(faults_rng_.Fork());
+  }
   // A new replica starts from an empty database: with checkpoint joins it
   // installs the cluster's checkpoint image and replays only the suffix;
   // otherwise it replays the entire certifier log (filtered by any
   // subscription) before serving.
-  if (config_.checkpoint.checkpoint_join) {
-    proxy->SetCheckpointSource([this]() { return BuildCheckpointImage(); });
-  }
-  if (config_.proxy.retry.enabled) {
-    proxy->ArmRetry(faults_rng_.Fork());
-  }
   proxy->JoinAsNew();
   return proxies_.size() - 1;
+}
+
+Proxy* Cluster::AddReplicaAndProxy(const ReplicaConfig& rc, Rng rng) {
+  const ReplicaId id = static_cast<ReplicaId>(replicas_.size());
+  replicas_.push_back(std::make_unique<Replica>(&sim_, &workload_->schema, id, rc, rng));
+  proxies_.push_back(std::make_unique<Proxy>(&sim_, replicas_.back().get(), &certifier_,
+                                             config_.proxy, &certifier_channel_));
+  if (config_.checkpoint.checkpoint_join) {
+    proxies_.back()->SetCheckpointSource([this]() { return BuildCheckpointImage(); });
+  }
+  return proxies_.back().get();
 }
 
 void Cluster::RequireRetry(const char* verb) const {

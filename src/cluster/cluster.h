@@ -303,6 +303,9 @@ class Cluster {
   // The image a joining/backfilling replica installs: full database pages at
   // the freshest version the cluster can donate (never below the prune line).
   ClusterCheckpoint BuildCheckpointImage() const;
+  // Appends the next replica, built from `rc` on seed stream `rng`, and its
+  // proxy, with the checkpoint source when checkpoint joins are on.
+  Proxy* AddReplicaAndProxy(const ReplicaConfig& rc, Rng rng);
   // One prune tick: sample certifier-memory HWMs, then prune the conflict
   // index at the GSI-safe point and the log below the safe floor.
   void AutoPrune();

@@ -23,8 +23,8 @@ Proxy::Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig
 
 void Proxy::SubmitTransaction(const TxnType& type, TxnDone done) {
   if (lifecycle_ != ReplicaLifecycle::kUp) {
-    // The balancer avoids down/recovering replicas, but racing submissions
-    // fail fast and the client retries elsewhere.
+    // lifecycle: submit. The balancer routes around a replica that is not
+    // up, but racing submissions fail fast and the client retries elsewhere.
     ++stats_.rejected;
     done(false);
     return;
@@ -35,21 +35,22 @@ void Proxy::SubmitTransaction(const TxnType& type, TxnDone done) {
 }
 
 void Proxy::Crash() {
-  // Fail-stop for new work; in-flight transactions drain (their events are
-  // already scheduled), which models the brief failover window in which
-  // clients time out and retry elsewhere. A crash mid-recovery abandons the
-  // replay (the durable applied_version_ prefix survives either way).
+  // lifecycle: crash. Every state goes down; in-flight work drains. The
+  // epoch discards a torn checkpoint image, and the durable applied_version_
+  // prefix survives.
   lifecycle_ = ReplicaLifecycle::kDown;
   ++crash_epoch_;
-  // A crash mid-install abandons the image (torn installs never advance
-  // applied_version_: the completion callback is epoch-guarded). Recover()
-  // restarts the state transfer from scratch.
-  installing_ = false;
+}
+
+void Proxy::JoinAsNew() {
+  Crash();
+  join_pending_ = true;
+  Recover();
 }
 
 void Proxy::Recover() {
   if (lifecycle_ != ReplicaLifecycle::kDown) {
-    return;
+    return;  // lifecycle: recover. Only a down replica recovers.
   }
   // RAM is lost: the cache restarts cold. The durable state is the certifier
   // log prefix at applied_version_, so the proxy replays the missed log
@@ -86,15 +87,16 @@ void Proxy::InstallCheckpoint() {
     PullUpdates();
     return;
   }
-  installing_ = true;
+  lifecycle_ = ReplicaLifecycle::kInstalling;
   installing_version_ = ckpt.version;
   ++stats_.checkpoint_installs;
   const uint64_t epoch = crash_epoch_;
   replica_->InstallCheckpoint(ckpt, [this, epoch, v = ckpt.version]() {
     if (epoch != crash_epoch_) {
-      return;  // crashed mid-install; the torn image is discarded
+      return;  // lifecycle: torn-install. A crash since the install discards the image.
     }
-    installing_ = false;
+    // lifecycle: install-done, reached only while kInstalling.
+    lifecycle_ = ReplicaLifecycle::kRecovering;
     AdvanceApplied(v);
     PullUpdates();
   });
@@ -102,6 +104,7 @@ void Proxy::InstallCheckpoint() {
 
 void Proxy::RunAdmitted(const TxnType& type, TxnDone done) {
   replica_->Execute(type, [this, done = std::move(done)](ExecOutcome outcome) mutable {
+    // lifecycle: execute-done, the same in every state (admitted work drains).
     if (!outcome.is_update) {
       // Read-only transactions run entirely locally against their snapshot.
       ++stats_.read_only;
@@ -112,10 +115,8 @@ void Proxy::RunAdmitted(const TxnType& type, TxnDone done) {
   });
 }
 
-static_assert(RetryPolicy{}.timeout > 2 * kNetworkOneWay + kCertifyCost,
+static_assert(RetryPolicy{}.timeout > kCertificationRtt,
               "the default retry timeout must exceed the certification RTT");
-
-SimDuration Proxy::CertificationRtt() const { return 2 * kNetworkOneWay + kCertifyCost; }
 
 void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   // One round trip to the certifier: the request carries the writeset and the
@@ -148,7 +149,7 @@ void Proxy::SendCert(uint32_t slot) {
   const uint32_t gen = cert_gen_[slot];
   const uint64_t seq = pending.txn_seq;
   channel_->ScheduleArrival(
-      CertificationRtt(), [this, seq, slot, gen]() { OnCertifyArrive(slot, gen, seq); },
+      kCertificationRtt, [this, seq, slot, gen]() { OnCertifyArrive(slot, gen, seq); },
       static_cast<uint32_t>(replica_->id()));
   if (config_.retry.enabled) {
     pending.timeout = sim_->ScheduleAfter(config_.retry.timeout,
@@ -157,6 +158,7 @@ void Proxy::SendCert(uint32_t slot) {
 }
 
 void Proxy::OnCertifyArrive(uint32_t slot, uint32_t gen, uint64_t txn_seq) {
+  // lifecycle: cert-response, the same in every state (admitted work drains).
   if (gen != cert_gen_[slot]) {
     // This transaction was already decided through another copy or attempt.
     // The REQUEST still reached the certifier (the round trip models both
@@ -210,7 +212,7 @@ void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
   pending.timeout = Simulator::kInvalidEvent;
   ++stats_.cert_timeouts;
   if (lifecycle_ == ReplicaLifecycle::kDown) {
-    // The replica failed: the client sees an abort and retries elsewhere.
+    // lifecycle: cert-timeout. The replica failed: the client sees an abort.
     ++cert_gen_[slot];
     FinishTransaction(false, ReleaseCert(slot));
     return;
@@ -218,6 +220,7 @@ void Proxy::OnCertTimeout(uint32_t slot, uint32_t gen) {
   ++stats_.cert_retries;
   const int attempt = pending.attempts;
   sim_->ScheduleAfter(BackoffDelay(attempt), [this, slot, gen]() {
+    // lifecycle: cert-resend, the same in every state.
     if (gen != cert_gen_[slot]) {
       return;  // a late copy completed the transaction while backing off
     }
@@ -289,10 +292,11 @@ void Proxy::EnqueueRemotes(WritesetRange remotes) {
 }
 
 void Proxy::PumpApplier() {
-  // A fail-stopped machine applies nothing (Recover() drains later); during a
-  // checkpoint install the image covers these versions (its completion
-  // resumes); and one pump or one apply runs at a time.
-  if (lifecycle_ == ReplicaLifecycle::kDown || installing_ || pump_active_ || applying_) {
+  // Only kUp and kRecovering apply: a fail-stopped machine applies nothing
+  // (Recover() drains later), and during a checkpoint install the image
+  // covers these versions (its completion resumes). One pump or one apply
+  // runs at a time.
+  if (lifecycle_ > ReplicaLifecycle::kRecovering || pump_active_ || applying_) {
     return;
   }
   // `recovering` is read in three places: (1) the skip-scan gate, (2) when
@@ -361,6 +365,7 @@ void Proxy::PumpApplier() {
     // run when recovering.
     applying_ = true;
     replica_->SubmitApplyBatch(batch, [this, last]() {
+      // lifecycle: apply-done, the same in every state (the batch lands).
       applying_ = false;
       AdvanceApplied(last);
       PumpApplier();
@@ -372,8 +377,7 @@ void Proxy::PumpApplier() {
 }
 
 void Proxy::MaybeFinishRecovery() {
-  if (lifecycle_ != ReplicaLifecycle::kRecovering || applying_ || installing_ ||
-      !ApplyQueueEmpty()) {
+  if (lifecycle_ != ReplicaLifecycle::kRecovering || applying_ || !ApplyQueueEmpty()) {
     return;
   }
   if (applied_version_ < certifier_->head_version()) {
@@ -448,8 +452,8 @@ void Proxy::FinishTransaction(bool committed, const TxnDone& done) {
 
 void Proxy::StartDaemons() {
   sim_->SchedulePeriodic(sim_->Now() + kPullPeriod, kPullPeriod, [this]() {
-    // Pull only if we have not talked to the certifier recently, and never
-    // while fail-stopped (a down machine does not run its pull daemon).
+    // lifecycle: pull-tick. Pull only if we have not talked to the certifier
+    // recently, and never while fail-stopped.
     if (lifecycle_ != ReplicaLifecycle::kDown &&
         sim_->Now() - last_certifier_contact_ >= kPullPeriod) {
       PullUpdates();
@@ -459,7 +463,7 @@ void Proxy::StartDaemons() {
 
 void Proxy::OnProd() {
   if (lifecycle_ == ReplicaLifecycle::kDown) {
-    return;  // the machine is off; the certifier's nudge goes unanswered
+    return;  // lifecycle: prod. The machine is off; the nudge goes unanswered.
   }
   ++stats_.prods;
   // Short notification message, then the proxy requests updates.
@@ -467,8 +471,8 @@ void Proxy::OnProd() {
 }
 
 void Proxy::PullUpdates() {
-  if (lifecycle_ == ReplicaLifecycle::kDown || installing_ || pull_in_progress_) {
-    return;
+  if (lifecycle_ > ReplicaLifecycle::kRecovering || pull_in_progress_) {
+    return;  // lifecycle: pull. Only kUp and kRecovering pull, one pull at a time.
   }
   pull_in_progress_ = true;
   ++stats_.pulls;
@@ -479,7 +483,7 @@ void Proxy::PullUpdates() {
 void Proxy::SendPull() {
   ++pull_attempts_;
   const uint64_t gen = pull_gen_;
-  channel_->ScheduleArrival(CertificationRtt(), [this, gen]() { OnPullArrive(gen); },
+  channel_->ScheduleArrival(kCertificationRtt, [this, gen]() { OnPullArrive(gen); },
                             static_cast<uint32_t>(replica_->id()));
   if (config_.retry.enabled) {
     pull_timeout_ =
@@ -488,6 +492,7 @@ void Proxy::SendPull() {
 }
 
 void Proxy::OnPullArrive(uint64_t pull_gen) {
+  // lifecycle: pull-response, the same in every state (the pump decides).
   if (pull_gen != pull_gen_ || !pull_in_progress_) {
     ++stats_.stale_responses;  // a duplicate or superseded copy; pulls are idempotent reads
     return;
@@ -515,7 +520,7 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
   pull_timeout_ = Simulator::kInvalidEvent;
   ++stats_.pull_timeouts;
   if (lifecycle_ == ReplicaLifecycle::kDown) {
-    // Crashed while the pull was out; drop it (recovery pulls afresh).
+    // lifecycle: pull-timeout. Crashed while the pull was out; drop it.
     ++pull_gen_;
     pull_in_progress_ = false;
     return;
@@ -524,7 +529,7 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
   sim_->ScheduleAfter(BackoffDelay(pull_attempts_), [this, pull_gen]() {
     if (pull_gen != pull_gen_ || !pull_in_progress_ ||
         lifecycle_ == ReplicaLifecycle::kDown) {
-      return;
+      return;  // lifecycle: pull-resend. Down, the pull stays marked in flight.
     }
     SendPull();
   });

@@ -45,6 +45,9 @@ namespace tashkent {
 
 // Growth of the backoff between certifier attempts (see RetryPolicy).
 inline constexpr double kBackoffFactor = 2.0;
+// One certifier round trip (request, certification, response), for a
+// certification and a pull alike.
+inline constexpr SimDuration kCertificationRtt = 2 * kNetworkOneWay + kCertifyCost;
 
 // Retry/timeout/backoff policy for the certifier round trips. Every round
 // trip is sequenced and generation-guarded either way; enabling the policy
@@ -55,9 +58,8 @@ inline constexpr double kBackoffFactor = 2.0;
 // refuse to run without it.
 struct RetryPolicy {
   bool enabled = false;
-  // Response deadline per attempt; must exceed the certification RTT
-  // (2 * kNetworkOneWay + kCertifyCost = 440 us) or every attempt times out.
-  // A static_assert next to Proxy::CertificationRtt holds the default to it.
+  // Response deadline per attempt; must exceed kCertificationRtt (440 us) or
+  // every attempt times out. A static_assert in proxy.cc holds the default to it.
   SimDuration timeout = Millis(2);
   // Exponential backoff between attempts: base * kBackoffFactor^(attempt-1),
   // capped at `max`, then scaled by a uniform jitter in [1-jitter, 1+jitter]
@@ -81,15 +83,15 @@ struct ProxyConfig {
   RetryPolicy retry;
 };
 
-// Replica lifecycle as the proxy tracks it (docs/OPERATIONS.md diagrams it):
-//   kUp         — serving work, applying remote writesets as they arrive;
-//   kDown       — fail-stopped: new submissions are rejected;
-//   kRecovering — replaying the certifier's committed-writeset log; still
-//                 rejects client work until caught up, then flips to kUp.
+// Replica lifecycle as the proxy tracks it. docs/OPERATIONS.md ("Replica
+// lifecycle") draws the states and gives the (state, event) table that each
+// handler's one guard follows. The states that pull and apply come first, so
+// that guard is one compare (`> kRecovering` means "neither").
 enum class ReplicaLifecycle {
-  kUp,
-  kDown,
-  kRecovering,
+  kUp,          // serving work, applying remote writesets as they arrive
+  kRecovering,  // replaying the certifier log; rejects client work until caught up
+  kInstalling,  // a checkpoint image is in flight; the replay of (image, head] follows
+  kDown,        // fail-stopped: rejects work, answers no prod, pulls and applies nothing
 };
 
 struct ProxyStats {
@@ -104,7 +106,7 @@ struct ProxyStats {
   uint64_t pulls = 0;
   uint64_t prods = 0;
   // --- churn -----------------------------------------------------------------
-  uint64_t rejected = 0;          // submissions refused while down/recovering
+  uint64_t rejected = 0;          // submissions refused while not kUp
   uint64_t replay_applied = 0;    // writesets applied during recovery replay
   uint64_t replay_filtered = 0;   // writesets the subscription filtered during replay
   uint64_t recoveries = 0;        // recoveries completed (kRecovering -> kUp)
@@ -174,37 +176,13 @@ class Proxy {
   }
 
   // --- Failure injection / lifecycle ----------------------------------------
-  // Crash: fail-stop for new work — SubmitTransaction rejects and the pump
-  // applies nothing until Recover(). Work already admitted drains rather
-  // than aborting: in-flight transactions finish, and a commit certified
-  // while the replica is down parks until replay has applied past it. Only
-  // with retry armed does a pending certification abort, at its timeout.
-  // (ROADMAP.md item 9, "Crash means crash", weighs dropping it instead.)
-  //
-  // Recover: begins recovery from the crashed state. The cache restarts cold;
-  // the durable state is the certifier log prefix at applied_version_. When
-  // the log still covers that prefix, the proxy REPLAYS the committed-
-  // writeset log from there (through its update-filtering subscription, which
-  // decides how much must actually be applied). When the prefix has been
-  // pruned away — or the replica is a fresh joiner — it first INSTALLS a
-  // checkpoint image at version V from the cluster's checkpoint source and
-  // replays only (V, head]. Either way it rejoins — becomes available — once
-  // caught up with the log head; the elapsed time is the recovery lag.
-  // A recovery that needs pruned versions with no checkpoint source installed
-  // throws std::runtime_error (the legacy replay-from-0 join is only legal
-  // while the log is complete).
-  //
-  // JoinAsNew: lifecycle entry point for a replica added at runtime — a
-  // recovery starting from version 0 (an empty database), which the
-  // checkpoint source (when installed) turns into a state transfer whose cost
-  // is independent of cluster age.
+  // The `crash` and `recover` rows of docs/OPERATIONS.md's lifecycle table.
+  // Recover throws std::runtime_error when the log is pruned past the durable
+  // prefix and no checkpoint source is installed. JoinAsNew, for a replica
+  // added at runtime, is `crash` then `recover` from an empty database.
   void Crash();
   void Recover();
-  void JoinAsNew() {
-    lifecycle_ = ReplicaLifecycle::kDown;
-    join_pending_ = true;
-    Recover();
-  }
+  void JoinAsNew();
 
   ReplicaLifecycle lifecycle() const { return lifecycle_; }
   bool available() const { return lifecycle_ == ReplicaLifecycle::kUp; }
@@ -222,7 +200,8 @@ class Proxy {
   // install in progress pins the cluster's prune floor at this version (the
   // replica will replay (version, head] once the image lands).
   std::optional<Version> installing_checkpoint() const {
-    return installing_ ? std::optional<Version>(installing_version_) : std::nullopt;
+    return lifecycle_ == ReplicaLifecycle::kInstalling ? std::optional(installing_version_)
+                                                        : std::nullopt;
   }
 
   // No certification this proxy has parked (in flight or backing off, which
@@ -266,7 +245,6 @@ class Proxy {
   // transaction-done continuation.
   TxnDone ReleaseCert(uint32_t slot);
   void PullUpdates();
-  SimDuration CertificationRtt() const;
 
   // --- Certifier round trips -----------------------------------------------
   // One attempt: a channel round trip carrying (slot, generation, txn_seq),
@@ -378,8 +356,7 @@ class Proxy {
   SimTime recovery_started_ = 0;
   uint64_t crash_epoch_ = 0;  // invalidates callbacks from before a crash
   CheckpointSource checkpoint_source_;
-  bool installing_ = false;          // a checkpoint install is in flight
-  Version installing_version_ = 0;   // its image version (prune-floor pin)
+  Version installing_version_ = 0;   // the image version while kInstalling (prune-floor pin)
   bool join_pending_ = false;        // JoinAsNew was requested; counted at rejoin
   struct Waiter {
     Version target;

@@ -153,9 +153,10 @@ TEST(Elastic, AddedReplicaReplaysLogThenServes) {
   const size_t index = cluster.AddReplica();
   EXPECT_EQ(index, 4u);
   ASSERT_EQ(cluster.replicas().size(), 5u);
-  // Joins via recovery: installs a checkpoint image (or replays the log when
-  // the image would not help) before serving.
-  EXPECT_EQ(cluster.proxies()[index]->lifecycle(), ReplicaLifecycle::kRecovering);
+  // Joins via recovery: the `recover` row from kDown installs the cluster's
+  // checkpoint image, which is newer than the joiner's empty database.
+  EXPECT_EQ(cluster.proxies()[index]->lifecycle(), ReplicaLifecycle::kInstalling);
+  EXPECT_FALSE(cluster.proxies()[index]->available());
   cluster.Advance(Seconds(120.0));
   EXPECT_TRUE(cluster.proxies()[index]->available());
   // MALB adopted it into a group (all five replicas allocated).

@@ -493,6 +493,49 @@ TEST_F(ProxyTest, ReplayWithAParkedCommitSkipsAndThenCommits) {
   EXPECT_EQ(s.recoveries, 1u);
 }
 
+TEST_F(ProxyTest, CrashMidInstallDiscardsTheTornImageAndInstallsAgain) {
+  // Replica 1 is three versions behind when it joins from a checkpoint image.
+  for (int i = 0; i < 3; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
+  }
+  sim_.RunAll();
+  const Version image = certifier_.head_version();
+  Proxy& joiner = *proxies_[1];
+  joiner.SetCheckpointSource(
+      [this]() { return BuildCheckpoint(schema_, certifier_.head_version()); });
+  joiner.JoinAsNew();
+  EXPECT_EQ(joiner.lifecycle(), ReplicaLifecycle::kInstalling);
+  EXPECT_EQ(joiner.installing_checkpoint(), std::optional<Version>(image));
+
+  // Crash well inside the 16 MiB image's transfer: the pin goes at once.
+  sim_.RunUntil(sim_.Now() + Millis(10));
+  ASSERT_EQ(joiner.lifecycle(), ReplicaLifecycle::kInstalling);
+  joiner.Crash();
+  EXPECT_EQ(joiner.installing_checkpoint(), std::nullopt);
+  // The torn image lands while the replica is down and moves nothing.
+  sim_.RunAll();
+  EXPECT_EQ(replicas_[1]->stats().checkpoint_installs, 1u);
+  EXPECT_EQ(joiner.lifecycle(), ReplicaLifecycle::kDown);
+  EXPECT_EQ(joiner.applied_version(), 0u);
+
+  // Recover restarts the transfer (the join is still pending); two commits
+  // while it installs leave a suffix to replay after the image.
+  joiner.Recover();
+  EXPECT_EQ(joiner.installing_checkpoint(), std::optional<Version>(image));
+  for (int i = 0; i < 2; ++i) {
+    proxies_[0]->SubmitTransaction(update_a_, [](bool) {});
+  }
+  sim_.RunAll();
+  EXPECT_EQ(joiner.stats().checkpoint_installs, 2u);
+  EXPECT_EQ(replicas_[1]->stats().checkpoint_installs, 2u);
+  EXPECT_TRUE(joiner.available());
+  EXPECT_EQ(joiner.installing_checkpoint(), std::nullopt);
+  EXPECT_EQ(certifier_.head_version(), image + 2);
+  EXPECT_EQ(joiner.applied_version(), certifier_.head_version());
+  EXPECT_EQ(joiner.stats().writesets_applied, 2u);
+  EXPECT_EQ(joiner.stats().joins, 1u);
+}
+
 TEST_F(ProxyTest, SetSubscriptionRejectsRelationPastTheMask) {
   // A relation id past TableMask::kBits has no mask bit: the subscription is
   // refused whole and the installed one keeps filtering.
