@@ -6,7 +6,8 @@
 # every cell's executed events and every result document's digest against
 # bench/baselines/, --jobs 1 equal to --jobs 2, and the marathon, asan, skew
 # and faults gates. Then check the perfbench workloads' pinned outcomes, and
-# check the docs cover every campaign, verb, metric and configuration field.
+# check the docs cover every campaign, verb, metric, configuration field and
+# callback capacity.
 # The gates are python3 scripts, so a host without python3 fails here
 # instead of skipping them.
 set -euo pipefail
@@ -388,6 +389,49 @@ for b in bad:
     print(f"knob check: {b}", file=sys.stderr)
 print(f"knob check: {total - len(bad)} of {total} configuration fields have a knob-table row")
 sys.exit(1 if bad else 0)
+EOF
+
+# Every InlineCallback alias declared under src/ must have a row in
+# docs/ARCHITECTURE.md's callback table (the first table after "Callback
+# capacities"), written as `Class::Alias` with the file that declares it and
+# the same capacity; a row naming no declared alias fails too. So the
+# documented capacities cannot drift from the code.
+python3 - <<'EOF' || { echo "ci: docs/ARCHITECTURE.md callback table disagrees with src/" >&2; exit 1; }
+import pathlib, re, sys
+alias = re.compile(r'using (\w+) = InlineCallback<.*,\s*(\d+)>;')
+declared = {}
+for path in sorted(pathlib.Path('src').rglob('*')):
+    if path.suffix in ('.h', '.cc') and path.name != 'inline_callback.h':
+        for m in alias.finditer(path.read_text()):
+            declared[(m.group(1), str(path))] = m.group(2)
+text = open('docs/ARCHITECTURE.md').read()
+if '**Callback capacities.**' not in text:
+    sys.exit("docs/ARCHITECTURE.md has no 'Callback capacities' section")
+after = text.split('**Callback capacities.**', 1)[1].splitlines()
+first = next((i for i, line in enumerate(after) if line.startswith('|')), None)
+if first is None:
+    sys.exit("the 'Callback capacities' section has no table")
+rows = {}
+for line in after[first + 2:]:
+    if not line.startswith('|'):
+        break
+    cells = [c.strip().strip('`') for c in line.strip('|').split('|')]
+    rows[(cells[0].rsplit('::', 1)[-1], cells[1])] = (cells[0], cells[2])
+bad = []
+for (name, path), capacity in sorted(declared.items()):
+    row = rows.get((name, path))
+    if row is None:
+        bad.append(f"{name} ({path}, capacity {capacity}) has no row")
+    elif row[1] != capacity:
+        bad.append(f"`{row[0]}` is {capacity} bytes in {path} but {row[1]} in the table")
+for (name, path), (label, _) in sorted(rows.items()):
+    if (name, path) not in declared:
+        bad.append(f"row `{label}` names no InlineCallback alias declared in {path}")
+for b in bad:
+    print(f"callback check: {b}", file=sys.stderr)
+matched = sum(1 for key, cap in declared.items() if key in rows and rows[key][1] == cap)
+print(f"callback check: {matched} of {len(declared)} InlineCallback aliases match their table row")
+sys.exit(1 if bad or not declared else 0)
 EOF
 
 # --- markdown link check -----------------------------------------------------

@@ -87,18 +87,22 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
     clients_ = std::make_unique<ClientPool>(&sim_, workload_, &workload_->MixByName(mix_name_),
                                             n_clients, config_.mean_think, root.Fork());
   }
-  clients_->SetDispatch([this](const TxnType& type, ClientSource::TxnDone done) {
-    const size_t idx = balancer_->Route(type);
-    proxies_[idx]->SubmitTransaction(type, [this, idx, &type,
-                                            done = std::move(done)](bool committed) {
+  clients_->SetDispatch([this](const TxnType& type, uint32_t token) {
+    const auto idx = static_cast<uint32_t>(balancer_->Route(type));
+    auto done = [this, idx, token, &type](bool committed) {
       balancer_->OnComplete(idx, type);
-      done(committed);
-    });
+      clients_->Complete(token, committed);
+    };
+    // The one continuation a transaction carries down the path: no client
+    // state rides in it, only the token the client source resolves.
+    static_assert(sizeof(done) <= Proxy::TxnDone::capacity(),
+                  "the dispatch continuation must fit Proxy::TxnDone");
+    proxies_[idx]->SubmitTransaction(type, std::move(done));
   });
   clients_->SetOnCommit([this](const TxnType& type, SimDuration response) {
     (void)type;
     ++committed_;
-    response_s_.Add(ToSeconds(response));
+    responses_.Add(response);
     timeline_.Record(sim_.Now(), 1.0);
     if (awaiting_failover_commit_) {
       // First commit after a certifier failover: the client-visible takeover
@@ -306,7 +310,7 @@ void Cluster::ResetMetrics() {
   // component (see the metric lists in cluster.h).
   committed_ = 0;
   aborted_ = 0;
-  response_s_.Reset();
+  responses_.Reset();
   for (auto& r : replicas_) {
     r->ResetStats();
   }
@@ -346,8 +350,8 @@ ExperimentResult Cluster::Collect(SimDuration measure_window) {
   out.committed = committed_;
   out.aborted = aborted_;
   out.tps = static_cast<double>(committed_) / ToSeconds(measure_window);
-  out.mean_response_s = response_s_.Mean();
-  out.p95_response_s = response_s_.Percentile(0.95);  // sorts in place
+  out.mean_response_s = responses_.Mean();
+  out.p95_response_s = responses_.Percentile(0.95);  // selects; reorders the samples
 
   Bytes reads = 0;
   Bytes writes = 0;

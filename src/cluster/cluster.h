@@ -351,7 +351,7 @@ class Cluster {
   uint64_t arena_bytes_hwm_ = 0;
   uint64_t conflict_rows_hwm_ = 0;
   uint64_t prunes_ = 0;
-  PercentileTracker response_s_;
+  PercentileTracker responses_;  // client-visible response times of the window
   TimeSeries timeline_;
   bool started_ = false;
 };

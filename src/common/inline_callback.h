@@ -15,10 +15,11 @@
 // relocation, an indirect call, per hop.
 //
 // Each hot signature picks its own capacity, sized for the largest capture
-// that flows through it (the capacity ladder is documented in
-// docs/ARCHITECTURE.md, "Hot path & performance model"). When a new capture
-// overflows a capacity, raise that alias's capacity — do not fall back to
-// std::function on a hot path.
+// that flows through it (docs/ARCHITECTURE.md tables every alias under
+// "Callback capacities", and scripts/ci.sh holds the table to the code).
+// When a new capture overflows a capacity, park the payload in its owner or
+// raise that alias's capacity — do not fall back to std::function on a hot
+// path.
 //
 // Differences from std::function, all deliberate:
 //   * move-only (hot-path callbacks are consumed exactly once or stored once);

@@ -2,9 +2,8 @@
 // state, used for hot-path job/admission queues in place of std::deque.
 //
 // libstdc++'s deque sizes its nodes at 512 bytes, so queues of large
-// elements (160-byte gatekeeper work items, 96-byte FifoServer jobs) get
-// only three to five elements per node — a heap allocation every few pushes
-// and a free every few pops. RingQueue keeps a power-of-two slot array and
+// elements (96-byte FifoServer jobs) get only five elements per node — a
+// heap allocation every few pushes and a free every few pops. RingQueue keeps a power-of-two slot array and
 // only allocates when the backlog exceeds every previous high-water mark;
 // AllocGuard-instrumented tests (tests/proxy_test.cc) pin this down.
 //

@@ -10,10 +10,9 @@
 // MoveSpillTo.
 //
 // Moves copy only the live elements (not the full inline capacity), so
-// passing a SmallVec-backed Writeset by value through InlineCallback captures
-// costs bytes proportional to the data, while the *capacity* of the callback
-// must still cover sizeof(SmallVec) — the capacity ladder in
-// docs/ARCHITECTURE.md accounts for this.
+// moving a SmallVec-backed Writeset into the slab that parks it costs bytes
+// proportional to the data. No callback captures a writeset: its owners park
+// it and pass a slot (docs/ARCHITECTURE.md, "Callback capacities").
 //
 // Storage states, tracked by `storage_`:
 //   kInline   — elements live in inline_; size_ <= N.

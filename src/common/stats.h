@@ -7,6 +7,7 @@
 #define SRC_COMMON_STATS_H_
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/common/units.h"
@@ -58,21 +59,47 @@ class UtilizationIntegrator {
   SimTime last_sample_ = 0;
 };
 
-// Percentile estimator: stores all samples (experiments are short enough for
-// this to be fine) and sorts on demand.
+// Exact response-time statistics over every sample of a window. Samples are
+// kept as SimDuration (8 bytes each) in 64 KiB blocks that are allocated as
+// the count reaches them and kept across Reset(). Growing never copies the
+// store, so there is no transient doubling, and the few large blocks do not
+// interleave with the simulation's small allocations (a std::deque's
+// 512-byte nodes did, and cost a workload 0.2 MiB of peak RSS). Mean() is a
+// running sum of the samples' seconds in insertion order, and Percentile()
+// selects its two order statistics with std::nth_element; both return the
+// same doubles as summing and sorting a vector of ToSeconds() values
+// (ToSeconds is monotone, so the order statistics coincide).
 class PercentileTracker {
  public:
-  void Add(double x) { samples_.push_back(x); sorted_ = false; }
+  void Add(SimDuration d) {
+    if (count_ == blocks_.size() << kBlockShift) {
+      // Left uninitialised: a block's pages become resident as samples land.
+      blocks_.push_back(std::unique_ptr<SimDuration[]>(new SimDuration[kBlockSamples]));
+    }
+    blocks_[count_ >> kBlockShift][count_ & (kBlockSamples - 1)] = d;
+    ++count_;
+    sum_s_ += ToSeconds(d);
+  }
 
-  // q in [0,1]; returns 0 when empty.
+  // q in [0,1], linearly interpolated between the two nearest ranks;
+  // returns 0 when empty. Reorders the stored samples.
   double Percentile(double q);
-  double Mean() const;
-  size_t count() const { return samples_.size(); }
-  void Reset() { samples_.clear(); sorted_ = false; }
+  double Mean() const { return count_ == 0 ? 0.0 : sum_s_ / static_cast<double>(count_); }
+  size_t count() const { return count_; }
+  void Reset() {
+    count_ = 0;
+    sum_s_ = 0.0;
+  }
 
  private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
+  class Cursor;  // a random-access iterator over the samples (stats.cc)
+
+  static constexpr size_t kBlockShift = 13;
+  static constexpr size_t kBlockSamples = size_t{1} << kBlockShift;
+
+  std::vector<std::unique_ptr<SimDuration[]>> blocks_;
+  size_t count_ = 0;
+  double sum_s_ = 0.0;
 };
 
 // Counts events into fixed-width time buckets; used to render the Figure 6

@@ -8,30 +8,32 @@
 #define SRC_PROXY_GATEKEEPER_H_
 
 #include <cstdint>
-#include <utility>
 
-#include "src/common/inline_callback.h"
 #include "src/common/ring_queue.h"
+#include "src/common/slab_list.h"
 #include "src/proxy/idle_sets.h"
 
 namespace tashkent {
 
 class Gatekeeper {
  public:
-  // Admitted work with inline captures (one is built per submitted
-  // transaction — hot). Sized for the proxy's submission closure, which
-  // carries the transaction-done continuation.
-  using Work = InlineCallback<void(), 144>;
+  // A queued transaction is named by its owner's slot for it (the proxy
+  // parks each admitted transaction once, in its own slab); the queue holds
+  // nothing else.
+  using Ticket = uint32_t;
+  static_assert(sizeof(Ticket) <= 8, "a gatekeeper queue entry is a slot index");
 
   explicit Gatekeeper(int max_in_flight) : max_in_flight_(max_in_flight) {}
 
-  // Runs `work` immediately if a slot is free, otherwise queues it. The
-  // holder must call Release() exactly once when the admitted work finishes.
-  void Admit(Work work);
+  // Returns true when `ticket` takes a free slot now (the caller runs it);
+  // otherwise queues it FIFO. The holder of an admitted ticket must call
+  // Release() exactly once when its work finishes.
+  bool Admit(Ticket ticket);
 
-  // Frees a slot and admits the next queued arrival, if any. Throws
-  // std::logic_error when no admitted work holds a slot.
-  void Release();
+  // Frees a slot and hands it straight to the oldest queued ticket, which it
+  // returns for the caller to run; returns kNilSlot when none was queued.
+  // Throws std::logic_error when no admitted work holds a slot.
+  Ticket Release();
 
   // Reports this replica's outstanding count to `sets` (non-null) at
   // `index` from now on. A gatekeeper reports to one set at a time:
@@ -73,7 +75,7 @@ class Gatekeeper {
 
   int max_in_flight_;
   int in_flight_ = 0;
-  RingQueue<Work> queue_;
+  RingQueue<Ticket> queue_;
   IdleSets* idle_sets_ = nullptr;
   size_t idle_index_ = 0;
 };

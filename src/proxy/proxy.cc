@@ -29,9 +29,12 @@ void Proxy::SubmitTransaction(const TxnType& type, TxnDone done) {
     done(false);
     return;
   }
-  gatekeeper_.Admit([this, &type, done = std::move(done)]() mutable {
-    RunAdmitted(type, std::move(done));
-  });
+  const uint32_t txn = txns_.Alloc();
+  txns_[txn].type = &type;
+  txns_[txn].done = std::move(done);
+  if (gatekeeper_.Admit(txn)) {
+    RunAdmitted(txn);
+  }
 }
 
 void Proxy::Crash() {
@@ -102,23 +105,23 @@ void Proxy::InstallCheckpoint() {
   });
 }
 
-void Proxy::RunAdmitted(const TxnType& type, TxnDone done) {
-  replica_->Execute(type, [this, done = std::move(done)](ExecOutcome outcome) mutable {
+void Proxy::RunAdmitted(uint32_t txn) {
+  replica_->Execute(*txns_[txn].type, [this, txn](ExecOutcome outcome) {
     // lifecycle: execute-done, the same in every state (admitted work drains).
     if (!outcome.is_update) {
       // Read-only transactions run entirely locally against their snapshot.
       ++stats_.read_only;
-      FinishTransaction(true, done);
+      FinishTransaction(true, txn);
       return;
     }
-    CertifyAndCommit(std::move(outcome), std::move(done));
+    CertifyAndCommit(std::move(outcome), txn);
   });
 }
 
 static_assert(RetryPolicy{}.timeout > kCertificationRtt,
               "the default retry timeout must exceed the certification RTT");
 
-void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
+void Proxy::CertifyAndCommit(ExecOutcome outcome, uint32_t txn) {
   // One round trip to the certifier: the request carries the writeset and the
   // replica's applied version; the response carries the verdict plus remote
   // writesets committed since. The payload is parked in the pending slab so
@@ -127,7 +130,7 @@ void Proxy::CertifyAndCommit(ExecOutcome outcome, TxnDone done) {
   PendingCert& pending = pending_certs_[slot];
   pending.ws = std::move(outcome.writeset);
   pending.ws.snapshot_version = applied_version_;
-  pending.done = std::move(done);
+  pending.txn = txn;
   pending.txn_seq = next_txn_seq_++;
   pending.attempts = 0;
   if (slot >= cert_gen_.size()) {
@@ -245,14 +248,14 @@ SimDuration Proxy::BackoffDelay(int attempt) {
   return d > 0 ? d : 1;
 }
 
-Proxy::TxnDone Proxy::ReleaseCert(uint32_t slot) {
+uint32_t Proxy::ReleaseCert(uint32_t slot) {
   PendingCert& pending = pending_certs_[slot];
-  TxnDone done = std::move(pending.done);
+  const uint32_t txn = pending.txn;
   pending.ws = Writeset{};
   cert_snapshot_[slot] = kNoSnapshot;
   --live_certs_;
   pending_certs_.Free(slot);
-  return done;
+  return txn;
 }
 
 Version Proxy::snapshot_floor() const {
@@ -263,23 +266,21 @@ Version Proxy::snapshot_floor() const {
   return floor;
 }
 
-void Proxy::HandleCertifyResult(const CertifyResult& result, TxnDone done) {
+void Proxy::HandleCertifyResult(const CertifyResult& result, uint32_t txn) {
   EnqueueRemotes(result.remote);
   PumpApplier();
   if (result.committed) {
     const Version commit_version = result.commit_version;
     // The local update commits only after every intervening remote writeset
     // is applied; no fsync (durability lives in the certifier log).
-    WaitApplied(commit_version - 1, [this, commit_version, done = std::move(done)]() {
+    WaitApplied(commit_version - 1, [this, commit_version, txn]() {
       AdvanceApplied(commit_version);
       ++lifetime_update_commits_;
-      FinishTransaction(true, done);
+      FinishTransaction(true, txn);
     });
   } else {
     // Certification abort: apply what the response carried, then report.
-    WaitApplied(apply_hi_, [this, done = std::move(done)]() {
-      FinishTransaction(false, done);
-    });
+    WaitApplied(apply_hi_, [this, txn]() { FinishTransaction(false, txn); });
   }
 }
 
@@ -440,13 +441,20 @@ void Proxy::AdvanceApplied(Version v) {
   }
 }
 
-void Proxy::FinishTransaction(bool committed, const TxnDone& done) {
+void Proxy::FinishTransaction(bool committed, uint32_t txn) {
   if (committed) {
     ++stats_.committed;
   } else {
     ++stats_.aborted;
   }
-  gatekeeper_.Release();
+  // Moved out and freed first: `done` may submit again, which can reuse the
+  // slot or grow the slab.
+  TxnDone done = std::move(txns_[txn].done);
+  txns_.Free(txn);
+  const uint32_t next = gatekeeper_.Release();
+  if (next != kNilSlot) {
+    RunAdmitted(next);  // the freed gatekeeper slot passes straight to it
+  }
   done(committed);
 }
 
@@ -527,9 +535,15 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
   }
   ++stats_.pull_retries;
   sim_->ScheduleAfter(BackoffDelay(pull_attempts_), [this, pull_gen]() {
-    if (pull_gen != pull_gen_ || !pull_in_progress_ ||
-        lifecycle_ == ReplicaLifecycle::kDown) {
-      return;  // lifecycle: pull-resend. Down, the pull stays marked in flight.
+    if (pull_gen != pull_gen_ || !pull_in_progress_) {
+      return;
+    }
+    if (lifecycle_ == ReplicaLifecycle::kDown) {
+      // lifecycle: pull-resend. Crashed during the backoff; drop the pull as
+      // pull-timeout does, so the pull of a later Recover() goes out.
+      ++pull_gen_;
+      pull_in_progress_ = false;
+      return;
     }
     SendPull();
   });

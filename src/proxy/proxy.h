@@ -15,13 +15,17 @@
 //     (version bookkeeping still advances past filtered writesets).
 //
 // Hot-path layout (docs/ARCHITECTURE.md, "Hot path & performance model"):
-// a certification round trip parks its payload (the writeset + the
-// transaction-done continuation) in a free-listed slab on the proxy, so the
-// simulator event carries only {proxy, txn_seq, slot, generation}; round
-// trips travel through the cluster's CertifierChannel, which batches
-// same-tick arrivals into one event (group commit); and the remote-apply
-// queue is a pair of version cursors into the certifier log instead of a
-// pointer deque — the pending writesets are always a dense version range.
+// each admitted transaction is parked once, in a free-listed slab on the
+// proxy (its type and the transaction-done continuation), and everything
+// below names it by that slot: the gatekeeper queue, the replica's
+// execution-done continuation, the parked certification and the commit's
+// wait on the applier. A certification round trip parks its writeset in a
+// second slab, so the simulator event carries only {proxy, txn_seq, slot,
+// generation}; round trips travel through the cluster's CertifierChannel,
+// which batches same-tick arrivals into one event (group commit); and the
+// remote-apply queue is a pair of version cursors into the certifier log
+// instead of a pointer deque — the pending writesets are always a dense
+// version range.
 // No allocations per transaction.
 #ifndef SRC_PROXY_PROXY_H_
 #define SRC_PROXY_PROXY_H_
@@ -129,9 +133,9 @@ struct ProxyStats {
 class Proxy {
  public:
   // Result of one transaction as seen by the client: true = committed. One is
-  // built per submission (hot); the capacity holds the cluster's dispatch
-  // wrapper around the client pool's retry continuation.
-  using TxnDone = InlineCallback<void(bool committed), 96>;
+  // built per submission (hot) and parked with the transaction; the capacity
+  // holds the cluster's dispatch continuation {cluster, replica, token, type}.
+  using TxnDone = InlineCallback<void(bool committed), 24>;
 
   // `channel` is the cluster-shared certifier channel; when null (standalone
   // unit tests) the proxy owns a private batching one.
@@ -232,18 +236,21 @@ class Proxy {
   }
 
  private:
-  void RunAdmitted(const TxnType& type, TxnDone done);
-  void FinishTransaction(bool committed, const TxnDone& done);
-  void CertifyAndCommit(ExecOutcome outcome, TxnDone done);
+  // Executes the admitted transaction parked in slot `txn` of txns_.
+  void RunAdmitted(uint32_t txn);
+  // Counts the outcome, frees slot `txn` and its gatekeeper slot (running
+  // the next queued transaction), then answers the client.
+  void FinishTransaction(bool committed, uint32_t txn);
+  void CertifyAndCommit(ExecOutcome outcome, uint32_t txn);
   // Starts the asynchronous checkpoint install (state transfer) that Recover
   // chose; pulls the (version, head] delta once the image lands.
   void InstallCheckpoint();
   // The post-certification completion: enqueue remotes, pump, wait for the
   // predecessor prefix, finish the transaction.
-  void HandleCertifyResult(const CertifyResult& result, TxnDone done);
-  // Frees a decided (or abandoned) certification's slot and hands back its
-  // transaction-done continuation.
-  TxnDone ReleaseCert(uint32_t slot);
+  void HandleCertifyResult(const CertifyResult& result, uint32_t txn);
+  // Frees a decided (or abandoned) certification's slot and returns the
+  // transaction's slot in txns_.
+  uint32_t ReleaseCert(uint32_t slot);
   void PullUpdates();
 
   // --- Certifier round trips -----------------------------------------------
@@ -292,19 +299,25 @@ class Proxy {
   // delta that committed meanwhile or, if caught up with the log head, flip
   // to kUp and record the recovery lag.
   void MaybeFinishRecovery();
-  // Commit continuation parked until the applier catches up; carries the
-  // transaction-done callback inline.
-  using AppliedHook = InlineCallback<void(), 128>;
+  // Commit continuation parked until the applier catches up; it captures
+  // {proxy, commit version, transaction slot}.
+  using AppliedHook = InlineCallback<void(), 24>;
   // Runs `fn` once applied_version_ >= target.
   void WaitApplied(Version target, AppliedHook fn);
   void AdvanceApplied(Version v);
+
+  // An admitted transaction, from SubmitTransaction to FinishTransaction.
+  struct Admitted {
+    const TxnType* type = nullptr;
+    TxnDone done;
+  };
 
   // Payload of an in-flight certification round trip, parked so the
   // simulator event captures only {this, txn_seq, slot, generation} — the
   // Arrival's 24 bytes.
   struct PendingCert {
     Writeset ws;
-    TxnDone done;
+    uint32_t txn = kNilSlot;  // the transaction's slot in txns_
     uint64_t txn_seq = 0;     // per-proxy monotonic; the dedup key with retry on
     uint64_t sent_epoch = 0;  // certifier epoch the last attempt targeted
     int attempts = 0;
@@ -318,6 +331,7 @@ class Proxy {
   Gatekeeper gatekeeper_;
   std::unique_ptr<CertifierChannel> owned_channel_;  // standalone proxies only
   CertifierChannel* channel_;
+  Slab<Admitted> txns_;
   Slab<PendingCert> pending_certs_;
   Version applied_version_ = 0;
   SimTime last_certifier_contact_ = 0;

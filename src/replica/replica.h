@@ -102,9 +102,9 @@ struct ReplicaStats {
 
 class Replica {
  public:
-  // Per-transaction execution-done continuation (carries the proxy's
-  // transaction-done callback inline).
-  using ExecDone = InlineCallback<void(ExecOutcome), 128>;
+  // Per-transaction execution-done continuation. The proxy's captures only
+  // {proxy, slot}: the transaction's client side stays parked in the proxy.
+  using ExecDone = InlineCallback<void(ExecOutcome), 24>;
   // Apply-batch (and checkpoint-install) done continuation (the proxy's
   // applier pump).
   using ApplyDone = InlineCallback<void(), 32>;

@@ -16,8 +16,9 @@ void ClientPool::Start() {
     return;
   }
   started_ = true;
-  running_.assign(population_, 1);
-  for (size_t c = 0; c < population_; ++c) {
+  clients_.assign(population_, Client{});
+  for (uint32_t c = 0; c < population_; ++c) {
+    clients_[c].running = true;
     // Stagger initial arrivals over one think time to avoid a thundering
     // herd at t=0.
     const SimDuration offset = Seconds(rng_.NextExponential(ToSeconds(mean_think_)));
@@ -26,8 +27,8 @@ void ClientPool::Start() {
 }
 
 void ClientPool::SetPopulation(size_t population) {
-  if (population > running_.size()) {
-    running_.resize(population, 0);
+  if (population > clients_.size()) {
+    clients_.resize(population);
   }
   population_ = population;
   if (!started_) {
@@ -36,50 +37,52 @@ void ClientPool::SetPopulation(size_t population) {
   // Shrinks need no action here: clients at or above the target park when
   // their current chain reaches its next think/commit. Growth (re)spawns
   // every non-running client below the target, staggered like Start().
-  for (size_t c = 0; c < population; ++c) {
-    if (running_[c]) {
+  for (uint32_t c = 0; c < population; ++c) {
+    if (clients_[c].running) {
       continue;
     }
-    running_[c] = 1;
+    clients_[c].running = true;
     const SimDuration offset = Seconds(rng_.NextExponential(ToSeconds(mean_think_)));
     sim_->ScheduleAfter(offset, [this, c]() { ClientThink(c); });
   }
 }
 
-void ClientPool::ClientThink(size_t client) {
+void ClientPool::ClientThink(uint32_t client) {
   if (client >= population_) {
-    running_[client] = 0;  // parked by a population shrink
+    clients_[client].running = false;  // parked by a population shrink
     return;
   }
-  const TxnTypeId type = mix_->Sample(rng_);
-  ClientSubmit(client, type, sim_->Now());
+  clients_[client].type = mix_->Sample(rng_);
+  clients_[client].started_at = sim_->Now();
+  ClientSubmit(client);
 }
 
-void ClientPool::ClientSubmit(size_t client, TxnTypeId type, SimTime started) {
-  const TxnType& txn = workload_->registry.Get(type);
-  dispatch_(txn, [this, client, type, started](bool committed) {
-    if (!committed) {
-      if (on_abort_) {
-        on_abort_(workload_->registry.Get(type));
-      }
-      // Retry the same transaction after a short reconnect delay; response
-      // time keeps accruing from the original start. The delay also bounds
-      // recursion when the cluster is briefly unavailable.
-      sim_->ScheduleAfter(Millis(5), [this, client, type, started]() {
-        ClientSubmit(client, type, started);
-      });
-      return;
+void ClientPool::ClientSubmit(uint32_t client) {
+  dispatch_(workload_->registry.Get(clients_[client].type), client);
+}
+
+void ClientPool::Complete(uint32_t client, bool committed) {
+  const Client& c = clients_[client];
+  const TxnType& type = workload_->registry.Get(c.type);
+  if (!committed) {
+    if (on_abort_) {
+      on_abort_(type);
     }
-    if (on_commit_) {
-      on_commit_(workload_->registry.Get(type), sim_->Now() - started);
-    }
-    if (client >= population_) {
-      running_[client] = 0;  // parked by a population shrink
-      return;
-    }
-    const SimDuration think = Seconds(rng_.NextExponential(ToSeconds(mean_think_)));
-    sim_->ScheduleAfter(think, [this, client]() { ClientThink(client); });
-  });
+    // Retry the same transaction after a short reconnect delay; response
+    // time keeps accruing from the original start. The delay also bounds
+    // recursion when the cluster is briefly unavailable.
+    sim_->ScheduleAfter(Millis(5), [this, client]() { ClientSubmit(client); });
+    return;
+  }
+  if (on_commit_) {
+    on_commit_(type, sim_->Now() - c.started_at);
+  }
+  if (client >= population_) {
+    clients_[client].running = false;  // parked by a population shrink
+    return;
+  }
+  const SimDuration think = Seconds(rng_.NextExponential(ToSeconds(mean_think_)));
+  sim_->ScheduleAfter(think, [this, client]() { ClientThink(client); });
 }
 
 }  // namespace tashkent

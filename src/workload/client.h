@@ -15,7 +15,8 @@
 // ClientSource is the abstract surface the Cluster drives; ClientPool is the
 // per-client discrete model, FluidClientPool (src/workload/fluid_pool.h) the
 // aggregate arrival-rate model for O(100k-1M) populations. Both share the
-// dispatch/commit/abort callback wiring here.
+// dispatch/commit/abort callback wiring here, and each owns the client-side
+// state of its transactions in flight: the cluster sees only a 32-bit token.
 #ifndef SRC_WORKLOAD_CLIENT_H_
 #define SRC_WORKLOAD_CLIENT_H_
 
@@ -25,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/inline_callback.h"
 #include "src/common/rng.h"
 #include "src/sim/simulator.h"
 #include "src/workload/workload.h"
@@ -37,13 +37,12 @@ namespace tashkent {
 // abort counters) and scenarios drive it through the same verbs.
 class ClientSource {
  public:
-  // Per-transaction completion callback handed to the dispatcher (hot: one
-  // per submission; the capture is the client's retry/think continuation).
-  using TxnDone = InlineCallback<void(bool committed), 48>;
-  // Submits a transaction; the callback reports whether it committed. The
-  // Dispatch itself is installed once per run (cold), so std::function is
-  // fine here — the per-transaction argument is the inline TxnDone.
-  using Dispatch = std::function<void(const TxnType&, TxnDone)>;
+  // Submits a transaction. `token` names it until the cluster answers with
+  // Complete(token, committed); the source owns everything the client side
+  // needs (type, start time, retry), so the path below carries only the
+  // token. The Dispatch itself is installed once per run (cold), so
+  // std::function is fine here.
+  using Dispatch = std::function<void(const TxnType&, uint32_t token)>;
   // Invoked on every commit with (type, response_time); aborts invoke
   // on_abort.
   using OnCommit = std::function<void(const TxnType&, SimDuration)>;
@@ -54,6 +53,11 @@ class ClientSource {
   void SetDispatch(Dispatch dispatch) { dispatch_ = std::move(dispatch); }
   void SetOnCommit(OnCommit cb) { on_commit_ = std::move(cb); }
   void SetOnAbort(OnAbort cb) { on_abort_ = std::move(cb); }
+
+  // Reports the outcome of the transaction dispatched with `token`. A commit
+  // ends it; an abort retries it after a 5 ms reconnect delay, keeping its
+  // type and original start time, under the same token.
+  virtual void Complete(uint32_t token, bool committed) = 0;
 
   // Switches the active mix; takes effect at the next transaction sample.
   virtual void SetMix(const Mix* mix) = 0;
@@ -89,9 +93,13 @@ class ClientPool : public ClientSource {
 
   size_t clients() const { return population_; }
 
+  // `token` is the client's index.
+  void Complete(uint32_t token, bool committed) override;
+
  private:
-  void ClientThink(size_t client);
-  void ClientSubmit(size_t client, TxnTypeId type, SimTime started);
+  void ClientThink(uint32_t client);
+  // Dispatches client `client`'s current transaction.
+  void ClientSubmit(uint32_t client);
 
   Simulator* sim_;
   const Workload* workload_;
@@ -99,11 +107,19 @@ class ClientPool : public ClientSource {
   size_t population_;
   SimDuration mean_think_;
   Rng rng_;
-  // 1 while client c has a think event or transaction in flight; a client
-  // parked by a population shrink clears its flag when its chain ends, and
-  // only flag-clear clients are respawned on growth (never double-started).
+  // One record per client, indexed by the client's token.
+  struct Client {
+    // The transaction in flight (or in abort-retry wait): the instant its
+    // response time counts from, and its type.
+    SimTime started_at = 0;
+    TxnTypeId type = kInvalidTxnType;
+    // True while the client has a think event or transaction in flight; a
+    // client parked by a population shrink clears it when its chain ends,
+    // and only clear clients are respawned on growth (never double-started).
+    bool running = false;
+  };
   // Grows monotonically to the largest population ever targeted.
-  std::vector<uint8_t> running_;
+  std::vector<Client> clients_;
   bool started_ = false;
 };
 

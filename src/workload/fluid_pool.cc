@@ -53,27 +53,33 @@ void FluidClientPool::Arrive() {
   ++busy_;
   const TxnTypeId type = mix_->Sample(rng_);
   Reschedule();
-  Submit(type, sim_->Now());
+  const uint32_t slot = in_flight_.Alloc();
+  in_flight_[slot] = InFlight{sim_->Now(), type};
+  Submit(slot);
 }
 
-void FluidClientPool::Submit(TxnTypeId type, SimTime started) {
-  const TxnType& txn = workload_->registry.Get(type);
-  dispatch_(txn, [this, type, started](bool committed) {
-    if (!committed) {
-      if (on_abort_) {
-        on_abort_(workload_->registry.Get(type));
-      }
-      // Same reconnect delay as ClientPool; the client stays busy through
-      // the retry so the arrival rate sees the blocked population.
-      sim_->ScheduleAfter(Millis(5), [this, type, started]() { Submit(type, started); });
-      return;
+void FluidClientPool::Submit(uint32_t slot) {
+  dispatch_(workload_->registry.Get(in_flight_[slot].type), slot);
+}
+
+void FluidClientPool::Complete(uint32_t slot, bool committed) {
+  const InFlight txn = in_flight_[slot];
+  const TxnType& type = workload_->registry.Get(txn.type);
+  if (!committed) {
+    if (on_abort_) {
+      on_abort_(type);
     }
-    if (on_commit_) {
-      on_commit_(workload_->registry.Get(type), sim_->Now() - started);
-    }
-    --busy_;
-    Reschedule();
-  });
+    // Same reconnect delay as ClientPool; the client stays busy through
+    // the retry so the arrival rate sees the blocked population.
+    sim_->ScheduleAfter(Millis(5), [this, slot]() { Submit(slot); });
+    return;
+  }
+  in_flight_.Free(slot);
+  if (on_commit_) {
+    on_commit_(type, sim_->Now() - txn.started_at);
+  }
+  --busy_;
+  Reschedule();
 }
 
 }  // namespace tashkent

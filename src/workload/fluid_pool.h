@@ -33,6 +33,7 @@
 #ifndef SRC_WORKLOAD_FLUID_POOL_H_
 #define SRC_WORKLOAD_FLUID_POOL_H_
 
+#include "src/common/slab_list.h"
 #include "src/workload/client.h"
 
 namespace tashkent {
@@ -56,13 +57,26 @@ class FluidClientPool : public ClientSource {
   // Clients currently in-flight (submitted or in abort-retry wait).
   size_t busy() const { return busy_; }
 
+  // `token` is the transaction's slot in the in-flight slab.
+  void Complete(uint32_t token, bool committed) override;
+
  private:
+  // A transaction in flight (or in abort-retry wait): the instant its
+  // response time counts from, and its type. This is all the pool keeps per
+  // busy client.
+  struct InFlight {
+    SimTime started_at = 0;
+    TxnTypeId type = kInvalidTxnType;
+  };
+  static_assert(sizeof(InFlight) <= 16, "a fluid client's in-flight record is 16 bytes");
+
   void Arrive();
   // Cancels any pending arrival and, when idle clients exist, draws the next
   // arrival gap Exp(mean_think / idle). Valid at every state change by
   // memorylessness.
   void Reschedule();
-  void Submit(TxnTypeId type, SimTime started);
+  // Dispatches the transaction parked in `slot`.
+  void Submit(uint32_t slot);
 
   Simulator* sim_;
   const Workload* workload_;
@@ -71,6 +85,7 @@ class FluidClientPool : public ClientSource {
   SimDuration mean_think_;
   Rng rng_;
   size_t busy_ = 0;
+  Slab<InFlight> in_flight_;  // busy_ live slots
   Simulator::EventId next_arrival_ = Simulator::kInvalidEvent;
   bool arrival_pending_ = false;
   bool started_ = false;

@@ -148,15 +148,50 @@ TEST(UtilizationIntegrator, ClampsToOne) {
   EXPECT_DOUBLE_EQ(u.Sample(Millis(1000)), 1.0);
 }
 
-TEST(PercentileTracker, Percentiles) {
+// The tracker against the obvious reference: a vector of ToSeconds() values,
+// summed in insertion order and sorted for the nearest-rank interpolation.
+// Bit-equal, including ties, samples spread over several storage blocks, and
+// reuse of one tracker after Reset().
+TEST(PercentileTracker, MatchesSortedDoubleReference) {
+  Rng rng(20260601);
   PercentileTracker t;
-  for (int i = 1; i <= 100; ++i) {
-    t.Add(static_cast<double>(i));
+  // The last pass reuses the blocks the 100,000-sample pass filled.
+  for (const size_t n :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{20}, size_t{100000}, size_t{20}}) {
+    t.Reset();
+    std::vector<double> ref;
+    // Few distinct values for the small sizes, so ties are certain; a long
+    // tail among them for the large one.
+    const uint64_t distinct = n <= 20 ? 5 : 20000;
+    for (size_t i = 0; i < n; ++i) {
+      SimDuration d = Micros(static_cast<int64_t>(rng.NextBelow(distinct)) + 1);
+      if (i % 97 == 0) {
+        d += Millis(static_cast<int64_t>(rng.NextBelow(3000)));
+      }
+      t.Add(d);
+      ref.push_back(ToSeconds(d));
+    }
+    ASSERT_EQ(t.count(), n);
+    double sum = 0.0;
+    for (const double x : ref) {
+      sum += x;
+    }
+    const double mean = n == 0 ? 0.0 : sum / static_cast<double>(n);
+    std::sort(ref.begin(), ref.end());
+    for (const double q : {0.0, 0.5, 0.95, 1.0}) {
+      double expected = 0.0;
+      if (n > 0) {
+        const double pos = q * static_cast<double>(n - 1);
+        const size_t lo = static_cast<size_t>(pos);
+        const size_t hi = std::min(lo + 1, n - 1);
+        const double frac = pos - static_cast<double>(lo);
+        expected = ref[lo] * (1.0 - frac) + ref[hi] * frac;
+      }
+      EXPECT_EQ(t.Percentile(q), expected) << "n=" << n << " q=" << q;
+      // Selection reorders the samples; the mean does not depend on it.
+      EXPECT_EQ(t.Mean(), mean) << "n=" << n << " q=" << q;
+    }
   }
-  EXPECT_NEAR(t.Percentile(0.0), 1.0, 1e-9);
-  EXPECT_NEAR(t.Percentile(1.0), 100.0, 1e-9);
-  EXPECT_NEAR(t.Percentile(0.5), 50.5, 1e-9);
-  EXPECT_NEAR(t.Mean(), 50.5, 1e-9);
 }
 
 TEST(PercentileTracker, EmptyReturnsZero) {

@@ -388,6 +388,23 @@ TEST_P(ProxyLifecycle, RowHolds) {
   EXPECT_EQ(done_ ? "yes" : "no", row.done);
 }
 
+// The (kDown, pull-resend) row drops the pull. Had the resend left it marked
+// in flight, the pull of the later `recover`, and every prod and tick after
+// it, would do nothing, and the replica would stay kRecovering for good.
+class ProxyLifecycleAfterRow : public ProxyLifecycle {};
+
+TEST_F(ProxyLifecycleAfterRow, CrashInPullBackoffStillRecoversToTheHead) {
+  Drive("pull-resend", ReplicaLifecycle::kDown);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_EQ(Name(subject_->lifecycle()), std::string(Name(ReplicaLifecycle::kDown)));
+  certifier_.Failover();
+  subject_->Recover();
+  sim_.RunUntil(sim_.Now() + Seconds(30.0));
+  EXPECT_EQ(Name(subject_->lifecycle()), std::string(Name(ReplicaLifecycle::kUp)));
+  EXPECT_EQ(subject_->applied_version(), certifier_.head_version());
+  EXPECT_EQ(certifier_.head_version(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(OperationsTable, ProxyLifecycle, ::testing::ValuesIn(ReadTable()),
                          [](const ::testing::TestParamInfo<Row>& info) {
                            std::string name = info.param.state + "_" + info.param.event;

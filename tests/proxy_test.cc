@@ -16,39 +16,42 @@ namespace {
 
 TEST(Gatekeeper, AdmitsUpToLimit) {
   Gatekeeper g(2);
-  int started = 0;
-  g.Admit([&]() { ++started; });
-  g.Admit([&]() { ++started; });
-  g.Admit([&]() { ++started; });
-  EXPECT_EQ(started, 2);
+  EXPECT_TRUE(g.Admit(10));
+  EXPECT_TRUE(g.Admit(11));
+  EXPECT_FALSE(g.Admit(12));
   EXPECT_EQ(g.in_flight(), 2);
   EXPECT_EQ(g.queued(), 1u);
   EXPECT_EQ(g.outstanding(), 3u);
-  g.Release();
-  EXPECT_EQ(started, 3);
+  EXPECT_EQ(g.Release(), 12u);  // the freed slot passes to the queued ticket
+  EXPECT_EQ(g.in_flight(), 2);
   EXPECT_EQ(g.outstanding(), 2u);
-  g.Release();
-  g.Release();
+  EXPECT_EQ(g.Release(), kNilSlot);
+  EXPECT_EQ(g.Release(), kNilSlot);
   EXPECT_EQ(g.outstanding(), 0u);
 }
 
 TEST(Gatekeeper, FifoOrder) {
   Gatekeeper g(1);
-  std::vector<int> order;
-  g.Admit([&]() { order.push_back(0); });
-  g.Admit([&]() { order.push_back(1); });
-  g.Admit([&]() { order.push_back(2); });
-  g.Release();
-  g.Release();
-  g.Release();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  std::vector<uint32_t> order;
+  for (uint32_t ticket = 0; ticket < 3; ++ticket) {
+    if (g.Admit(ticket)) {
+      order.push_back(ticket);
+    }
+  }
+  for (int i = 0; i < 3; ++i) {
+    const uint32_t next = g.Release();
+    if (next != kNilSlot) {
+      order.push_back(next);
+    }
+  }
+  EXPECT_EQ(order, (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(Gatekeeper, ReleaseWithoutAdmitThrows) {
   Gatekeeper g(2);
   EXPECT_THROW(g.Release(), std::logic_error);
   EXPECT_EQ(g.outstanding(), 0u);
-  g.Admit([] {});
+  g.Admit(0);
   g.Release();
   EXPECT_THROW(g.Release(), std::logic_error);
   EXPECT_EQ(g.outstanding(), 0u);
@@ -60,15 +63,15 @@ TEST(Gatekeeper, IdleSetsFollowOutstanding) {
   IdleSets sets;
   sets.Resize(70);
   Gatekeeper g(1);
-  g.Admit([] {});  // counted before the attach: Assign reads it
+  g.Admit(0);  // counted before the attach: Assign reads it
   g.AttachIdleSets(&sets, 69);
   const auto check = [&] {
     EXPECT_EQ(sets.zero(69), g.outstanding() == 0) << g.outstanding();
     EXPECT_EQ(sets.one(69), g.outstanding() == 1) << g.outstanding();
   };
   check();
-  for (int i = 0; i < 3; ++i) {
-    g.Admit([] {});
+  for (uint32_t i = 1; i <= 3; ++i) {
+    g.Admit(i);
     check();
   }
   for (int i = 0; i < 4; ++i) {
@@ -88,7 +91,7 @@ TEST(Gatekeeper, IdleSetsFollowOutstanding) {
   EXPECT_TRUE(sets.superseded());
   EXPECT_FALSE(other.superseded());
   g.DetachIdleSets(&sets);
-  g.Admit([] {});
+  g.Admit(4);
   EXPECT_TRUE(other.one(0));
   g.DetachIdleSets(&other);
   g.Release();
@@ -419,18 +422,18 @@ TEST_F(ProxyTest, ParkedCommitHoldsTheSkipScanOffWhileUp) {
   // Replica 1's update certifies as version 601 with (0, 600] to apply. The
   // pump starts applying version 1 (wanted) and the commit parks on 600;
   // when that apply lands, versions 2..600 pass with the waiter still parked.
-  bool committed = false;
-  uint64_t skipped_at_commit = 0;
-  uint64_t filtered_at_commit = 0;
-  proxies_[1]->SubmitTransaction(update_b_, [&](bool ok) {
-    committed = ok;
-    skipped_at_commit = proxies_[1]->stats().mask_skipped;
-    filtered_at_commit = proxies_[1]->stats().writesets_filtered;
+  struct {
+    bool committed = false;
+    uint64_t skipped = 0;
+    uint64_t filtered = 0;
+  } at_commit;
+  proxies_[1]->SubmitTransaction(update_b_, [&at_commit, p = proxies_[1].get()](bool ok) {
+    at_commit = {ok, p->stats().mask_skipped, p->stats().writesets_filtered};
   });
   sim_.RunAll();
-  ASSERT_TRUE(committed);
-  EXPECT_EQ(filtered_at_commit, 599u);
-  EXPECT_EQ(skipped_at_commit, 0u) << "skip-scan ran while a commit was parked";
+  ASSERT_TRUE(at_commit.committed);
+  EXPECT_EQ(at_commit.filtered, 599u);
+  EXPECT_EQ(at_commit.skipped, 0u) << "skip-scan ran while a commit was parked";
   EXPECT_EQ(proxies_[1]->stats().mask_skipped, 0u);
   EXPECT_EQ(proxies_[1]->stats().writesets_applied, 1u);
   EXPECT_EQ(proxies_[1]->applied_version(), 601u);
@@ -607,6 +610,63 @@ TEST(ProxyAllocGuard, WarmTransactionRoundTripIsAllocationFree) {
       << "warm transaction round trip allocated on the certify/apply hot path";
   EXPECT_GT(cert.certified_count(), 0u);
   EXPECT_GT(r1.stats().writesets_applied + r0.stats().writesets_applied, 0u);
+}
+
+// A backlog of 1,000 submissions behind a one-slot gatekeeper: each waits as
+// a slot index in the gatekeeper's ring, its type and `done` parked once in
+// the proxy. Once the slab and the ring have grown to the backlog, a second
+// backlog allocates nothing, and the transactions finish in submission
+// order, each `done` exactly once.
+TEST(ProxyAllocGuard, QueuedBacklogIsAllocationFreeAndFifo) {
+  Schema tiny;
+  const RelationId hot = tiny.AddTable("hot", PagesToBytes(4));
+  ReplicaConfig rc;
+  rc.memory = 16 * kMiB;
+  rc.reserved = 0;
+  Simulator sim;
+  Certifier cert;
+  Replica replica(&sim, &tiny, 0, rc, Rng(1));
+  Proxy proxy(&sim, &replica, &cert, ProxyConfig{1, {}});
+  TxnType read;
+  read.name = "read";
+  read.id = 0;
+  read.base_cpu = Micros(100);
+  read.plan.steps = {Random(hot, 2)};
+
+  constexpr uint32_t kBacklog = 1000;
+  struct Log {
+    std::vector<uint32_t> order;   // transaction ids in completion order
+    std::vector<int> fired;        // `done` calls per transaction id
+    uint64_t aborted = 0;
+  } log;
+  log.order.reserve(2 * kBacklog);
+  log.fired.assign(2 * kBacklog, 0);
+  auto backlog = [&](uint32_t first) {
+    for (uint32_t id = first; id < first + kBacklog; ++id) {
+      proxy.SubmitTransaction(read, [&log, id](bool committed) {
+        log.order.push_back(id);
+        ++log.fired[id];
+        log.aborted += committed ? 0 : 1;
+      });
+    }
+    EXPECT_EQ(proxy.outstanding(), kBacklog);
+    sim.RunAll();
+  };
+
+  backlog(0);  // warm: the proxy's slab, the ring and the pool's pages
+  {
+    AllocGuard::Forbid forbid;
+    backlog(kBacklog);
+    EXPECT_EQ(forbid.seen(), 0u) << "a queued transaction allocated once warm";
+  }
+  ASSERT_EQ(log.order.size(), 2 * kBacklog);
+  for (uint32_t i = 0; i < 2 * kBacklog; ++i) {
+    EXPECT_EQ(log.order[i], i);
+    EXPECT_EQ(log.fired[i], 1) << "transaction " << i;
+  }
+  EXPECT_EQ(log.aborted, 0u);
+  EXPECT_EQ(proxy.outstanding(), 0u);
+  EXPECT_EQ(proxy.stats().read_only, 2 * kBacklog);
 }
 
 }  // namespace

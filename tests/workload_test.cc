@@ -4,10 +4,12 @@
 
 #include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/storage/buffer_pool.h"
 #include "src/workload/client.h"
+#include "src/workload/fluid_pool.h"
 #include "src/workload/rubis.h"
 #include "src/workload/tpcw.h"
 
@@ -232,8 +234,8 @@ TEST(ClientPool, SetPopulationGrowsAndShrinksThroughput) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   ClientPool pool(&sim, &w, &w.mixes[0], 10, Millis(100), Rng(5));
   int completed = 0;
-  pool.SetDispatch([&sim](const TxnType&, ClientPool::TxnDone done) {
-    sim.ScheduleAfter(Micros(1), [done = std::move(done)]() { done(true); });
+  pool.SetDispatch([&sim, &pool](const TxnType&, uint32_t token) {
+    sim.ScheduleAfter(Micros(1), [&pool, token]() { pool.Complete(token, true); });
   });
   pool.SetOnCommit([&](const TxnType&, SimDuration) { ++completed; });
   pool.Start();
@@ -266,8 +268,8 @@ TEST(ClientPool, ClosedLoopThroughput) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   ClientPool pool(&sim, &w, &w.mixes[0], 10, Millis(100), Rng(5));
   int completed = 0;
-  pool.SetDispatch([&sim](const TxnType&, ClientPool::TxnDone done) {
-    sim.ScheduleAfter(Micros(1), [done = std::move(done)]() { done(true); });
+  pool.SetDispatch([&sim, &pool](const TxnType&, uint32_t token) {
+    sim.ScheduleAfter(Micros(1), [&pool, token]() { pool.Complete(token, true); });
   });
   pool.SetOnCommit([&](const TxnType&, SimDuration) { ++completed; });
   pool.Start();
@@ -283,10 +285,10 @@ TEST(ClientPool, AbortedTransactionsRetry) {
   int attempts = 0;
   int commits = 0;
   int aborts = 0;
-  pool.SetDispatch([&](const TxnType&, ClientPool::TxnDone done) {
+  pool.SetDispatch([&](const TxnType&, uint32_t token) {
     ++attempts;
     const bool ok = attempts % 3 != 0;  // every third attempt aborts
-    sim.ScheduleAfter(Micros(10), [done = std::move(done), ok]() { done(ok); });
+    sim.ScheduleAfter(Micros(10), [&pool, token, ok]() { pool.Complete(token, ok); });
   });
   pool.SetOnCommit([&](const TxnType&, SimDuration) { ++commits; });
   pool.SetOnAbort([&](const TxnType&) { ++aborts; });
@@ -296,13 +298,67 @@ TEST(ClientPool, AbortedTransactionsRetry) {
   EXPECT_NEAR(attempts, commits + aborts, 1);
 }
 
+// An aborted transaction comes back 5 ms later under the same token, with
+// the same type, and its response time counts from the first dispatch.
+template <typename Pool>
+void ExpectRetryKeepsTypeAndStart() {
+  Simulator sim;
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Pool pool(&sim, &w, &w.mixes[0], 1, Millis(10), Rng(8));
+  struct Attempt {
+    SimTime at;
+    TxnTypeId type;
+    uint32_t token;
+  };
+  std::vector<Attempt> attempts;
+  std::vector<std::pair<TxnTypeId, SimDuration>> commits;
+  pool.SetDispatch([&](const TxnType& type, uint32_t token) {
+    if (!commits.empty()) {
+      return;  // the next transaction is left unanswered
+    }
+    attempts.push_back({sim.Now(), type.id, token});
+    // The first two attempts abort after 10 us; the third commits.
+    const bool ok = attempts.size() == 3;
+    sim.ScheduleAfter(Micros(10), [&pool, token, ok]() { pool.Complete(token, ok); });
+  });
+  int aborts = 0;
+  pool.SetOnCommit([&](const TxnType& t, SimDuration response) {
+    commits.emplace_back(t.id, response);
+  });
+  pool.SetOnAbort([&](const TxnType& t) {
+    ++aborts;
+    EXPECT_EQ(t.id, attempts.front().type);
+  });
+  pool.Start();
+  sim.RunUntil(Seconds(1.0));
+  ASSERT_EQ(commits.size(), 1u);
+  ASSERT_EQ(attempts.size(), 3u);
+  EXPECT_EQ(aborts, 2);
+  for (const Attempt& a : attempts) {
+    EXPECT_EQ(a.type, attempts[0].type);
+    EXPECT_EQ(a.token, attempts[0].token);
+  }
+  EXPECT_EQ(attempts[1].at - attempts[0].at, Micros(10) + Millis(5));
+  EXPECT_EQ(attempts[2].at - attempts[1].at, Micros(10) + Millis(5));
+  EXPECT_EQ(commits[0].first, attempts[0].type);
+  EXPECT_EQ(commits[0].second, 2 * (Micros(10) + Millis(5)) + Micros(10));
+}
+
+TEST(ClientPool, AbortRetryKeepsTypeAndOriginalStart) {
+  ExpectRetryKeepsTypeAndStart<ClientPool>();
+}
+
+TEST(FluidClientPool, AbortRetryKeepsTypeAndOriginalStart) {
+  ExpectRetryKeepsTypeAndStart<FluidClientPool>();
+}
+
 TEST(ClientPool, MixSwitchTakesEffect) {
   Simulator sim;
   Workload w = BuildTpcw(kTpcwSmallEbs);
   ClientPool pool(&sim, &w, &w.MixByName(kTpcwOrdering), 20, Millis(50), Rng(7));
   std::map<std::string, int> counts;
-  pool.SetDispatch([&sim](const TxnType&, ClientPool::TxnDone done) {
-    sim.ScheduleAfter(Micros(1), [done = std::move(done)]() { done(true); });
+  pool.SetDispatch([&sim, &pool](const TxnType&, uint32_t token) {
+    sim.ScheduleAfter(Micros(1), [&pool, token]() { pool.Complete(token, true); });
   });
   pool.SetOnCommit([&](const TxnType& t, SimDuration) { ++counts[t.name]; });
   pool.Start();
