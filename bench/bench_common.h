@@ -19,7 +19,10 @@
 // from them: when several figures or tables report the same configuration
 // (Figures 3, 5, 7 and Tables 1, 5 all run TPC-W MidDB at 512 MB), one
 // campaign runs each cell once and reports all of them, so every artifact
-// reads the same runs. Campaigns never read each other's cells.
+// reads the same runs. Campaigns never read each other's cells, and no two
+// cells of the grid differ only in their seed: a sweep or ablation of a
+// figure's configuration lives in that figure's campaign, and its reference
+// point (MPL 8, 16 replicas, 512 MB) is the figure's own cell.
 //
 // The helpers below build the common cell shapes. Cell `run` lambdas execute
 // on worker threads: they derive every stream from the seed they are handed

@@ -66,46 +66,35 @@ mkdir -p build/bench-out build/bench-out-j1
 ./build/tashkent_bench run all --jobs 1 --no-progress --json build/bench-out-j1 > /dev/null
 test -s build/bench-out/BENCH_campaign.json
 
-# The bounded-log gate: with auto-pruning on, the certifier log's chunk
-# high-water mark must PLATEAU across the marathon's churn epochs (last epoch
-# within 3x of the first — generous; measured ~1.2x), while the legacy
-# control (pruning off) must keep growing. Deterministic simulated values,
-# so this gates hard.
-grep -q '"bounded log chunks hwm epoch5"' build/bench-out/BENCH_marathon.json || {
-  echo "ci: marathon report is missing the bounded log HWM scalar" >&2; exit 1; }
-python3 - <<'EOF' || { echo "ci: marathon bounded-log gate failed" >&2; exit 1; }
+# The bounded-log and bounded-conflict gates: with auto-pruning on, the
+# certifier log's chunk high-water mark and the conflict index's row
+# high-water mark (pruned at the GSI-safe point every tick) must PLATEAU
+# across the marathon's churn epochs (last epoch within 3x of the first —
+# generous; measured ~1.2x for the log), while each legacy control (pruning
+# off) must keep growing with uptime. Deterministic simulated values, so
+# both gate hard.
+for family in "log chunks:bounded-log" "conflict rows:bounded-conflict"; do
+  python3 - "${family%%:*}" <<'EOF' || { echo "ci: marathon ${family##*:} gate failed" >&2; exit 1; }
 import json, sys
+what = sys.argv[1]
 s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
-b1, b5 = s['bounded log chunks hwm epoch1'], s['bounded log chunks hwm epoch5']
-l1, l5 = s['legacy log chunks hwm epoch1'], s['legacy log chunks hwm epoch5']
-print(f"marathon gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
-ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
-sys.exit(0 if ok else 1)
-EOF
-
-# The bounded-conflict gate: the same plateau test for the conflict index.
-# With auto-pruning its rows are pruned at the GSI-safe point every tick, so
-# the row high-water mark must plateau across epochs (epoch5 within 3x of
-# epoch1), while the unpruned legacy control keeps growing with uptime.
-python3 - <<'EOF' || { echo "ci: marathon bounded-conflict gate failed" >&2; exit 1; }
-import json, sys
-s = json.load(open('build/bench-out/BENCH_marathon.json'))['scalars']
-names = ['bounded conflict rows hwm epoch1', 'bounded conflict rows hwm epoch5',
-         'legacy conflict rows hwm epoch1', 'legacy conflict rows hwm epoch5']
+names = [f'{kind} {what} hwm epoch{epoch}' for kind in ('bounded', 'legacy') for epoch in (1, 5)]
 missing = [n for n in names if n not in s]
 if missing:
     sys.exit(f"marathon report is missing {missing}")
 b1, b5, l1, l5 = (s[n] for n in names)
-print(f"conflict gate: bounded epoch1={b1:.0f} epoch5={b5:.0f}, legacy epoch1={l1:.0f} epoch5={l5:.0f}")
+print(f"marathon gate: {what}: bounded epoch1={b1:.0f} epoch5={b5:.0f}, "
+      f"legacy epoch1={l1:.0f} epoch5={l5:.0f}")
 ok = b5 <= 3 * b1 and l5 > 1.5 * l1 and b5 < l5
 sys.exit(0 if ok else 1)
 EOF
+done
 
 # --- document gates ----------------------------------------------------------
-# Every result document, with the host-timing `cells` key removed, must hash
-# to the digest recorded in bench/baselines/documents.sha256, so a change to
-# anything simulated fails here and names the documents that moved
-# (bench/baselines/README.md says how a deliberate change regenerates them).
+# Every result document must hash to the digest recorded in
+# bench/baselines/documents.sha256, so a change to anything simulated fails
+# here and names the documents that moved (bench/baselines/README.md says how
+# a deliberate change regenerates them).
 # The --jobs 1 run must write the same documents as the --jobs 2 run. And
 # sanitizers and asserts must not change what is simulated: the ASan+UBSan
 # Debug build's smoke, faults and churn documents equal the plain build's.

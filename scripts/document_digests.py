@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of campaign result documents, minus host timing.
+"""SHA-256 digests of campaign result documents.
 
 Every `BENCH_<campaign>.json` that `tashkent_bench run --json DIR` writes is
-deterministic except its `cells` block (host wall seconds per cell). This
-tool digests each document with `cells` removed and
+deterministic (host timing lives only in the manifest). This tool digests
+each document and
 
   write DIR          records DIR's digests in bench/baselines/documents.sha256
   check DIR          fails unless DIR's documents match that file exactly
@@ -28,7 +28,6 @@ BASELINE = pathlib.Path(__file__).resolve().parent.parent / 'bench/baselines/doc
 
 def digest(path):
     doc = json.loads(path.read_text())
-    doc.pop('cells', None)
     text = json.dumps(doc, separators=(',', ':'), ensure_ascii=False)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -27,7 +27,7 @@
 // saturate at 100% under closed-loop overload, hiding demand differences
 // between two saturated groups. The balancer therefore adds a queue-pressure
 // term (outstanding transactions beyond the gatekeeper limit, normalized) to
-// the group load before comparing. The ablation bench toggles this off.
+// the group load before comparing. fig3's ablation cells toggle this off.
 #ifndef SRC_BALANCER_MALB_H_
 #define SRC_BALANCER_MALB_H_
 

@@ -305,25 +305,8 @@ CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
     }
     PrintConsole(sink);
     if (!options.json_dir.empty()) {
-      // Host-side per-cell timing block ("cells"), set last so the
-      // deterministic keys come first: wall seconds and executed simulator
-      // events, so perf regressions are visible per cell in the campaign's
-      // own JSON, not just the manifest.
-      json::Value cells_meta = json::Value::Array();
-      for (const CellRecord& cell : record.cells) {
-        json::Value j = json::Value::Object();
-        j.Set("id", cell.id);
-        j.Set("seed", std::to_string(cell.seed));
-        j.Set("ok", cell.ok);
-        j.Set("wall_s", cell.wall_s);
-        j.Set("executed_events", static_cast<double>(cell.output.executed_events));
-        j.Set("events_per_s", EventRate(cell.output.executed_events, cell.wall_s));
-        cells_meta.Append(std::move(j));
-      }
-      json::Value doc = ToJson(sink);
-      doc.Set("cells", std::move(cells_meta));
       const std::string path = JoinPath(options.json_dir, "BENCH_" + campaign.name + ".json");
-      record.json_path = WriteJson(path, doc);
+      record.json_path = WriteJson(path, ToJson(sink));
     }
   }
 

@@ -64,8 +64,7 @@ struct CellOutput {
   std::vector<std::pair<std::string, double>> scalars;
   std::vector<std::string> notes;
   // Simulator events the cell executed (the bench helpers fill it from the
-  // scenario/standalone result); feeds the perf accounting in the manifest
-  // and the per-campaign "cells" block.
+  // scenario/standalone result); feeds the perf accounting in the manifest.
   uint64_t executed_events = 0;
 
   const ExperimentResult& Result(const std::string& label = "measure") const {
@@ -81,9 +80,9 @@ struct CampaignCell {
 };
 
 // A cell after execution: output or error, plus timing for the manifest.
-// wall_s and executed_events feed the per-cell perf rows in both the
-// manifest and the campaign's own JSON, so perf regressions can be tracked
-// from the manifest alone across PRs.
+// wall_s and executed_events feed the manifest's per-cell perf rows, the one
+// place host timing is written, so perf regressions can be tracked from the
+// manifest alone across PRs.
 struct CellRecord {
   std::string id;
   uint64_t seed = 0;
@@ -160,9 +159,9 @@ json::Value ManifestJson(const CampaignRunSummary& summary);
 // duplicates throw std::invalid_argument), executes all cells of all
 // campaigns on one shared worker pool, records each campaign's report into a
 // ResultSink and prints it (PrintConsole). When json_dir is set it also
-// writes each report (ToJson plus the "cells" timing block) and the merged
-// manifest. Cell failures are contained: they mark the record failed and the
-// summary counts them, but other cells and campaigns still run.
+// writes each report (ToJson) and the merged manifest. Cell failures are
+// contained: they mark the record failed and the summary counts them, but
+// other cells and campaigns still run.
 CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
                                 const CampaignRunOptions& options);
 

@@ -102,7 +102,9 @@ Cluster::Cluster(const Workload& workload, std::string mix_name, std::string pol
   clients_->SetOnCommit([this](const TxnType& type, SimDuration response) {
     (void)type;
     ++committed_;
-    responses_.Add(response);
+    if (measuring_) {
+      responses_.Add(response);
+    }
     timeline_.Record(sim_.Now(), 1.0);
     if (awaiting_failover_commit_) {
       // First commit after a certifier failover: the client-visible takeover
@@ -311,6 +313,7 @@ void Cluster::ResetMetrics() {
   committed_ = 0;
   aborted_ = 0;
   responses_.Reset();
+  measuring_ = true;
   for (auto& r : replicas_) {
     r->ResetStats();
   }
@@ -346,6 +349,7 @@ ExperimentResult Cluster::Run(SimDuration warmup, SimDuration measure) {
 }
 
 ExperimentResult Cluster::Collect(SimDuration measure_window) {
+  measuring_ = false;
   ExperimentResult out;
   out.committed = committed_;
   out.aborted = aborted_;

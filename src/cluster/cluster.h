@@ -298,6 +298,7 @@ class Cluster {
   const std::vector<double>& timeline_buckets() const { return timeline_.buckets(); }
 
  private:
+  // Opens a measure window (zeroes what it reports); Collect closes it.
   void ResetMetrics();
   ExperimentResult Collect(SimDuration measure_window);
   // The image a joining/backfilling replica installs: full database pages at
@@ -352,6 +353,9 @@ class Cluster {
   uint64_t conflict_rows_hwm_ = 0;
   uint64_t prunes_ = 0;
   PercentileTracker responses_;  // client-visible response times of the window
+  // True from ResetMetrics to Collect: response samples are kept only while
+  // a window is open, so a driver that only Advances stores none.
+  bool measuring_ = false;
   TimeSeries timeline_;
   bool started_ = false;
 };

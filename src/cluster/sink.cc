@@ -99,6 +99,7 @@ json::Value MetricJson(bool v) { return v; }
 
 // Collects each event kind under its top-level key.
 struct JsonCollector {
+  bool begun = false;
   std::string bench;
   std::string setup;
   json::Value runs = json::Value::Array();
@@ -109,8 +110,11 @@ struct JsonCollector {
   json::Value notes = json::Value::Array();
 
   void operator()(const HeaderEvent& e) {
-    bench = e.bench;
-    setup = e.setup;
+    if (!begun) {
+      begun = true;
+      bench = e.bench;
+      setup = e.setup;
+    }
   }
 
   void operator()(const RunRecord& r) {

@@ -12,8 +12,8 @@
 // top-level key, arrays in call order; written by json::Value::Dump(2)):
 //
 //   {
-//     "bench":  <Begin title>,                                       // last Begin wins
-//     "setup":  <Begin setup line>,
+//     "bench":  <first Begin's title>,                               // later Begins open
+//     "setup":  <first Begin's setup line>,                          // console sections
 //     "runs":   [{"label", "policy", "workload", "mix",
 //                 "paper_tps", "paper_write_kb", "paper_read_kb",   // 0 = no reference
 //                 <TASHKENT_RUN_METRICS columns>,                    // src/cluster/cluster.h,
@@ -21,20 +21,16 @@
 //                                                                    // docs/OPERATIONS.md)
 //                 "groups": [{"replicas": N, "types": [name...]}]}],
 //     "ratios": [{"label", "paper", "measured"}],
-//     "scalars": {<key>: <value>, ...},                              // AddScalar calls
+//     "scalars": {<key>: <value>, ...},                              // AddScalar calls, one per key
 //     "groupings": [{"label", "groups": [{"replicas", "types"}]}],
 //     "timelines": [{"label", "bucket_s",
 //                    "buckets": [committed-per-bucket...]}],         // divide by bucket_s for tps
-//     "notes":  [<string>...],
-//     "cells":  [{"id", "seed", "ok", "wall_s", "executed_events",   // host-side per-cell
-//                 "events_per_s"}]                                   // timing (campaign runs
-//   }                                                                // only; see below)
+//     "notes":  [<string>...]
+//   }
 //
-// The "cells" block is host-side timing metadata the campaign runner sets as
-// the last key after ToJson: wall-clock seconds and simulator-event counts
-// per cell. Unlike every other key it is NOT deterministic across hosts or
-// runs, so determinism comparisons (tests/golden_digest_test.cc,
-// REPRODUCING.md's byte-identity claim) strip it before diffing documents.
+// Every key is simulated, so a build writes the same bytes for the same seed
+// at any --jobs. Host timing (wall seconds and events per cell) lives only in
+// the campaign manifest, BENCH_campaign.json (see campaign.h).
 //
 // Numbers go through json::Value: doubles render with max_digits10, so the
 // document parses back to exactly the measured values; uint64_t metrics are
@@ -43,6 +39,8 @@
 #ifndef SRC_CLUSTER_SINK_H_
 #define SRC_CLUSTER_SINK_H_
 
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <variant>
 #include <vector>
@@ -98,7 +96,8 @@ using SinkEvent = std::variant<HeaderEvent, RunRecord, RatioEvent, ScalarEvent, 
 
 class ResultSink {
  public:
-  // Starts a bench section (title + setup line).
+  // Starts a bench section (title + setup line). The first one names the
+  // document; a later one opens a console section of the same document.
   void Begin(const std::string& bench, const std::string& setup) {
     events_.push_back(HeaderEvent{bench, setup});
   }
@@ -107,7 +106,12 @@ class ResultSink {
     events_.push_back(RatioEvent{label, paper, measured});
   }
   // Free-form named numeric result (sweep cells, group counts, speedups).
+  // Throws std::logic_error when `key` was already added: the document keys
+  // scalars by name, so a second value would silently replace the first.
   void AddScalar(const std::string& key, double value) {
+    if (!scalar_keys_.insert(key).second) {
+      throw std::logic_error("ResultSink: duplicate scalar key '" + key + "'");
+    }
     events_.push_back(ScalarEvent{key, value});
   }
   void AddGroups(const std::string& label, const std::vector<GroupReport>& groups) {
@@ -123,6 +127,7 @@ class ResultSink {
 
  private:
   std::vector<SinkEvent> events_;
+  std::set<std::string> scalar_keys_;
 };
 
 // Prints the events to stdout in call order: a header per Begin, a
@@ -130,7 +135,7 @@ class ResultSink {
 // has them), ratio / scalar lines, grouping tables, timelines and notes.
 void PrintConsole(const ResultSink& sink);
 
-// The result document of the schema above, without the "cells" block.
+// The result document of the schema above.
 json::Value ToJson(const ResultSink& sink);
 
 }  // namespace tashkent

@@ -199,16 +199,6 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
-json::Value StripHostTiming(const json::Value& doc) {
-  json::Value out = json::Value::Object();
-  for (const auto& [key, value] : doc.Members()) {
-    if (key != "cells") {
-      out.Set(key, value);
-    }
-  }
-  return out;
-}
-
 TEST(FluidModel, SkewCampaignIsJobCountInvariant) {
   const Campaign* skew = CampaignRegistry::Instance().Find("skew");
   ASSERT_NE(skew, nullptr) << "skew campaign not registered (link bench_skew.cc)";
@@ -224,16 +214,14 @@ TEST(FluidModel, SkewCampaignIsJobCountInvariant) {
     ASSERT_TRUE(cell.ok) << cell.id << ": " << cell.error;
   }
   ASSERT_TRUE(serial.report_error.empty()) << serial.report_error;
-  const json::Value serial_doc =
-      StripHostTiming(json::Value::Parse(ReadFile(serial.json_path)));
+  const json::Value serial_doc = json::Value::Parse(ReadFile(serial.json_path));
 
   options.jobs = 4;
   const CampaignRunRecord parallel = RunCampaign(*skew, options);
   for (const CellRecord& cell : parallel.cells) {
     ASSERT_TRUE(cell.ok) << cell.id << ": " << cell.error;
   }
-  const json::Value parallel_doc =
-      StripHostTiming(json::Value::Parse(ReadFile(parallel.json_path)));
+  const json::Value parallel_doc = json::Value::Parse(ReadFile(parallel.json_path));
 
   EXPECT_EQ(serial_doc, parallel_doc)
       << "skew campaign (incl. the 256-replica / 1M-client cell) is not "

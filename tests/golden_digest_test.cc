@@ -5,9 +5,9 @@
 // test enforces it against a checked-in golden file: the `smoke` campaign's
 // BENCH_smoke.json as produced by the PRE-refactor binary (seed 42). The
 // current binary must reproduce that document exactly — every tps, response
-// time, committed count, and timeline bucket — modulo the "cells" key, which
-// is host-side timing metadata added after the golden was captured (see the
-// schema note in src/cluster/sink.h).
+// time, committed count, and timeline bucket. Host timing is not part of a
+// result document; it lives in the campaign manifest (see the schema note in
+// src/cluster/sink.h).
 //
 // Regenerated for the checkpoint/bounded-log PR (new run columns
 // log_chunks_hwm / arena_bytes_hwm / join_latency_s and a marathon-smoke
@@ -32,18 +32,17 @@
 // before the swap, proving the flat conflict index and its pruning at the
 // GSI-safe point change no verdict — the diff is pure key insertion.
 //
-// A second golden, BENCH_faults.json, pins the `faults` campaign (seed 42,
-// "cells" block removed). Smoke has no fault cell, so without it no byte
-// check would cover how the channel's message counts, the certifier's dedup
-// hits, crashes and failovers, and the downtime accounting are scoped to a
-// measure window.
+// A second golden, BENCH_faults.json, pins the `faults` campaign (seed 42).
+// Smoke has no fault cell, so without it no byte check would cover how the
+// channel's message counts, the certifier's dedup hits, crashes and
+// failovers, and the downtime accounting are scoped to a measure window.
 //
 // If this test fails after an intentional semantic change to the simulation,
 // regenerate the golden:
 //   ./build/tashkent_bench run smoke --json /tmp/g --no-progress
 //   cp /tmp/g/BENCH_smoke.json tests/golden/BENCH_smoke.json
-// (likewise `run faults` for BENCH_faults.json, minus its "cells" block)
-// and say so in the PR — a silent regeneration defeats the check.
+// (likewise `run faults` for BENCH_faults.json) and say so in the PR — a
+// silent regeneration defeats the check.
 //
 // Compiled together with bench/bench_smoke.cc and bench/bench_faults.cc (see
 // CMakeLists.txt) so the real registered campaigns run in-process.
@@ -72,18 +71,6 @@ std::string ReadFile(const std::string& path) {
   return buf.str();
 }
 
-// Copies the document minus the host-timing "cells" block (the one
-// deliberately nondeterministic key; everything else must match the golden).
-json::Value StripHostTiming(const json::Value& doc) {
-  json::Value out = json::Value::Object();
-  for (const auto& [key, value] : doc.Members()) {
-    if (key != "cells") {
-      out.Set(key, value);
-    }
-  }
-  return out;
-}
-
 // FNV-1a over the canonical (compact) dump — the digest quoted in logs so a
 // mismatch is easy to report across machines.
 uint64_t Digest(const json::Value& doc) {
@@ -96,7 +83,7 @@ uint64_t Digest(const json::Value& doc) {
 }
 
 // Runs the registered campaign `name` at seed 42 and expects its document to
-// equal tests/golden/BENCH_<name>.json, host timing aside.
+// equal tests/golden/BENCH_<name>.json.
 void ExpectMatchesGolden(const std::string& name) {
   const Campaign* campaign = CampaignRegistry::Instance().Find(name);
   ASSERT_NE(campaign, nullptr) << name << " campaign not registered (link its bench file)";
@@ -113,10 +100,9 @@ void ExpectMatchesGolden(const std::string& name) {
   ASSERT_FALSE(record.json_path.empty());
 
   const std::string golden_file = "BENCH_" + name + ".json";
-  const json::Value current =
-      StripHostTiming(json::Value::Parse(ReadFile(record.json_path)));
+  const json::Value current = json::Value::Parse(ReadFile(record.json_path));
   const json::Value golden =
-      StripHostTiming(json::Value::Parse(ReadFile(std::string(GOLDEN_DIR) + "/" + golden_file)));
+      json::Value::Parse(ReadFile(std::string(GOLDEN_DIR) + "/" + golden_file));
 
   EXPECT_EQ(current, golden)
       << "simulated results diverged from the pre-refactor baseline\n"
@@ -131,8 +117,9 @@ TEST(GoldenDigest, SmokeCampaignMatchesPreRefactorBaseline) { ExpectMatchesGolde
 
 TEST(GoldenDigest, FaultsCampaignMatchesBaseline) { ExpectMatchesGolden("faults"); }
 
-// The per-cell timing block must exist, cover every cell, and carry positive
-// event counts — the manifest-side perf accounting the next PRs track.
+// The manifest's per-cell timing rows must cover every cell and carry
+// positive event counts — the perf accounting the next PRs track. The result
+// document itself carries no host timing.
 TEST(GoldenDigest, CellsBlockCarriesEventCounts) {
   const Campaign* smoke = CampaignRegistry::Instance().Find("smoke");
   ASSERT_NE(smoke, nullptr);
@@ -145,10 +132,14 @@ TEST(GoldenDigest, CellsBlockCarriesEventCounts) {
   const CampaignRunRecord record = RunCampaign(*smoke, options);
 
   const json::Value doc = json::Value::Parse(ReadFile(record.json_path));
-  const json::Value* cells = doc.Find("cells");
-  ASSERT_NE(cells, nullptr) << "BENCH_smoke.json lacks the cells timing block";
-  ASSERT_EQ(cells->Items().size(), record.cells.size());
-  for (const json::Value& cell : cells->Items()) {
+  EXPECT_EQ(doc.Find("cells"), nullptr) << "BENCH_smoke.json carries host timing";
+
+  const json::Value manifest =
+      json::Value::Parse(ReadFile("golden-digest-out/BENCH_campaign.json"));
+  ASSERT_EQ(manifest.At("campaigns").Items().size(), 1u);
+  const json::Value& cells = manifest.At("campaigns").Items()[0].At("cells");
+  ASSERT_EQ(cells.Items().size(), record.cells.size());
+  for (const json::Value& cell : cells.Items()) {
     EXPECT_TRUE(cell.At("ok").AsBool());
     EXPECT_GT(cell.At("executed_events").AsNumber(), 0.0)
         << cell.At("id").AsString() << " reported no executed events";

@@ -2,6 +2,9 @@
 // the module suites do not cover.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/cluster/sink.h"
 #include "src/core/working_set.h"
 #include "src/workload/rubis.h"
@@ -77,10 +80,27 @@ TEST(Report, ConsolePrintsEventsInCallOrder) {
             "timeline (30 s buckets, tps):\n"
             "  t=    0s    10.0 tps\n"
             "  t=  120s    25.0 tps\n");
-  // JSON keeps only the last header.
+  // The first header names the document; the second is a console section.
   const json::Value doc = ToJson(sink);
-  EXPECT_EQ(doc.At("bench").AsString(), "Figure 2: second");
-  EXPECT_EQ(doc.At("setup").AsString(), "");
+  EXPECT_EQ(doc.At("bench").AsString(), "Figure 1: first");
+  EXPECT_EQ(doc.At("setup").AsString(), "setup one");
+}
+
+// The document keys scalars by name, so a second value for a key would
+// replace the first without a trace; the sink refuses it instead.
+TEST(Report, DuplicateScalarKeyThrowsNamingIt) {
+  ResultSink sink;
+  sink.AddScalar("MALB speedup x16", 12.0);
+  sink.AddScalar("LC speedup x16", 8.0);
+  try {
+    sink.AddScalar("MALB speedup x16", 13.0);
+    FAIL() << "a duplicate scalar key was accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'MALB speedup x16'"), std::string::npos) << e.what();
+  }
+  const json::Value scalars = ToJson(sink).At("scalars");
+  EXPECT_EQ(scalars.Members().size(), 2u);
+  EXPECT_EQ(scalars.At("MALB speedup x16").AsNumber(), 12.0);
 }
 
 TEST(WorkingSets, EstimationMethodNames) {
