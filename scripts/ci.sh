@@ -383,8 +383,10 @@ EOF
 # Every InlineCallback alias declared under src/ must have a row in
 # docs/ARCHITECTURE.md's callback table (the first table after "Callback
 # capacities"), written as `Class::Alias` with the file that declares it and
-# the same capacity; a row naming no declared alias fails too. So the
-# documented capacities cannot drift from the code.
+# the same capacity; a row naming no declared alias fails too. Every row's
+# object size must be its capacity plus the 8-byte ops pointer, the layout
+# src/common/inline_callback.h static_asserts. So the documented capacities
+# and sizes cannot drift from the code.
 python3 - <<'EOF' || { echo "ci: docs/ARCHITECTURE.md callback table disagrees with src/" >&2; exit 1; }
 import pathlib, re, sys
 alias = re.compile(r'using (\w+) = InlineCallback<.*,\s*(\d+)>;')
@@ -401,12 +403,14 @@ first = next((i for i, line in enumerate(after) if line.startswith('|')), None)
 if first is None:
     sys.exit("the 'Callback capacities' section has no table")
 rows = {}
+bad = []
 for line in after[first + 2:]:
     if not line.startswith('|'):
         break
     cells = [c.strip().strip('`') for c in line.strip('|').split('|')]
     rows[(cells[0].rsplit('::', 1)[-1], cells[1])] = (cells[0], cells[2])
-bad = []
+    if not (cells[2].isdigit() and cells[3] == str(int(cells[2]) + 8)):
+        bad.append(f"row `{cells[0]}`: object {cells[3]} bytes is not capacity {cells[2]} + 8")
 for (name, path), capacity in sorted(declared.items()):
     row = rows.get((name, path))
     if row is None:

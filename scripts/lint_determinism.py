@@ -32,14 +32,6 @@ the digest flips; this lint *prevents* the common ways one gets written:
                          jobs-N == jobs-1. Accumulate per-slot, reduce
                          serially afterwards.
 
-  mask-order             Any ForEachMaskBit(...) call site. TableMask bits
-                         decode in RelationId order (bit = relation id), but
-                         masks are probes, not sets: a subscription, report,
-                         or any other ordered sink must not depend on how
-                         bits are assigned. Iterate the schema or a
-                         RelationSet and *test* bits instead; annotate the
-                         rare order-insensitive uses.
-
 Escape hatch — a reviewed, reasoned annotation on the same line or the
 line directly above the hit:
 
@@ -65,7 +57,6 @@ RULES = {
     "wall-clock": "wall-clock or nondeterministic seed source",
     "ptr-key": "pointer-keyed ordered/hashed container",
     "float-parallel-accum": "float accumulation inside a ParallelFor body",
-    "mask-order": "mask-bit iteration (bit assignment order) feeding an ordered sink",
 }
 
 SOURCE_EXTS = (".h", ".cc", ".cpp", ".hpp")
@@ -249,7 +240,6 @@ COPY_SINK_RES = [
     re.compile(r"\.assign\s*\(\s*([\w.\->\s]+?)\.begin\s*\("),
 ]
 PTR_LESS_RE = re.compile(r"\bstd\s*::\s*less\s*<[^>]*\*\s*>")
-MASK_ORDER_RE = re.compile(r"\bForEachMaskBit\s*\(")
 ASSOC_TYPE_RE = re.compile(r"\bstd\s*::\s*(?:multi)?(?:map|set|unordered_map|unordered_set)\s*<")
 
 
@@ -394,14 +384,6 @@ def check_file(path, findings, errors):
                 report(m.start(), "unordered-iter",
                        f"copying unordered container '{comp}' into an ordered sink "
                        "preserves hash-table order")
-
-    # --- mask-order -----------------------------------------------------------
-    for m in MASK_ORDER_RE.finditer(text):
-        report(m.start(), "mask-order",
-               "ForEachMaskBit decodes bits in bit assignment order (RelationId "
-               "order); masks are probes, not sets — iterate the schema or a "
-               "RelationSet and test bits instead of feeding decoded bit order "
-               "into a sink")
 
     # --- float-parallel-accum -------------------------------------------------
     float_decls = {}  # name -> list of decl offsets

@@ -611,17 +611,15 @@ uint64_t MalbBalancer::PackingSignature(const PackingResult& packing) const {
   return h;
 }
 
-RelationSet MalbBalancer::GroupTables(const RuntimeGroup& group) const {
+TableMask MalbBalancer::GroupTables(const RuntimeGroup& group) const {
   // Subscription = every relation referenced by any member type (not just the
   // packed/scanned ones): the replica must apply updates for all tables its
-  // transactions read. Returned as a RelationSet: this set becomes the
-  // replica's update-filtering subscription, so its iteration order is part
-  // of the determinism contract.
-  RelationSet tables;
+  // transactions read.
+  TableMask tables;
   for (size_t p : group.packed) {
     for (TxnTypeId t : packing_.groups[p].types) {
       for (const auto& e : working_sets_[t].relations) {
-        tables.insert(e.relation);
+        tables.Set(e.relation);
       }
     }
   }
@@ -658,7 +656,7 @@ void MalbBalancer::MaybeInstallFiltering(bool moved, const std::vector<GroupLoad
 
 void MalbBalancer::InstallSubscriptions() {
   std::vector<std::vector<ReplicaId>> group_replicas;
-  std::vector<RelationSet> group_tables;
+  std::vector<TableMask> group_tables;
   for (const auto& g : groups_) {
     std::vector<ReplicaId> ids;
     for (size_t r : g.replicas) {
@@ -672,12 +670,12 @@ void MalbBalancer::InstallSubscriptions() {
   for (size_t g = 0; g < groups_.size(); ++g) {
     for (size_t r : groups_[g].replicas) {
       Proxy* proxy = context_.proxies[r];
-      RelationSet subscription = group_tables[g];
+      TableMask subscription = group_tables[g];
       // A replica can serve several merged groups; GroupTables already merged
       // them. Add standby duties.
       auto it = standbys.find(proxy->replica_id());
       if (it != standbys.end()) {
-        subscription.insert(it->second.begin(), it->second.end());
+        subscription.OrWith(it->second);
       }
       // Drop only what changed: relations leaving the subscription free their
       // cache space; relations entering it are stale (their updates were
@@ -687,14 +685,13 @@ void MalbBalancer::InstallSubscriptions() {
       // sink).
       const auto& old_sub = proxy->subscription();
       for (const auto& rel : context_.schema->relations()) {
-        const bool now_in = subscription.find(rel.id) != subscription.end();
-        const bool was_in = !old_sub.has_value() ||
-                            old_sub->find(rel.id) != old_sub->end();
+        const bool now_in = subscription.Test(rel.id);
+        const bool was_in = !old_sub.has_value() || old_sub->Test(rel.id);
         if (now_in != was_in) {
           proxy->replica().DropRelation(rel.id);
         }
       }
-      proxy->SetSubscription(std::move(subscription));
+      proxy->SetSubscription(subscription);
     }
   }
 }

@@ -177,7 +177,7 @@ class MalbBalancer : public LoadBalancer {
   bool TryMerge(const std::vector<GroupLoad>& loads);
   void MaybeInstallFiltering(bool moved, const std::vector<GroupLoad>& loads);
   void InstallSubscriptions();
-  RelationSet GroupTables(const RuntimeGroup& group) const;
+  TableMask GroupTables(const RuntimeGroup& group) const;
   uint64_t PackingSignature(const PackingResult& packing) const;
 
   MalbConfig config_;

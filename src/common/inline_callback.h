@@ -81,7 +81,12 @@ class InlineCallback<R(Args...), Capacity> {
   InlineCallback(const InlineCallback&) = delete;
   InlineCallback& operator=(const InlineCallback&) = delete;
 
-  ~InlineCallback() { Reset(); }
+  ~InlineCallback() {
+    // Here rather than in the class body, where the type is still incomplete.
+    static_assert(sizeof(InlineCallback) == Capacity + sizeof(void*),
+                  "an InlineCallback is its capture buffer plus one pointer");
+    Reset();
+  }
 
   // Invocation is const-qualified like std::function's: the object is a
   // handle, the stored callable's body may mutate its own captures.
@@ -141,8 +146,8 @@ class InlineCallback<R(Args...), Capacity> {
                   "capture too large for this InlineCallback capacity; raise the "
                   "Capacity parameter of the callback alias you are passing to "
                   "(see docs/ARCHITECTURE.md, 'Hot path & performance model')");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                  "over-aligned captures are not supported");
+    static_assert(alignof(Fn) <= alignof(void*),
+                  "captures aligned beyond a pointer are not supported");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::table;
   }
@@ -154,7 +159,12 @@ class InlineCallback<R(Args...), Capacity> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[Capacity];
+  // Pointer alignment, not max_align_t: every capture in the tree is
+  // pointers and integers, and a Capacity that is a multiple of the pointer
+  // size then leaves no padding, so the object is exactly Capacity + ops_.
+  static_assert(Capacity % alignof(void*) == 0,
+                "Capacity must be a multiple of the pointer size");
+  alignas(alignof(void*)) unsigned char storage_[Capacity];
   const Ops* ops_ = nullptr;
 };
 

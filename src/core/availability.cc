@@ -7,9 +7,9 @@ namespace tashkent {
 
 namespace {
 
-bool SubscribesToAll(const RelationSet& subscription, const RelationSet& tables) {
-  for (RelationId t : tables) {
-    if (subscription.find(t) == subscription.end()) {
+bool SubscribesToAll(const TableMask& subscription, const TableMask& tables) {
+  for (size_t w = 0; w < TableMask::kWords; ++w) {
+    if ((tables.words[w] & ~subscription.words[w]) != 0) {
       return false;
     }
   }
@@ -18,8 +18,8 @@ bool SubscribesToAll(const RelationSet& subscription, const RelationSet& tables)
 
 }  // namespace
 
-AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_tables,
-                                     const std::map<ReplicaId, RelationSet>& subscriptions,
+AvailabilityReport CheckAvailability(const std::vector<TableMask>& group_tables,
+                                     const std::map<ReplicaId, TableMask>& subscriptions,
                                      int min_copies) {
   AvailabilityReport report;
 
@@ -40,16 +40,16 @@ AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_table
   }
 
   // Table availability: every table referenced by any group must be applied on
-  // at least min_copies replicas. Iterates tables in RelationSet (id) order —
-  // the report is a sink.
-  RelationSet all_tables;
+  // at least min_copies replicas. Iterates tables in RelationId order — the
+  // report is a sink.
+  TableMask all_tables;
   for (const auto& tables : group_tables) {
-    all_tables.insert(tables.begin(), tables.end());
+    all_tables.OrWith(tables);
   }
-  for (RelationId t : all_tables) {
+  ForEachMaskBit(all_tables, [&](RelationId t) {
     int copies = 0;
     for (const auto& [replica, subscription] : subscriptions) {
-      if (subscription.contains(t)) {
+      if (subscription.Test(t)) {
         ++copies;
       }
     }
@@ -57,14 +57,14 @@ AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_table
       report.ok = false;
       report.under_replicated_tables.push_back(t);
     }
-  }
+  });
   return report;
 }
 
-std::map<ReplicaId, RelationSet> PlanStandbys(
+std::map<ReplicaId, TableMask> PlanStandbys(
     const std::vector<std::vector<ReplicaId>>& group_replicas,
-    const std::vector<RelationSet>& group_tables, int min_copies) {
-  std::map<ReplicaId, RelationSet> extra;
+    const std::vector<TableMask>& group_tables, int min_copies) {
+  std::map<ReplicaId, TableMask> extra;
 
   // Current subscription volume per replica (tables from its own group plus
   // any standby duties assigned so far) -- used to spread standby load.
@@ -73,7 +73,7 @@ std::map<ReplicaId, RelationSet> PlanStandbys(
   std::vector<ReplicaId> all_replicas;
   for (size_t g = 0; g < group_replicas.size(); ++g) {
     for (ReplicaId r : group_replicas[g]) {
-      volume[r] += group_tables[g].size();
+      volume[r] += group_tables[g].count();
       all_replicas.push_back(r);
     }
   }
@@ -97,8 +97,8 @@ std::map<ReplicaId, RelationSet> PlanStandbys(
                      [&volume](ReplicaId a, ReplicaId b) { return volume[a] < volume[b]; });
     for (int i = 0; i < deficit && i < static_cast<int>(candidates.size()); ++i) {
       const ReplicaId r = candidates[static_cast<size_t>(i)];
-      extra[r].insert(group_tables[g].begin(), group_tables[g].end());
-      volume[r] += group_tables[g].size();
+      extra[r].OrWith(group_tables[g]);
+      volume[r] += group_tables[g].count();
     }
   }
   return extra;

@@ -19,7 +19,7 @@
 
 #include "src/core/bin_packing.h"
 #include "src/gsi/writeset.h"
-#include "src/storage/relation_set.h"
+#include "src/storage/table_mask.h"
 
 namespace tashkent {
 
@@ -33,20 +33,20 @@ struct AvailabilityReport {
 };
 
 // `group_tables[g]` lists the tables group g's types reference;
-// `subscriptions[r]` is the table set replica r applies updates for. All
-// table sets are RelationSet and the replica map is ordered: these sets flow
-// into subscriptions and reports, so their iteration order is part of the
-// determinism contract.
-AvailabilityReport CheckAvailability(const std::vector<RelationSet>& group_tables,
-                                     const std::map<ReplicaId, RelationSet>& subscriptions,
+// `subscriptions[r]` is the table set replica r applies updates for. The
+// replica map is ordered and table sets iterate in RelationId order: these
+// sets flow into subscriptions and reports, so their iteration order is part
+// of the determinism contract.
+AvailabilityReport CheckAvailability(const std::vector<TableMask>& group_tables,
+                                     const std::map<ReplicaId, TableMask>& subscriptions,
                                      int min_copies);
 
 // For every group with fewer than `min_copies` serving replicas, selects
 // standby replicas (from other groups, least-subscribed first) that must also
 // subscribe to the group's tables. Returns replica -> extra tables to add.
-std::map<ReplicaId, RelationSet> PlanStandbys(
+std::map<ReplicaId, TableMask> PlanStandbys(
     const std::vector<std::vector<ReplicaId>>& group_replicas,
-    const std::vector<RelationSet>& group_tables, int min_copies);
+    const std::vector<TableMask>& group_tables, int min_copies);
 
 }  // namespace tashkent
 

@@ -76,13 +76,13 @@ struct Writeset {
   // Wire size of the writeset.
   Bytes bytes = 0;
 
-  // True if the writeset touches any relation in `tables`. Used by update
-  // filtering: a proxy subscribed to a table set forwards only matching
-  // writesets.
-  template <typename Set>
-  bool TouchesAny(const Set& tables) const {
+  // True if the writeset touches any relation in `tables`: update
+  // filtering's definition of "wanted", probed per table. The filter itself
+  // ANDs the log entry's mask instead (src/storage/table_mask.h); the tests
+  // keep this as the reference the mask decision must equal.
+  bool TouchesAny(const TableMask& tables) const {
     for (const TableWrite& tw : table_pages) {
-      if (tables.find(tw.relation) != tables.end()) {
+      if (tables.Test(tw.relation)) {
         return true;
       }
     }

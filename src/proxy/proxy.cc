@@ -92,7 +92,6 @@ void Proxy::InstallCheckpoint() {
   }
   lifecycle_ = ReplicaLifecycle::kInstalling;
   installing_version_ = ckpt.version;
-  ++stats_.checkpoint_installs;
   const uint64_t epoch = crash_epoch_;
   replica_->InstallCheckpoint(ckpt, [this, epoch, v = ckpt.version]() {
     if (epoch != crash_epoch_) {
@@ -307,7 +306,6 @@ void Proxy::PumpApplier() {
   pump_active_ = true;
   const bool recovering = lifecycle_ == ReplicaLifecycle::kRecovering;
   const uint64_t replay = recovering ? 1 : 0;
-  const bool subscribed = subscription_.has_value();  // else nothing is skipped
   Replica::ApplyBatch batch;
   Version last = applied_version_;  // newest version this pump has passed
   // Versions through `v` pass unapplied, `n` of them filtered. (2) Up, the
@@ -334,9 +332,9 @@ void Proxy::PumpApplier() {
     // (1) Skipping coalesces a run of per-version advances into one. Up, that
     // would re-order waiter firings (and with them commit completions), so it
     // runs only while no waiter is parked; recovering, the advance is
-    // deferred to the batch anyway.
-    if (probe && subscribed && (recovering || waiters_.empty())) {
-      const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, sub_mask_);
+    // deferred to the batch anyway. Without a subscription nothing is skipped.
+    if (probe && subscription_ && (recovering || waiters_.empty())) {
+      const Version hop = certifier_->SkipUnwanted(apply_next_, apply_hi_, *subscription_);
       if (hop > apply_next_) {
         // Every version in [apply_next_, hop) is provably unwanted; identical
         // to the per-entry filter branch below run hop - apply_next_ times.
@@ -547,13 +545,6 @@ void Proxy::OnPullTimeout(uint64_t pull_gen) {
     }
     SendPull();
   });
-}
-
-void Proxy::SetSubscription(std::optional<RelationSet> tables) {
-  // The one rebuild point of the cached mask (lazy-evaluation contract),
-  // built first so a set that BuildMask rejects changes nothing.
-  sub_mask_ = tables.has_value() ? BuildMask(*tables) : TableMask{};
-  subscription_ = std::move(tables);
 }
 
 }  // namespace tashkent

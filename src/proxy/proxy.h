@@ -43,7 +43,7 @@
 #include "src/proxy/gatekeeper.h"
 #include "src/replica/replica.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/relation_set.h"
+#include "src/storage/table_mask.h"
 
 namespace tashkent {
 
@@ -118,7 +118,6 @@ struct ProxyStats {
   // --- checkpoint join -------------------------------------------------------
   uint64_t joins = 0;              // JoinAsNew lifecycles completed (subset of recoveries)
   double join_time_s = 0.0;        // summed join durations (the join-latency metric)
-  uint64_t checkpoint_installs = 0;  // checkpoint images installed (join or backfill)
   // --- faults / retry / failover --------------------------------------------
   uint64_t cert_timeouts = 0;    // certification attempts that hit the deadline
   uint64_t cert_retries = 0;     // certification resubmissions sent
@@ -170,14 +169,10 @@ class Proxy {
   void OnProd();
 
   // Installs (or clears) the update-filtering subscription. An empty optional
-  // means "apply everything" (filtering off). Rebuilds the cached
-  // subscription mask — the ONLY place the mask is rebuilt, which is why the
-  // wanted-probe can be a bare word-wise AND. Throws std::out_of_range, and
-  // changes nothing, for a relation id past TableMask::kBits.
-  void SetSubscription(std::optional<RelationSet> tables);
-  const std::optional<RelationSet>& subscription() const {
-    return subscription_;
-  }
+  // means "apply everything" (filtering off). The pump reads the subscription
+  // at every probe, so a change takes effect at the next pending writeset.
+  void SetSubscription(std::optional<TableMask> tables) { subscription_ = tables; }
+  const std::optional<TableMask>& subscription() const { return subscription_; }
 
   // --- Failure injection / lifecycle ----------------------------------------
   // The `crash` and `recover` rows of docs/OPERATIONS.md's lifecycle table.
@@ -286,13 +281,12 @@ class Proxy {
   // log, projected onto its subscription.
   void PumpApplier();
   // The update-filtering decision for log entry `ws`, the pump's one wanted
-  // probe: everything is wanted without a subscription; otherwise the mask
-  // probe.
-  bool Wanted(const Writeset& ws) const { return !subscription_ || WantedByMask(ws); }
-  // The mask-probe wanted-decision (≡ `ws.TouchesAny(*subscription_)`, see
+  // probe: everything is wanted without a subscription; otherwise the entry's
+  // mask meets the subscription (≡ `ws.TouchesAny(*subscription_)`, see
   // src/storage/table_mask.h).
-  bool WantedByMask(const Writeset& ws) const {
-    return Intersects(certifier_->LogMask(ws.commit_version), sub_mask_);
+  bool Wanted(const Writeset& ws) const {
+    return !subscription_ ||
+           Intersects(certifier_->LogMask(ws.commit_version), *subscription_);
   }
   bool ApplyQueueEmpty() const { return apply_next_ > apply_hi_; }
   // Recovery exit check: once the replay queue has drained, either pull the
@@ -355,11 +349,7 @@ class Proxy {
   uint64_t pull_gen_ = 0;
   int pull_attempts_ = 0;
   Simulator::EventId pull_timeout_ = Simulator::kInvalidEvent;
-  std::optional<RelationSet> subscription_;
-  // Cache of subscription_'s TableMask; rebuilt only in SetSubscription
-  // (lazy-evaluation contract: probes read it at pump time, so it always
-  // reflects the CURRENT subscription).
-  TableMask sub_mask_;
+  std::optional<TableMask> subscription_;
   ProxyStats stats_;
 
   Version apply_next_ = 1;  // next log version the applier will look at

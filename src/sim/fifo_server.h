@@ -14,7 +14,7 @@
 // changes hands: into that member slot when its job starts, and out of it
 // when the job completes (so it may submit the next job). Jobs carry no
 // payload: the replica parks a running transaction in its own slab and
-// hands the server a closure of `{this, slot}`, so a queued job is 96 bytes.
+// hands the server a closure of `{this, slot}`, so a queued job is 80 bytes.
 #ifndef SRC_SIM_FIFO_SERVER_H_
 #define SRC_SIM_FIFO_SERVER_H_
 
@@ -71,7 +71,7 @@ class FifoServer {
     SimDuration service;
     Done done;
   };
-  static_assert(sizeof(Job) <= 96, "queued jobs stay at most 96 bytes");
+  static_assert(sizeof(Job) <= 80, "queued jobs stay at most 80 bytes");
 
   void StartNext();
   void FinishActive();

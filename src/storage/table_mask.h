@@ -1,31 +1,27 @@
-// TableMask: the update-filtering fast path's bit representation of a table
-// set (docs/ARCHITECTURE.md, "Update filtering fast path").
+// TableMask: the one table-set type. Group tables, replica subscriptions,
+// standby plans and every certifier-log entry's touched tables are all
+// TableMasks (docs/ARCHITECTURE.md, "Update filtering fast path").
 //
-// "Does replica r want writeset w" used to be a per-table ordered-set probe
-// (Writeset::TouchesAny) run once per writeset per replica on every pull,
-// apply pump, and recovery replay. A table's mask bit is its RelationId, so
-// the same decision collapses to one word-wise AND over two fixed-width
-// masks: the writeset's mask (built once at certifier append) against the
-// proxy's cached subscription mask (rebuilt only in SetSubscription).
-// Per-chunk OR-masks in the certifier log then let the apply pump skip whole
-// 256-entry chunks whose union misses the subscription.
+// A table's bit is its RelationId, so "does replica r want writeset w" is one
+// word-wise AND over two fixed-width masks: the writeset's mask (built once at
+// certifier append) against the proxy's subscription. Per-chunk OR-masks in
+// the certifier log then let the apply pump skip whole 256-entry chunks whose
+// union misses the subscription.
 //
-// Equivalence contract (the reason this is safe to put on the hot path): bit
-// b is set in a mask iff relation b is in the represented set, so
-// Intersects(ws mask, subscription mask) == ws.TouchesAny(subscription). The
-// mapping needs no state and never changes, so masks built at different
-// times always compare. It holds because every RelationId fits a bit:
-// Schema::Add refuses a relation past kBits, and Set() throws on a bit past
-// the mask rather than writing beyond it.
-//
-// Masks are probes, not sets: decoded bits come out in RelationId order, but
-// reported sinks iterate the schema or a RelationSet instead
-// (scripts/lint_determinism.py rule `mask-order`).
+// Equivalence contract: bit b is set iff relation b is in the set, so
+// Intersects(ws mask, subscription) == ws.TouchesAny(subscription), the
+// per-table reference. The mapping needs no state and never changes, so masks
+// built at different times always compare, and ForEachMaskBit visits members
+// in ascending RelationId order, a defined order for every decision and report
+// built from a set. It holds because every RelationId fits a bit: Schema::Add
+// refuses a relation past kBits, and Set() throws on a bit past the mask
+// rather than writing beyond it.
 #ifndef SRC_STORAGE_TABLE_MASK_H_
 #define SRC_STORAGE_TABLE_MASK_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 
@@ -39,6 +35,14 @@ struct TableMask {
 
   uint64_t words[kWords] = {0, 0, 0, 0};
 
+  TableMask() = default;
+  // Throws std::out_of_range for a bit >= kBits.
+  TableMask(std::initializer_list<uint32_t> bits) {
+    for (uint32_t bit : bits) {
+      Set(bit);
+    }
+  }
+
   // Throws std::out_of_range for a bit >= kBits.
   void Set(uint32_t bit) {
     if (bit >= kBits) {
@@ -47,8 +51,9 @@ struct TableMask {
     }
     words[bit >> 6] |= uint64_t{1} << (bit & 63);
   }
+  // False for a bit >= kBits: no such relation is in any set.
   bool Test(uint32_t bit) const {
-    return (words[bit >> 6] >> (bit & 63)) & 1;
+    return bit < kBits && ((words[bit >> 6] >> (bit & 63)) & 1) != 0;
   }
   bool any() const {
     uint64_t acc = 0;
@@ -56,6 +61,14 @@ struct TableMask {
       acc |= words[w];
     }
     return acc != 0;
+  }
+  // Number of members.
+  size_t count() const {
+    size_t n = 0;
+    for (size_t w = 0; w < kWords; ++w) {
+      n += static_cast<size_t>(__builtin_popcountll(words[w]));
+    }
+    return n;
   }
   void OrWith(const TableMask& other) {
     for (size_t w = 0; w < kWords; ++w) {
@@ -84,12 +97,9 @@ inline bool Intersects(const TableMask& a, const TableMask& b) {
   return acc != 0;
 }
 
-// Invokes fn(bit) for every set bit in ascending bit order, which is
-// RelationId order. Debug/test helper only: reported sinks iterate the schema
-// or a RelationSet, never decoded bits (lint rule `mask-order` flags every
-// call site).
+// The set's iteration: invokes fn(bit) for every member in ascending bit
+// order, which is RelationId order.
 template <typename Fn>
-// lint: allow(mask-order) definition site; call sites carry their own pragmas
 void ForEachMaskBit(const TableMask& mask, Fn&& fn) {
   for (size_t w = 0; w < TableMask::kWords; ++w) {
     uint64_t bits = mask.words[w];

@@ -251,23 +251,23 @@ struct FilteringCluster {
 // and table availability at kMinCopies.
 AvailabilityReport CheckClusterAvailability(const Workload& workload,
                                             const FilteringCluster& c) {
-  std::map<TxnTypeId, RelationSet> tables_of;
-  RelationSet all_tables;
+  std::map<TxnTypeId, TableMask> tables_of;
+  TableMask all_tables;
   for (const TypeWorkingSet& ws : BuildWorkingSets(workload.registry, workload.schema)) {
     for (const auto& e : ws.relations) {
-      tables_of[ws.type].insert(e.relation);
-      all_tables.insert(e.relation);
+      tables_of[ws.type].Set(e.relation);
+      all_tables.Set(e.relation);
     }
   }
-  std::vector<RelationSet> group_tables;
+  std::vector<TableMask> group_tables;
   for (const auto& types : c.malb->GroupTypeIds()) {
-    RelationSet tables;
+    TableMask tables;
     for (TxnTypeId t : types) {
-      tables.insert(tables_of[t].begin(), tables_of[t].end());
+      tables.OrWith(tables_of[t]);
     }
-    group_tables.push_back(std::move(tables));
+    group_tables.push_back(tables);
   }
-  std::map<ReplicaId, RelationSet> subscriptions;
+  std::map<ReplicaId, TableMask> subscriptions;
   for (const auto& p : c.proxies) {
     if (p->available()) {
       // No subscription means the replica applies every writeset.

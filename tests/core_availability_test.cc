@@ -6,7 +6,7 @@
 namespace tashkent {
 namespace {
 
-using Tables = RelationSet;
+using Tables = TableMask;
 
 TEST(Availability, OkWhenEveryGroupHasEnoughSubscribers) {
   const std::vector<Tables> group_tables = {{10, 11}, {12}};
@@ -61,7 +61,7 @@ TEST(Standbys, StandbysMakeAvailabilityCheckPass) {
   EXPECT_FALSE(CheckAvailability(group_tables, subs, 2).ok);
 
   for (const auto& [replica, tables] : PlanStandbys(group_replicas, group_tables, 2)) {
-    subs[replica].insert(tables.begin(), tables.end());
+    subs[replica].OrWith(tables);
   }
   EXPECT_TRUE(CheckAvailability(group_tables, subs, 2).ok);
 }
@@ -82,7 +82,7 @@ TEST(Standbys, HigherMinCopiesAddsMore) {
   // Group 0 needs two standbys.
   size_t subscribers = 0;
   for (const auto& [replica, tables] : extra) {
-    if (tables.count(10) > 0) {
+    if (tables.Test(10)) {
       ++subscribers;
     }
   }

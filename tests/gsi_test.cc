@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/certifier/certifier.h"
@@ -431,15 +430,6 @@ TEST(BoundedConflictIndex, OneHourOfOrderingStaysFlat) {
   EXPECT_LE(static_cast<double>(hwm.back()), 1.5 * static_cast<double>(hwm.front()))
       << "first window " << hwm.front() << " rows, last window " << hwm.back();
   EXPECT_GT(cluster.certifier().certified_count(), 10 * hwm.back());
-}
-
-TEST(Writeset, TouchesAnyFiltering) {
-  Writeset ws;
-  ws.table_pages = {{3, 2}, {7, 1}};
-  std::unordered_set<RelationId> sub1 = {7, 9};
-  std::unordered_set<RelationId> sub2 = {1, 2};
-  EXPECT_TRUE(ws.TouchesAny(sub1));
-  EXPECT_FALSE(ws.TouchesAny(sub2));
 }
 
 }  // namespace

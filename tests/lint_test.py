@@ -209,39 +209,6 @@ class LintFixtureTest(unittest.TestCase):
         """)
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
 
-    def test_mask_bit_iteration_is_flagged(self):
-        r = self.lint_source("""
-            #include "src/storage/table_mask.h"
-            #include <vector>
-            std::vector<unsigned> Decode(const tashkent::TableMask& m) {
-              std::vector<unsigned> bits;
-              tashkent::ForEachMaskBit(m, [&](unsigned b) { bits.push_back(b); });
-              return bits;
-            }
-        """)
-        self.assertEqual(r.returncode, 1)
-        self.assertIn("mask-order", r.stdout)
-        self.assertIn("bit assignment order", r.stdout)
-
-    def test_mask_bit_iteration_pragma_suppresses(self):
-        r = self.lint_source("""
-            #include "src/storage/table_mask.h"
-            int CountBits(const tashkent::TableMask& m) {
-              int n = 0;
-              // lint: allow(mask-order) order-insensitive: counts bits only
-              tashkent::ForEachMaskBit(m, [&](unsigned) { ++n; });
-              return n;
-            }
-        """)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-
-    def test_mask_order_mention_in_comment_is_ignored(self):
-        r = self.lint_source("""
-            // ForEachMaskBit(m, fn) is discussed here only; Test() is the way.
-            int U() { return 7; }
-        """)
-        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
-
     def test_same_line_pragma_suppresses(self):
         r = self.lint_source("""
             unsigned O() {
@@ -300,7 +267,7 @@ class LintFixtureTest(unittest.TestCase):
             [sys.executable, LINT, "--list-rules"], capture_output=True, text=True)
         self.assertEqual(r.returncode, 0)
         for rule in ("unordered-iter", "wall-clock", "ptr-key",
-                     "float-parallel-accum", "mask-order"):
+                     "float-parallel-accum"):
             self.assertIn(rule, r.stdout)
 
 

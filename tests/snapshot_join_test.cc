@@ -140,7 +140,6 @@ TEST(SnapshotJoin, JoinInstallsOneImageCatchesHeadAndServes) {
 
   const Proxy& joiner = *cluster.proxies()[index];
   EXPECT_TRUE(joiner.available());
-  EXPECT_EQ(joiner.stats().checkpoint_installs, 1u);
   EXPECT_EQ(joiner.stats().joins, 1u);
   EXPECT_GT(joiner.stats().join_time_s, 0.0);
   // The image really streamed the database (replica-level accounting).
@@ -200,7 +199,7 @@ TEST(SnapshotJoin, JoiningAPrunedClusterInstallsACheckpointInsteadOfThrowing) {
   EXPECT_NO_THROW(index = cluster.AddReplica());
   cluster.Advance(Seconds(120.0));
   EXPECT_TRUE(cluster.proxies()[index]->available());
-  EXPECT_EQ(cluster.proxies()[index]->stats().checkpoint_installs, 1u);
+  EXPECT_EQ(cluster.replicas()[index]->stats().checkpoint_installs, 1u);
 }
 
 TEST(SnapshotJoin, LegacyJoinPastThePruneLineThrows) {

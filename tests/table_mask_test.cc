@@ -1,7 +1,7 @@
-// Unit tests for the update-filtering fast path's bit layer
-// (src/storage/table_mask.h): mask algebra, bit = RelationId, the 256-relation
-// limit, and — the load-bearing one — a randomized differential proving the
-// mask wanted-decision is exactly Writeset::TouchesAny.
+// Unit tests for the table-set type (src/storage/table_mask.h): mask algebra,
+// bit = RelationId, ascending iteration, the 256-relation limit, and — the
+// load-bearing one — a randomized differential proving the mask
+// wanted-decision is exactly Writeset::TouchesAny.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -10,7 +10,6 @@
 
 #include "src/common/rng.h"
 #include "src/gsi/writeset.h"
-#include "src/storage/relation_set.h"
 #include "src/storage/schema.h"
 #include "src/storage/table_mask.h"
 
@@ -69,10 +68,13 @@ TEST(TableMask, SetRejectsBitsPastTheMask) {
   only_last.Set(TableMask::kBits - 1);
   EXPECT_EQ(m, only_last);
 
+  // Nor is a bit past the mask a member.
+  EXPECT_FALSE(m.Test(TableMask::kBits));
+
   Writeset ws;
   ws.table_pages = {{3, 1}, {TableMask::kBits, 1}};
   EXPECT_THROW(ws.BuildMask(), std::out_of_range);
-  EXPECT_THROW(BuildMask(RelationSet{3, TableMask::kBits}), std::out_of_range);
+  EXPECT_THROW((TableMask{3, TableMask::kBits}), std::out_of_range);
 }
 
 TEST(Schema, AddRefusesThe257thRelation) {
@@ -93,8 +95,13 @@ TEST(TableMask, BuildMaskSetsEachRelationIdsBit) {
   expected.Set(4);
   expected.Set(11);
   EXPECT_EQ(ws.BuildMask(), expected);
-  EXPECT_EQ(BuildMask(RelationSet{11, 4}), expected);
-  EXPECT_EQ(BuildMask(RelationSet{}), TableMask{});
+  EXPECT_EQ((TableMask{11, 4, 11}), expected);
+}
+
+TEST(TableMask, CountIsTheNumberOfMembers) {
+  EXPECT_EQ(TableMask{}.count(), 0u);
+  EXPECT_EQ((TableMask{0, 63, 64, 255}).count(), 4u);
+  EXPECT_EQ((TableMask{7, 7}).count(), 1u);
 }
 
 TEST(TableMask, ForEachMaskBitVisitsAscendingBits) {
@@ -103,7 +110,6 @@ TEST(TableMask, ForEachMaskBitVisitsAscendingBits) {
   m.Set(64);
   m.Set(250);
   std::vector<uint32_t> seen;
-  // lint: allow(mask-order) asserting the decode order itself, not feeding a sink
   ForEachMaskBit(m, [&seen](uint32_t bit) { seen.push_back(bit); });
   EXPECT_EQ(seen, (std::vector<uint32_t>{5, 64, 250}));
 }
@@ -129,13 +135,13 @@ TEST(TableMaskDifferential, MaskWantedEquivalentToTouchesAny) {
     for (uint64_t t = 0; t < touches; ++t) {
       ws.table_pages.push_back(TableWrite{draw(), 1});
     }
-    RelationSet sub;
+    TableMask sub;
     const uint64_t width = rng.NextBelow(24);
     for (uint64_t t = 0; t < width; ++t) {
-      sub.insert(draw());
+      sub.Set(draw());
     }
     const bool truth = ws.TouchesAny(sub);
-    EXPECT_EQ(Intersects(ws.BuildMask(), BuildMask(sub)), truth)
+    EXPECT_EQ(Intersects(ws.BuildMask(), sub), truth)
         << "mask and TouchesAny disagree (probe " << probe << ")";
     (truth ? hits : misses)++;
   }

@@ -8,13 +8,11 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "src/common/alloc_guard.h"
 #include "src/common/rng.h"
 #include "src/gsi/writeset.h"
-#include "src/storage/relation_set.h"
 #include "src/gsi/writeset_store.h"
 
 namespace tashkent {
@@ -48,10 +46,12 @@ TEST(Writeset, WorkloadSizedWritesetsStayInline) {
 TEST(Writeset, TouchesAnyChecksTablePages) {
   Writeset ws;
   ws.table_pages = {{3, 2}, {7, 1}};
-  std::unordered_set<RelationId> sub1{7, 9};
-  std::unordered_set<RelationId> sub2{4, 5};
-  EXPECT_TRUE(ws.TouchesAny(sub1));
-  EXPECT_FALSE(ws.TouchesAny(sub2));
+  EXPECT_TRUE(ws.TouchesAny(TableMask{7, 9}));
+  EXPECT_TRUE(ws.TouchesAny(TableMask{3}));
+  EXPECT_FALSE(ws.TouchesAny(TableMask{4, 5}));
+  EXPECT_FALSE(ws.TouchesAny(TableMask{1, 2}));
+  EXPECT_FALSE(ws.TouchesAny(TableMask{}));
+  EXPECT_FALSE(Writeset{}.TouchesAny(TableMask{3, 7}));
 }
 
 TEST(WritesetRange, CountsAndEmptiness) {
@@ -329,8 +329,8 @@ TEST(WritesetLogMasks, ChunkMasksTrackAppendsAndSkip) {
   EXPECT_FALSE(m1.Test(kTableB));
   EXPECT_TRUE(log.MaskOf(WritesetLog::kChunkEntries + 1).Test(kTableB));
 
-  const TableMask sub_a = BuildMask(RelationSet{kTableA});
-  const TableMask sub_b = BuildMask(RelationSet{kTableB});
+  const TableMask sub_a = TableMask{kTableA};
+  const TableMask sub_b = TableMask{kTableB};
 
   // A-subscriber finds work immediately; B-subscriber hops the pure-A chunk
   // whether it starts at the chunk boundary or mid-chunk.
@@ -343,7 +343,7 @@ TEST(WritesetLogMasks, ChunkMasksTrackAppendsAndSkip) {
 
   // A subscription to a table the log never saw skips everything, including
   // the partially-filled tail chunk.
-  const TableMask sub_unseen = BuildMask(RelationSet{99});
+  const TableMask sub_unseen = TableMask{99};
   EXPECT_EQ(log.SkipUnwanted(1, head, sub_unseen), head + 1);
 
   // The skip window is clamped by `hi`, not the log head: a B-subscriber
@@ -369,7 +369,7 @@ TEST(WritesetLogMasks, PruneResetsRecycledChunkMasks) {
     log.Append(MakeWsOn(v, kTableB), arena);
   }
 
-  const TableMask sub_a = BuildMask(RelationSet{kTableA});
+  const TableMask sub_a = TableMask{kTableA};
   // If recycling failed to reset the chunk's union mask, the stale A bit
   // would pin an A-subscriber inside the now-pure-B chunk.
   EXPECT_EQ(log.SkipUnwanted(two_chunks + 1, log.head(), sub_a), log.head() + 1);
@@ -411,14 +411,14 @@ TEST(WritesetLogMasks, SkipNeverPassesAWantedEntry) {
   uint64_t hopped = 0;
   const auto probe_all = [&](Version lowest) {
     for (int probe = 0; probe < 2000; ++probe) {
-      RelationSet sub;
+      TableMask sub;
       const uint64_t width = 1 + rng.NextBelow(3);
       for (uint64_t t = 0; t < width; ++t) {
-        sub.insert(static_cast<RelationId>(rng.NextBelow(kTables)));
+        sub.Set(static_cast<RelationId>(rng.NextBelow(kTables)));
       }
       const Version from = lowest + rng.NextBelow(head - lowest + 1);
       const Version hi = from + rng.NextBelow(head - from + 1);
-      const Version hop = log.SkipUnwanted(from, hi, BuildMask(sub));
+      const Version hop = log.SkipUnwanted(from, hi, sub);
       ASSERT_GE(hop, from);
       ASSERT_LE(hop, hi + 1);
       for (Version v = from; v < hop; ++v) {
@@ -456,7 +456,7 @@ TEST(AllocGuard, WorkloadSizedWritesetLifecycleIsAllocationFree) {
   // Build, move, filter-test, and copy a workload-sized writeset (the
   // largest real transaction writes 6 rows / 3 tables) under a Forbid
   // region: the whole lifecycle must stay inside the inline storage.
-  RelationSet subscription{1, 3};
+  const TableMask subscription{1, 3};
   AllocGuard::Forbid forbid;
   Writeset ws;
   for (int i = 0; i < 6; ++i) {
