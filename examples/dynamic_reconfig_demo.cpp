@@ -42,14 +42,14 @@ int main() {
   PrintAllocation("allocation under shopping", cluster, w);
 
   std::printf("\nswitching to browsing mix...\n");
-  cluster.SwitchMix(kTpcwBrowsing);
+  cluster.Apply(SwitchMix{kTpcwBrowsing});
   cluster.Advance(Seconds(600.0));
   const ExperimentResult browsing = cluster.Measure(Seconds(300.0));
   std::printf("browsing mix: %.1f tps\n", browsing.tps);
   PrintAllocation("allocation under browsing", cluster, w);
 
   std::printf("\nswitching back to shopping...\n");
-  cluster.SwitchMix(kTpcwShopping);
+  cluster.Apply(SwitchMix{kTpcwShopping});
   cluster.Advance(Seconds(600.0));
   const ExperimentResult shopping2 = cluster.Measure(Seconds(300.0));
   std::printf("shopping mix again: %.1f tps (recovered %.0f%% of the original)\n",

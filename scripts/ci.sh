@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verify: configure, build, run the full test suite (plain and
 # ASan+UBSan), run the smoke, faults and churn campaigns under ASan+UBSan,
-# lint for determinism, then run the whole campaign grid (`run all`, at
+# lint for determinism, check that no second verb surface names
+# ClusterMutator, then run the whole campaign grid (`run all`, at
 # --jobs 2 and again at --jobs 1) under hard gates on the JSON it emits:
 # every cell's executed events and every result document's digest against
 # bench/baselines/, --jobs 1 equal to --jobs 2, and the marathon, asan, skew
@@ -43,6 +44,18 @@ mkdir -p build-asan/bench-out
 # unseeded randomness in src/ or the campaign definitions.
 python3 scripts/lint_determinism.py src/ bench/ \
   || { echo "ci: determinism lint failed" >&2; exit 1; }
+
+# --- one verb entry point ----------------------------------------------------
+# Verbs reach a cluster through Cluster::Apply/At only. ClusterMutator
+# survives as a two-call forward in src/cluster/mutator.h for perfbench; no
+# other source, test or example may name it, so the forward cannot grow back
+# into a second verb surface.
+mutator_users=$(grep -rlw ClusterMutator src tests examples | grep -vx 'src/cluster/mutator.h' || true)
+if [ -n "${mutator_users}" ]; then
+  echo "ci: ClusterMutator is named outside src/cluster/mutator.h:" >&2
+  echo "${mutator_users}" >&2
+  exit 1
+fi
 
 # --- python tool tests -------------------------------------------------------
 # The determinism lint is itself a gate; its rule set is pinned by tests.

@@ -89,18 +89,13 @@ void CertifierChannel::FireDup(uint32_t slot) {
 
 void CertifierChannel::Deliver(SimDuration delay, Arrival fn) {
   ++arrivals_;
-  if (!batch_) {
-    ++events_;
-    sim_->ScheduleAfter(delay, [fn = std::move(fn)]() { fn(); });
-    return;
-  }
   const SimTime when = sim_->Now() + (delay < 0 ? 0 : delay);
   // Piggyback on the open batch for this tick if one exists (with the fixed
   // certification RTT it is always the back; the scan keeps mixed-delay
   // schedules correct too). The currently firing batch is detached before
   // its handlers run, so a re-entrant submission for the firing tick opens a
-  // fresh batch (and a fresh event) instead — matching the unbatched firing
-  // order.
+  // fresh batch (and a fresh event) instead — matching the order per-arrival
+  // events would fire in.
   for (auto it = open_.rbegin(); it != open_.rend(); ++it) {
     if (it->when == when) {
       it->fns.push_back(std::move(fn));

@@ -10,7 +10,7 @@
 // event and are processed back-to-back in submission order — exactly the
 // order the per-arrival events would have fired in, since same-tick events
 // fire in schedule order. Verdicts, commit order, response contents, and
-// timing are therefore bit-identical to the unbatched channel; only the
+// timing are therefore bit-identical to one event per arrival; only the
 // kernel's event count drops (tests/certifier_test.cc proves the equivalence
 // differentially, and the golden digest pins it end to end).
 //
@@ -22,16 +22,14 @@
 // RTT after their submission tick; a foreign event would need the exact
 // same microsecond), and when batching landed every campaign cell of the
 // time was byte-identical with batching on vs off. The property is
-// empirical, not structural, so the unbatched channel survives as
-// `batch_arrivals = false`: tests/certifier_test.cc runs it as the
-// differential reference, and a scenario that ever breaks the equivalence
-// can be bisected against it.
-// Clusters and standalone proxies always batch.
+// empirical, not structural: tests/certifier_test.cc compares the channel
+// with plain per-arrival simulator events as the differential reference,
+// and pins the one schedule shape where the two differ.
 //
 // Re-entrancy: an arrival handler may submit again (a recovery pull chases
 // the log head with zero think time). If the new arrival lands on the tick
 // that is currently firing, it gets its own event — the currently-firing
-// batch was already detached — which again matches the unbatched order (a
+// batch was already detached — which again matches per-arrival events (a
 // same-tick event scheduled mid-tick fires after the events already queued).
 //
 // Fault injection: ArmFaults installs a FaultPlan — per-message drop /
@@ -104,15 +102,13 @@ class CertifierChannel {
   // into its 24 bytes — see Proxy.
   using Arrival = InlineCallback<void(), 24>;
 
-  CertifierChannel(Simulator* sim, bool batch_arrivals)
-      : sim_(sim), batch_(batch_arrivals) {}
+  explicit CertifierChannel(Simulator* sim) : sim_(sim) {}
 
   CertifierChannel(const CertifierChannel&) = delete;
   CertifierChannel& operator=(const CertifierChannel&) = delete;
 
-  // Schedules `fn` to run `delay` from now. With batching on, arrivals for
-  // the same tick share one simulator event; with it off, every arrival is
-  // its own event (the pre-batching behavior). `sender` is the submitting
+  // Schedules `fn` to run `delay` from now; arrivals for the same tick share
+  // one simulator event. `sender` is the submitting
   // replica's index; with faults armed, the message may be dropped (by the
   // plan's draws or by a partition window on `sender`), delayed, or
   // duplicated first.
@@ -146,7 +142,7 @@ class CertifierChannel {
     int remaining = 0;
   };
 
-  // Delivery of a surviving message (batching or per-arrival event).
+  // Delivery of a surviving message into its tick's batch.
   void Deliver(SimDuration delay, Arrival fn);
   // Applies the armed plan to one message, then Delivers the survivors.
   void InjectFaults(SimDuration delay, Arrival fn, uint32_t sender);
@@ -156,7 +152,6 @@ class CertifierChannel {
   void Fire();
 
   Simulator* sim_;
-  bool batch_;
   // Batches with a scheduled event, earliest first (arrival ticks are
   // non-decreasing: submissions use a fixed RTT and simulated time is
   // monotonic; a clock-order violation simply opens a fresh batch).

@@ -24,28 +24,16 @@ struct CalibrationResult {
 };
 
 // Runs standalone-database sweeps. `config.replicas` is ignored (forced to 1).
-//
-// `jobs` > 1 fans the sweep's standalone clusters out on the worker pool
-// (src/common/worker_pool.h): every sweep point is an independent,
-// self-seeded simulation, so the parallel path computes the same per-point
-// throughputs and then REPLAYS the sequential early-exit rule over them —
-// the chosen population, peak, and response time are exactly equal to the
-// jobs == 1 result (tests/calibration_test.cc pins the equality). The
-// trade: parallel runs may compute sweep points the sequential early exit
-// would have skipped, buying wall time with extra CPU.
+// The sweep runs the swept populations in order and stops at the plateau,
+// after two consecutive points that each gain less than 3%; the result is
+// the smallest swept population reaching 85% of the peak among the points
+// run. `jobs` is unused: the sweep always runs in the calling thread.
 CalibrationResult CalibrateClientsPerReplica(const Workload& workload,
                                              const std::string& mix_name,
                                              ClusterConfig config,
                                              SimDuration warmup = Seconds(40.0),
                                              SimDuration measure = Seconds(80.0),
                                              int jobs = 1);
-
-// Process-wide default fan-out used by CalibratedClients (experiment.h):
-// RunCampaigns sets it from --jobs so calibration sweeps inside one campaign
-// cell use the same worker budget as the cell grid. Purely a wall-clock
-// knob — results are fan-out-independent (see above).
-void SetCalibrationFanout(int jobs);
-int CalibrationFanout();
 
 // Convenience: one standalone run at a given client count (the "Single" bar
 // of Figures 3, 4 and 7): one LeastConnections replica, scripted as

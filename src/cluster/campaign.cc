@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/cluster/calibration.h"
 #include "src/common/worker_pool.h"
 
 namespace tashkent {
@@ -217,16 +216,6 @@ CampaignRunSummary RunCampaigns(const std::vector<const Campaign*>& campaigns,
   if (!options.json_dir.empty()) {
     MakeDirs(options.json_dir);
   }
-  // Calibration sweeps inside a cell fan out their 12 independent standalone
-  // clusters on the same worker budget. Cells needing an uncached calibration
-  // block on one computing thread (experiment.h dedups per key), so the
-  // fan-out mostly re-employs workers that would otherwise sit blocked; when
-  // several DISTINCT calibration keys compute at once the process briefly
-  // oversubscribes (each sweep spawns its own ParallelFor group), which costs
-  // some scheduling churn but never correctness — results are
-  // fan-out-independent, preserving jobs-N == jobs-1.
-  SetCalibrationFanout(options.jobs);
-
   // Expand every campaign's grid up front (and fail fast on duplicate ids)
   // so the pool sees one flat, globally parallel work list.
   std::vector<FlatCell> work;

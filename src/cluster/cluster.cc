@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include <cmath>
 
@@ -13,13 +14,24 @@
 
 namespace tashkent {
 
+namespace {
+
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
+}  // namespace
+
 Cluster::Cluster(const Workload& workload, std::string mix_name, std::string policy,
                  ClusterConfig config)
     : workload_(&workload),
       mix_name_(std::move(mix_name)),
       policy_name_(std::move(policy)),
       config_(config),
-      certifier_channel_(&sim_, /*batch_arrivals=*/true),
+      certifier_channel_(&sim_),
       timeline_(kTimelineBucket) {
   if (config_.checkpoint.auto_prune && !config_.checkpoint.checkpoint_join) {
     // Pruning drops the log prefix a legacy join replays from version 0: the
@@ -154,25 +166,61 @@ void Cluster::Advance(SimDuration d) {
   sim_.RunUntil(sim_.Now() + d);
 }
 
-void Cluster::SwitchMix(const std::string& mix_name) {
-  clients_->SetMix(&workload_->MixByName(mix_name));
-  mix_name_ = mix_name;
+void Cluster::Apply(const Verb& verb) {
+  std::visit(
+      Overloaded{
+          [&](const KillReplica& v) { proxies_.at(v.replica)->Crash(); },
+          [&](const RecoverReplica& v) { proxies_.at(v.replica)->Recover(); },
+          [&](const AddReplica& v) { JoinNewReplica(v.memory); },
+          [&](const ResizeMemory& v) {
+            replicas_.at(v.replica)->ResizeMemory(v.memory);
+            balancer_->OnTopologyChange();
+          },
+          [&](const CrashCertifier&) {
+            RequireRetry("CrashCertifier");
+            if (certifier_.serving()) {
+              certifier_.Crash();
+              cert_down_mark_ = sim_.Now();
+            }
+          },
+          [&](const FailoverCertifier&) {
+            if (!certifier_.serving()) {
+              cert_downtime_accum_s_ += ToSeconds(sim_.Now() - cert_down_mark_);
+            }
+            certifier_.Failover();
+            awaiting_failover_commit_ = true;
+            failover_at_ = sim_.Now();
+          },
+          [&](const PartitionProxy& v) {
+            RequireRetry("PartitionProxy");
+            (void)proxies_.at(v.replica);  // bounds check; the window keys on the replica id
+            certifier_channel_.AddPartition(static_cast<uint32_t>(v.replica), sim_.Now(),
+                                            sim_.Now() + v.duration);
+          },
+          [&](const SwitchMix& v) {
+            clients_->SetMix(&workload_->MixByName(v.mix));
+            mix_name_ = v.mix;
+          },
+          [&](const tashkent::SetPopulation& v) { clients_->SetPopulation(v.population); },
+          [&](const FreezeAllocation&) {
+            // Stops MALB reallocation ticks from changing anything further.
+            if (malb_ != nullptr) {
+              malb_->Freeze();
+            }
+          },
+      },
+      verb);
 }
 
-void Cluster::SetPopulation(size_t population) { clients_->SetPopulation(population); }
-
-void Cluster::FreezeAllocation() {
-  // Stops MALB reallocation ticks from changing anything further.
-  if (malb_ != nullptr) {
-    malb_->Freeze();
+void Cluster::At(SimDuration delay, Verb verb) {
+  if (delay <= 0) {
+    Apply(verb);
+    return;
   }
+  sim_.ScheduleAfter(delay, [this, verb = std::move(verb)]() { Apply(verb); });
 }
 
-void Cluster::KillReplica(size_t index) { proxies_.at(index)->Crash(); }
-
-void Cluster::RecoverReplica(size_t index) { proxies_.at(index)->Recover(); }
-
-size_t Cluster::AddReplica(Bytes memory) {
+void Cluster::JoinNewReplica(Bytes memory) {
   ReplicaConfig rc = config_.replica;
   if (memory > 0) {
     rc.memory = memory;
@@ -193,7 +241,6 @@ size_t Cluster::AddReplica(Bytes memory) {
   // otherwise it replays the entire certifier log (filtered by any
   // subscription) before serving.
   proxy->JoinAsNew();
-  return proxies_.size() - 1;
 }
 
 Proxy* Cluster::AddReplicaAndProxy(const ReplicaConfig& rc, Rng rng) {
@@ -214,32 +261,6 @@ void Cluster::RequireRetry(const char* verb) const {
                            "retry, the messages it loses wait for a timeout that is never "
                            "scheduled");
   }
-}
-
-void Cluster::CrashCertifier() {
-  RequireRetry("CrashCertifier");
-  if (!certifier_.serving()) {
-    return;
-  }
-  certifier_.Crash();
-  cert_down_mark_ = sim_.Now();
-}
-
-void Cluster::FailoverCertifier() {
-  const bool was_down = !certifier_.serving();
-  certifier_.Failover();
-  if (was_down) {
-    cert_downtime_accum_s_ += ToSeconds(sim_.Now() - cert_down_mark_);
-  }
-  awaiting_failover_commit_ = true;
-  failover_at_ = sim_.Now();
-}
-
-void Cluster::PartitionProxy(size_t index, SimDuration duration) {
-  RequireRetry("PartitionProxy");
-  (void)proxies_.at(index);  // bounds check; the window keys on the replica id
-  certifier_channel_.AddPartition(static_cast<uint32_t>(index), sim_.Now(),
-                                  sim_.Now() + duration);
 }
 
 ClusterCheckpoint Cluster::BuildCheckpointImage() const {
@@ -300,11 +321,6 @@ void Cluster::AutoPrune() {
   }
   certifier_.PruneLogBelow(floor);
   ++prunes_;
-}
-
-void Cluster::ResizeMemory(size_t index, Bytes memory) {
-  replicas_.at(index)->ResizeMemory(memory);
-  balancer_->OnTopologyChange();
 }
 
 void Cluster::ResetMetrics() {

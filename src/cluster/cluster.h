@@ -22,6 +22,7 @@
 #include "src/balancer/malb.h"
 #include "src/certifier/certifier.h"
 #include "src/certifier/channel.h"
+#include "src/cluster/verb.h"
 #include "src/common/stats.h"
 #include "src/proxy/proxy.h"
 #include "src/replica/replica.h"
@@ -226,56 +227,18 @@ class Cluster {
   // Resets measurement counters and measures one window.
   ExperimentResult Measure(SimDuration measure);
 
-  // --- Verb bodies ----------------------------------------------------------
-  // Each method below applies one Verb (src/cluster/verb.h) immediately.
-  // ClusterMutator::Apply dispatches to them; ClusterMutator::At and
-  // ScenarioBuilder add scheduling and the mutation log on top. They remain
-  // public for direct use.
-  // Switches the client mix immediately.
-  void SwitchMix(const std::string& mix_name);
-  // Retargets the client population immediately (flash crowds, diurnal
-  // curves). Works for both client models; see ClientSource::SetPopulation.
-  void SetPopulation(size_t population);
-  // Freezes MALB allocation in its current state (static-configuration
-  // baseline). No-op for non-MALB policies.
-  void FreezeAllocation();
-
-  // --- Churn verbs -----------------------------------------------------------
-  // Fail-stop replica `index`: it rejects new work until recovered.
-  void KillReplica(size_t index);
-  // Begins recovery of a killed replica: cold cache, replays the certifier's
-  // committed-writeset log (through its update-filtering subscription) and
-  // rejoins once caught up with the log head. If the log has been pruned past
-  // the replica's durable prefix, a checkpoint image is installed first
-  // (CheckpointPolicy::checkpoint_join).
-  void RecoverReplica(size_t index);
-  // Grows the cluster by one replica (`memory` = 0 uses the configured
-  // default). The new replica installs a checkpoint image and replays only
-  // the suffix (or, with checkpoint_join off, replays the whole log); the
-  // balancer is told via OnReplicaAdded. Returns the new index.
-  size_t AddReplica(Bytes memory = 0);
-  // Changes replica `index`'s RAM at runtime; shrinking evicts cache, and the
-  // balancer re-packs via OnTopologyChange. Throws std::invalid_argument
-  // when memory <= the configured reservation.
-  void ResizeMemory(size_t index, Bytes memory);
-
-  // --- Certifier failover / partition verbs --------------------------------
-  // CrashCertifier and PartitionProxy lose messages, which only the proxies'
-  // timeouts recover: both throw std::logic_error unless ProxyConfig::retry
-  // is enabled (an armed FaultPlan enables it).
-  //
-  // Fail-stop the certifier primary: requests go unanswered (sender timeouts
-  // drive retries), reads keep serving locally, writes queue behind the
-  // gatekeeper bound until FailoverCertifier promotes the warm standby.
-  void CrashCertifier();
-  // Promote the warm standby (works as a planned handover while the primary
-  // still serves, with or without retry: fenced requests are resent at
-  // once): bumps the epoch so stale requests are fenced, and starts the
-  // failover-recovery clock (stopped by the first client commit).
-  void FailoverCertifier();
-  // Drop every message from replica `index`'s proxy for `duration` from now
-  // (a one-way link partition; responses to earlier requests still arrive).
-  void PartitionProxy(size_t index, SimDuration duration);
+  // --- Verbs ------------------------------------------------------------------
+  // Applies one Verb (src/cluster/verb.h, which says what each does and when
+  // it throws) at the current instant.
+  void Apply(const Verb& verb);
+  // Applies `verb` `delay` from now. A delay of 0 (or less) applies at once
+  // and schedules nothing; otherwise exactly one simulator event carries
+  // {this, verb} inline, so scheduling never allocates (tests/churn_test.cc
+  // pins it). The cluster owns the event: a verb still pending when a
+  // ScenarioBuilder::RunOn returns fires during the cluster's next advance.
+  void At(SimDuration delay, Verb verb);
+  // Apply(SetPopulation{population}); kept for perfbench/simbench/rep.cc.
+  void SetPopulation(size_t population) { Apply(tashkent::SetPopulation{population}); }
 
   Simulator& sim() { return sim_; }
   Certifier& certifier() { return certifier_; }
@@ -290,7 +253,7 @@ class Cluster {
 
   const Workload& workload() const { return *workload_; }
   const std::string& policy_name() const { return policy_name_; }
-  // The currently active mix (tracks SwitchMix).
+  // The currently active mix (tracks the SwitchMix verb).
   const std::string& mix_name() const { return mix_name_; }
 
   // Whole-run throughput timeline in kTimelineBucket buckets (never reset by
@@ -307,6 +270,8 @@ class Cluster {
   // Appends the next replica, built from `rc` on seed stream `rng`, and its
   // proxy, with the checkpoint source when checkpoint joins are on.
   Proxy* AddReplicaAndProxy(const ReplicaConfig& rc, Rng rng);
+  // The AddReplica verb: appends a replica that joins through recovery.
+  void JoinNewReplica(Bytes memory);
   // One prune tick: sample certifier-memory HWMs, then prune the conflict
   // index at the GSI-safe point and the log below the safe floor.
   void AutoPrune();

@@ -47,11 +47,7 @@ int CalibratedClients(const Workload& workload, const std::string& mix,
       fut = it->second;
     } else {
       task = std::packaged_task<int()>([&workload, &mix, &canonical]() {
-        // The fan-out parallelizes the sweep's independent standalone
-        // clusters; the result is fan-out-independent (see calibration.h),
-        // so the cache stays a pure function of its key.
-        return CalibrateClientsPerReplica(workload, mix, canonical, Seconds(40.0),
-                                          Seconds(80.0), CalibrationFanout())
+        return CalibrateClientsPerReplica(workload, mix, canonical, Seconds(40.0), Seconds(80.0))
             .clients_per_replica;
       });
       fut = task.get_future().share();

@@ -52,7 +52,6 @@ ScenarioBuilder& ScenarioBuilder::At(SimDuration delay, Verb verb) {
 
 ScenarioResult ScenarioBuilder::RunOn(Cluster& cluster) const {
   ScenarioResult out;
-  ClusterMutator mutator(&cluster);
   SimDuration elapsed = Seconds(0.0);
   for (const ScenarioPhase& phase : phases_) {
     switch (phase.kind) {
@@ -70,13 +69,12 @@ ScenarioResult ScenarioBuilder::RunOn(Cluster& cluster) const {
         break;
       }
       case ScenarioPhase::Kind::kVerb:
-        mutator.At(phase.duration, phase.verb);
+        cluster.At(phase.duration, phase.verb);
         break;
     }
   }
   out.total = elapsed;
   out.timeline = cluster.timeline_buckets();
-  out.mutations = mutator.log();
   out.executed_events = cluster.sim().executed_events();
   return out;
 }

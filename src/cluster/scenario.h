@@ -31,8 +31,9 @@
 //     after the instant this phase executes, then move on immediately:
 //     `.At(Seconds(120.0), KillReplica{3}).Measure(Seconds(600.0), "churn")`
 //     fails replica 3 two minutes INTO the measure window. Zero duration.
-//     Do(v) is At(0, v). A scheduled verb still pending when RunOn returns
-//     is cancelled (see ClusterMutator::At).
+//     Do(v) is At(0, v). Both go through Cluster::At, so the cluster owns a
+//     scheduled verb: one still pending when RunOn returns fires during the
+//     cluster's next advance (a later RunOn, say).
 //
 // Each Measure phase resets the metric counters, runs for its duration, and
 // records one labeled ExperimentResult. The merged throughput timeline spans
@@ -53,7 +54,6 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/cluster/mutator.h"
 #include "src/cluster/verb.h"
 
 namespace tashkent {
@@ -85,9 +85,6 @@ struct ScenarioResult {
   // included).
   std::vector<double> timeline;
   SimDuration total = Seconds(0.0);  // total simulated scenario time
-  // Verbs applied during the run, in execution order (scheduled verbs
-  // stamped when they fired) — lines up against the timeline.
-  std::vector<MutationRecord> mutations;
   // Simulator events executed over the cluster's whole life (perf accounting
   // for the campaign manifest).
   uint64_t executed_events = 0;

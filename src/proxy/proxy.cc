@@ -16,9 +16,7 @@ Proxy::Proxy(Simulator* sim, Replica* replica, Certifier* certifier, ProxyConfig
       certifier_(certifier),
       config_(config),
       gatekeeper_(config.max_in_flight),
-      owned_channel_(channel == nullptr
-                         ? std::make_unique<CertifierChannel>(sim, /*batch_arrivals=*/true)
-                         : nullptr),
+      owned_channel_(channel == nullptr ? std::make_unique<CertifierChannel>(sim) : nullptr),
       channel_(channel == nullptr ? owned_channel_.get() : channel) {}
 
 void Proxy::SubmitTransaction(const TxnType& type, TxnDone done) {

@@ -55,8 +55,11 @@ class Simulator {
  public:
   // Per-event callback with inline capture storage (no heap). Hot payloads
   // (writesets, transaction continuations) are parked in their owners'
-  // slabs, so event captures are small: the largest is the cluster
-  // mutator's guarded verb (weak token + mutator + Verb, 64 bytes).
+  // slabs, so event captures are small: the largest is Cluster::At's
+  // scheduled verb (cluster + Verb, 48 bytes). The capacity stays at 96
+  // because 48 measured slower: tpcw-order-uf-churn's sim_txn_per_s fell
+  // 2.5% in 10 of 14 perfbench pairs (4-vCPU Xeon, g++ 12.2,
+  // RelWithDebInfo).
   using Callback = InlineCallback<void(), 96>;
 
   // Generation-tagged slab handle for cancellation: low 32 bits are

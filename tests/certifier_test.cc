@@ -3,6 +3,10 @@
 // per-proxy dedup window, and warm-standby crash/failover with epoch fencing.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/certifier/certifier.h"
@@ -452,37 +456,62 @@ TEST(Certifier, StandbyImageTracksEveryDecide) {
 
 // --- group-commit channel batching ------------------------------------------
 
-// Same-tick arrivals share one simulator event but run in submission order:
-// the observable sequence (and the certifier outcomes it produces) is
-// identical to the unbatched channel; only the event count differs.
-TEST(CertifierChannel, BatchedArrivalsPreserveOrderAndSaveEvents) {
-  for (const bool batch : {false, true}) {
-    Simulator sim;
-    CertifierChannel channel(&sim, batch);
-    std::vector<int> order;
-    // Three arrivals for tick 100, two for tick 250, interleaved submission.
-    channel.ScheduleArrival(100, [&order]() { order.push_back(1); }, /*sender=*/0);
-    channel.ScheduleArrival(100, [&order]() { order.push_back(2); }, /*sender=*/0);
-    channel.ScheduleArrival(250, [&order]() { order.push_back(10); }, /*sender=*/0);
-    channel.ScheduleArrival(100, [&order]() { order.push_back(3); }, /*sender=*/0);
-    channel.ScheduleArrival(250, [&order]() { order.push_back(11); }, /*sender=*/0);
-    sim.RunAll();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 10, 11}));
-    EXPECT_EQ(channel.arrivals(), 5u);
-    if (batch) {
-      EXPECT_EQ(channel.events_scheduled(), 2u);  // one per distinct tick
-    } else {
-      EXPECT_EQ(channel.events_scheduled(), 5u);
+// Submits arrivals through the batching channel or, as the reference the
+// differential tests compare it with, as one plain simulator event per
+// arrival: the schedule the channel's batches must reproduce.
+class Arrivals {
+ public:
+  Arrivals(Simulator* sim, bool batched) : sim_(sim) {
+    if (batched) {
+      channel_.emplace(sim);
     }
   }
+
+  template <typename F>
+  void Submit(SimDuration delay, F fn, uint32_t sender = 0) {
+    ++arrivals_;
+    if (channel_) {
+      channel_->ScheduleArrival(delay, std::move(fn), sender);
+    } else {
+      ++events_;
+      sim_->ScheduleAfter(delay, std::move(fn));
+    }
+  }
+
+  uint64_t arrivals() const { return arrivals_; }
+  uint64_t events() const { return channel_ ? channel_->events_scheduled() : events_; }
+
+ private:
+  Simulator* sim_;
+  std::optional<CertifierChannel> channel_;
+  uint64_t arrivals_ = 0;
+  uint64_t events_ = 0;
+};
+
+// Same-tick arrivals share one simulator event but run in submission order.
+TEST(CertifierChannel, BatchedArrivalsPreserveOrderAndSaveEvents) {
+  Simulator sim;
+  CertifierChannel channel(&sim);
+  std::vector<int> order;
+  // Three arrivals for tick 100, two for tick 250, interleaved submission.
+  channel.ScheduleArrival(100, [&order]() { order.push_back(1); }, /*sender=*/0);
+  channel.ScheduleArrival(100, [&order]() { order.push_back(2); }, /*sender=*/0);
+  channel.ScheduleArrival(250, [&order]() { order.push_back(10); }, /*sender=*/0);
+  channel.ScheduleArrival(100, [&order]() { order.push_back(3); }, /*sender=*/0);
+  channel.ScheduleArrival(250, [&order]() { order.push_back(11); }, /*sender=*/0);
+  sim.RunAll();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 10, 11}));
+  EXPECT_EQ(channel.arrivals(), 5u);
+  EXPECT_EQ(channel.events_scheduled(), 2u);  // one per distinct tick
+  EXPECT_EQ(sim.executed_events(), 2u);
 }
 
 // A handler that re-submits for the *currently firing* tick gets a fresh
-// event (it must not join the batch already draining), exactly like an
-// unbatched same-tick schedule-from-within-a-tick.
+// event (it must not join the batch already draining), exactly like a
+// same-tick event scheduled from within a tick.
 TEST(CertifierChannel, ReentrantSameTickArrivalGetsOwnEvent) {
   Simulator sim;
-  CertifierChannel channel(&sim, /*batch_arrivals=*/true);
+  CertifierChannel channel(&sim);
   std::vector<int> order;
   bool resubmitted = false;
   channel.ScheduleArrival(
@@ -501,8 +530,9 @@ TEST(CertifierChannel, ReentrantSameTickArrivalGetsOwnEvent) {
 }
 
 // Differential: the full certification sequence of an interleaved
-// multi-replica schedule is identical with batching on and off — verdicts,
-// commit versions, remote ranges, and arrival times.
+// multi-replica schedule is identical through the batching channel and as
+// one event per arrival — verdicts, commit versions, remote ranges, and
+// arrival times.
 TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
   struct Observation {
     bool committed;
@@ -520,16 +550,16 @@ TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
     std::vector<Observation> log;
     std::vector<Version> applied = std::vector<Version>(3, 0);
   };
-  auto run = [](bool batch) {
+  auto run = [](bool batched) {
     Ctx ctx;
-    CertifierChannel channel(&ctx.sim, batch);
+    Arrivals arrivals(&ctx.sim, batched);
     // 30 certifications from 3 replicas; groups of three share a submission
     // tick (and hence an arrival tick), each writing distinct rows except
     // every 5th, which rewrites row 7 to force real conflicts.
     for (int i = 0; i < 30; ++i) {
       const ReplicaId replica = static_cast<ReplicaId>(i % 3);
       const SimTime submit = (i / 3) * 400;
-      ctx.sim.ScheduleAt(submit, [c = &ctx, ch = &channel, replica, i]() {
+      ctx.sim.ScheduleAt(submit, [c = &ctx, a = &arrivals, replica, i]() {
         Writeset ws;
         ws.table_pages = {{0, 1}};
         const uint64_t row = (i % 5 == 0) ? 7 : 100 + static_cast<uint64_t>(i);
@@ -537,7 +567,7 @@ TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
         ws.snapshot_version = c->applied[replica];
         c->parked.push_back(std::move(ws));
         Writeset* p = &c->parked.back();
-        ch->ScheduleArrival(320, [c, replica, p]() {
+        a->Submit(320, [c, replica, p]() {
           const CertifyResult r =
               c->certifier.Certify(std::move(*p), replica, c->applied[replica]);
           if (r.committed) {
@@ -554,39 +584,40 @@ TEST(CertifierChannel, BatchingIsResultIdenticalDifferentially) {
     return ctx.log;
   };
 
-  const auto unbatched = run(false);
+  const auto reference = run(false);
   const auto batched = run(true);
-  ASSERT_EQ(unbatched.size(), batched.size());
-  for (size_t i = 0; i < unbatched.size(); ++i) {
-    EXPECT_EQ(unbatched[i].committed, batched[i].committed) << i;
-    EXPECT_EQ(unbatched[i].commit_version, batched[i].commit_version) << i;
-    EXPECT_EQ(unbatched[i].remote_from, batched[i].remote_from) << i;
-    EXPECT_EQ(unbatched[i].remote_to, batched[i].remote_to) << i;
-    EXPECT_EQ(unbatched[i].at, batched[i].at) << i;
+  ASSERT_EQ(reference.size(), batched.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(reference[i].committed, batched[i].committed) << i;
+    EXPECT_EQ(reference[i].commit_version, batched[i].commit_version) << i;
+    EXPECT_EQ(reference[i].remote_from, batched[i].remote_from) << i;
+    EXPECT_EQ(reference[i].remote_to, batched[i].remote_to) << i;
+    EXPECT_EQ(reference[i].at, batched[i].at) << i;
   }
 }
 
 // Structural pin of the header's "equivalence caveat": a NON-channel event
 // scheduled for an arrival tick BETWEEN two submissions for that tick runs
-// between them unbatched, but after the whole batch when batching is on (the
-// shared event carries the first submission's sequence number). This is the
-// one schedule shape where batching is observable; the test keeps it
-// documented-by-execution so a future scenario that hits it (and breaks the
-// golden digest) has a named, understood cause instead of a mystery.
+// between them with one event per arrival, but after the whole batch
+// through the channel (the shared event carries the first submission's
+// sequence number). This is the one schedule shape where batching is
+// observable; the test keeps it documented-by-execution so a future scenario
+// that hits it (and breaks the golden digest) has a named, understood cause
+// instead of a mystery.
 TEST(CertifierChannel, ForeignSameTickEventOrdersAfterBatch) {
-  auto run = [](bool batch) {
+  auto run = [](bool batched) {
     Simulator sim;
-    CertifierChannel channel(&sim, batch);
+    Arrivals arrivals(&sim, batched);
     std::vector<int> order;
-    channel.ScheduleArrival(100, [&order]() { order.push_back(1); }, /*sender=*/0);
+    arrivals.Submit(100, [&order]() { order.push_back(1); });
     // The foreign event: same tick, scheduled after the first submission.
     sim.ScheduleAt(100, [&order]() { order.push_back(99); });
-    channel.ScheduleArrival(100, [&order]() { order.push_back(2); }, /*sender=*/0);
+    arrivals.Submit(100, [&order]() { order.push_back(2); });
     sim.RunAll();
     return order;
   };
-  // Unbatched, schedule order is execution order: the foreign event fires
-  // between the two arrivals.
+  // One event per arrival: schedule order is execution order, so the
+  // foreign event fires between the two arrivals.
   EXPECT_EQ(run(false), (std::vector<int>{1, 99, 2}));
   // Batched, the second arrival joins the already-scheduled batch event and
   // jumps the foreign event. No production component schedules this shape
@@ -599,57 +630,56 @@ TEST(CertifierChannel, ForeignSameTickEventOrdersAfterBatch) {
 // Flash-crowd burst: hundreds of arrivals land on one tick (the fluid client
 // model's crowd spike compressed into the certifier RTT), a quarter of them
 // re-entrantly chase with zero-delay re-submissions two levels deep (the
-// recovery-pull pattern). The full firing sequence must match the unbatched
-// channel exactly, batch vectors must be recycled across waves, and the
+// recovery-pull pattern). The full firing sequence must match one event per
+// arrival exactly, batch vectors must be recycled across waves, and the
 // event saving must scale with the burst size.
 TEST(CertifierChannel, FlashCrowdBurstReentrancyMatchesUnbatched) {
   struct BurstCtx {
     Simulator sim;
-    CertifierChannel* channel = nullptr;
+    Arrivals* arrivals = nullptr;
     std::vector<std::pair<int, SimTime>> log;
     void Arrive(int id, int depth) {
       log.push_back({id, sim.Now()});
       if (depth > 0) {
         // Same-tick chaser: must get a fresh event (the firing batch is
         // already detached), in both modes firing after everything queued.
-        channel->ScheduleArrival(
-            0, [this, id, depth]() { Arrive(id + 10000, depth - 1); }, /*sender=*/0);
+        arrivals->Submit(0, [this, id, depth]() { Arrive(id + 10000, depth - 1); });
       }
     }
   };
-  auto run = [](bool batch) {
+  auto run = [](bool batched) {
     BurstCtx ctx;
-    CertifierChannel channel(&ctx.sim, batch);
-    ctx.channel = &channel;
+    Arrivals arrivals(&ctx.sim, batched);
+    ctx.arrivals = &arrivals;
     // Wave 1: 200 arrivals on tick 100; every 4th spawns a 2-deep chaser
     // chain. Wave 2: 100 more on tick 500, reusing recycled batch storage.
     for (int i = 0; i < 200; ++i) {
       const int depth = (i % 4 == 0) ? 2 : 0;
-      ctx.sim.ScheduleAt(0, [c = &ctx, ch = &channel, i, depth]() {
-        ch->ScheduleArrival(100, [c, i, depth]() { c->Arrive(i, depth); }, /*sender=*/0);
+      ctx.sim.ScheduleAt(0, [c = &ctx, a = &arrivals, i, depth]() {
+        a->Submit(100, [c, i, depth]() { c->Arrive(i, depth); });
       });
     }
     for (int i = 200; i < 300; ++i) {
-      ctx.sim.ScheduleAt(0, [c = &ctx, ch = &channel, i]() {
-        ch->ScheduleArrival(500, [c, i]() { c->Arrive(i, 0); }, /*sender=*/0);
+      ctx.sim.ScheduleAt(0, [c = &ctx, a = &arrivals, i]() {
+        a->Submit(500, [c, i]() { c->Arrive(i, 0); });
       });
     }
     ctx.sim.RunAll();
-    return std::make_tuple(ctx.log, channel.arrivals(), channel.events_scheduled());
+    return std::make_tuple(ctx.log, arrivals.arrivals(), arrivals.events());
   };
 
-  const auto [unbatched_log, unbatched_arrivals, unbatched_events] = run(false);
+  const auto [reference_log, reference_arrivals, reference_events] = run(false);
   const auto [batched_log, batched_arrivals, batched_events] = run(true);
 
   // 300 direct + 50 chasers * 2 levels = 400 arrivals either way.
-  EXPECT_EQ(unbatched_arrivals, 400u);
+  EXPECT_EQ(reference_arrivals, 400u);
   EXPECT_EQ(batched_arrivals, 400u);
-  ASSERT_EQ(unbatched_log.size(), batched_log.size());
-  for (size_t i = 0; i < unbatched_log.size(); ++i) {
-    EXPECT_EQ(unbatched_log[i].first, batched_log[i].first) << "position " << i;
-    EXPECT_EQ(unbatched_log[i].second, batched_log[i].second) << "position " << i;
+  ASSERT_EQ(reference_log.size(), batched_log.size());
+  for (size_t i = 0; i < reference_log.size(); ++i) {
+    EXPECT_EQ(reference_log[i].first, batched_log[i].first) << "position " << i;
+    EXPECT_EQ(reference_log[i].second, batched_log[i].second) << "position " << i;
   }
-  EXPECT_EQ(unbatched_events, 400u);  // one event per arrival
+  EXPECT_EQ(reference_events, 400u);  // one event per arrival
   // Batched: one event per wave plus one per cascade LEVEL — the first
   // re-entrant chaser of a level opens a fresh batch (the firing one is
   // detached) and the other 49 join it. 400 arrivals ride 4 events.

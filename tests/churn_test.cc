@@ -19,7 +19,6 @@
 #include "src/cluster/campaign.h"
 #include "src/common/alloc_guard.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/mutator.h"
 #include "src/cluster/scenario.h"
 #include "src/workload/tpcw.h"
 
@@ -45,9 +44,9 @@ TEST_P(ChurnRoundTrip, RestoresThroughputAndRecordsRecovery) {
   const ExperimentResult before = cluster.Measure(Seconds(120.0));
   ASSERT_GT(before.tps, 1.0);
 
-  cluster.KillReplica(3);
+  cluster.Apply(KillReplica{3});
   cluster.Advance(Seconds(60.0));  // commits accumulate while it is down
-  cluster.RecoverReplica(3);
+  cluster.Apply(RecoverReplica{3});
   // The replay completes inside this window, so its metrics land here.
   const ExperimentResult during = cluster.Measure(Seconds(120.0));
   EXPECT_EQ(during.recoveries, 1u);
@@ -77,10 +76,10 @@ TEST(ChurnLifecycle, RecoveringReplicaRejectsWorkUntilCaughtUp) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config());
   cluster.Advance(Seconds(60.0));
-  cluster.KillReplica(2);
+  cluster.Apply(KillReplica{2});
   EXPECT_EQ(cluster.proxies()[2]->lifecycle(), ReplicaLifecycle::kDown);
   cluster.Advance(Seconds(60.0));
-  cluster.RecoverReplica(2);
+  cluster.Apply(RecoverReplica{2});
   // Recovery replays the log before rejoining: not yet available.
   EXPECT_EQ(cluster.proxies()[2]->lifecycle(), ReplicaLifecycle::kRecovering);
   EXPECT_FALSE(cluster.proxies()[2]->available());
@@ -150,9 +149,9 @@ TEST(Elastic, AddedReplicaReplaysLogThenServes) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, "MALB-SC", Config(4));
   cluster.Advance(Seconds(120.0));
-  const size_t index = cluster.AddReplica();
-  EXPECT_EQ(index, 4u);
+  cluster.Apply(AddReplica{});
   ASSERT_EQ(cluster.replicas().size(), 5u);
+  const size_t index = 4;
   // Joins via recovery: the `recover` row from kDown installs the cluster's
   // checkpoint image, which is newer than the joiner's empty database.
   EXPECT_EQ(cluster.proxies()[index]->lifecycle(), ReplicaLifecycle::kInstalling);
@@ -181,24 +180,33 @@ TEST(Elastic, ResizeMemoryShrinksAndGrows) {
   const Pages warm = cluster.replicas()[0]->pool().used_pages();
   ASSERT_GT(warm, 0);
 
-  cluster.ResizeMemory(0, 128 * kMiB);
+  cluster.Apply(ResizeMemory{0, 128 * kMiB});
   const Pages shrunk_capacity = cluster.replicas()[0]->pool().capacity_pages();
   EXPECT_EQ(shrunk_capacity, BytesToPages(128 * kMiB - 70 * kMiB));
   EXPECT_LE(cluster.replicas()[0]->pool().used_pages(), shrunk_capacity);
   EXPECT_EQ(cluster.replicas()[0]->config().memory, 128 * kMiB);
 
-  cluster.ResizeMemory(0, 1024 * kMiB);
+  cluster.Apply(ResizeMemory{0, 1024 * kMiB});
   EXPECT_EQ(cluster.replicas()[0]->pool().capacity_pages(),
             BytesToPages(1024 * kMiB - 70 * kMiB));
 
-  EXPECT_THROW(cluster.ResizeMemory(0, 32 * kMiB), std::invalid_argument);
+  EXPECT_THROW(cluster.Apply(ResizeMemory{0, 32 * kMiB}), std::invalid_argument);
 }
 
 // --- scenario wiring ---------------------------------------------------------
 
-TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
+TEST(ChurnScenario, ScheduledVerbsTakeEffectAtTheirInstants) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
-  ClusterConfig config = Config(3);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config(3));
+  // Read-only probes of replica 1's lifecycle one microsecond either side of
+  // the two scheduled verbs' instants: 60 s warmup + 30 s and + 90 s.
+  std::vector<ReplicaLifecycle> seen;
+  for (const SimTime t : {Seconds(90.0) - 1, Seconds(90.0) + 1, Seconds(150.0) - 1,
+                          Seconds(150.0) + 1}) {
+    cluster.sim().ScheduleAt(t, [&seen, &cluster]() {
+      seen.push_back(cluster.proxies()[1]->lifecycle());
+    });
+  }
   const ScenarioResult r = ScenarioBuilder()
                                .Warmup(Seconds(60.0))
                                .At(Seconds(30.0), KillReplica{1})
@@ -207,18 +215,17 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
                                .Do(AddReplica{})
                                .Do(ResizeMemory{0, 1024 * kMiB})
                                .Measure(Seconds(60.0), "after")
-                               .Run(w, kTpcwOrdering, "LeastConnections", config);
+                               .RunOn(cluster);
 
-  ASSERT_EQ(r.mutations.size(), 4u);
-  EXPECT_TRUE(std::holds_alternative<KillReplica>(r.mutations[0].verb));
-  EXPECT_TRUE(std::holds_alternative<RecoverReplica>(r.mutations[1].verb));
-  EXPECT_TRUE(std::holds_alternative<AddReplica>(r.mutations[2].verb));
-  EXPECT_EQ(r.mutations[2].added, 3u);  // the fourth replica of a 3-replica cluster
-  EXPECT_TRUE(std::holds_alternative<ResizeMemory>(r.mutations[3].verb));
-  // The scheduled verbs fired inside the measure window: 60s warmup + 30s /
-  // 90s offsets.
-  EXPECT_EQ(r.mutations[0].at, Seconds(90.0));
-  EXPECT_EQ(r.mutations[1].at, Seconds(150.0));
+  EXPECT_EQ(seen, (std::vector<ReplicaLifecycle>{ReplicaLifecycle::kUp, ReplicaLifecycle::kDown,
+                                                 ReplicaLifecycle::kDown,
+                                                 ReplicaLifecycle::kRecovering}));
+  // The Do verbs applied between the two windows: a fourth replica began
+  // its join, and replica 0 runs with the new memory.
+  ASSERT_EQ(cluster.replicas().size(), 4u);
+  EXPECT_NE(cluster.proxies()[3]->lifecycle(), ReplicaLifecycle::kDown);
+  EXPECT_EQ(cluster.replicas()[0]->config().memory, 1024 * kMiB);
+  EXPECT_EQ(cluster.replicas()[0]->pool().capacity_pages(), BytesToPages(1024 * kMiB - 70 * kMiB));
 
   const ExperimentResult& churn = r.ByLabel("churn");
   EXPECT_EQ(churn.recoveries, 1u);
@@ -226,11 +233,28 @@ TEST(ChurnScenario, ScheduledVerbsFireInsideWindowsAndAreLogged) {
   EXPECT_GT(churn.availability, 0.5);
 }
 
+// The cluster owns a scheduled verb, not the script that scheduled it: a
+// verb still pending when one RunOn returns fires during the next RunOn on
+// the same cluster.
+TEST(ChurnScenario, PendingVerbFiresDuringALaterRunOn) {
+  const Workload w = BuildTpcw(kTpcwSmallEbs);
+  Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config(3));
+  ScenarioBuilder()
+      .Warmup(Seconds(30.0))
+      .At(Seconds(60.0), KillReplica{1})  // 30 s past the end of this script
+      .Advance(Seconds(30.0))
+      .RunOn(cluster);
+  EXPECT_EQ(cluster.proxies()[1]->lifecycle(), ReplicaLifecycle::kUp);
+
+  ScenarioBuilder().Advance(Seconds(60.0)).RunOn(cluster);
+  EXPECT_EQ(cluster.proxies()[1]->lifecycle(), ReplicaLifecycle::kDown);
+}
+
 // --- scheduling verbs is allocation-free -------------------------------------
 
 // One entry per Verb alternative, in the order the entries fire when each is
-// scheduled `delay` from one instant. The alloc-guard and the fire-order and
-// log checks below all read this table.
+// scheduled `delay` from one instant. The alloc-guard below schedules the
+// whole table, and its effect checks follow the entries.
 struct VerbCase {
   SimDuration delay;
   Verb verb;
@@ -251,11 +275,11 @@ std::vector<VerbCase> EveryVerb() {
   };
 }
 
-// ClusterMutator::At captures {liveness token, mutator, Verb} inline in the
-// simulator's event (no std::function): scheduling any verb — the weak
-// liveness token, the verb value, and the simulator event — performs zero
-// heap allocations. A campaign can script hundreds of timeline mutations
-// without perturbing the hot path it is about to measure.
+// Cluster::At captures {cluster, Verb} inline in the simulator's event (no
+// std::function): scheduling any verb — the verb value and the simulator
+// event — performs zero heap allocations. A campaign can script hundreds of
+// timeline mutations without perturbing the hot path it is about to
+// measure.
 TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
   const std::vector<VerbCase> verbs = EveryVerb();
   // The table must cover every Verb alternative exactly once: a new verb
@@ -275,45 +299,35 @@ TEST(ChurnScheduling, ScheduledVerbsDoNotAllocate) {
   cluster.Advance(Seconds(30.0));
 
   // Warm round: grow the simulator's event storage past what the guarded
-  // round will need, through a mutator destroyed before anything fires (its
-  // events no-op on the expired liveness token). Advancing past them frees
-  // their slots for the guarded round.
-  {
-    ClusterMutator warm(&cluster);
-    for (int i = 0; i < 4; ++i) {
-      for (const VerbCase& c : verbs) {
-        warm.At(c.delay, c.verb);
-      }
+  // round will need with no-op events. Advancing past them frees their
+  // slots for the guarded round.
+  for (int i = 0; i < 4; ++i) {
+    for (const VerbCase& c : verbs) {
+      cluster.sim().ScheduleAfter(c.delay, []() {});
     }
   }
   cluster.Advance(Seconds(90.0));
 
-  ClusterMutator mutator(&cluster);
-  const SimTime start = cluster.sim().Now();
   {
     AllocGuard::Forbid forbid;
     for (const VerbCase& c : verbs) {
-      mutator.At(c.delay, c.verb);
+      cluster.At(c.delay, c.verb);
     }
     EXPECT_EQ(forbid.seen(), 0u) << "scheduling a verb allocated";
   }
 
   // The scheduled verbs really fire (allocating freely at execution time —
-  // the guard covers scheduling only) and land in the log in timeline order.
+  // the guard covers scheduling only).
   cluster.Advance(Seconds(90.0));
-  const std::vector<MutationRecord>& log = mutator.log();
-  ASSERT_EQ(log.size(), verbs.size());
-  for (size_t i = 0; i < verbs.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(log[i].verb.index(), verbs[i].verb.index());
-    EXPECT_EQ(log[i].at, start + verbs[i].delay);
-    if (const auto* partition = std::get_if<PartitionProxy>(&log[i].verb)) {
-      EXPECT_EQ(partition->duration, Seconds(2.0));
-    }
-    if (std::holds_alternative<AddReplica>(log[i].verb)) {
-      EXPECT_EQ(log[i].added, 3u);
-    }
-  }
+  EXPECT_EQ(cluster.proxies()[1]->stats().recoveries, 1u);
+  EXPECT_EQ(cluster.replicas()[0]->config().memory, 512 * kMiB);
+  EXPECT_EQ(cluster.certifier().crashes(), 1u);
+  EXPECT_EQ(cluster.certifier().failovers(), 1u);
+  EXPECT_TRUE(cluster.certifier().serving());
+  EXPECT_GT(cluster.proxies()[0]->stats().cert_timeouts, 0u);  // partitioned
+  EXPECT_EQ(cluster.mix_name(), kTpcwBrowsing);
+  EXPECT_EQ(cluster.replicas().size(), 4u);
+  EXPECT_EQ(cluster.clients().population(), 20u);
 }
 
 // --- campaign determinism ----------------------------------------------------

@@ -252,7 +252,7 @@ TEST(ClusterConfig, RejectsZeroReplicas) {
   const ClusterConfig config = MakeClusterConfig(512 * kMiB, 0, 1);
   try {
     Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
-    cluster.SetPopulation(2);
+    cluster.Apply(SetPopulation{2});
     cluster.Advance(Seconds(5.0));
     ADD_FAILURE() << "a zero-replica cluster constructed";
   } catch (const std::invalid_argument& e) {

@@ -32,7 +32,7 @@ TEST_P(FailureTest, ClusterSurvivesCrash) {
   const ExperimentResult before = cluster.Measure(Seconds(120.0));
   ASSERT_GT(before.tps, 1.0);
 
-  cluster.KillReplica(3);
+  cluster.Apply(KillReplica{3});
   cluster.Advance(Seconds(60.0));  // failover transient
   const ExperimentResult after = cluster.Measure(Seconds(120.0));
   // Seven replicas keep the system alive at a meaningful fraction of the
@@ -44,9 +44,9 @@ TEST_P(FailureTest, RestartedReplicaCatchesUp) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, GetParam(), Config());
   cluster.Advance(Seconds(120.0));
-  cluster.KillReplica(2);
+  cluster.Apply(KillReplica{2});
   cluster.Advance(Seconds(120.0));
-  cluster.RecoverReplica(2);
+  cluster.Apply(RecoverReplica{2});
   cluster.Advance(Seconds(60.0));
   // The restarted replica's applied version converges to the certifier head
   // through pulls and prods (within the propagation window).
@@ -82,10 +82,10 @@ TEST(Failure, CrashedProxyRejectsWork) {
   const Workload w = BuildTpcw(kTpcwMediumEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", Config());
   cluster.Advance(Seconds(10.0));
-  cluster.KillReplica(0);
+  cluster.Apply(KillReplica{0});
   // Crash all but one and verify progress continues on the survivor.
   for (size_t r = 1; r < 7; ++r) {
-    cluster.KillReplica(r);
+    cluster.Apply(KillReplica{r});
   }
   const ExperimentResult res = cluster.Measure(Seconds(60.0));
   EXPECT_GT(res.committed, 0u);  // the single survivor still commits
@@ -97,8 +97,8 @@ TEST(Failure, RestartStartsCold) {
   cluster.Advance(Seconds(180.0));
   const Pages warm = cluster.replicas()[1]->pool().used_pages();
   EXPECT_GT(warm, 0);
-  cluster.KillReplica(1);
-  cluster.RecoverReplica(1);
+  cluster.Apply(KillReplica{1});
+  cluster.Apply(RecoverReplica{1});
   // The pool was cleared on restart; warmed again only by new traffic.
   EXPECT_EQ(cluster.replicas()[1]->pool().dirty_pages(), 0);
 }

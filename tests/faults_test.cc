@@ -14,7 +14,6 @@
 
 #include "src/certifier/channel.h"
 #include "src/cluster/cluster.h"
-#include "src/cluster/mutator.h"
 #include "src/proxy/proxy.h"
 #include "src/workload/tpcw.h"
 
@@ -33,7 +32,7 @@ struct ArrivalLog {
 TEST(FaultPlan, SameSeedSameSchedule) {
   auto run = [](uint64_t seed) {
     Simulator sim;
-    CertifierChannel channel(&sim, /*batch_arrivals=*/true);
+    CertifierChannel channel(&sim);
     FaultPlan plan;
     plan.drop = 0.3;
     plan.duplicate = 0.2;
@@ -72,7 +71,7 @@ TEST(FaultPlan, SameSeedSameSchedule) {
 // no fault accounting, every arrival delivered.
 TEST(FaultPlan, UnarmedPlanIsInert) {
   Simulator sim;
-  CertifierChannel channel(&sim, /*batch_arrivals=*/true);
+  CertifierChannel channel(&sim);
   channel.ArmFaults(FaultPlan{}, Rng(7));  // not armed(): ignored
   EXPECT_FALSE(channel.faults_armed());
   int delivered = 0;
@@ -89,7 +88,7 @@ TEST(FaultPlan, UnarmedPlanIsInert) {
 // the targeted sender inside [from, to).
 TEST(FaultPlan, PartitionWindowDropsOnlyTargetedSender) {
   Simulator sim;
-  CertifierChannel channel(&sim, /*batch_arrivals=*/true);
+  CertifierChannel channel(&sim);
   channel.AddPartition(/*sender=*/0, /*from=*/100, /*to=*/300);
   std::vector<int> delivered;
   auto submit = [&](SimTime at, int id, uint32_t sender) {
@@ -126,7 +125,7 @@ class FaultProxyTest : public ::testing::Test {
     ReplicaConfig rc;
     rc.memory = 64 * kMiB;
     rc.reserved = 0;
-    channel_ = std::make_unique<CertifierChannel>(&sim_, /*batch_arrivals=*/true);
+    channel_ = std::make_unique<CertifierChannel>(&sim_);
     replica_ = std::make_unique<Replica>(&sim_, &schema_, 0, rc, Rng(1));
     BuildProxy(TestRetry());
 
@@ -298,7 +297,7 @@ TEST(FaultCluster, PartitionHealsWithoutLosingCommits) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(true));
   cluster.Advance(Seconds(30.0));
-  cluster.PartitionProxy(0, Seconds(5.0));
+  cluster.Apply(PartitionProxy{0, Seconds(5.0)});
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_GT(r.msgs_dropped, 0u);  // the partition really dropped messages
   EXPECT_GT(r.cert_timeouts, 0u);
@@ -317,12 +316,12 @@ TEST(FaultCluster, CrashFailoverResumesAtNewEpochWithZeroLoss) {
   cluster.Advance(Seconds(30.0));
   const uint64_t before = cluster.certifier().certified_count();
 
-  cluster.CrashCertifier();
+  cluster.Apply(CrashCertifier{});
   EXPECT_FALSE(cluster.certifier().serving());
   cluster.Advance(Seconds(5.0));  // outage: timeouts, backoff, queued writes
   EXPECT_EQ(cluster.certifier().certified_count(), before);  // nothing decided
 
-  cluster.FailoverCertifier();
+  cluster.Apply(FailoverCertifier{});
   EXPECT_TRUE(cluster.certifier().serving());
   EXPECT_EQ(cluster.certifier().epoch(), 2u);
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
@@ -339,8 +338,8 @@ TEST(FaultCluster, LossyVerbsThrowWithoutRetry) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
   cluster.Advance(Seconds(30.0));
-  EXPECT_THROW(cluster.CrashCertifier(), std::logic_error);
-  EXPECT_THROW(cluster.PartitionProxy(0, Seconds(30.0)), std::logic_error);
+  EXPECT_THROW(cluster.Apply(CrashCertifier{}), std::logic_error);
+  EXPECT_THROW(cluster.Apply(PartitionProxy{0, Seconds(30.0)}), std::logic_error);
   EXPECT_TRUE(cluster.certifier().serving());
   const ExperimentResult r = cluster.Measure(Seconds(20.0));
   EXPECT_EQ(r.cert_crashes, 0u);
@@ -354,11 +353,10 @@ TEST(FaultCluster, LossyVerbsThrowWithoutRetry) {
 TEST(FaultCluster, PlannedFailoverWithoutRetryFencesAndCommits) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(false));
-  ClusterMutator mutator(&cluster);
   cluster.Advance(Seconds(30.0));
   const uint64_t before = cluster.certifier().certified_count();
   // Fail over mid-window, while certifications are in flight.
-  mutator.At(Seconds(10.0), FailoverCertifier{});
+  cluster.At(Seconds(10.0), FailoverCertifier{});
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_EQ(cluster.certifier().epoch(), 2u);
   EXPECT_EQ(r.cert_failovers, 1u);
@@ -373,10 +371,9 @@ TEST(FaultCluster, PlannedFailoverWithoutRetryFencesAndCommits) {
 TEST(FaultCluster, DowntimeIsAccountedInsideTheWindow) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", MiniConfig(true));
-  ClusterMutator mutator(&cluster);
   cluster.Advance(Seconds(30.0));
-  mutator.At(Seconds(10.0), CrashCertifier{});
-  mutator.At(Seconds(18.0), FailoverCertifier{});
+  cluster.At(Seconds(10.0), CrashCertifier{});
+  cluster.At(Seconds(18.0), FailoverCertifier{});
   const ExperimentResult r = cluster.Measure(Seconds(60.0));
   EXPECT_EQ(r.cert_crashes, 1u);
   EXPECT_EQ(r.cert_failovers, 1u);

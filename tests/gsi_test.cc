@@ -327,14 +327,14 @@ TEST(GsiOracle, ChurnScriptWithAutoPrune) {
   std::vector<Certifier::Decision> history;
   cluster.certifier().RecordDecisions(&history);
   cluster.Advance(Seconds(10.0));
-  cluster.KillReplica(1);
+  cluster.Apply(KillReplica{1});
   cluster.Advance(Seconds(5.0));
-  cluster.RecoverReplica(1);
+  cluster.Apply(RecoverReplica{1});
   cluster.Advance(Seconds(5.0));
-  cluster.AddReplica();
-  cluster.KillReplica(2);
+  cluster.Apply(AddReplica{});
+  cluster.Apply(KillReplica{2});
   cluster.Advance(Seconds(5.0));
-  cluster.RecoverReplica(2);
+  cluster.Apply(RecoverReplica{2});
   cluster.Advance(Seconds(10.0));
   ExpectGsi(cluster, history);
   // Pruning really ran: the index holds fewer rows than were ever written.
@@ -352,13 +352,13 @@ TEST(GsiOracle, CertifierFailoverWithRetryAndAutoPrune) {
   std::vector<Certifier::Decision> history;
   cluster.certifier().RecordDecisions(&history);
   cluster.Advance(Seconds(10.0));
-  cluster.CrashCertifier();
+  cluster.Apply(CrashCertifier{});
   cluster.Advance(Seconds(3.0));  // writes park and back off across prune ticks
-  cluster.FailoverCertifier();
+  cluster.Apply(FailoverCertifier{});
   cluster.Advance(Seconds(10.0));
-  cluster.CrashCertifier();
+  cluster.Apply(CrashCertifier{});
   cluster.Advance(Seconds(2.0));
-  cluster.FailoverCertifier();
+  cluster.Apply(FailoverCertifier{});
   cluster.Advance(Seconds(10.0));
   EXPECT_EQ(cluster.certifier().failovers(), 2u);
   EXPECT_GT(cluster.certifier().dedup_hits(), 0u);

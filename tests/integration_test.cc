@@ -92,7 +92,7 @@ TEST(Integration, MixSwitchTriggersReallocation) {
   cluster.Advance(Seconds(400.0));
   ASSERT_NE(cluster.malb(), nullptr);
   const auto before = cluster.malb()->GroupReplicaCounts();
-  cluster.SwitchMix(kTpcwBrowsing);
+  cluster.Apply(SwitchMix{kTpcwBrowsing});
   cluster.Advance(Seconds(400.0));
   const auto after = cluster.malb()->GroupReplicaCounts();
   EXPECT_NE(before, after);  // browsing shifts demand between groups

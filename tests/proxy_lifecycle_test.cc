@@ -100,7 +100,7 @@ constexpr ReplicaLifecycle kStates[] = {ReplicaLifecycle::kUp, ReplicaLifecycle:
 // source at the log head.
 class ProxyLifecycle : public ::testing::TestWithParam<Row> {
  protected:
-  ProxyLifecycle() : channel_(&sim_, /*batch_arrivals=*/true) {
+  ProxyLifecycle() : channel_(&sim_) {
     table_a_ = schema_.AddTable("a", MiB(8));
     bulk_ = schema_.AddTable("bulk", MiB(64));
     ReplicaConfig rc;

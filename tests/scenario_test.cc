@@ -43,9 +43,9 @@ TEST(Scenario, ScriptedCrashRestartMatchesRawHooks) {
   // The same sequence issued through raw Cluster hooks with the same seed.
   Cluster raw(w, kTpcwShopping, "LeastConnections", TestConfig());
   raw.Advance(Seconds(30.0));
-  raw.KillReplica(1);
+  raw.Apply(KillReplica{1});
   raw.Advance(Seconds(30.0));
-  raw.RecoverReplica(1);
+  raw.Apply(RecoverReplica{1});
   raw.Advance(Seconds(15.0));
   const ExperimentResult raw_result = raw.Measure(Seconds(30.0));
 

@@ -132,7 +132,8 @@ TEST(SnapshotJoin, JoinInstallsOneImageCatchesHeadAndServes) {
   cluster.Advance(Seconds(300.0));  // age the cluster: prunes have fired
   ASSERT_GT(cluster.certifier().log_pruned_below(), 0u);
 
-  const size_t index = cluster.AddReplica();
+  cluster.Apply(AddReplica{});
+  const size_t index = cluster.proxies().size() - 1;
   // The `recover` row from kDown with a newer image: the joiner installs it.
   EXPECT_EQ(cluster.proxies()[index]->lifecycle(), ReplicaLifecycle::kInstalling);
   EXPECT_FALSE(cluster.proxies()[index]->available());
@@ -158,7 +159,8 @@ double JoinLatencyAtAge(SimDuration age, const ClusterConfig& config) {
   const Workload w = BuildTpcw(kTpcwSmallEbs);
   Cluster cluster(w, kTpcwOrdering, "LeastConnections", config);
   cluster.Advance(age);
-  const size_t index = cluster.AddReplica();
+  cluster.Apply(AddReplica{});
+  const size_t index = cluster.proxies().size() - 1;
   // Generous convergence window; legacy joins into old clusters replay the
   // whole log.
   for (int i = 0; i < 20 && !cluster.proxies()[index]->available(); ++i) {
@@ -195,8 +197,8 @@ TEST(SnapshotJoin, JoiningAPrunedClusterInstallsACheckpointInsteadOfThrowing) {
   cluster.Advance(Seconds(300.0));
   ASSERT_GT(cluster.certifier().log_pruned_below(), 0u);  // versions 1..floor are gone
 
-  size_t index = 0;
-  EXPECT_NO_THROW(index = cluster.AddReplica());
+  EXPECT_NO_THROW(cluster.Apply(AddReplica{}));
+  const size_t index = cluster.proxies().size() - 1;
   cluster.Advance(Seconds(120.0));
   EXPECT_TRUE(cluster.proxies()[index]->available());
   EXPECT_EQ(cluster.replicas()[index]->stats().checkpoint_installs, 1u);
@@ -212,7 +214,7 @@ TEST(SnapshotJoin, LegacyJoinPastThePruneLineThrows) {
   const Version floor = cluster.proxies()[0]->applied_version() / 2;
   ASSERT_GT(floor, 0u);
   cluster.certifier().PruneLogBelow(floor);
-  EXPECT_THROW(cluster.AddReplica(), std::runtime_error);
+  EXPECT_THROW(cluster.Apply(AddReplica{}), std::runtime_error);
 }
 
 // Pruning without checkpoint joins would strand the next legacy join (it

@@ -10,8 +10,7 @@
 //     which TSan checks via the writes each item makes to its result slot;
 //   * back-to-back pools (spawn/join churn) and the jobs >= count clamp;
 //   * nested sequential calls from a worker item (pool inside an item is
-//     not supported, but a jobs==1 inline call is, and the campaign's
-//     calibration fan-out relies on it).
+//     not supported, but a jobs==1 inline call is).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -73,8 +72,8 @@ TEST(WorkerPoolStress, InlineModeRunsInIndexOrderOnCaller) {
 }
 
 TEST(WorkerPoolStress, WorkerItemsMayRunNestedInlineLoops) {
-  // The calibration fan-out runs a jobs==1 ParallelFor inside worker items;
-  // that must not deadlock or race the outer pool's counter.
+  // A jobs==1 ParallelFor inside worker items must not deadlock or race the
+  // outer pool's counter.
   const size_t kOuter = 256;
   std::vector<uint64_t> sums(kOuter, 0);
   ParallelFor(8, kOuter, [&](size_t i) {
